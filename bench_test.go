@@ -245,13 +245,10 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	b.ReportMetric(float64(ops)/b.Elapsed().Seconds(), "ops/s")
 }
 
-// benchThroughput16 measures simulated remote operations per wall-clock
-// second on one secure 16-GPU run with the given kernel worker count.
-// Workers=1 is the sequential event loop; Workers=8 is the partitioned
-// parallel kernel (two GPUs per partition). Both produce bit-identical
-// results, so the pair isolates the kernel's scheduling cost.
-func benchThroughput16(b *testing.B, workers int) {
-	b.Helper()
+// BenchmarkSimulatorThroughput16GPU measures simulated remote operations
+// per wall-clock second on one secure 16-GPU run, the largest topology the
+// evaluation simulates.
+func BenchmarkSimulatorThroughput16GPU(b *testing.B) {
 	spec, err := WorkloadByAbbr("mm")
 	if err != nil {
 		b.Fatal(err)
@@ -266,28 +263,13 @@ func benchThroughput16(b *testing.B, workers int) {
 	b.ReportAllocs()
 	var ops uint64
 	for i := 0; i < b.N; i++ {
-		res, err := Run(cfg, spec, RunOptions{Workers: workers})
+		res, err := Run(cfg, spec, RunOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
 		ops += res.Ops
 	}
 	b.ReportMetric(float64(ops)/b.Elapsed().Seconds(), "ops/s")
-}
-
-// BenchmarkSimulatorThroughput16GPU measures the sequential kernel on the
-// 16-GPU switch topology — the baseline the parallel kernel is gated
-// against.
-func BenchmarkSimulatorThroughput16GPU(b *testing.B) {
-	benchThroughput16(b, 1)
-}
-
-// BenchmarkSimulatorThroughput16GPUParallel measures the partitioned
-// parallel kernel (8 workers) on the same 16-GPU run. On a single-core
-// host it degenerates to roughly sequential speed plus barrier overhead;
-// the speedup target (>2x) only applies with GOMAXPROCS >= 8.
-func BenchmarkSimulatorThroughput16GPUParallel(b *testing.B) {
-	benchThroughput16(b, 8)
 }
 
 // BenchmarkAblationOracle bounds the schemes against an idealized

@@ -55,11 +55,6 @@ type wireCell struct {
 	Label string             `json:"label,omitempty"`
 	Cfg   config.Config      `json:"cfg"`
 	Opt   machine.RunOptions `json:"opt"`
-	// SimWorkers carries RunOptions.Workers explicitly: the field is
-	// identity-neutral and excluded from RunOptions' JSON form, but the
-	// campaign's kernel choice must still reach the worker executing the
-	// cell.
-	SimWorkers int `json:"sim_workers,omitempty"`
 }
 
 // toCell resolves the wire form against the workload registry.
@@ -68,9 +63,7 @@ func (w wireCell) toCell() (sweep.Cell, error) {
 	if err != nil {
 		return sweep.Cell{}, err
 	}
-	opt := w.Opt
-	opt.Workers = w.SimWorkers
-	return sweep.Cell{Spec: spec, Cfg: w.Cfg, Opt: opt, Label: w.Label}, nil
+	return sweep.Cell{Spec: spec, Cfg: w.Cfg, Opt: w.Opt, Label: w.Label}, nil
 }
 
 // wireGrant is a lease grant on the wire.
@@ -309,7 +302,6 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 		Cell: wireCell{
 			Abbr: g.Cell.Spec.Abbr, Label: g.Cell.Label,
 			Cfg: g.Cell.Cfg, Opt: g.Cell.Opt,
-			SimWorkers: g.Cell.Opt.Workers,
 		},
 		Verify:            g.Verify,
 		TTLMillis:         g.TTL.Milliseconds(),

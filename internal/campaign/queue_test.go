@@ -1,7 +1,6 @@
 package campaign
 
 import (
-	"encoding/json"
 	"testing"
 	"time"
 
@@ -359,41 +358,5 @@ func TestQueueRenewExtendsLease(t *testing.T) {
 	clock.advance(time.Second)
 	if err := q.Renew(g.Lease); err != ErrLeaseGone {
 		t.Fatalf("renew of an expired lease = %v, want ErrLeaseGone", err)
-	}
-}
-
-// TestWireCellCarriesSimWorkers checks the campaign's kernel choice
-// survives the lease wire: RunOptions.Workers is identity-neutral and
-// excluded from RunOptions' JSON form, so wireCell must carry it
-// explicitly for workers to size themselves as the campaign asked.
-func TestWireCellCarriesSimWorkers(t *testing.T) {
-	cell := testCell(t, 1)
-	cell.Opt.Workers = 4
-	wc := wireCell{
-		Abbr: cell.Spec.Abbr, Label: cell.Label,
-		Cfg: cell.Cfg, Opt: cell.Opt,
-		SimWorkers: cell.Opt.Workers,
-	}
-	b, err := json.Marshal(wc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got wireCell
-	if err := json.Unmarshal(b, &got); err != nil {
-		t.Fatal(err)
-	}
-	back, err := got.toCell()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Opt.Workers != 4 {
-		t.Fatalf("Workers=%d after wire round trip, want 4", back.Opt.Workers)
-	}
-	// The kernel choice must stay out of the cell's identity: a cached
-	// result from any worker count serves every other.
-	seq := cell
-	seq.Opt.Workers = 1
-	if cell.Key() != seq.Key() {
-		t.Fatal("Workers leaked into the canonical cell key")
 	}
 }

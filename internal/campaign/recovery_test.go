@@ -4,6 +4,7 @@ import (
 	"context"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -147,6 +148,36 @@ func TestRestartRemembersExplicitCancel(t *testing.T) {
 	got, ok := coord2.Campaign(sub.ID)
 	if !ok || got.State != StateCanceled {
 		t.Fatalf("cancelled campaign after restart: %+v (ok=%v)", got, ok)
+	}
+}
+
+// legacyControlLog is a control journal exactly as a build with a
+// selectable simulation kernel wrote it: the submitted spec carries
+// "sim_workers", a field this build no longer has.
+const legacyControlLog = `{"t":"submit","d":{"id":"c20260101-000000-0001","spec":{"experiments":["table1"],"sim_workers":8},"created":"2026-01-01T00:00:00Z"},"c":"a16741764d797654"}
+`
+
+// TestRestartRecoversLegacySpec: a campaign journaled with the retired
+// kernel field still passes its checksum, is re-submitted at boot, and
+// finishes.
+func TestRestartRecoversLegacySpec(t *testing.T) {
+	st, err := store.Open(t.TempDir(), store.Options{SimDigest: "test-sim"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(st.ControlLogPath(), []byte(legacyControlLog), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	coord := NewCoordinator(Options{Store: st, LeaseTTL: time.Minute, Logf: t.Logf})
+	defer coord.Close()
+	if coord.Recovered() != 1 {
+		t.Fatalf("Recovered() = %d, want the legacy campaign back", coord.Recovered())
+	}
+	const id = "c20260101-000000-0001"
+	waitState(t, coord, id, StateDone)
+	got, _ := coord.Campaign(id)
+	if !got.Recovered || len(got.Spec.Experiments) != 1 || got.Spec.Experiments[0] != "table1" {
+		t.Fatalf("recovered campaign = %+v", got)
 	}
 }
 

@@ -33,14 +33,6 @@ type Spec struct {
 	// window, not worker concurrency: actual simulation parallelism is
 	// however many workers are polling.
 	Parallelism int `json:"parallelism,omitempty"`
-	// SimWorkers selects the per-cell simulation kernel: 1 forces the
-	// sequential event loop, >1 the partitioned parallel kernel, 0 (the
-	// default) picks automatically from the topology size and the
-	// worker's free CPUs. Results are bit-identical for every value, so
-	// the choice never affects result digests or verification quorums —
-	// it travels with the campaign only so workers size themselves
-	// consistently.
-	SimWorkers int `json:"sim_workers,omitempty"`
 	// Retries grants each failing cell this many extra execution
 	// attempts before the campaign records the failure (default 0).
 	Retries int `json:"retries,omitempty"`
@@ -153,6 +145,5 @@ func (s Spec) params() experiments.Params {
 		Seed:        s.Seed,
 		Workloads:   s.Workloads,
 		Parallelism: s.Parallelism,
-		SimWorkers:  s.SimWorkers,
 	}
 }

@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"encoding/json"
 	"testing"
 
 	"secmgpu/internal/config"
@@ -75,16 +76,80 @@ func TestUnsecureRunCompletes(t *testing.T) {
 	}
 }
 
+// resultDigest reduces a Result to a comparable byte string covering every
+// exported field (histograms and series marshal their full contents).
+func resultDigest(t *testing.T, res *Result) string {
+	t.Helper()
+	b, err := json.Marshal(res)
+	if err != nil {
+		t.Fatalf("marshal result: %v", err)
+	}
+	return string(b)
+}
+
+// TestDeterminism runs each case twice and requires byte-identical full
+// results: cycles, traffic accounting, OTP and endpoint statistics, burst
+// histograms, series, and migrations. The cases span topology shapes,
+// trace shapes that make GPUs finish far apart, per-interval tracing, and
+// the fault and outage profiles.
 func TestDeterminism(t *testing.T) {
-	cfg := config.Default(4)
-	cfg.Secure = true
-	cfg.Scheme = config.OTPDynamic
-	cfg.Batching = true
-	a := run(t, cfg, allTraces(4, 400, 15, 3), RunOptions{})
-	b := run(t, cfg, allTraces(4, 400, 15, 3), RunOptions{})
-	if a.Cycles != b.Cycles || a.Traffic.TotalBytes() != b.Traffic.TotalBytes() {
-		t.Errorf("nondeterministic: %d/%d vs %d/%d cycles/bytes",
-			a.Cycles, a.Traffic.TotalBytes(), b.Cycles, b.Traffic.TotalBytes())
+	secure := func(gpus int, switched bool) config.Config {
+		cfg := config.Default(gpus)
+		cfg.Secure = true
+		cfg.Scheme = config.OTPDynamic
+		cfg.SwitchTopology = switched
+		return cfg
+	}
+	// uneven gives every GPU a different trace length and gap.
+	uneven := func(gpus, seed int) [][]workload.Op {
+		traces := make([][]workload.Op, gpus)
+		for g := 1; g <= gpus; g++ {
+			count := 300 + 150*((g+seed)%3)
+			gap := uint32(10 + 7*((g+seed)%4))
+			traces[g-1] = synthTrace(g, gpus, count, gap, 3+seed)
+		}
+		return traces
+	}
+	ops16 := 600
+	if testing.Short() {
+		ops16 = 200
+	}
+	batched := secure(4, false)
+	batched.Batching = true
+	faulty := secure(8, false)
+	faulty.Recovery = true
+	faulty.ResyncThreshold = 4
+	faulty.Faults.DropRate = 0.01
+	faulty.Faults.Seed = 7
+	outages := outageConfig(8)
+	outages.Outages = config.OutageProfile{LinkMTBF: 200_000, LinkOutage: 5_000, Seed: 3}
+
+	cases := []struct {
+		name   string
+		cfg    config.Config
+		traces [][]workload.Op
+		opt    RunOptions
+	}{
+		{"gpus=4/p2p/batched", batched, allTraces(4, 400, 15, 3), RunOptions{}},
+		{"gpus=2/p2p", secure(2, false), allTraces(2, 600, 20, 4), RunOptions{}},
+		{"gpus=4/p2p", secure(4, false), allTraces(4, 600, 20, 4), RunOptions{}},
+		{"gpus=8/switch", secure(8, true), allTraces(8, 600, 20, 4), RunOptions{}},
+		{"gpus=16/switch", secure(16, true), allTraces(16, ops16, 20, 4), RunOptions{}},
+		{"gpus=8/switch/traced", secure(8, true), allTraces(8, 400, 25, 3), RunOptions{TraceComms: true, TraceInterval: 5000}},
+		{"gpus=8/switch/uneven=0", secure(8, true), uneven(8, 0), RunOptions{}},
+		{"gpus=8/switch/uneven=1", secure(8, true), uneven(8, 1), RunOptions{}},
+		{"gpus=8/switch/uneven=2", secure(8, true), uneven(8, 2), RunOptions{}},
+		{"gpus=8/faults", faulty, allTraces(8, 100, 20, 4), RunOptions{}},
+		{"gpus=8/outages", outages, allTraces(8, 300, 20, 4), RunOptions{}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			a := resultDigest(t, run(t, tc.cfg, tc.traces, tc.opt))
+			b := resultDigest(t, run(t, tc.cfg, tc.traces, tc.opt))
+			if a != b {
+				t.Errorf("nondeterministic result\nfirst:  %.200s\nsecond: %.200s", a, b)
+			}
+		})
 	}
 }
 

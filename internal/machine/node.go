@@ -66,20 +66,6 @@ type node struct {
 	tlbH   *tlb.Hierarchy
 	fe     *gpu.FrontEnd
 
-	// eng is the engine this node's events run on: the single shared
-	// engine sequentially, or the owning partition's engine under the
-	// parallel kernel. fab is the matching fabric handle (the canonical
-	// fabric, or the partition's deferred-send view).
-	eng *sim.Engine
-	fab *interconnect.Fabric
-
-	// burst16/burst32 are this node's slices of the burst-interval
-	// distributions (Figures 15-16). They are per-node rather than
-	// system-global so partitions never share collector state; the run
-	// result merges them, which is bit-identical because every (src, dst)
-	// pair is only ever touched by its src node.
-	burst16, burst32 *burstTracker
-
 	// Requester state (GPUs only).
 	ops        []workload.Op
 	next       int
@@ -185,10 +171,10 @@ func (n *node) onEvent(se sim.Event) {
 	case evWriteCommit:
 		n.ep.SendControl(src, interconnect.KindWriteAck, id, addr, secure.CtrlBytes)
 	case evServeRead:
-		n.noteDataBlock(src, now)
+		n.sys.noteDataBlock(n.id, src, now)
 		n.ep.SendData(src, interconnect.KindDataResp, id, addr, n.payloadFor(addr), n.id.IsCPU())
 	case evMigrChunk:
-		n.noteDataBlock(src, now)
+		n.sys.noteDataBlock(n.id, src, now)
 		n.ep.SendData(src, interconnect.KindMigrChunk, id, addr, n.payloadFor(addr), n.id.IsCPU())
 	case evMigrDone:
 		n.ep.SendControl(src, interconnect.KindMigrDone, id, addr, secure.CtrlBytes)
@@ -199,15 +185,7 @@ func (n *node) onEvent(se sim.Event) {
 // GPU, modelling the driver's migration queue.
 const maxConcurrentMigrations = 4
 
-func (n *node) engine() *sim.Engine { return n.eng }
-
-// noteDataBlock feeds this node's burst-interval trackers on every
-// data-bearing block injected for (n.id -> dst).
-func (n *node) noteDataBlock(dst interconnect.NodeID, now sim.Cycle) {
-	pair := int(n.id)*len(n.sys.nodes) + int(dst)
-	n.burst16.note(pair, now)
-	n.burst32.note(pair, now)
-}
+func (n *node) engine() *sim.Engine { return n.sys.engine }
 
 func (n *node) scheduleWake(at sim.Cycle) {
 	now := n.engine().Now()
@@ -282,7 +260,7 @@ func (n *node) issue(now sim.Cycle, op workload.Op, cu int) {
 			}
 			ev := n.newEvent(evIssueTranslated)
 			ev.cu, ev.op, ev.page, ev.addr = cu, op, page, addr
-			n.engine().Schedule(now+lat, n.evH, ev)
+			n.sys.engine.Schedule(now+lat, n.evH, ev)
 			return
 		}
 	}
@@ -330,7 +308,7 @@ func (n *node) issueTranslated(now sim.Cycle, op workload.Op, page migration.Pag
 	case workload.Read:
 		n.ep.SendControl(owner, interconnect.KindReadReq, id, addr, secure.ReadReqBytes)
 	case workload.Write:
-		n.noteDataBlock(owner, now)
+		n.sys.noteDataBlock(n.id, owner, now)
 		n.ep.SendData(owner, interconnect.KindWriteReq, id, addr, n.payloadFor(addr), false)
 	default:
 		panic(fmt.Sprintf("machine: unknown op kind %d", op.Kind))
@@ -352,7 +330,7 @@ func (n *node) complete(cu int) {
 	n.completed++
 	if n.completed == len(n.ops) && !n.done {
 		n.done = true
-		n.sys.gpuFinished(n)
+		n.sys.gpuFinished()
 		return
 	}
 	n.tryIssue()

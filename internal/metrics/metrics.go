@@ -62,24 +62,9 @@ func (h *Histogram) Observe(v uint64) {
 	h.total++
 }
 
-// Merge folds another histogram's samples into h. The bucket layouts must
-// match. Bucket sums are order-independent, so merging per-shard
-// histograms yields exactly the counts a single shared histogram would
-// have accumulated — which is what keeps the parallel kernel's per-node
-// burst trackers bit-identical to the sequential single tracker.
-func (h *Histogram) Merge(o *Histogram) {
-	if len(h.counts) != len(o.counts) {
-		panic("metrics: merging histograms with different bucket layouts")
-	}
-	for i, c := range o.counts {
-		h.counts[i] += c
-	}
-	h.total += o.total
-}
-
 // Clone returns an independent copy of the histogram — a consistent
-// snapshot callers can serialize or merge without racing later Observes
-// on the original.
+// snapshot callers can serialize without racing later Observes on the
+// original.
 func (h *Histogram) Clone() *Histogram {
 	c := &Histogram{
 		bounds: make([]uint64, len(h.bounds)),

@@ -5,11 +5,7 @@
 // access and page migration (Section II-A).
 package migration
 
-import (
-	"fmt"
-	"sync"
-	"sync/atomic"
-)
+import "fmt"
 
 // PageID identifies a 4KB page in the unified address space.
 type PageID uint64
@@ -17,26 +13,14 @@ type PageID uint64
 // Node mirrors interconnect.NodeID without importing it; 0 is the CPU.
 type Node int
 
-// numShards is the page-table shard count. Sharding exists for the
-// parallel simulation kernel: partitions running on worker goroutines
-// consult the policy concurrently, and per-shard locks keep the lookup
-// path uncontended. Determinism is unaffected — conflicting operations on
-// the same page are always separated by at least a fabric round-trip, so
-// the barrier protocol orders them identically to the sequential kernel;
-// the locks only protect map structure, never arbitration.
-const numShards = 128
-
-// Policy tracks page ownership and per-(page, accessor) counters. It is
-// safe for concurrent use by the parallel kernel's partitions.
+// Policy tracks page ownership and per-(page, accessor) counters.
 type Policy struct {
-	threshold  int
-	shards     [numShards]shard
-	migrations atomic.Uint64
-}
-
-type shard struct {
-	mu    sync.RWMutex
-	pages map[PageID]*pageState
+	threshold int
+	// pages holds the migration state of every page touched remotely or
+	// migrated; absent pages live at their home node (encoded in the
+	// address) with no accesses counted.
+	pages      map[PageID]*pageState
+	migrations uint64
 }
 
 // pageState is one page's migration state. The common case is a single
@@ -50,33 +34,16 @@ type pageState struct {
 	overflow map[Node]int
 }
 
-func (p *Policy) shardOf(page PageID) *shard {
-	return &p.shards[(uint64(page)*0x9E3779B97F4A7C15)>>57&(numShards-1)]
-}
-
 // NewPolicy builds an access-counter migration policy. threshold <= 0
 // disables migration entirely (pure direct block access).
 func NewPolicy(threshold int) *Policy {
-	p := &Policy{threshold: threshold}
-	for i := range p.shards {
-		p.shards[i].pages = make(map[PageID]*pageState)
-	}
-	return p
+	return &Policy{threshold: threshold, pages: make(map[PageID]*pageState)}
 }
 
 // Owner returns the page's current owner given its home node.
 func (p *Policy) Owner(page PageID, home Node) Node {
-	s := p.shardOf(page)
-	s.mu.RLock()
-	st := s.pages[page]
-	var owner Node
-	ok := st != nil && st.hasOwner
-	if ok {
-		owner = st.owner
-	}
-	s.mu.RUnlock()
-	if ok {
-		return owner
+	if st := p.pages[page]; st != nil && st.hasOwner {
+		return st.owner
 	}
 	return home
 }
@@ -88,51 +55,43 @@ func (p *Policy) RecordAccess(page PageID, accessor, owner Node) (migrate bool) 
 	if accessor == owner || p.threshold <= 0 {
 		return false
 	}
-	s := p.shardOf(page)
-	s.mu.Lock()
-	st := s.pages[page]
-	if st == nil {
-		st = &pageState{}
-		s.pages[page] = st
-	}
-	var c int
-	switch {
-	case st.cCount == 0 && st.overflow == nil, st.cNode == accessor:
+	st := p.state(page)
+	if (st.cCount == 0 && st.overflow == nil) || st.cNode == accessor {
 		st.cNode = accessor
 		st.cCount++
-		c = st.cCount
-	default:
-		if st.overflow == nil {
-			st.overflow = make(map[Node]int)
-		}
-		st.overflow[accessor]++
-		c = st.overflow[accessor]
+		return st.cCount >= p.threshold
 	}
-	s.mu.Unlock()
-	return c >= p.threshold
+	if st.overflow == nil {
+		st.overflow = make(map[Node]int)
+	}
+	st.overflow[accessor]++
+	return st.overflow[accessor] >= p.threshold
 }
 
 // Migrate transfers ownership of the page to the new owner, resetting its
 // counters. The caller is responsible for simulating the data movement and
 // shootdown cost.
 func (p *Policy) Migrate(page PageID, to Node, home Node) {
-	s := p.shardOf(page)
-	s.mu.Lock()
-	st := s.pages[page]
-	if st == nil {
-		st = &pageState{}
-		s.pages[page] = st
-	}
+	st := p.state(page)
 	st.hasOwner = to != home
 	st.owner = to
 	st.cCount = 0
 	st.overflow = nil
-	s.mu.Unlock()
-	p.migrations.Add(1)
+	p.migrations++
+}
+
+// state returns the page's entry, creating it on first touch.
+func (p *Policy) state(page PageID) *pageState {
+	st := p.pages[page]
+	if st == nil {
+		st = &pageState{}
+		p.pages[page] = st
+	}
+	return st
 }
 
 // Migrations returns the number of migrations performed.
-func (p *Policy) Migrations() uint64 { return p.migrations.Load() }
+func (p *Policy) Migrations() uint64 { return p.migrations }
 
 // Threshold returns the configured access-count threshold.
 func (p *Policy) Threshold() int { return p.threshold }
@@ -140,18 +99,13 @@ func (p *Policy) Threshold() int { return p.threshold }
 // String summarizes the policy state.
 func (p *Policy) String() string {
 	migrated := 0
-	for i := range p.shards {
-		s := &p.shards[i]
-		s.mu.RLock()
-		for _, st := range s.pages {
-			if st.hasOwner {
-				migrated++
-			}
+	for _, st := range p.pages {
+		if st.hasOwner {
+			migrated++
 		}
-		s.mu.RUnlock()
 	}
 	return fmt.Sprintf("migration.Policy{threshold=%d, migrated=%d pages, total=%d migrations}",
-		p.threshold, migrated, p.Migrations())
+		p.threshold, migrated, p.migrations)
 }
 
 // ShootdownCost is the TLB-shootdown stall in cycles charged to the

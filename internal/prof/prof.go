@@ -11,28 +11,14 @@ import (
 	"runtime/pprof"
 )
 
-// Options names the profile outputs to collect; empty paths are skipped.
-type Options struct {
-	// CPU receives a CPU profile covering Start..stop.
-	CPU string
-	// Mem receives a heap profile captured at stop.
-	Mem string
-	// Block receives a blocking profile (channel waits, barrier Wait)
-	// captured at stop. Enabling it samples every blocking event, which
-	// is how parallel-kernel window imbalance shows up.
-	Block string
-	// Mutex receives a contended-mutex profile captured at stop (the
-	// parallel kernel's sharded page-table locks, the worker budget).
-	Mutex string
-}
-
-// Start begins the configured profilers and returns the function that
-// stops them and writes the at-exit profiles. Stop is idempotent and safe
-// to both defer and call before os.Exit; with no paths set it is a no-op.
-func Start(opts Options) (stop func(), err error) {
+// Start begins CPU profiling to cpuPath (when non-empty) and arranges for a
+// heap profile to be written to memPath (when non-empty) by the returned
+// stop function. Stop is idempotent and safe to both defer and call before
+// os.Exit; with no paths set it is a no-op.
+func Start(cpuPath, memPath string) (stop func(), err error) {
 	var cpuFile *os.File
-	if opts.CPU != "" {
-		cpuFile, err = os.Create(opts.CPU)
+	if cpuPath != "" {
+		cpuFile, err = os.Create(cpuPath)
 		if err != nil {
 			return nil, fmt.Errorf("prof: %w", err)
 		}
@@ -40,12 +26,6 @@ func Start(opts Options) (stop func(), err error) {
 			cpuFile.Close()
 			return nil, fmt.Errorf("prof: start cpu profile: %w", err)
 		}
-	}
-	if opts.Block != "" {
-		runtime.SetBlockProfileRate(1)
-	}
-	if opts.Mutex != "" {
-		runtime.SetMutexProfileFraction(1)
 	}
 	done := false
 	return func() {
@@ -57,33 +37,19 @@ func Start(opts Options) (stop func(), err error) {
 			pprof.StopCPUProfile()
 			cpuFile.Close()
 		}
-		if opts.Mem != "" {
+		if memPath != "" {
+			f, err := os.Create(memPath)
+			if err != nil {
+				fmt.Fprintln(os.Stderr, "prof:", err)
+				return
+			}
+			defer f.Close()
 			// Fold in anything still unswept so the numbers match the
 			// allocator's view.
 			runtime.GC()
-			writeProfile("heap", opts.Mem)
-		}
-		if opts.Block != "" {
-			writeProfile("block", opts.Block)
-			runtime.SetBlockProfileRate(0)
-		}
-		if opts.Mutex != "" {
-			writeProfile("mutex", opts.Mutex)
-			runtime.SetMutexProfileFraction(0)
+			if err := pprof.Lookup("heap").WriteTo(f, 0); err != nil {
+				fmt.Fprintln(os.Stderr, "prof: write heap profile:", err)
+			}
 		}
 	}, nil
-}
-
-// writeProfile dumps one named runtime profile, reporting failures to
-// stderr (profiling must never fail the run it observes).
-func writeProfile(name, path string) {
-	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "prof:", err)
-		return
-	}
-	defer f.Close()
-	if err := pprof.Lookup(name).WriteTo(f, 0); err != nil {
-		fmt.Fprintf(os.Stderr, "prof: write %s profile: %v\n", name, err)
-	}
 }

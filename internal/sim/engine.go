@@ -70,12 +70,6 @@ type Engine struct {
 	nextSeq uint64
 	stopped bool
 
-	// par holds the partitioned-kernel state when this engine is one
-	// member of an EngineGroup; nil on a classic sequential engine. See
-	// parallel.go for the key encoding that replaces the plain sequence
-	// counter in that mode.
-	par *parEngine
-
 	// EventLimit bounds the number of events processed by Run as a runaway
 	// guard; zero means no limit.
 	EventLimit uint64
@@ -113,34 +107,8 @@ func (e *Engine) Schedule(at Cycle, h Handler, payload any) {
 	if h == nil {
 		panic("sim: schedule with nil handler")
 	}
-	e.push(Event{At: at, Handler: h, Payload: payload, seq: e.assignKey(), slot: noSlot})
-}
-
-// assignKey produces the ordering key for a newly scheduled event. A
-// sequential engine uses a monotone counter — exactly the classic
-// (cycle, sequence) order. A partitioned engine encodes the scheduling
-// context (parent event and intra-handler position) so the group can
-// reconstruct the identical global order at barrier time; see parallel.go.
-func (e *Engine) assignKey() uint64 {
-	p := e.par
-	if p == nil {
-		e.nextSeq++
-		return e.nextSeq
-	}
-	if p.inHandler {
-		k := p.nextK
-		if k > keyMaxK {
-			panic("sim: handler scheduled too many events for the partitioned key encoding")
-		}
-		p.nextK++
-		return keyFresh | p.curIdx<<keyRankShift | k<<keySubBits
-	}
-	r := *p.rootNext
-	if r >= rootRankCap {
-		panic("sim: too many setup-scheduled events for the partitioned key encoding")
-	}
-	*p.rootNext = r + 1
-	return r << keyRankShift
+	e.nextSeq++
+	e.push(Event{At: at, Handler: h, Payload: payload, seq: e.nextSeq, slot: noSlot})
 }
 
 // ScheduleAfter enqueues an event delay cycles from now.

@@ -36,7 +36,8 @@ func (e *Engine) ScheduleTimer(at Cycle, h Handler, payload any) Timer {
 		e.timerGen = append(e.timerGen, 0)
 	}
 	gen := e.timerGen[slot]
-	e.push(Event{At: at, Handler: h, Payload: payload, seq: e.assignKey(), slot: slot, gen: gen})
+	e.nextSeq++
+	e.push(Event{At: at, Handler: h, Payload: payload, seq: e.nextSeq, slot: slot, gen: gen})
 	return Timer{e: e, slot: slot, gen: gen}
 }
 

@@ -46,19 +46,20 @@ type RunInfo struct {
 	Scale     float64  `json:"scale,omitempty"`
 	Seed      int64    `json:"seed,omitempty"`
 	Workloads []string `json:"workloads,omitempty"`
-	// SimWorkers is the requested simulation kernel (0 auto, 1
-	// sequential, >1 partitioned). Results are bit-identical across
-	// kernels, but a resume that silently switched kernel configuration
-	// would make the journal lie about how its cells were produced, so a
-	// mismatch refuses like any other parameter change.
-	SimWorkers int `json:"simworkers,omitempty"`
+	// LegacySimWorkers decodes the kernel worker count that journals
+	// written before the simulator had a single kernel may carry. It is
+	// never set by new runs and plays no part in parameter matching; it
+	// exists so an old header still round-trips through Record's
+	// checksum and a -resume of an old run keeps working.
+	LegacySimWorkers int `json:"simworkers,omitempty"`
 }
 
 // ParamsDigest hashes the campaign parameters that must match for a
 // resume to be meaningful (everything except the simulator digest,
-// which has its own invalidation path).
+// which has its own invalidation path, and the legacy kernel field).
 func (r RunInfo) ParamsDigest() string {
 	r.SimDigest = ""
+	r.LegacySimWorkers = 0
 	d, err := DigestJSON(r)
 	if err != nil {
 		return "unhashable"
@@ -113,9 +114,6 @@ func (r RunInfo) diff(other RunInfo) []string {
 	}
 	if !slices.Equal(r.Workloads, other.Workloads) {
 		add("workloads", r.Workloads, other.Workloads)
-	}
-	if r.SimWorkers != other.SimWorkers {
-		add("sim-workers", r.SimWorkers, other.SimWorkers)
 	}
 	return diffs
 }

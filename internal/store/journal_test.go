@@ -228,16 +228,66 @@ func TestRunInfoVerify(t *testing.T) {
 	if err := a.Verify(e); err == nil {
 		t.Error("run-ID change accepted")
 	}
-	// A resume that switched simulation kernel configuration must refuse:
-	// results are bit-identical, but the journal must not lie about how
-	// its cells were produced.
+	// The legacy kernel field is not a campaign parameter: a journal
+	// carrying it matches a request that does not.
 	f := a
-	f.SimWorkers = 4
-	err := a.Verify(f)
-	if err == nil {
-		t.Error("sim-workers change accepted")
-	} else if !strings.Contains(err.Error(), "sim-workers") {
-		t.Errorf("sim-workers mismatch not named: %v", err)
+	f.LegacySimWorkers = 4
+	if err := f.Verify(a); err != nil {
+		t.Errorf("legacy sim-workers field refused a resume: %v", err)
+	}
+}
+
+// legacyJournal is a run journal exactly as a build with a selectable
+// simulation kernel wrote it for `-sim-workers 2`: the header carries
+// "simworkers" and every record's checksum covers it.
+const legacyJournal = `{"t":"run","run":{"id":"old","sim":"sim1","exps":["fig21"],"gpus":16,"scale":0.02,"seed":1,"workloads":["mm"],"simworkers":2},"c":"f2a9399c45fe9ac9"}
+{"t":"start","cell":"aa","label":"mm","attempt":1,"c":"c09bfe2a175b22d7"}
+{"t":"done","cell":"aa","label":"mm","ms":12,"c":"fdf9c0aef999d69d"}
+`
+
+// TestLegacySimWorkersJournalResumes checks an old journal whose header
+// names a kernel worker count still replays (the header checksum holds)
+// and resumes under a request that carries no such field.
+func TestLegacySimWorkersJournalResumes(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "old.jsonl")
+	if err := os.WriteFile(path, []byte(legacyJournal), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := store.ReplayJournal(path)
+	if err != nil {
+		t.Fatalf("legacy journal does not replay: %v", err)
+	}
+	if rep.Corrupt != 0 || rep.Info.LegacySimWorkers != 2 {
+		t.Fatalf("corrupt=%d legacy=%d, want 0/2", rep.Corrupt, rep.Info.LegacySimWorkers)
+	}
+	if _, ok := rep.Done["aa"]; !ok {
+		t.Fatal("done cell missing from legacy journal")
+	}
+	req := store.RunInfo{
+		ID: "old", SimDigest: "sim1", Exps: []string{"fig21"},
+		GPUs: 16, Scale: 0.02, Seed: 1, Workloads: []string{"mm"},
+	}
+	if err := rep.Info.Verify(req); err != nil {
+		t.Fatalf("resume of legacy journal refused: %v", err)
+	}
+	j, err := store.OpenJournalAppend(path, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.Append(store.Record{T: store.RecRestored, Cell: "aa", Label: "mm"})
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rep, err = store.ReplayJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Corrupt != 0 || rep.Resumes != 1 || rep.Info.LegacySimWorkers != 2 {
+		t.Errorf("after resume: corrupt=%d resumes=%d legacy=%d, want 0/1/2",
+			rep.Corrupt, rep.Resumes, rep.Info.LegacySimWorkers)
+	}
+	if _, ok := rep.Restored["aa"]; !ok {
+		t.Error("restored cell missing after resume")
 	}
 }
 
