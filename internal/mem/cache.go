@@ -2,27 +2,50 @@
 // set-associative LRU cache model (the shared L2 of Table III) and DRAM
 // latency models for GPU HBM and host DRAM. The machine layer uses them to
 // time how quickly a home node can serve remote block requests.
+//
+// The evaluation builds thousands of small cells, and a small cell touches
+// few sets: at scale 0.01 about 9% of a 2 MiB L2's and 3% of an 8 MiB
+// LLC's (a 16-GPU cell at 0.5 touches nearly all). So the cache stores tag
+// state lazily: a set gets its lines on first access, carved out of
+// fixed-size chunks that hold no pointers. Building a cache then costs one
+// slot per set, and the garbage collector never scans the tag store.
 package mem
 
 import (
 	"fmt"
+	"math/bits"
 
 	"secmgpu/internal/sim"
 )
 
+// line is one way of a set. age is the LRU stamp of the last access; zero
+// marks an invalid way, since the clock advances before every stamp.
+type line struct {
+	tag, age uint64
+}
+
+// chunkLines is the number of lines in one tag-store chunk: 64 KiB.
+const chunkLines = 4096
+
 // Cache is a set-associative cache with LRU replacement, modelling tag
 // state only: it answers hit/miss and maintains recency, which is all the
 // timing model needs.
+//
+// Sets are materialized on first access. slot[set] is zero for a set never
+// touched, and otherwise k+1 when the set was the k-th to be touched
+// (counting from 0); its ways are lines [(k mod per)·ways, +ways) of chunk
+// k/per, where per = 1<<chunkShift sets share a chunk. Chunks are allocated
+// whole and never moved, so a growing tag store never copies.
 type Cache struct {
-	sets      int
+	sets      uint64
 	ways      int
-	blockSize int
+	blockSize uint64
 
-	tags [][]uint64
-	// age[set][way] is the last access stamp for LRU.
-	age   [][]uint64
-	valid [][]bool
-	clock uint64
+	slot       []int32
+	chunks     [][]line
+	chunkShift uint
+	touched    int32
+	clock      uint64
 
 	hits   uint64
 	misses uint64
@@ -39,43 +62,64 @@ func NewCache(capacityBytes, ways, blockSize int) *Cache {
 		panic(fmt.Sprintf("mem: capacity %dB / block %dB not divisible into %d ways", capacityBytes, blockSize, ways))
 	}
 	sets := blocks / ways
-	c := &Cache{sets: sets, ways: ways, blockSize: blockSize}
-	c.tags = make([][]uint64, sets)
-	c.age = make([][]uint64, sets)
-	c.valid = make([][]bool, sets)
-	for i := range c.tags {
-		c.tags[i] = make([]uint64, ways)
-		c.age[i] = make([]uint64, ways)
-		c.valid[i] = make([]bool, ways)
+	// Sets per chunk: the largest power of two whose lines fit in
+	// chunkLines (at least one set), capped at the cache's own set count
+	// rounded up, so a small cache gets a small chunk.
+	shift := bits.Len(uint(max(chunkLines/ways, 1))) - 1
+	shift = min(shift, bits.Len(uint(sets-1)))
+	return &Cache{
+		sets:       uint64(sets),
+		ways:       ways,
+		blockSize:  uint64(blockSize),
+		slot:       make([]int32, sets),
+		chunkShift: uint(shift),
 	}
-	return c
 }
 
 // Access looks up addr, allocating it on a miss (evicting the LRU way) and
-// reporting whether it hit.
+// reporting whether it hit. The victim is the last invalid way, otherwise
+// the way with the oldest stamp.
 func (c *Cache) Access(addr uint64) bool {
 	c.clock++
-	block := addr / uint64(c.blockSize)
-	set := int(block % uint64(c.sets))
-	tag := block / uint64(c.sets)
+	block := addr / c.blockSize
+	set := block % c.sets
+	tag := block / c.sets
+	ways := c.lines(set)
 	lru, lruAge := 0, ^uint64(0)
-	for w := 0; w < c.ways; w++ {
-		if c.valid[set][w] && c.tags[set][w] == tag {
-			c.age[set][w] = c.clock
+	for w := range ways {
+		l := &ways[w]
+		if l.age == 0 {
+			lru, lruAge = w, 0
+			continue
+		}
+		if l.tag == tag {
+			l.age = c.clock
 			c.hits++
 			return true
 		}
-		if !c.valid[set][w] {
-			lru, lruAge = w, 0
-		} else if c.age[set][w] < lruAge {
-			lru, lruAge = w, c.age[set][w]
+		if l.age < lruAge {
+			lru, lruAge = w, l.age
 		}
 	}
 	c.misses++
-	c.valid[set][lru] = true
-	c.tags[set][lru] = tag
-	c.age[set][lru] = c.clock
+	ways[lru] = line{tag: tag, age: c.clock}
 	return false
+}
+
+// lines returns set's ways, giving the set its lines on first access.
+func (c *Cache) lines(set uint64) []line {
+	s := c.slot[set]
+	if s == 0 {
+		if int(c.touched)>>c.chunkShift == len(c.chunks) {
+			c.chunks = append(c.chunks, make([]line, c.ways<<c.chunkShift))
+		}
+		c.touched++
+		s = c.touched
+		c.slot[set] = s
+	}
+	k := int(s - 1)
+	off := (k & (1<<c.chunkShift - 1)) * c.ways
+	return c.chunks[k>>c.chunkShift][off : off+c.ways : off+c.ways]
 }
 
 // Hits returns the hit count.
@@ -92,9 +136,6 @@ func (c *Cache) HitRate() float64 {
 	}
 	return float64(c.hits) / float64(t)
 }
-
-// Sets returns the number of sets, for tests.
-func (c *Cache) Sets() int { return c.sets }
 
 // Memory times block service at a home node: an L2 lookup in front of DRAM.
 type Memory struct {

@@ -127,3 +127,99 @@ func TestHBMAndHostPresets(t *testing.T) {
 		t.Errorf("host cold=%d, want 270", d.ServiceLatency(0))
 	}
 }
+
+// refCache is the nested-slice cache the lazy chunked tag store replaced,
+// kept as the reference model for TestCacheMatchesReference.
+type refCache struct {
+	sets, ways, blockSize int
+	tags, age             [][]uint64
+	valid                 [][]bool
+	clock                 uint64
+	hits, misses          uint64
+}
+
+func newRefCache(capacityBytes, ways, blockSize int) *refCache {
+	sets := capacityBytes / blockSize / ways
+	c := &refCache{sets: sets, ways: ways, blockSize: blockSize}
+	c.tags = make([][]uint64, sets)
+	c.age = make([][]uint64, sets)
+	c.valid = make([][]bool, sets)
+	for i := range c.tags {
+		c.tags[i] = make([]uint64, ways)
+		c.age[i] = make([]uint64, ways)
+		c.valid[i] = make([]bool, ways)
+	}
+	return c
+}
+
+func (c *refCache) Access(addr uint64) bool {
+	c.clock++
+	block := addr / uint64(c.blockSize)
+	set := int(block % uint64(c.sets))
+	tag := block / uint64(c.sets)
+	lru, lruAge := 0, ^uint64(0)
+	for w := 0; w < c.ways; w++ {
+		if c.valid[set][w] && c.tags[set][w] == tag {
+			c.age[set][w] = c.clock
+			c.hits++
+			return true
+		}
+		if !c.valid[set][w] {
+			lru, lruAge = w, 0
+		} else if c.age[set][w] < lruAge {
+			lru, lruAge = w, c.age[set][w]
+		}
+	}
+	c.misses++
+	c.valid[set][lru] = true
+	c.tags[set][lru] = tag
+	c.age[set][lru] = c.clock
+	return false
+}
+
+// TestCacheMatchesReference drives the cache and the nested-slice reference
+// with the same seeded address streams and requires the identical hit/miss
+// sequence and counters, for every geometry the simulator builds plus a
+// direct-mapped and an odd-associativity cache.
+func TestCacheMatchesReference(t *testing.T) {
+	cases := []struct {
+		name                   string
+		capacity, ways, block  int
+		footprint, hot, stride uint64
+	}{
+		// Footprints a few times capacity force evictions; hot addresses
+		// give hits; stride spreads a stream over sets.
+		{"hbm", 2 << 20, 16, 64, 8 << 20, 1 << 16, 64},
+		{"host", 8 << 20, 16, 64, 32 << 20, 1 << 16, 64},
+		{"tlb-l1", 64, 16, 1, 256, 32, 1},
+		{"tlb-l2", 1024, 8, 1, 4096, 256, 1},
+		{"direct-mapped", 4096, 1, 64, 16384, 1024, 64},
+		{"odd-ways", 7 * 64 * 48, 7, 64, 7 * 64 * 200, 2048, 64},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(tc.capacity + tc.ways)))
+			c := NewCache(tc.capacity, tc.ways, tc.block)
+			ref := newRefCache(tc.capacity, tc.ways, tc.block)
+			for i := 0; i < 200000; i++ {
+				var addr uint64
+				if rng.Intn(2) == 0 {
+					addr = uint64(rng.Int63n(int64(tc.hot)))
+				} else {
+					addr = uint64(rng.Int63n(int64(tc.footprint))) / tc.stride * tc.stride
+				}
+				if got, want := c.Access(addr), ref.Access(addr); got != want {
+					t.Fatalf("access %d (addr %#x): hit=%v, reference %v", i, addr, got, want)
+				}
+			}
+			if c.Hits() != ref.hits || c.Misses() != ref.misses {
+				t.Fatalf("hits/misses %d/%d, reference %d/%d", c.Hits(), c.Misses(), ref.hits, ref.misses)
+			}
+			// Every set materialized, so the stream crossed every chunk
+			// boundary (the host LLC spans eight chunks).
+			if int(c.touched) != len(c.slot) {
+				t.Fatalf("stream touched %d of %d sets", c.touched, len(c.slot))
+			}
+		})
+	}
+}

@@ -8,11 +8,15 @@
 // breaking time ties with a monotonically increasing sequence number, which
 // makes every simulation bit-reproducible for a given configuration and seed.
 //
-// The event queue is a hand-specialized binary heap over a flat []Event
-// rather than container/heap: the standard library interface forces every
-// push and pop through `any`, which boxes the Event struct on the heap once
-// per scheduled event. The specialized queue moves events by value only, so
-// the steady-state hot path (Schedule/Run) performs zero allocations.
+// The event queue splits each event into a key and a body. The heap orders
+// pointer-free 32-byte keys {At, seq, idx, slot, gen}, so sifting moves
+// plain words with no garbage-collector write barriers. The Handler and
+// Payload live in a body slab at index idx, recycled through a free list;
+// a body is zeroed when its event is popped, so a drained queue pins
+// nothing. The heap is hand-specialized rather than container/heap, whose
+// `any` interface would box every pushed key, and the slabs reach a steady
+// capacity, so the steady-state hot path (Schedule/Run) performs zero
+// allocations.
 package sim
 
 import (
@@ -50,13 +54,24 @@ type Event struct {
 	// pointer-typed values, which the runtime represents in an interface
 	// without allocating.
 	Payload any
+}
 
-	seq uint64
-	// slot/gen tie the event to a timer slab entry when it was created by
-	// ScheduleTimer; slot is noSlot for plain events. A cancelled timer's
-	// event stays queued (lazy deletion) and is discarded when popped.
+// key is an event's place in the heap, ordered by (At, seq). idx names its
+// body in the slab. slot/gen tie the event to a timer slab entry when it was
+// created by ScheduleTimer; slot is noSlot for plain events. A cancelled
+// timer's key stays queued (lazy deletion) and is discarded when popped.
+type key struct {
+	At   Cycle
+	seq  uint64
+	idx  int32
 	slot int32
 	gen  uint32
+}
+
+// body is the pointer-carrying half of a queued event.
+type body struct {
+	h Handler
+	p any
 }
 
 // noSlot marks an event that is not backed by a cancellable timer.
@@ -66,9 +81,14 @@ const noSlot int32 = -1
 // usable; construct with NewEngine.
 type Engine struct {
 	now     Cycle
-	queue   []Event
+	queue   []key
 	nextSeq uint64
 	stopped bool
+
+	// bodies[k.idx] holds queued key k's Handler and Payload; bodyFree
+	// lists the zeroed entries ready for reuse.
+	bodies   []body
+	bodyFree []int32
 
 	// EventLimit bounds the number of events processed by Run as a runaway
 	// guard; zero means no limit.
@@ -107,8 +127,7 @@ func (e *Engine) Schedule(at Cycle, h Handler, payload any) {
 	if h == nil {
 		panic("sim: schedule with nil handler")
 	}
-	e.nextSeq++
-	e.push(Event{At: at, Handler: h, Payload: payload, seq: e.nextSeq, slot: noSlot})
+	e.push(at, h, payload, noSlot, 0)
 }
 
 // ScheduleAfter enqueues an event delay cycles from now.
@@ -214,8 +233,9 @@ func (e *Engine) peek() (Cycle, bool) {
 		if head.slot == noSlot || e.timerGen[head.slot] == head.gen {
 			return head.At, true
 		}
-		ev := e.pop()
-		e.timerFree = append(e.timerFree, ev.slot)
+		k := e.pop()
+		e.release(k.idx)
+		e.timerFree = append(e.timerFree, k.slot)
 		e.dead--
 	}
 	return 0, false
@@ -225,47 +245,71 @@ func (e *Engine) peek() (Cycle, bool) {
 // retires its timer slot: a popped timer has fired, so its generation is
 // bumped (making Cancel a no-op) and the slot is recycled.
 func (e *Engine) take() Event {
-	ev := e.pop()
-	if ev.slot != noSlot {
-		e.timerGen[ev.slot]++
-		e.timerFree = append(e.timerFree, ev.slot)
+	k := e.pop()
+	if k.slot != noSlot {
+		e.timerGen[k.slot]++
+		e.timerFree = append(e.timerFree, k.slot)
 	}
-	return ev
+	b := e.bodies[k.idx]
+	e.release(k.idx)
+	return Event{At: k.At, Handler: b.h, Payload: b.p}
 }
 
-// eventLess orders events by (cycle, sequence).
-func eventLess(a, b *Event) bool {
+// release zeroes body idx, so the slab pins no Handler or Payload, and
+// returns it to the free list.
+func (e *Engine) release(idx int32) {
+	e.bodies[idx] = body{}
+	e.bodyFree = append(e.bodyFree, idx)
+}
+
+// keyLess orders keys by (cycle, sequence).
+func keyLess(a, b *key) bool {
 	if a.At != b.At {
 		return a.At < b.At
 	}
 	return a.seq < b.seq
 }
 
-// push inserts ev into the heap by value, sifting up.
-func (e *Engine) push(ev Event) {
-	e.queue = append(e.queue, ev)
-	q := e.queue
+// push stores the body in the slab, stamps the next sequence number, and
+// inserts the key into the heap, sifting up.
+func (e *Engine) push(at Cycle, h Handler, payload any, slot int32, gen uint32) {
+	var idx int32
+	if n := len(e.bodyFree); n > 0 {
+		idx = e.bodyFree[n-1]
+		e.bodyFree = e.bodyFree[:n-1]
+		e.bodies[idx] = body{h: h, p: payload}
+	} else {
+		idx = int32(len(e.bodies))
+		e.bodies = append(e.bodies, body{h: h, p: payload})
+	}
+	e.nextSeq++
+	k := key{At: at, seq: e.nextSeq, idx: idx, slot: slot, gen: gen}
+	q := append(e.queue, k)
 	i := len(q) - 1
 	for i > 0 {
 		p := (i - 1) / 2
-		if !eventLess(&q[i], &q[p]) {
+		if !keyLess(&k, &q[p]) {
 			break
 		}
-		q[i], q[p] = q[p], q[i]
+		q[i] = q[p]
 		i = p
 	}
+	q[i] = k
+	e.queue = q
 }
 
-// pop removes and returns the heap minimum, sifting down. The vacated tail
-// slot is zeroed so the queue does not pin Handler/Payload references.
-func (e *Engine) pop() Event {
+// pop removes and returns the heap's minimum key, sifting the last key
+// down from the root.
+func (e *Engine) pop() key {
 	q := e.queue
 	top := q[0]
 	n := len(q) - 1
-	q[0] = q[n]
-	q[n] = Event{}
-	e.queue = q[:n]
-	q = e.queue
+	last := q[n]
+	q = q[:n]
+	e.queue = q
+	if n == 0 {
+		return top
+	}
 	i := 0
 	for {
 		l := 2*i + 1
@@ -273,14 +317,15 @@ func (e *Engine) pop() Event {
 			break
 		}
 		m := l
-		if r := l + 1; r < n && eventLess(&q[r], &q[l]) {
+		if r := l + 1; r < n && keyLess(&q[r], &q[l]) {
 			m = r
 		}
-		if !eventLess(&q[m], &q[i]) {
+		if !keyLess(&q[m], &last) {
 			break
 		}
-		q[i], q[m] = q[m], q[i]
+		q[i] = q[m]
 		i = m
 	}
+	q[i] = last
 	return top
 }

@@ -36,8 +36,7 @@ func (e *Engine) ScheduleTimer(at Cycle, h Handler, payload any) Timer {
 		e.timerGen = append(e.timerGen, 0)
 	}
 	gen := e.timerGen[slot]
-	e.nextSeq++
-	e.push(Event{At: at, Handler: h, Payload: payload, seq: e.nextSeq, slot: slot, gen: gen})
+	e.push(at, h, payload, slot, gen)
 	return Timer{e: e, slot: slot, gen: gen}
 }
 

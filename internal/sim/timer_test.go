@@ -3,7 +3,10 @@ package sim
 import (
 	"container/heap"
 	"math/rand"
+	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestTimerCancelBeforeFire(t *testing.T) {
@@ -348,4 +351,130 @@ func TestScheduleZeroAlloc(t *testing.T) {
 	if avg != 0 {
 		t.Fatalf("steady-state Schedule/Run allocates %.1f times per run, want 0", avg)
 	}
+}
+
+// TestQueueMixedOrderWithCancellations interleaves plain events, timers and
+// cancellations, before the run and from inside handlers, and checks each
+// pop in lockstep against the container/heap reference: the surviving
+// events fire in (cycle, seq) order, and Cancel and Pending agree with it.
+func TestQueueMixedOrderWithCancellations(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 50; trial++ {
+		e := NewEngine()
+		ref := &refHeap{}
+		var seq uint64
+		var timers []Timer
+		var timerIDs []int
+		cancelled := map[int]bool{}
+		fired := map[int]bool{}
+		nextID, budget := 0, 300
+
+		var schedule func()
+		handler := func(id int) HandlerFunc {
+			return func(Event) {
+				for ref.Len() > 0 && cancelled[(*ref)[0].id] {
+					ref.popMin()
+				}
+				if ref.Len() == 0 {
+					t.Fatalf("trial %d: id %d fired, reference is drained", trial, id)
+				}
+				if want := ref.popMin(); want.id != id || want.at != e.Now() {
+					t.Fatalf("trial %d: fired id %d at %d, reference id %d at %d", trial, id, e.Now(), want.id, want.at)
+				}
+				fired[id] = true
+				for n := rng.Intn(3); n > 0; n-- {
+					schedule()
+				}
+			}
+		}
+		schedule = func() {
+			if nextID >= budget {
+				return
+			}
+			switch rng.Intn(3) {
+			case 0, 1:
+				id := nextID
+				nextID++
+				at := e.Now() + Cycle(rng.Intn(30))
+				seq++
+				ref.push(refEvent{at: at, seq: seq, id: id})
+				if rng.Intn(2) == 0 {
+					e.Schedule(at, handler(id), nil)
+				} else {
+					timers = append(timers, e.ScheduleTimer(at, handler(id), nil))
+					timerIDs = append(timerIDs, id)
+				}
+			case 2:
+				if len(timers) == 0 {
+					return
+				}
+				i := rng.Intn(len(timers))
+				id := timerIDs[i]
+				want := !fired[id] && !cancelled[id]
+				if got := timers[i].Cancel(); got != want {
+					t.Fatalf("trial %d: Cancel(id %d)=%v, want %v", trial, id, got, want)
+				}
+				if want {
+					cancelled[id] = true
+				}
+			}
+		}
+		for i := 0; i < 1+rng.Intn(100); i++ {
+			schedule()
+		}
+		live := 0
+		for _, ev := range *ref {
+			if !cancelled[ev.id] {
+				live++
+			}
+		}
+		if e.Pending() != live {
+			t.Fatalf("trial %d: Pending()=%d, reference has %d live", trial, e.Pending(), live)
+		}
+		if _, err := e.Run(); err != nil {
+			t.Fatalf("trial %d: Run: %v", trial, err)
+		}
+		for ref.Len() > 0 {
+			if ev := ref.popMin(); !cancelled[ev.id] {
+				t.Fatalf("trial %d: id %d never fired", trial, ev.id)
+			}
+		}
+		if e.Pending() != 0 {
+			t.Fatalf("trial %d: Pending()=%d after drain", trial, e.Pending())
+		}
+	}
+}
+
+// finalProbe is large enough to bypass the tiny allocator, whose shared
+// blocks would delay its finalizer indefinitely.
+type finalProbe struct{ buf [32]byte }
+
+func (*finalProbe) Handle(Event) {}
+
+// TestDrainedEngineRetainsNoBodies checks that the queue's body slab pins
+// nothing once drained: the payloads and handler of fired and cancelled
+// events are collectable while the engine itself is still reachable.
+func TestDrainedEngineRetainsNoBodies(t *testing.T) {
+	e := NewEngine()
+	var finalized atomic.Int32
+	func() {
+		fin := func(*finalProbe) { finalized.Add(1) }
+		plain, timed, h := &finalProbe{}, &finalProbe{}, &finalProbe{}
+		for _, p := range []*finalProbe{plain, timed, h} {
+			runtime.SetFinalizer(p, fin)
+		}
+		e.Schedule(5, h, plain)
+		e.ScheduleTimer(9, HandlerFunc(func(Event) {}), timed).Cancel()
+	}()
+	if _, err := e.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	for i := 0; i < 50 && finalized.Load() < 3; i++ {
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
+	if got := finalized.Load(); got != 3 {
+		t.Fatalf("%d of 3 probes collected after draining; the engine still pins the rest", got)
+	}
+	runtime.KeepAlive(e)
 }

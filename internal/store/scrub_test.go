@@ -123,3 +123,27 @@ func TestQuarantineObjectEvictsAdmittedEntry(t *testing.T) {
 		t.Fatalf("quarantine/ = %v (err %v), want the evicted entry", ents, err)
 	}
 }
+
+// A fresh store holds only its root: subdirectories appear with the first
+// write that needs them, and reads, scrubs and journals work before that.
+func TestOpenCreatesOnlyTheRoot(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "st")
+	st, err := store.Open(dir, store.Options{SimDigest: "sim-a"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ents, err := os.ReadDir(dir); err != nil || len(ents) != 0 {
+		t.Fatalf("fresh store holds %v (err %v), want an empty root", ents, err)
+	}
+	if _, ok := st.Get("aa11"); ok {
+		t.Fatal("Get on a fresh store hit")
+	}
+	if rep, err := st.Scrub(); err != nil || rep.Scanned != 0 {
+		t.Fatalf("Scrub on a fresh store = %+v, %v; want nothing scanned", rep, err)
+	}
+	j, err := store.CreateJournal(st.JournalPath("r1"), store.RunInfo{})
+	if err != nil {
+		t.Fatalf("journal on a fresh store: %v", err)
+	}
+	j.Close()
+}

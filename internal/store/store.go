@@ -66,12 +66,12 @@ type entryFile struct {
 	Result    json.RawMessage `json:"result"`
 }
 
-// Open creates (if needed) and returns the store rooted at dir.
+// Open creates (if needed) and returns the store rooted at dir. The
+// objects/, quarantine/ and runs/ subdirectories are created by the first
+// write that needs each, so opening a fresh store costs one directory.
 func Open(dir string, opts Options) (*Store, error) {
-	for _, sub := range []string{"objects", "quarantine", "runs"} {
-		if err := os.MkdirAll(filepath.Join(dir, sub), 0o755); err != nil {
-			return nil, fmt.Errorf("store: open %s: %w", dir, err)
-		}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, fmt.Errorf("store: open %s: %w", dir, err)
 	}
 	return &Store{dir: dir, simDigest: opts.SimDigest}, nil
 }
@@ -272,6 +272,7 @@ func (s *Store) QuarantineObject(keyDigest string) bool {
 // slot and the bad bytes remain inspectable.
 func (s *Store) quarantine(path, keyDigest string) {
 	dst := filepath.Join(s.dir, "quarantine", keyDigest+".json")
+	_ = os.Mkdir(filepath.Dir(dst), 0o755) // exists after the first quarantine
 	if err := os.Rename(path, dst); err != nil {
 		// Rename across a damaged FS can fail; removing still unblocks
 		// re-simulation, and failing that the entry re-quarantines on

@@ -1,18 +1,26 @@
 // Command benchcheck guards the simulation kernel's performance: it parses
-// `go test -bench` output, compares the headline benchmarks against the
-// committed baseline (BENCH_baseline.json at the repo root), and fails when
-// throughput regresses beyond the tolerance.
+// `go test -bench` output, compares it against the committed baseline
+// (BENCH_baseline.json at the repo root), and fails when throughput drops
+// or allocations per op grow beyond their tolerances.
 //
-// Capture/update the baseline:
+// Two gates apply to every benchmark in the baseline. Ops/s, reported only
+// by the whole-simulation benchmarks, may drop by -ops-tolerance. Allocs/op
+// may grow by allocsTolerance (10%): allocation counts are near-
+// deterministic, so the bound is tight, and a benchmark whose baseline
+// allocates nothing must keep allocating nothing. Ns/op and B/op are
+// reported for context.
 //
-//	go test -run '^$' -bench BenchmarkSimulatorThroughput -benchtime 3x -benchmem -count 3 . \
-//	  | go run ./scripts/benchcheck -update
+// Gate a change (CI runs exactly this):
 //
-// Gate a change (CI runs this; only an ops/s regression fails, allocation
-// and byte deltas are reported for context):
-//
-//	go test -run '^$' -bench BenchmarkSimulatorThroughput -benchtime 1x -benchmem . \
+//	{ go test -run '^$' -bench BenchmarkSimulatorThroughput -benchtime 1x -benchmem -count 2 . ;
+//	  go test -run '^$' -bench . -benchmem ./internal/mem ./internal/sim ./internal/machine ; } \
 //	  | go run ./scripts/benchcheck -ops-tolerance 0.20
+//
+// Capture/update the baseline with the same benchmarks, repeated:
+//
+//	{ go test -run '^$' -bench BenchmarkSimulatorThroughput -benchtime 3x -benchmem -count 3 . ;
+//	  go test -run '^$' -bench . -benchmem -count 3 ./internal/mem ./internal/sim ./internal/machine ; } \
+//	  | go run ./scripts/benchcheck -update
 package main
 
 import (
@@ -34,12 +42,13 @@ type Baseline struct {
 	Benchmarks map[string]BenchLine `json:"benchmarks"`
 }
 
-// BenchLine is one benchmark's reference numbers. OpsPerSec is the gated
-// metric; the others are advisory context.
+// BenchLine is one benchmark's reference numbers. OpsPerSec and AllocsPerOp
+// are gated; the others are advisory context. AllocsPerOp is kept even when
+// zero, since zero is the bound a non-allocating benchmark is held to.
 type BenchLine struct {
 	OpsPerSec   float64 `json:"ops_per_sec,omitempty"`
 	NsPerOp     float64 `json:"ns_per_op,omitempty"`
-	AllocsPerOp float64 `json:"allocs_per_op,omitempty"`
+	AllocsPerOp float64 `json:"allocs_per_op"`
 	BytesPerOp  float64 `json:"bytes_per_op,omitempty"`
 }
 
@@ -93,11 +102,12 @@ func main() {
 	for name, want := range base.Benchmarks {
 		have, ok := got[name]
 		if !ok {
-			fmt.Printf("benchcheck: %s: not in this run (skipped)\n", name)
+			fmt.Printf("benchcheck: %s: FAIL, not in this run\n", name)
+			failed++
 			continue
 		}
 		status := "ok"
-		if want.OpsPerSec > 0 && have.OpsPerSec < want.OpsPerSec*(1-*opsTol) {
+		if regressed(want, have, *opsTol) {
 			status = "FAIL"
 			failed++
 		}
@@ -108,15 +118,31 @@ func main() {
 			delta(have.BytesPerOp, want.BytesPerOp))
 	}
 	if failed > 0 {
-		fmt.Printf("benchcheck: %d benchmark(s) regressed more than %.0f%% in ops/s\n", failed, *opsTol*100)
+		fmt.Printf("benchcheck: %d benchmark(s) missing, lost more than %.0f%% ops/s or gained more than %.0f%% allocs/op\n",
+			failed, *opsTol*100, allocsTolerance*100)
 		os.Exit(1)
 	}
 }
 
-// delta renders "current vs baseline (+x%)"; "-" when either side is absent.
+// allocsTolerance is the allowed fractional allocs/op rise.
+const allocsTolerance = 0.10
+
+// regressed reports whether have fails either gate against want: ops/s
+// below want's by more than opsTol (when want reports ops/s), or allocs/op
+// above want's by more than allocsTolerance, where a zero baseline allows
+// no allocation at all.
+func regressed(want, have BenchLine, opsTol float64) bool {
+	slower := want.OpsPerSec > 0 && have.OpsPerSec < want.OpsPerSec*(1-opsTol)
+	return slower || have.AllocsPerOp > want.AllocsPerOp*(1+allocsTolerance)
+}
+
+// delta renders "current vs baseline (+x%)"; "-" when both are absent.
 func delta(have, want float64) string {
-	if want == 0 || have == 0 {
+	switch {
+	case want == 0 && have == 0:
 		return "-"
+	case want == 0:
+		return fmt.Sprintf("%.0f vs 0", have)
 	}
 	return fmt.Sprintf("%.0f vs %.0f (%+.1f%%)", have, want, 100*(have/want-1))
 }
@@ -131,7 +157,7 @@ func parseBench(r io.Reader) (map[string]BenchLine, map[string]string, error) {
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
-		for _, k := range [...]string{"goos", "goarch", "cpu", "pkg"} {
+		for _, k := range [...]string{"goos", "goarch", "cpu"} {
 			if v, ok := strings.CutPrefix(line, k+": "); ok {
 				env[k] = v
 			}
@@ -151,7 +177,7 @@ func parseBench(r io.Reader) (map[string]BenchLine, map[string]string, error) {
 				name = name[:i]
 			}
 		}
-		cur := out[name]
+		cur, seen := out[name]
 		for i := 2; i+1 < len(fields); i += 2 {
 			v, err := strconv.ParseFloat(fields[i], 64)
 			if err != nil {
@@ -159,7 +185,7 @@ func parseBench(r io.Reader) (map[string]BenchLine, map[string]string, error) {
 			}
 			switch fields[i+1] {
 			case "ns/op":
-				if cur.NsPerOp == 0 || v < cur.NsPerOp {
+				if !seen || v < cur.NsPerOp {
 					cur.NsPerOp = v
 				}
 			case "ops/s":
@@ -167,11 +193,11 @@ func parseBench(r io.Reader) (map[string]BenchLine, map[string]string, error) {
 					cur.OpsPerSec = v
 				}
 			case "allocs/op":
-				if cur.AllocsPerOp == 0 || v < cur.AllocsPerOp {
+				if !seen || v < cur.AllocsPerOp {
 					cur.AllocsPerOp = v
 				}
 			case "B/op":
-				if cur.BytesPerOp == 0 || v < cur.BytesPerOp {
+				if !seen || v < cur.BytesPerOp {
 					cur.BytesPerOp = v
 				}
 			}
