@@ -12,6 +12,7 @@ package secmgpu
 // size is 1.0).
 
 import (
+	"context"
 	"os"
 	"strconv"
 	"testing"
@@ -78,7 +79,7 @@ func runExperimentBench(b *testing.B, name string, p ExperimentParams) {
 		// A fresh engine per iteration keeps the benchmark measuring
 		// simulation, not the sweep engine's result cache.
 		p.Engine = sweep.New(0)
-		t, err := RunExperiment(name, p)
+		t, err := RunExperimentContext(context.Background(), name, p)
 		if err != nil {
 			b.Fatalf("%s: %v", name, err)
 		}
@@ -236,7 +237,7 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	b.ReportAllocs()
 	var ops uint64
 	for i := 0; i < b.N; i++ {
-		res, err := Run(cfg, spec, RunOptions{})
+		res, err := RunContext(context.Background(), cfg, spec, RunOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -263,7 +264,7 @@ func BenchmarkSimulatorThroughput16GPU(b *testing.B) {
 	b.ReportAllocs()
 	var ops uint64
 	for i := 0; i < b.N; i++ {
-		res, err := Run(cfg, spec, RunOptions{})
+		res, err := RunContext(context.Background(), cfg, spec, RunOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -38,7 +38,7 @@
 //	secbench -worker -coordinator http://coord:8123 -store results/store -auth-token $TOKEN
 //	secbench -submit -coordinator http://coord:8123 -exp fig21 -out tables -auth-token $TOKEN
 //	secbench -serve :8123 -store results/store -verify-fraction 0.1 -scrub-interval 10m
-//	secbench -serve :8123 -store results/store -max-campaigns 8 -max-queue-depth 10000 -brownout-mb 2048
+//	secbench -serve :8123 -store results/store -max-campaigns 8 -max-queue-depth 10000
 //	secbench -submit -coordinator http://coord:8123 -exp all -priority low -deadline 2h -out tables
 //	secbench -fsck -store results/store
 //	secbench -list
@@ -53,9 +53,9 @@
 //
 // Under load the coordinator degrades gracefully rather than falling
 // over: -max-campaigns and -max-queue-depth shed excess submissions with
-// 429 + Retry-After (which -submit honors, retrying until admitted),
-// -brownout-mb pauses verification sampling and scrubbing above a heap
-// watermark, -priority feeds a weighted-fair lease scheduler so big
+// 429 + Retry-After (which -submit honors, retrying until admitted) — the
+// only load-shedding path; work already admitted runs to a correct
+// result. -priority feeds a weighted-fair lease scheduler so big
 // sweeps cannot starve interactive submissions, and -deadline bounds a
 // campaign's wall time (past it: failed, partial tables returned, workers
 // cancel in-flight cells). -submit streams each table as it finishes.
@@ -149,7 +149,6 @@ func main() {
 	leaseTTL := flag.Duration("lease-ttl", 30*time.Second, "how long a worker may hold a leased cell without renewing before it requeues (-serve)")
 	maxCampaigns := flag.Int("max-campaigns", 0, "admission limit: reject new submissions with 429 + Retry-After while this many campaigns are running (-serve; 0 = unlimited)")
 	maxQueueDepth := flag.Int("max-queue-depth", 0, "admission limit: reject new submissions while this many cells are pending on the work queue (-serve; 0 = unlimited)")
-	brownoutMB := flag.Int("brownout-mb", 0, "heap watermark in MiB: above it the coordinator browns out — verification sampling and scrub passes pause until the heap recedes (-serve; 0 = off)")
 	drainTimeout := flag.Duration("drain-timeout", 0, "how long a SIGTERM drain waits for in-flight leases before giving up (-serve; 0 = 2×lease TTL + 5s)")
 	poll := flag.Duration("poll", 500*time.Millisecond, "idle wait between lease attempts when the queue is empty (-worker) and between status polls (-submit)")
 	workerName := flag.String("worker-name", "", "worker identity in lease records (default hostname-pid)")
@@ -188,7 +187,7 @@ func main() {
 		// (crash semantics — campaigns recover from the journal), SIGTERM
 		// drains gracefully (no new leases, in-flight work finishes, a
 		// clean-shutdown record lands in the journal).
-		runServe(*serveAddr, *storeDir, *leaseTTL, *drainTimeout, *maxCampaigns, *maxQueueDepth, *brownoutMB,
+		runServe(*serveAddr, *storeDir, *leaseTTL, *drainTimeout, *maxCampaigns, *maxQueueDepth,
 			*authToken, *tlsCert, *tlsKey, *verifyFraction, *verifyQuorum, *scrubInterval, *quiet)
 		return
 	}
@@ -442,16 +441,16 @@ func runFsck(storeDir string) {
 // next boot. SIGTERM instead triggers a graceful drain: lease granting
 // and submissions stop (503 + Retry-After), in-flight leases finish or
 // expire, a clean-shutdown record is journaled, and the process exits 0.
-func runServe(addr, storeDir string, leaseTTL, drainTimeout time.Duration, maxCampaigns, maxQueueDepth, brownoutMB int, authToken, tlsCert, tlsKey string, verifyFraction float64, verifyQuorum int, scrubInterval time.Duration, quiet bool) {
+func runServe(addr, storeDir string, leaseTTL, drainTimeout time.Duration, maxCampaigns, maxQueueDepth int, authToken, tlsCert, tlsKey string, verifyFraction float64, verifyQuorum int, scrubInterval time.Duration, quiet bool) {
 	logf := func(format string, args ...any) {
 		fmt.Fprintf(os.Stderr, "secbench: "+format+"\n", args...)
 	}
 	if quiet {
 		logf = nil
 	} else {
-		logf("serving campaigns on %s (store %q, lease TTL %s, auth %v, tls %v, verify %.2f×%d, scrub %s, max campaigns %d, max queue %d, brownout %d MiB)",
+		logf("serving campaigns on %s (store %q, lease TTL %s, auth %v, tls %v, verify %.2f×%d, scrub %s, max campaigns %d, max queue %d)",
 			addr, storeDir, leaseTTL, authToken != "", tlsCert != "",
-			verifyFraction, verifyQuorum, scrubInterval, maxCampaigns, maxQueueDepth, brownoutMB)
+			verifyFraction, verifyQuorum, scrubInterval, maxCampaigns, maxQueueDepth)
 	}
 	if (tlsCert == "") != (tlsKey == "") {
 		fatal(errors.New("-tls-cert and -tls-key must be set together"))
@@ -486,7 +485,7 @@ func runServe(addr, storeDir string, leaseTTL, drainTimeout time.Duration, maxCa
 		AuthToken: authToken, TLSCertFile: tlsCert, TLSKeyFile: tlsKey,
 		VerifyFraction: verifyFraction, VerifyQuorum: verifyQuorum,
 		ScrubInterval: scrubInterval,
-		MaxCampaigns:  maxCampaigns, MaxQueueDepth: maxQueueDepth, BrownoutMB: brownoutMB,
+		MaxCampaigns:  maxCampaigns, MaxQueueDepth: maxQueueDepth,
 		Drain: drain, DrainTimeout: drainTimeout,
 	})
 	if err != nil && !errors.Is(err, context.Canceled) {

@@ -106,7 +106,9 @@ func main() {
 	// With -store, runs route through a store-backed sweep engine, so a
 	// (config, workload) pair already simulated by any run sharing the
 	// directory — this tool or a secbench campaign — is served from disk.
-	run := secmgpu.Run
+	run := func(cfg secmgpu.Config, spec secmgpu.WorkloadSpec, opt secmgpu.RunOptions) (*secmgpu.Result, error) {
+		return secmgpu.RunContext(context.Background(), cfg, spec, opt)
+	}
 	if *storeDir != "" {
 		st, err := store.Open(*storeDir, store.Options{SimDigest: store.BinaryDigest()})
 		if err != nil {

@@ -14,6 +14,7 @@ package secmgpu
 //	go test -run TestGoldenFig21Digest -v -update-golden
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"flag"
@@ -34,7 +35,7 @@ var goldenFig21 = map[float64]string{
 func fig21Digest(t *testing.T, scale float64) string {
 	t.Helper()
 	p := ExperimentParams{GPUs: 4, Scale: scale, Seed: 1, Engine: sweep.New(0)}
-	table, err := RunExperiment("fig21", p)
+	table, err := RunExperimentContext(context.Background(), "fig21", p)
 	if err != nil {
 		t.Fatalf("fig21 at scale %v: %v", scale, err)
 	}

@@ -78,9 +78,7 @@ type wireGrant struct {
 	// DeadlineUnixMS is the campaign deadline as Unix milliseconds (0 =
 	// none); the worker bounds its simulation context by it.
 	DeadlineUnixMS int64 `json:"deadline_unix_ms,omitempty"`
-	// Hedge marks a speculative straggler re-lease.
-	Hedge   bool `json:"hedge,omitempty"`
-	Attempt int  `json:"attempt"`
+	Attempt        int   `json:"attempt"`
 }
 
 // leaseRequest asks for work.
@@ -162,11 +160,6 @@ type Health struct {
 	// exited through such a drain rather than a crash.
 	Draining      bool `json:"draining,omitempty"`
 	CleanShutdown bool `json:"clean_shutdown,omitempty"`
-	// Brownout is true while the heap sits above the brownout
-	// watermark (verification lottery and scrubbing paused); Brownouts
-	// counts transitions into that mode.
-	Brownout  bool  `json:"brownout,omitempty"`
-	Brownouts int64 `json:"brownouts,omitempty"`
 	// RejectedSubmissions counts submissions refused 429 at the
 	// admission limits.
 	RejectedSubmissions int64 `json:"rejected_submissions,omitempty"`
@@ -307,7 +300,6 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 		TTLMillis:         g.TTL.Milliseconds(),
 		CellTimeoutMillis: g.CellTimeout.Milliseconds(),
 		DeadlineUnixMS:    deadlineUnixMS(g.Deadline),
-		Hedge:             g.Hedge,
 		Attempt:           g.Attempt,
 	})
 }
@@ -387,8 +379,6 @@ func (c *Coordinator) handleHealth(w http.ResponseWriter, r *http.Request) {
 		Progress:            progress,
 		Draining:            c.Draining(),
 		CleanShutdown:       c.CleanShutdown(),
-		Brownout:            c.Brownout(),
-		Brownouts:           c.brownouts.Load(),
 		RejectedSubmissions: c.rejected.Load(),
 		Latency:             c.queue.Latencies(),
 	})

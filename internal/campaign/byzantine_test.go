@@ -17,7 +17,7 @@ import (
 func TestQueueAttestationMismatchRequeues(t *testing.T) {
 	q := NewQueue(time.Minute)
 	ch := make(chan Outcome, 1)
-	q.Enqueue(testCell(t, 1), 1, 0, ch)
+	q.Enqueue(testCell(t, 1), EnqueueOptions{MaxAttempts: 1}, ch)
 
 	g, _ := mustLease(t, q, "liar")
 	pub := honestPublish(t, g, fakeResult(42))
@@ -58,7 +58,7 @@ func TestQueueAttestationMismatchRequeues(t *testing.T) {
 func TestQueueFenceForgeryDoesNotEvictHolder(t *testing.T) {
 	q := NewQueue(time.Minute)
 	ch := make(chan Outcome, 1)
-	q.Enqueue(testCell(t, 1), 1, 0, ch)
+	q.Enqueue(testCell(t, 1), EnqueueOptions{MaxAttempts: 1}, ch)
 
 	g, _ := mustLease(t, q, "holder")
 	forged := honestPublish(t, g, fakeResult(99))
@@ -85,7 +85,7 @@ func TestQueueQuorumAgreementAdmits(t *testing.T) {
 	q := NewQueue(time.Minute)
 	q.ConfigureVerification(1, 2) // every cell verified by 2 workers
 	ch := make(chan Outcome, 1)
-	q.Enqueue(testCell(t, 1), 1, 0, ch)
+	q.Enqueue(testCell(t, 1), EnqueueOptions{MaxAttempts: 1}, ch)
 
 	g1, _ := mustLease(t, q, "w1")
 	if !g1.Verify {
@@ -121,7 +121,7 @@ func TestQueueQuorumDivergenceEscalatesToArbiter(t *testing.T) {
 	q := NewQueue(time.Minute)
 	q.ConfigureVerification(1, 2)
 	ch := make(chan Outcome, 1)
-	digest, _ := q.Enqueue(testCell(t, 1), 1, 0, ch)
+	digest, _ := q.Enqueue(testCell(t, 1), EnqueueOptions{MaxAttempts: 1}, ch)
 
 	g1, _ := mustLease(t, q, "honest")
 	honest := fakeResult(42)
@@ -179,7 +179,7 @@ func TestQueueSingleWorkerQuorumConverges(t *testing.T) {
 	q := NewQueue(time.Minute)
 	q.ConfigureVerification(1, 2)
 	ch := make(chan Outcome, 1)
-	digest, _ := q.Enqueue(testCell(t, 1), 1, 0, ch)
+	digest, _ := q.Enqueue(testCell(t, 1), EnqueueOptions{MaxAttempts: 1}, ch)
 
 	g1, _ := mustLease(t, q, "solo")
 	q.Complete(honestPublish(t, g1, fakeResult(42)))
@@ -203,7 +203,7 @@ func TestQueueSingleWorkerQuorumConverges(t *testing.T) {
 func TestQueueRequeueForcesReverification(t *testing.T) {
 	q := NewQueue(time.Minute)
 	ch := make(chan Outcome, 1)
-	digest, _ := q.Enqueue(testCell(t, 1), 1, 0, ch)
+	digest, _ := q.Enqueue(testCell(t, 1), EnqueueOptions{MaxAttempts: 1}, ch)
 	g, _ := mustLease(t, q, "w1")
 	q.Complete(honestPublish(t, g, fakeResult(42)))
 	<-ch
@@ -243,7 +243,7 @@ func TestQueueReputationQuarantinesDivergentWorker(t *testing.T) {
 	// Two cells, two lying attestations.
 	for seed := int64(1); seed <= 2; seed++ {
 		ch := make(chan Outcome, 1)
-		q.Enqueue(testCell(t, seed), 1, 0, ch)
+		q.Enqueue(testCell(t, seed), EnqueueOptions{MaxAttempts: 1}, ch)
 		g, ok, err := q.Lease("liar")
 		if err != nil || !ok {
 			t.Fatalf("lease %d: ok=%v err=%v", seed, ok, err)
@@ -277,8 +277,8 @@ func TestQueueZombieLimitQuarantinesAndDrainsLeases(t *testing.T) {
 	q.ConfigureReputation(0, 1) // one zombie strike
 	chA := make(chan Outcome, 1)
 	chB := make(chan Outcome, 1)
-	q.Enqueue(testCell(t, 1), 1, 0, chA)
-	q.Enqueue(testCell(t, 2), 1, 0, chB)
+	q.Enqueue(testCell(t, 1), EnqueueOptions{MaxAttempts: 1}, chA)
+	q.Enqueue(testCell(t, 2), EnqueueOptions{MaxAttempts: 1}, chB)
 
 	gA, _ := mustLease(t, q, "zombie")
 	gB, _ := mustLease(t, q, "zombie") // second cell held concurrently
@@ -356,11 +356,12 @@ func TestQuarantineSurvivesCoordinatorRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	coord := NewCoordinator(Options{Store: st, LeaseTTL: time.Minute, DivergenceLimit: 1, Logf: t.Logf})
+	coord := NewCoordinator(Options{Store: st, LeaseTTL: time.Minute, Logf: t.Logf})
 
 	ch := make(chan Outcome, 1)
 	q := coord.Queue()
-	digest, _ := q.Enqueue(testCell(t, 1), 1, 0, ch)
+	q.ConfigureReputation(1, 16)
+	digest, _ := q.Enqueue(testCell(t, 1), EnqueueOptions{MaxAttempts: 1}, ch)
 	g, ok, err := q.Lease("evil")
 	if err != nil || !ok {
 		t.Fatalf("lease: ok=%v err=%v", ok, err)
@@ -407,8 +408,9 @@ func TestByzantineCampaignEndToEnd(t *testing.T) {
 	}
 	coord := NewCoordinator(Options{
 		Store: st, LeaseTTL: time.Minute, Logf: t.Logf,
-		VerifyFraction: 1, VerifyQuorum: 2, DivergenceLimit: 1,
+		VerifyFraction: 1, VerifyQuorum: 2,
 	})
+	coord.Queue().ConfigureReputation(1, 16)
 	srv := httptest.NewServer(coord.Handler())
 	t.Cleanup(func() { srv.Close(); coord.Close() })
 	client := NewClient(srv.URL, nil)

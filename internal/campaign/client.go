@@ -479,7 +479,6 @@ func (cl *Client) Lease(ctx context.Context, worker string) (Grant, bool, error)
 		TTL:         time.Duration(wg.TTLMillis) * time.Millisecond,
 		CellTimeout: time.Duration(wg.CellTimeoutMillis) * time.Millisecond,
 		Attempt:     wg.Attempt,
-		Hedge:       wg.Hedge,
 	}
 	if wg.DeadlineUnixMS > 0 {
 		g.Deadline = time.UnixMilli(wg.DeadlineUnixMS)

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net"
 	"os"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -121,12 +120,6 @@ type Options struct {
 	// VerifyQuorum is how many independent executions a verified cell
 	// needs (default and minimum 2).
 	VerifyQuorum int
-	// DivergenceLimit quarantines a worker after this many divergent or
-	// mis-attested results (default 3; negative disables).
-	DivergenceLimit int
-	// ZombieLimit quarantines a worker after this many zombie publishes
-	// (default 16; negative disables).
-	ZombieLimit int
 	// ScrubInterval runs the background store scrubber this often: every
 	// object is re-verified at rest, corruption is quarantined, and
 	// damaged cells still known to the queue are resubmitted for
@@ -140,12 +133,6 @@ type Options struct {
 	// MaxQueueDepth bounds pending cells on the work queue; submissions
 	// arriving above it are refused with ErrOverloaded (0 = unlimited).
 	MaxQueueDepth int
-	// BrownoutMB is a heap watermark in MiB. Above it the coordinator
-	// browns out: the verification-quorum lottery pauses for new cells
-	// and scrub passes are skipped — load-amplifying work stops before
-	// any work is refused. Above twice the watermark, new submissions
-	// are refused with ErrOverloaded. 0 disables brownout.
-	BrownoutMB int
 
 	// Drain, when non-nil, makes Serve perform a graceful drain when
 	// the channel delivers (or closes): stop granting leases, let
@@ -170,12 +157,9 @@ type Coordinator struct {
 	ctl       *store.Log // control journal (nil without a store)
 	recovered int        // campaigns re-submitted from the journal at boot
 
-	// Admission control and degraded modes.
+	// Admission control and drain.
 	maxCampaigns  int
 	maxQueueDepth int
-	brownoutBytes uint64
-	brownout      atomic.Bool  // heap above watermark: amplification paused
-	brownouts     atomic.Int64 // transitions into brownout
 	rejected      atomic.Int64 // submissions refused with 429
 	draining      atomic.Bool  // SIGTERM drain in progress: no new leases
 	cleanBoot     bool         // previous process exited via drain record
@@ -256,7 +240,6 @@ func NewCoordinator(opts Options) *Coordinator {
 		logf:          opts.Logf,
 		maxCampaigns:  opts.MaxCampaigns,
 		maxQueueDepth: opts.MaxQueueDepth,
-		brownoutBytes: uint64(opts.BrownoutMB) << 20,
 		campaigns:     make(map[string]*Campaign),
 		idem:          make(map[string]string),
 		stop:          make(chan struct{}),
@@ -266,7 +249,9 @@ func NewCoordinator(opts Options) *Coordinator {
 		c.logf = func(string, ...any) {}
 	}
 	c.queue.ConfigureVerification(opts.VerifyFraction, opts.VerifyQuorum)
-	c.queue.ConfigureReputation(reputationLimit(opts.DivergenceLimit, 3), reputationLimit(opts.ZombieLimit, 16))
+	// A worker is quarantined at its 3rd divergent or mis-attested result
+	// or its 16th zombie publish.
+	c.queue.ConfigureReputation(3, 16)
 	c.queue.OnQuarantine(func(worker, reason string) {
 		c.logf("campaign: worker %q QUARANTINED: %s", worker, reason)
 		if err := c.ctl.Append(ctlQuarantine, ctlQuarantineRec{
@@ -282,22 +267,7 @@ func NewCoordinator(opts Options) *Coordinator {
 	if c.store != nil && opts.ScrubInterval > 0 {
 		go c.scrubLoop(opts.ScrubInterval)
 	}
-	if c.brownoutBytes > 0 {
-		go c.brownoutLoop()
-	}
 	return c
-}
-
-// reputationLimit maps an Options limit onto the queue's convention:
-// zero selects the default, negative disables (queue 0).
-func reputationLimit(v, def int) int {
-	switch {
-	case v == 0:
-		return def
-	case v < 0:
-		return 0
-	}
-	return v
 }
 
 // recover replays the control journal and reopens it for appending.
@@ -390,9 +360,6 @@ func (c *Coordinator) CleanShutdown() bool { return c.cleanBoot }
 // and submissions are refused while in-flight leases finish.
 func (c *Coordinator) Draining() bool { return c.draining.Load() }
 
-// Brownout reports whether the heap is above the brownout watermark.
-func (c *Coordinator) Brownout() bool { return c.brownout.Load() }
-
 // Drain performs a graceful shutdown: new lease grants and submissions
 // stop (HTTP 503 + Retry-After), in-flight leases run to completion or
 // TTL expiry, and a drain record is journaled so the successor can tell
@@ -435,42 +402,6 @@ func (c *Coordinator) Drain(ctx context.Context) error {
 	}
 	c.logf("campaign: drained cleanly (%d campaign(s) still running will re-submit on next boot)", running)
 	return waitErr
-}
-
-// brownoutLoop samples the heap and toggles brownout mode around the
-// watermark: above it, the verification lottery pauses for new cells
-// and scrub passes are skipped; dropping 10%% below re-arms both. The
-// hard refusal level (2× watermark) is checked at submit time.
-func (c *Coordinator) brownoutLoop() {
-	tick := time.NewTicker(time.Second)
-	defer tick.Stop()
-	for {
-		select {
-		case <-c.stop:
-			return
-		case <-tick.C:
-			heap := heapInUse()
-			switch {
-			case !c.brownout.Load() && heap > c.brownoutBytes:
-				c.brownout.Store(true)
-				c.brownouts.Add(1)
-				c.queue.SetVerificationPaused(true)
-				c.logf("campaign: BROWNOUT: heap %d MiB above watermark %d MiB; pausing verification lottery and scrubbing",
-					heap>>20, c.brownoutBytes>>20)
-			case c.brownout.Load() && heap < c.brownoutBytes-c.brownoutBytes/10:
-				c.brownout.Store(false)
-				c.queue.SetVerificationPaused(false)
-				c.logf("campaign: brownout cleared: heap %d MiB back under watermark", heap>>20)
-			}
-		}
-	}
-}
-
-// heapInUse returns the live heap size.
-func heapInUse() uint64 {
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	return ms.HeapInuse
 }
 
 // Close cancels every running campaign and stops the expiry collector.
@@ -573,14 +504,6 @@ func (c *Coordinator) admit() error {
 			return &OverloadError{
 				Reason:     fmt.Sprintf("queue depth %d at limit %d", pending, c.maxQueueDepth),
 				RetryAfter: retryAfterHint(pending / 16),
-			}
-		}
-	}
-	if c.brownoutBytes > 0 {
-		if heap := heapInUse(); heap > 2*c.brownoutBytes {
-			return &OverloadError{
-				Reason:     fmt.Sprintf("heap %d MiB above hard watermark %d MiB", heap>>20, (2*c.brownoutBytes)>>20),
-				RetryAfter: 10 * time.Second,
 			}
 		}
 	}
@@ -797,7 +720,7 @@ func (c *Coordinator) journalTerminal(camp *Campaign) {
 func (c *Coordinator) delegate(ctx context.Context, camp *Campaign) func(sweep.Cell) (*machine.Result, error) {
 	return func(cell sweep.Cell) (*machine.Result, error) {
 		ch := make(chan Outcome, 1)
-		digest, wid := c.queue.EnqueueOpts(cell, EnqueueOptions{
+		digest, wid := c.queue.Enqueue(cell, EnqueueOptions{
 			MaxAttempts: camp.spec.Retries + 1,
 			CellTimeout: camp.spec.CellTimeout,
 			Campaign:    camp.id,
@@ -990,11 +913,6 @@ func (c *Coordinator) scrubLoop(interval time.Duration) {
 		case <-c.stop:
 			return
 		case <-tick.C:
-			if c.brownout.Load() {
-				// Scrubbing re-reads every object at rest — exactly the
-				// kind of amplification a brownout sheds first.
-				continue
-			}
 			rep, err := c.store.Scrub()
 			if err != nil {
 				c.logf("campaign: store scrub failed: %v", err)

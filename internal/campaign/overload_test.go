@@ -145,13 +145,13 @@ func TestWeightedFairGrantOrdering(t *testing.T) {
 	small := make(map[string]bool)
 	ch := make(chan Outcome, 64)
 	for i := int64(0); i < 20; i++ {
-		d, _ := q.EnqueueOpts(testCell(t, 100+i), EnqueueOptions{
+		d, _ := q.Enqueue(testCell(t, 100+i), EnqueueOptions{
 			MaxAttempts: 1, Campaign: "big", Weight: weightLow,
 		}, ch)
 		big[d] = true
 	}
 	for i := int64(0); i < 4; i++ {
-		d, _ := q.EnqueueOpts(testCell(t, 200+i), EnqueueOptions{
+		d, _ := q.Enqueue(testCell(t, 200+i), EnqueueOptions{
 			MaxAttempts: 1, Campaign: "small", Weight: weightHigh,
 		}, ch)
 		small[d] = true
@@ -206,7 +206,7 @@ func TestGrantCarriesDeadline(t *testing.T) {
 	q := NewQueue(time.Minute)
 	ch := make(chan Outcome, 1)
 	dl := time.Now().Add(time.Hour).Truncate(time.Millisecond)
-	q.EnqueueOpts(testCell(t, 1), EnqueueOptions{MaxAttempts: 1, Campaign: "c", Weight: weightNormal, Deadline: dl}, ch)
+	q.Enqueue(testCell(t, 1), EnqueueOptions{MaxAttempts: 1, Campaign: "c", Weight: weightNormal, Deadline: dl}, ch)
 	g, ok := mustLease(t, q, "w1")
 	if !ok {
 		t.Fatal("no grant")
@@ -218,104 +218,14 @@ func TestGrantCarriesDeadline(t *testing.T) {
 	// A second waiter without a deadline clears it: most-lenient wins on
 	// shared cells.
 	ch2 := make(chan Outcome, 1)
-	q.EnqueueOpts(testCell(t, 2), EnqueueOptions{MaxAttempts: 1, Deadline: dl}, ch2)
-	q.EnqueueOpts(testCell(t, 2), EnqueueOptions{MaxAttempts: 1}, ch2)
+	q.Enqueue(testCell(t, 2), EnqueueOptions{MaxAttempts: 1, Deadline: dl}, ch2)
+	q.Enqueue(testCell(t, 2), EnqueueOptions{MaxAttempts: 1}, ch2)
 	g2, ok := mustLease(t, q, "w1")
 	if !ok {
 		t.Fatal("no grant for shared cell")
 	}
 	if !g2.Deadline.IsZero() {
 		t.Fatalf("shared-cell deadline = %v, want none (lenient waiter wins)", g2.Deadline)
-	}
-}
-
-// TestVerificationPausesDuringBrownout: with the lottery paused, even a
-// verify-everything queue enqueues plain cells.
-func TestVerificationPausesDuringBrownout(t *testing.T) {
-	q := NewQueue(time.Minute)
-	q.ConfigureVerification(1, 2)
-	ch := make(chan Outcome, 2)
-
-	q.SetVerificationPaused(true)
-	q.Enqueue(testCell(t, 1), 1, 0, ch)
-	g, ok := mustLease(t, q, "w1")
-	if !ok {
-		t.Fatal("no grant")
-	}
-	if g.Verify {
-		t.Fatal("verification grant issued while the lottery is paused")
-	}
-
-	q.SetVerificationPaused(false)
-	q.Enqueue(testCell(t, 2), 1, 0, ch)
-	g2, ok := mustLease(t, q, "w2")
-	if !ok {
-		t.Fatal("no grant")
-	}
-	if !g2.Verify {
-		t.Fatal("verify-everything queue granted a plain cell after unpause")
-	}
-}
-
-// TestHedgedLeaseDuplicatePublish: a straggling primary lease gets a
-// speculative second lease on another worker; whichever publishes first
-// wins, the loser lands as a benign duplicate, and exactly one outcome
-// reaches the waiter.
-func TestHedgedLeaseDuplicatePublish(t *testing.T) {
-	clock := newFakeClock()
-	q := withClock(NewQueue(time.Minute), clock)
-	q.ConfigureHedging(0.5, 1, 1)
-
-	// One completed lease seeds the duration percentile: 100ms.
-	ch1 := make(chan Outcome, 1)
-	q.Enqueue(testCell(t, 1), 1, 0, ch1)
-	g, ok := mustLease(t, q, "w1")
-	if !ok {
-		t.Fatal("no grant")
-	}
-	clock.advance(100 * time.Millisecond)
-	if out := q.Complete(honestPublish(t, g, fakeResult(1))); out.Verdict != VerdictAdmitted {
-		t.Fatalf("seed publish verdict = %s", out.Verdict)
-	}
-
-	// The straggler: leased by w1, idle well past the hedge threshold.
-	ch2 := make(chan Outcome, 2)
-	q.Enqueue(testCell(t, 2), 1, 0, ch2)
-	gP, ok := mustLease(t, q, "w1")
-	if !ok {
-		t.Fatal("no primary grant")
-	}
-	clock.advance(250 * time.Millisecond)
-
-	// The primary's own worker never receives the hedge.
-	if _, ok := mustLease(t, q, "w1"); ok {
-		t.Fatal("straggler hedged back to its own worker")
-	}
-	gH, ok := mustLease(t, q, "w2")
-	if !ok {
-		t.Fatal("no hedge grant for a straggling lease")
-	}
-	if !gH.Hedge || gH.Digest != gP.Digest {
-		t.Fatalf("hedge grant = %+v, want Hedge=true for digest %s", gH, gP.Digest)
-	}
-	if st := q.Stats(); st.Hedged != 1 {
-		t.Fatalf("Hedged = %d, want 1", st.Hedged)
-	}
-
-	// Hedge publishes first and wins; the primary's late publish is a
-	// benign duplicate.
-	res := fakeResult(2)
-	if out := q.Complete(honestPublish(t, gH, res)); out.Verdict != VerdictAdmitted {
-		t.Fatalf("hedge publish verdict = %s", out.Verdict)
-	}
-	if out := q.Complete(honestPublish(t, gP, res)); out.Verdict != VerdictDuplicate {
-		t.Fatalf("late primary verdict = %s, want duplicate", out.Verdict)
-	}
-	if st := q.Stats(); st.HedgeWins != 1 {
-		t.Fatalf("HedgeWins = %d, want 1", st.HedgeWins)
-	}
-	if len(ch2) != 1 {
-		t.Fatalf("%d outcomes delivered, want exactly 1", len(ch2))
 	}
 }
 

@@ -105,12 +105,9 @@ type task struct {
 	needed int
 	votes  []vote
 
-	// lease is the primary live lease when state == taskLeased; hedge is
-	// a speculative second lease granted when the primary looks like a
-	// straggler. Either may publish; the first admitted result wins and
-	// the other resolves as a benign duplicate.
-	lease *lease
-	hedge *lease
+	// lease is the ID of the one live lease while state == taskLeased. A
+	// slow cell is re-leased only after that lease expires.
+	lease string
 
 	// waiters are delivery channels keyed by waiter ID; each channel has
 	// capacity 1 and receives exactly one Outcome.
@@ -130,8 +127,7 @@ type lease struct {
 	digest   string
 	worker   string
 	deadline time.Time
-	granted  time.Time // grant instant, for lease-age (hedging) and duration stats
-	hedge    bool      // true for a speculative straggler hedge
+	granted  time.Time // grant instant, for the lease-duration histogram
 }
 
 // tomb remembers a dead lease (completed, failed, or expired) so a
@@ -171,10 +167,6 @@ type Grant struct {
 	// waiter wants the result; workers bound their simulation context by
 	// it so doomed work cancels instead of running to completion.
 	Deadline time.Time
-	// Hedge marks a speculative re-lease of a cell whose primary lease
-	// looks like a straggler. Execution is identical; the flag is
-	// informational (logs, stats).
-	Hedge bool
 	// Attempt is 1 for the first execution of this cell, higher after
 	// failures or expiries.
 	Attempt int
@@ -202,11 +194,10 @@ type QueueStats struct {
 	// on them anymore.
 	Abandoned int
 
-	// Hedged counts speculative second leases granted against straggling
-	// primaries; HedgeWins counts hedges whose publish was admitted
-	// before the primary's.
-	Hedged    int
-	HedgeWins int
+	// Hedged is always 0: a cell holds at most one live lease, so no
+	// speculative second lease is ever granted. It stays because the
+	// benchmark reports it as campaign.hedged.
+	Hedged int
 
 	// VerifiedCells counts tasks selected for quorum verification.
 	VerifiedCells int
@@ -416,21 +407,8 @@ type Queue struct {
 
 	// verifyFraction in [0,1] selects cells for quorum verification by
 	// their digest; quorum is how many votes a verified cell needs.
-	// verifyPaused suspends the lottery for new enqueues (brownout mode);
-	// cells already selected keep their quorum requirement.
 	verifyFraction float64
 	quorum         int
-	verifyPaused   bool
-
-	// Hedging: once hedgeMin completed lease durations are on record, a
-	// primary lease older than hedgeFactor × the hedgePct quantile is
-	// speculatively re-leased to a second worker. hedgeFactor < 0
-	// disables hedging.
-	hedgePct    float64
-	hedgeFactor float64
-	hedgeMin    int
-	hedgeDurs   []time.Duration // ring of completed lease durations
-	hedgePos    int
 
 	// divergenceLimit / zombieLimit quarantine a worker once its strike
 	// counters reach them (0 disables that limit).
@@ -452,47 +430,15 @@ func NewQueue(ttl time.Duration) *Queue {
 		ttl = 30 * time.Second
 	}
 	return &Queue{
-		tasks:       make(map[string]*task),
-		leases:      make(map[string]*lease),
-		tombs:       make(map[string]tomb),
-		workers:     make(map[string]*workerRec),
-		buckets:     make(map[string]*bucketState),
-		ttl:         ttl,
-		quorum:      2,
-		hedgePct:    0.95,
-		hedgeFactor: 2,
-		hedgeMin:    8,
-		now:         time.Now,
+		tasks:   make(map[string]*task),
+		leases:  make(map[string]*lease),
+		tombs:   make(map[string]tomb),
+		workers: make(map[string]*workerRec),
+		buckets: make(map[string]*bucketState),
+		ttl:     ttl,
+		quorum:  2,
+		now:     time.Now,
 	}
-}
-
-// ConfigureHedging tunes the straggler-hedging rule: a primary lease
-// older than factor × the pct quantile of completed lease durations is
-// speculatively re-leased once minSamples durations are on record.
-// Non-positive arguments keep their defaults (0.95, 2, 8); a negative
-// factor disables hedging entirely.
-func (q *Queue) ConfigureHedging(pct, factor float64, minSamples int) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if pct > 0 && pct < 1 {
-		q.hedgePct = pct
-	}
-	if factor != 0 {
-		q.hedgeFactor = factor
-	}
-	if minSamples > 0 {
-		q.hedgeMin = minSamples
-	}
-}
-
-// SetVerificationPaused suspends (or resumes) the quorum-verification
-// lottery for newly enqueued cells — the brownout lever: under memory
-// pressure the coordinator stops amplifying work before it starts
-// refusing it. Cells already selected keep their quorum requirement.
-func (q *Queue) SetVerificationPaused(paused bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	q.verifyPaused = paused
 }
 
 // ConfigureVerification sets the fraction of cells selected for quorum
@@ -610,13 +556,7 @@ type EnqueueOptions struct {
 	Deadline time.Time
 }
 
-// Enqueue adds a cell under default scheduling (shared bucket, normal
-// weight, no deadline). See EnqueueOpts.
-func (q *Queue) Enqueue(cell sweep.Cell, maxAttempts int, cellTimeout time.Duration, ch chan<- Outcome) (digest string, waiterID int) {
-	return q.EnqueueOpts(cell, EnqueueOptions{MaxAttempts: maxAttempts, CellTimeout: cellTimeout}, ch)
-}
-
-// EnqueueOpts adds a cell (identified by its digest) and registers ch to
+// Enqueue adds a cell (identified by its digest) and registers ch to
 // receive its Outcome. If an identical task is already queued, leased, or
 // finished, the call coalesces onto it: a finished task delivers
 // immediately, otherwise ch is added to the waiter set. Budgets merge in
@@ -624,7 +564,7 @@ func (q *Queue) Enqueue(cell sweep.Cell, maxAttempts int, cellTimeout time.Durat
 // cell timeout and deadline, the highest-weight bucket. The returned
 // waiter ID cancels the interest via Abandon. ch must have capacity
 // >= 1; it receives exactly one Outcome unless abandoned first.
-func (q *Queue) EnqueueOpts(cell sweep.Cell, opts EnqueueOptions, ch chan<- Outcome) (digest string, waiterID int) {
+func (q *Queue) Enqueue(cell sweep.Cell, opts EnqueueOptions, ch chan<- Outcome) (digest string, waiterID int) {
 	maxAttempts := opts.MaxAttempts
 	if maxAttempts < 1 {
 		maxAttempts = 1
@@ -684,7 +624,7 @@ func (q *Queue) EnqueueOpts(cell sweep.Cell, opts EnqueueOptions, ch chan<- Outc
 		queuedAt:    q.now(),
 		waiters:     map[int]chan<- Outcome{waiterID: ch},
 	}
-	if !q.verifyPaused && q.verifyFraction > 0 && digestFraction(digest) < q.verifyFraction {
+	if q.verifyFraction > 0 && digestFraction(digest) < q.verifyFraction {
 		t.verify = true
 		t.needed = q.quorum
 		q.stats.VerifiedCells++
@@ -807,10 +747,6 @@ var ErrWorkerQuarantined = fmt.Errorf("campaign: worker quarantined")
 // independent workers when the fleet allows it; a lone worker still
 // makes progress (ties escalate to the coordinator-side arbiter instead
 // of deadlocking).
-//
-// With nothing pending, an idle worker may instead receive a hedge: a
-// speculative second lease on a cell whose primary lease has outlived
-// the straggler threshold (see ConfigureHedging).
 func (q *Queue) Lease(worker string) (Grant, bool, error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -880,7 +816,7 @@ func (q *Queue) Lease(worker string) (Grant, bool, error) {
 		useFallback = true
 	}
 	if b == nil {
-		return q.hedgeLocked(worker, rec)
+		return Grant{}, false, nil
 	}
 	c := cands[b.name]
 	idx := c.pick
@@ -894,22 +830,12 @@ func (q *Queue) Lease(worker string) (Grant, bool, error) {
 	q.vtime = b.pass
 	b.pass += strideUnit / float64(b.weight)
 	b.grants++
-	if wait := q.now().Sub(t.queuedAt); wait >= 0 && !t.queuedAt.IsZero() {
+	now := q.now()
+	if wait := now.Sub(t.queuedAt); wait >= 0 && !t.queuedAt.IsZero() {
 		b.waitHist.Observe(uint64(wait / time.Millisecond))
 	}
 
-	l := q.mintLeaseLocked(digest, worker, false)
-	t.state = taskLeased
-	t.lease = l
-	q.stats.Leased++
-	rec.leased++
-	return q.grantLocked(t, l), true, nil
-}
-
-// mintLeaseLocked creates and registers a fresh lease on digest.
-func (q *Queue) mintLeaseLocked(digest, worker string, hedge bool) *lease {
 	q.nextLease++
-	now := q.now()
 	l := &lease{
 		id:       fmt.Sprintf("l%06d", q.nextLease),
 		fence:    newFence(),
@@ -917,14 +843,12 @@ func (q *Queue) mintLeaseLocked(digest, worker string, hedge bool) *lease {
 		worker:   worker,
 		deadline: now.Add(q.ttl),
 		granted:  now,
-		hedge:    hedge,
 	}
 	q.leases[l.id] = l
-	return l
-}
-
-// grantLocked renders a lease as the worker-facing Grant.
-func (q *Queue) grantLocked(t *task, l *lease) Grant {
+	t.state = taskLeased
+	t.lease = l.id
+	q.stats.Leased++
+	rec.leased++
 	return Grant{
 		Lease:       l.id,
 		Fence:       l.fence,
@@ -934,69 +858,12 @@ func (q *Queue) grantLocked(t *task, l *lease) Grant {
 		TTL:         q.ttl,
 		CellTimeout: t.cellTimeout,
 		Deadline:    t.deadline,
-		Hedge:       l.hedge,
 		Attempt:     t.attempts + 1,
-	}
+	}, true, nil
 }
 
-// hedgeLocked considers granting a speculative second lease to an idle
-// worker: the leased task whose primary lease is oldest, provided that
-// age exceeds the straggler threshold, the task is not under quorum
-// verification (verified cells already run multiply), and the primary
-// belongs to a different worker.
-func (q *Queue) hedgeLocked(worker string, rec *workerRec) (Grant, bool, error) {
-	threshold := q.hedgeThresholdLocked()
-	if threshold <= 0 {
-		return Grant{}, false, nil
-	}
-	now := q.now()
-	var best *task
-	var bestAge time.Duration
-	for _, l := range q.leases {
-		t, ok := q.tasks[l.digest]
-		if !ok || t.state != taskLeased || t.lease == nil || t.lease.id != l.id {
-			continue // only primaries are hedgeable
-		}
-		if t.hedge != nil || t.verify || l.worker == worker {
-			continue
-		}
-		if age := now.Sub(l.granted); age >= threshold && (best == nil || age > bestAge) {
-			best, bestAge = t, age
-		}
-	}
-	if best == nil {
-		return Grant{}, false, nil
-	}
-	l := q.mintLeaseLocked(best.digest, worker, true)
-	best.hedge = l
-	q.stats.Leased++
-	q.stats.Hedged++
-	rec.leased++
-	return q.grantLocked(best, l), true, nil
-}
-
-// hedgeThresholdLocked computes the current straggler threshold, or 0
-// when hedging is disabled or the sample base is too thin.
-func (q *Queue) hedgeThresholdLocked() time.Duration {
-	if q.hedgeFactor < 0 || len(q.hedgeDurs) < q.hedgeMin {
-		return 0
-	}
-	durs := make([]time.Duration, len(q.hedgeDurs))
-	copy(durs, q.hedgeDurs)
-	sort.Slice(durs, func(i, j int) bool { return durs[i] < durs[j] })
-	idx := int(float64(len(durs)) * q.hedgePct)
-	if idx >= len(durs) {
-		idx = len(durs) - 1
-	}
-	threshold := time.Duration(float64(durs[idx]) * q.hedgeFactor)
-	if threshold <= 0 {
-		return 0
-	}
-	return threshold
-}
-
-// observeLeaseLocked records a completed lease's duration: into the
-// task's bucket histogram and the hedging sample ring.
+// observeLeaseLocked records a completed lease's duration in the task's
+// bucket histogram.
 func (q *Queue) observeLeaseLocked(t *task, l *lease) {
 	dur := q.now().Sub(l.granted)
 	if dur < 0 || l.granted.IsZero() {
@@ -1005,13 +872,6 @@ func (q *Queue) observeLeaseLocked(t *task, l *lease) {
 	if b := q.buckets[t.bucket]; b != nil {
 		b.leaseHist.Observe(uint64(dur / time.Millisecond))
 	}
-	const hedgeRing = 256
-	if len(q.hedgeDurs) < hedgeRing {
-		q.hedgeDurs = append(q.hedgeDurs, dur)
-		return
-	}
-	q.hedgeDurs[q.hedgePos] = dur
-	q.hedgePos = (q.hedgePos + 1) % hedgeRing
 }
 
 // Latencies returns per-campaign latency evidence: queue-wait and
@@ -1104,19 +964,14 @@ func (q *Queue) Complete(pub Publish) CompleteResult {
 	t, ok := q.tasks[pub.Digest]
 	if !ok {
 		// Unknown work (e.g. a publish straddling a coordinator
-		// restart). Drop the lease if live; the successor's recovery
-		// re-enqueues the cell and it re-runs.
-		if live {
-			q.dropLeaseLocked(pub.Lease)
-		}
+		// restart). A live lease under this ID backs some other task and
+		// stays; the successor's recovery re-enqueues the cell and it
+		// re-runs.
 		return CompleteResult{Verdict: VerdictUnknown, Reason: "no task for digest " + short(pub.Digest), Worker: worker}
 	}
 
 	if t.state == taskDone {
-		if live {
-			q.dropLeaseLocked(pub.Lease)
-			t.detach(pub.Lease)
-		}
+		// A done task holds no lease, so the publish retires none.
 		if pub.Canonical != "" && pub.Canonical == t.resDigest {
 			q.stats.LatePublishes++
 			return CompleteResult{Verdict: VerdictDuplicate, Worker: worker}
@@ -1149,10 +1004,10 @@ func (q *Queue) Complete(pub Publish) CompleteResult {
 		return CompleteResult{Verdict: VerdictZombie, Reason: "lease " + pub.Lease + " is not live", Worker: worker}
 	}
 
-	if pub.Fence != fence || t.state != taskLeased || !t.holds(pub.Lease) {
-		// Wrong token (or a stale lease record that no longer backs the
-		// task). Reject without dropping the live lease: a forger must
-		// not be able to evict the legitimate holder.
+	if pub.Fence != fence || !t.holds(pub.Lease) {
+		// Wrong token, or a live lease that backs another cell. Reject
+		// without dropping the live lease: a forger must not be able to
+		// evict the legitimate holder.
 		q.stats.FenceMismatches++
 		return CompleteResult{Verdict: VerdictFenceMismatch, Reason: "fencing token mismatch", Worker: worker}
 	}
@@ -1160,22 +1015,15 @@ func (q *Queue) Complete(pub Publish) CompleteResult {
 	if pub.ResultDigest != "" && pub.ResultDigest != pub.Canonical {
 		// The worker's attestation disagrees with the bytes it shipped:
 		// corruption in flight or a lying worker. Requeue without
-		// burning an attempt — the cell itself is fine. A surviving
-		// sibling lease (hedge or primary) keeps the task leased.
+		// burning an attempt — the cell itself is fine.
 		q.stats.DigestMismatches++
-		q.dropLeaseLocked(pub.Lease)
-		t.detach(pub.Lease)
-		if t.lease == nil {
-			q.requeueLocked(t)
-		}
+		q.releaseLocked(pub.Lease)
 		q.strikeDivergenceLocked(worker, "attested digest does not match payload for cell "+t.cell.Label)
 		return CompleteResult{Verdict: VerdictDigestMismatch, Reason: "attested digest does not match payload", Worker: worker}
 	}
 
-	wasHedge := t.hedge != nil && t.hedge.id == pub.Lease
 	q.observeLeaseLocked(t, pubLease)
 	q.dropLeaseLocked(pub.Lease)
-	t.detach(pub.Lease)
 
 	if t.verify {
 		t.votes = append(t.votes, vote{worker: worker, digest: pub.Canonical, res: pub.Result})
@@ -1183,15 +1031,6 @@ func (q *Queue) Complete(pub Publish) CompleteResult {
 		return q.tallyLocked(t)
 	}
 
-	// Retire any sibling lease so the straggler's eventual publish is
-	// judged by the done-task rules (benign duplicate or divergence).
-	if t.lease != nil {
-		q.dropLeaseLocked(t.lease.id)
-		t.lease = nil
-	}
-	if wasHedge {
-		q.stats.HedgeWins++
-	}
 	q.workerLocked(worker).completed++
 	return q.admitLocked(t, pub.Canonical, pub.Result)
 }
@@ -1288,28 +1127,22 @@ func (q *Queue) admitLocked(t *task, resDigest string, res *machine.Result) Comp
 }
 
 // Fail reports a worker-side execution failure. A failure under a stale
-// lease is ignored (the task was already requeued or completed). Within
-// the attempt budget the task requeues; exhausting it delivers the error
-// to every waiter. When a sibling lease (hedge or primary) survives, the
-// task stays leased — the other execution may still succeed — and the
-// failure is only terminal once no lease remains.
+// lease is ignored (the task was already requeued or completed), and so
+// is one naming another cell than its lease's. Within the attempt budget
+// the task requeues; exhausting it delivers the error to every waiter.
 func (q *Queue) Fail(leaseID, digest, msg string) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	l, live := q.leases[leaseID]
-	q.dropLeaseLocked(leaseID)
 	if !live || l.digest != digest {
 		return
 	}
+	q.dropLeaseLocked(leaseID)
 	t, ok := q.tasks[digest]
-	if !ok || t.state != taskLeased || !t.holds(leaseID) {
+	if !ok || !t.holds(leaseID) {
 		return
 	}
-	t.detach(leaseID)
 	t.attempts++
-	if t.lease != nil {
-		return // sibling still running; let it ride
-	}
 	if t.attempts >= t.maxAttempts {
 		t.state = taskFailed
 		t.err = fmt.Errorf("campaign: cell %s failed after %d attempts: %s", t.cell.Label, t.attempts, msg)
@@ -1331,29 +1164,31 @@ func (q *Queue) ExpireLeases() int {
 
 // expireLocked requeues tasks with lapsed leases. An expiry does not
 // consume an attempt: the worker may be slow rather than broken; its
-// eventual publish is judged by the fencing and attestation rules. An
-// expired primary with a live hedge promotes the hedge instead of
-// requeueing.
+// eventual publish is judged by the fencing and attestation rules.
 func (q *Queue) expireLocked() int {
 	now := q.now()
 	expired := 0
 	for id, l := range q.leases {
-		if now.Before(l.deadline) {
-			continue
-		}
-		q.dropLeaseLocked(id)
-		expired++
-		t, ok := q.tasks[l.digest]
-		if !ok || t.state != taskLeased || !t.holds(id) {
-			continue
-		}
-		t.detach(id)
-		if t.lease == nil {
-			q.requeueLocked(t)
+		if !now.Before(l.deadline) {
+			q.releaseLocked(id)
+			expired++
 		}
 	}
 	q.stats.Expired += expired
 	return expired
+}
+
+// releaseLocked retires a live lease and, when it backs its task,
+// returns the task to pending without burning an attempt.
+func (q *Queue) releaseLocked(leaseID string) {
+	l, ok := q.leases[leaseID]
+	if !ok {
+		return
+	}
+	q.dropLeaseLocked(leaseID)
+	if t, ok := q.tasks[l.digest]; ok && t.holds(leaseID) {
+		q.requeueLocked(t)
+	}
 }
 
 // workerLocked returns (creating if needed) the reputation record.
@@ -1406,21 +1241,11 @@ func (q *Queue) quarantineLocked(worker string, rec *workerRec, reason string) {
 	}
 }
 
-// drainWorkerLocked requeues every task the worker currently leases
-// (promoting a sibling lease where one survives).
+// drainWorkerLocked requeues every task the worker currently leases.
 func (q *Queue) drainWorkerLocked(worker string) {
 	for id, l := range q.leases {
-		if l.worker != worker {
-			continue
-		}
-		q.dropLeaseLocked(id)
-		t, ok := q.tasks[l.digest]
-		if !ok || t.state != taskLeased || !t.holds(id) {
-			continue
-		}
-		t.detach(id)
-		if t.lease == nil {
-			q.requeueLocked(t)
+		if l.worker == worker {
+			q.releaseLocked(id)
 		}
 	}
 }
@@ -1473,24 +1298,8 @@ func (t *task) latestVote(worker string) string {
 // votedBy reports whether the worker already voted on the task.
 func (t *task) votedBy(worker string) bool { return t.latestVote(worker) != "" }
 
-// holds reports whether leaseID is one of the task's live leases.
-func (t *task) holds(leaseID string) bool {
-	return (t.lease != nil && t.lease.id == leaseID) || (t.hedge != nil && t.hedge.id == leaseID)
-}
-
-// detach removes leaseID from the task's lease slots. Detaching the
-// primary promotes a live hedge into its place, so t.lease == nil after
-// a detach means no execution remains in flight.
-func (t *task) detach(leaseID string) {
-	if t.hedge != nil && t.hedge.id == leaseID {
-		t.hedge = nil
-		return
-	}
-	if t.lease != nil && t.lease.id == leaseID {
-		t.lease = t.hedge
-		t.hedge = nil
-	}
-}
+// holds reports whether leaseID is the task's live lease.
+func (t *task) holds(leaseID string) bool { return t.state == taskLeased && t.lease == leaseID }
 
 // short truncates a digest for log lines.
 func short(digest string) string {

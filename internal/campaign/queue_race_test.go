@@ -25,7 +25,7 @@ func TestQueueConcurrentHammer(t *testing.T) {
 	chans := make([]chan Outcome, cells)
 	for i := range chans {
 		chans[i] = make(chan Outcome, 1)
-		q.Enqueue(testCell(t, int64(i+1)), 4, 0, chans[i])
+		q.Enqueue(testCell(t, int64(i+1)), EnqueueOptions{MaxAttempts: 4}, chans[i])
 	}
 
 	var delivered atomic.Int64

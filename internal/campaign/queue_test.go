@@ -13,7 +13,7 @@ import (
 
 // testCell returns a small deterministic cell; vary seed to vary the
 // digest.
-func testCell(t *testing.T, seed int64) sweep.Cell {
+func testCell(t testing.TB, seed int64) sweep.Cell {
 	t.Helper()
 	spec, err := workload.ByAbbr("mm")
 	if err != nil {
@@ -67,7 +67,7 @@ func honestPublish(t *testing.T, g Grant, res *machine.Result) Publish {
 func TestQueueLeaseCompleteDelivers(t *testing.T) {
 	q := NewQueue(time.Minute)
 	ch := make(chan Outcome, 1)
-	digest, _ := q.Enqueue(testCell(t, 1), 1, 0, ch)
+	digest, _ := q.Enqueue(testCell(t, 1), EnqueueOptions{MaxAttempts: 1}, ch)
 
 	g, ok := mustLease(t, q, "w1")
 	if !ok {
@@ -104,7 +104,7 @@ func TestQueueLeaseExpiryRequeues(t *testing.T) {
 	clock := newFakeClock()
 	q := withClock(NewQueue(time.Second), clock)
 	ch := make(chan Outcome, 1)
-	digest, _ := q.Enqueue(testCell(t, 1), 1, 0, ch)
+	digest, _ := q.Enqueue(testCell(t, 1), EnqueueOptions{MaxAttempts: 1}, ch)
 
 	if _, ok := mustLease(t, q, "w1"); !ok {
 		t.Fatal("no grant")
@@ -142,7 +142,7 @@ func TestQueueLatePublishIsNoOp(t *testing.T) {
 	clock := newFakeClock()
 	q := withClock(NewQueue(time.Second), clock)
 	ch := make(chan Outcome, 1)
-	q.Enqueue(testCell(t, 1), 1, 0, ch)
+	q.Enqueue(testCell(t, 1), EnqueueOptions{MaxAttempts: 1}, ch)
 
 	g1, _ := mustLease(t, q, "stalled")
 	clock.advance(2 * time.Second) // stalled worker sleeps past its TTL
@@ -191,7 +191,7 @@ func TestQueueZombiePublishFencedOff(t *testing.T) {
 	clock := newFakeClock()
 	q := withClock(NewQueue(time.Second), clock)
 	ch := make(chan Outcome, 1)
-	q.Enqueue(testCell(t, 1), 1, 0, ch)
+	q.Enqueue(testCell(t, 1), EnqueueOptions{MaxAttempts: 1}, ch)
 
 	g1, _ := mustLease(t, q, "stalled")
 	clock.advance(2 * time.Second)
@@ -231,7 +231,7 @@ func TestQueueZombiePublishFencedOff(t *testing.T) {
 func TestQueueFailRetriesThenDelivers(t *testing.T) {
 	q := NewQueue(time.Minute)
 	ch := make(chan Outcome, 1)
-	digest, _ := q.Enqueue(testCell(t, 1), 2, 0, ch) // 1 retry
+	digest, _ := q.Enqueue(testCell(t, 1), EnqueueOptions{MaxAttempts: 2}, ch) // 1 retry
 
 	g1, _ := mustLease(t, q, "w1")
 	q.Fail(g1.Lease, digest, "boom")
@@ -262,7 +262,7 @@ func TestQueueStaleFailIgnored(t *testing.T) {
 	clock := newFakeClock()
 	q := withClock(NewQueue(time.Second), clock)
 	ch := make(chan Outcome, 1)
-	digest, _ := q.Enqueue(testCell(t, 1), 1, 0, ch)
+	digest, _ := q.Enqueue(testCell(t, 1), EnqueueOptions{MaxAttempts: 1}, ch)
 
 	g1, _ := mustLease(t, q, "w1")
 	clock.advance(2 * time.Second)
@@ -271,10 +271,15 @@ func TestQueueStaleFailIgnored(t *testing.T) {
 	// w1's failure report arrives under its expired lease: ignored, no
 	// attempt burned, w2's lease untouched.
 	q.Fail(g1.Lease, digest, "late failure")
+	// A failure naming another cell than its lease's is ignored too.
+	q.Fail(g2.Lease, testCell(t, 2).Key().Digest(), "wrong cell")
 	select {
 	case <-ch:
 		t.Fatal("stale failure delivered an outcome")
 	default:
+	}
+	if err := q.Renew(g2.Lease); err != nil {
+		t.Fatalf("w2's lease lost to a stray failure: %v", err)
 	}
 	q.Complete(honestPublish(t, g2, fakeResult(1)))
 	if out := <-ch; out.Err != nil {
@@ -286,8 +291,8 @@ func TestQueueDedupAcrossEnqueues(t *testing.T) {
 	q := NewQueue(time.Minute)
 	ch1 := make(chan Outcome, 1)
 	ch2 := make(chan Outcome, 1)
-	digest, _ := q.Enqueue(testCell(t, 1), 1, 0, ch1)
-	d2, _ := q.Enqueue(testCell(t, 1), 1, 0, ch2)
+	digest, _ := q.Enqueue(testCell(t, 1), EnqueueOptions{MaxAttempts: 1}, ch1)
+	d2, _ := q.Enqueue(testCell(t, 1), EnqueueOptions{MaxAttempts: 1}, ch2)
 	if digest != d2 {
 		t.Fatal("identical cells got different digests")
 	}
@@ -306,7 +311,7 @@ func TestQueueDedupAcrossEnqueues(t *testing.T) {
 
 	// A third enqueue after completion delivers immediately.
 	ch3 := make(chan Outcome, 1)
-	q.Enqueue(testCell(t, 1), 1, 0, ch3)
+	q.Enqueue(testCell(t, 1), EnqueueOptions{MaxAttempts: 1}, ch3)
 	select {
 	case out := <-ch3:
 		if out.Res == nil {
@@ -320,7 +325,7 @@ func TestQueueDedupAcrossEnqueues(t *testing.T) {
 func TestQueueAbandonPrunesPending(t *testing.T) {
 	q := NewQueue(time.Minute)
 	ch := make(chan Outcome, 1)
-	digest, wid := q.Enqueue(testCell(t, 1), 1, 0, ch)
+	digest, wid := q.Enqueue(testCell(t, 1), EnqueueOptions{MaxAttempts: 1}, ch)
 	q.Abandon(digest, wid)
 	if _, ok := mustLease(t, q, "w1"); ok {
 		t.Fatal("abandoned task still leased out")
@@ -332,8 +337,8 @@ func TestQueueAbandonPrunesPending(t *testing.T) {
 	// Abandoning one of two waiters keeps the task.
 	chA := make(chan Outcome, 1)
 	chB := make(chan Outcome, 1)
-	digest, widA := q.Enqueue(testCell(t, 2), 1, 0, chA)
-	q.Enqueue(testCell(t, 2), 1, 0, chB)
+	digest, widA := q.Enqueue(testCell(t, 2), EnqueueOptions{MaxAttempts: 1}, chA)
+	q.Enqueue(testCell(t, 2), EnqueueOptions{MaxAttempts: 1}, chB)
 	q.Abandon(digest, widA)
 	if _, ok := mustLease(t, q, "w1"); !ok {
 		t.Fatal("task with a live waiter was pruned")
@@ -344,7 +349,7 @@ func TestQueueRenewExtendsLease(t *testing.T) {
 	clock := newFakeClock()
 	q := withClock(NewQueue(time.Second), clock)
 	ch := make(chan Outcome, 1)
-	q.Enqueue(testCell(t, 1), 1, 0, ch)
+	q.Enqueue(testCell(t, 1), EnqueueOptions{MaxAttempts: 1}, ch)
 	g, _ := mustLease(t, q, "w1")
 
 	clock.advance(700 * time.Millisecond)
@@ -358,5 +363,266 @@ func TestQueueRenewExtendsLease(t *testing.T) {
 	clock.advance(time.Second)
 	if err := q.Renew(g.Lease); err != ErrLeaseGone {
 		t.Fatalf("renew of an expired lease = %v, want ErrLeaseGone", err)
+	}
+}
+
+// TestQueueCompleteVerdicts drives Queue.Complete through every verdict.
+// Each row builds the queue state under an injected clock and returns the
+// publish to judge; the row then asserts the verdict, the exact QueueStats
+// counters that publish moved, and the strike (if any) its worker took.
+func TestQueueCompleteVerdicts(t *testing.T) {
+	const ttl = time.Minute
+	type row struct {
+		name  string
+		setup func(t *testing.T, q *Queue, clock *fakeClock) Publish
+		want  Verdict
+		bump  func(s *QueueStats) // counters the judged publish increments
+		// striked takes one strike: a zombie strike when zombie is set,
+		// a divergence strike otherwise. Every other worker takes none.
+		striked string
+		zombie  bool
+		after   func(t *testing.T, q *Queue, pub Publish)
+	}
+	enqueue := func(t *testing.T, q *Queue, seed int64) {
+		q.Enqueue(testCell(t, seed), EnqueueOptions{MaxAttempts: 1}, make(chan Outcome, 1))
+	}
+	lease := func(t *testing.T, q *Queue, worker string) Grant {
+		t.Helper()
+		g, ok := mustLease(t, q, worker)
+		if !ok {
+			t.Fatalf("no grant for %s", worker)
+		}
+		return g
+	}
+	publish := func(t *testing.T, q *Queue, g Grant, res *machine.Result, want Verdict) Publish {
+		t.Helper()
+		pub := honestPublish(t, g, res)
+		if out := q.Complete(pub); out.Verdict != want {
+			t.Fatalf("setup publish verdict = %s, want %s", out.Verdict, want)
+		}
+		return pub
+	}
+
+	rows := []row{
+		{
+			name: "admitted",
+			setup: func(t *testing.T, q *Queue, _ *fakeClock) Publish {
+				enqueue(t, q, 1)
+				return honestPublish(t, lease(t, q, "w1"), fakeResult(1))
+			},
+			want: VerdictAdmitted,
+			bump: func(s *QueueStats) { s.Completed++ },
+		},
+		{
+			name: "vote recorded",
+			setup: func(t *testing.T, q *Queue, _ *fakeClock) Publish {
+				q.ConfigureVerification(1, 2)
+				enqueue(t, q, 1)
+				return honestPublish(t, lease(t, q, "w1"), fakeResult(1))
+			},
+			want: VerdictVoteRecorded,
+			bump: func(s *QueueStats) { s.Votes++ },
+		},
+		{
+			// w1 and w2 disagree on a 2-quorum cell; when the arbiter
+			// then fails, the cell requeues for a fresh quorum.
+			name: "quorum tie needs the arbiter",
+			setup: func(t *testing.T, q *Queue, _ *fakeClock) Publish {
+				q.ConfigureVerification(1, 2)
+				enqueue(t, q, 1)
+				publish(t, q, lease(t, q, "w1"), fakeResult(1), VerdictVoteRecorded)
+				return honestPublish(t, lease(t, q, "w2"), fakeResult(2))
+			},
+			want: VerdictNeedArbiter,
+			bump: func(s *QueueStats) { s.Votes++; s.Arbitrations++ },
+			after: func(t *testing.T, q *Queue, pub Publish) {
+				if _, ok := mustLease(t, q, "w3"); ok {
+					t.Fatal("cell leasable while arbitrating")
+				}
+				q.ArbiterFailed(pub.Digest)
+				if pending, _ := q.Depth(); pending != 1 {
+					t.Fatalf("pending = %d after ArbiterFailed, want 1", pending)
+				}
+				g := lease(t, q, "w3")
+				if g.Digest != pub.Digest || !g.Verify || g.Attempt != 1 {
+					t.Fatalf("re-grant = %+v, want a fresh verified attempt at %s", g, pub.Digest)
+				}
+			},
+		},
+		{
+			name: "late duplicate of the admitted answer",
+			setup: func(t *testing.T, q *Queue, _ *fakeClock) Publish {
+				enqueue(t, q, 1)
+				return publish(t, q, lease(t, q, "w1"), fakeResult(1), VerdictAdmitted)
+			},
+			want: VerdictDuplicate,
+			bump: func(s *QueueStats) { s.LatePublishes++ },
+		},
+		{
+			name: "retried vote under a dead lease",
+			setup: func(t *testing.T, q *Queue, _ *fakeClock) Publish {
+				q.ConfigureVerification(1, 2)
+				enqueue(t, q, 1)
+				return publish(t, q, lease(t, q, "w1"), fakeResult(1), VerdictVoteRecorded)
+			},
+			want: VerdictDuplicate,
+			bump: func(s *QueueStats) { s.LatePublishes++ },
+		},
+		{
+			name: "divergent publish on a done cell",
+			setup: func(t *testing.T, q *Queue, clock *fakeClock) Publish {
+				enqueue(t, q, 1)
+				slow := lease(t, q, "w2")
+				clock.advance(ttl)
+				q.ExpireLeases()
+				publish(t, q, lease(t, q, "w1"), fakeResult(1), VerdictAdmitted)
+				return honestPublish(t, slow, fakeResult(2))
+			},
+			want:    VerdictDivergent,
+			bump:    func(s *QueueStats) { s.DivergentPublishes++; s.VerifiedCells++ },
+			striked: "w2",
+			after: func(t *testing.T, q *Queue, pub Publish) {
+				if !q.tasks[pub.Digest].verify {
+					t.Fatal("divergent cell not marked for verification")
+				}
+			},
+		},
+		{
+			name: "zombie publish under an expired lease",
+			setup: func(t *testing.T, q *Queue, clock *fakeClock) Publish {
+				enqueue(t, q, 1)
+				g := lease(t, q, "w1")
+				clock.advance(ttl)
+				q.ExpireLeases()
+				return honestPublish(t, g, fakeResult(1))
+			},
+			want:    VerdictZombie,
+			bump:    func(s *QueueStats) { s.ZombiePublishes++ },
+			striked: "w1",
+			zombie:  true,
+		},
+		{
+			name: "forged fence",
+			setup: func(t *testing.T, q *Queue, _ *fakeClock) Publish {
+				enqueue(t, q, 1)
+				pub := honestPublish(t, lease(t, q, "w1"), fakeResult(1))
+				pub.Fence = "forged"
+				return pub
+			},
+			want: VerdictFenceMismatch,
+			bump: func(s *QueueStats) { s.FenceMismatches++ },
+		},
+		{
+			name: "attestation mismatch requeues",
+			setup: func(t *testing.T, q *Queue, _ *fakeClock) Publish {
+				enqueue(t, q, 1)
+				pub := honestPublish(t, lease(t, q, "w1"), fakeResult(1))
+				pub.ResultDigest = lieDigest(pub.Canonical)
+				return pub
+			},
+			want:    VerdictDigestMismatch,
+			bump:    func(s *QueueStats) { s.DigestMismatches++ },
+			striked: "w1",
+			after: func(t *testing.T, q *Queue, _ Publish) {
+				if pending, leased := q.Depth(); pending != 1 || leased != 0 {
+					t.Fatalf("depth = (%d pending, %d leased), want (1, 0)", pending, leased)
+				}
+			},
+		},
+		{
+			name: "unknown task",
+			setup: func(t *testing.T, q *Queue, _ *fakeClock) Publish {
+				enqueue(t, q, 1)
+				pub := honestPublish(t, lease(t, q, "w1"), fakeResult(1))
+				pub.Digest = testCell(t, 99).Key().Digest()
+				return pub
+			},
+			want: VerdictUnknown,
+			after: func(t *testing.T, q *Queue, pub Publish) {
+				// The lease named by the stray publish still backs its
+				// own cell: its holder's publish is admitted.
+				for digest := range q.tasks {
+					pub.Digest = digest
+				}
+				if out := q.Complete(pub); out.Verdict != VerdictAdmitted {
+					t.Fatalf("holder's publish verdict = %s, want admitted", out.Verdict)
+				}
+			},
+		},
+	}
+	for _, r := range rows {
+		t.Run(r.name, func(t *testing.T) {
+			clock := newFakeClock()
+			q := withClock(NewQueue(ttl), clock)
+			pub := r.setup(t, q, clock)
+			want := q.Stats()
+			if r.bump != nil {
+				r.bump(&want)
+			}
+			if out := q.Complete(pub); out.Verdict != r.want {
+				t.Fatalf("verdict = %s (%s), want %s", out.Verdict, out.Reason, r.want)
+			}
+			if got := q.Stats(); got != want {
+				t.Fatalf("stats = %+v\nwant    %+v", got, want)
+			}
+			for _, w := range q.Workers() {
+				var div, zom int
+				if w.Name == r.striked {
+					if r.zombie {
+						zom = 1
+					} else {
+						div = 1
+					}
+				}
+				if w.Divergent != div || w.Zombies != zom {
+					t.Fatalf("worker %s strikes = (divergent %d, zombie %d), want (%d, %d)",
+						w.Name, w.Divergent, w.Zombies, div, zom)
+				}
+			}
+			if r.after != nil {
+				r.after(t, q, pub)
+			}
+		})
+	}
+}
+
+// BenchmarkLeaseComplete measures one Lease plus its Complete on a queue
+// holding 10k pending cells, the lease queue's per-cell control-plane
+// cost. Admitted cells are re-enqueued outside the timer, keeping the
+// backlog at 10k.
+func BenchmarkLeaseComplete(b *testing.B) {
+	const backlog = 10_000
+	res := fakeResult(1)
+	attest, err := ResultDigest(res)
+	if err != nil {
+		b.Fatal(err)
+	}
+	q := NewQueue(time.Hour)
+	byDigest := make(map[string]sweep.Cell, backlog)
+	for i := 1; i <= backlog; i++ {
+		c := testCell(b, int64(i))
+		d, _ := q.Enqueue(c, EnqueueOptions{MaxAttempts: 1}, make(chan Outcome, 1))
+		byDigest[d] = c
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g, ok, err := q.Lease("w1")
+		if err != nil || !ok {
+			b.Fatalf("lease: ok=%v err=%v", ok, err)
+		}
+		out := q.Complete(Publish{
+			Lease: g.Lease, Fence: g.Fence, Digest: g.Digest,
+			ResultDigest: attest, Canonical: attest, Result: res,
+		})
+		if out.Verdict != VerdictAdmitted {
+			b.Fatalf("verdict = %s", out.Verdict)
+		}
+		b.StopTimer()
+		// A done task would coalesce a re-enqueue; drop it so the cell
+		// queues afresh and the backlog stays at 10k.
+		delete(q.tasks, g.Digest)
+		q.Enqueue(byDigest[g.Digest], EnqueueOptions{MaxAttempts: 1}, make(chan Outcome, 1))
+		b.StartTimer()
 	}
 }

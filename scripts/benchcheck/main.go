@@ -13,13 +13,13 @@
 // Gate a change (CI runs exactly this):
 //
 //	{ go test -run '^$' -bench BenchmarkSimulatorThroughput -benchtime 1x -benchmem -count 2 . ;
-//	  go test -run '^$' -bench . -benchmem ./internal/mem ./internal/sim ./internal/machine ; } \
+//	  go test -run '^$' -bench . -benchmem ./internal/mem ./internal/sim ./internal/machine ./internal/campaign ; } \
 //	  | go run ./scripts/benchcheck -ops-tolerance 0.20
 //
 // Capture/update the baseline with the same benchmarks, repeated:
 //
 //	{ go test -run '^$' -bench BenchmarkSimulatorThroughput -benchtime 3x -benchmem -count 3 . ;
-//	  go test -run '^$' -bench . -benchmem -count 3 ./internal/mem ./internal/sim ./internal/machine ; } \
+//	  go test -run '^$' -bench . -benchmem -count 3 ./internal/mem ./internal/sim ./internal/machine ./internal/campaign ; } \
 //	  | go run ./scripts/benchcheck -update
 package main
 

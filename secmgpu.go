@@ -140,14 +140,6 @@ func RunContext(ctx context.Context, cfg Config, spec WorkloadSpec, opt RunOptio
 	return sys.RunContext(ctx)
 }
 
-// Run simulates one workload without cancellation support.
-//
-// Deprecated: use RunContext. Run is a thin wrapper retained for
-// compatibility.
-func Run(cfg Config, spec WorkloadSpec, opt RunOptions) (*Result, error) {
-	return RunContext(context.Background(), cfg, spec, opt)
-}
-
 // SlowdownContext runs spec under both cfg and its unsecure baseline and
 // returns the normalized execution time (1.0 = no overhead), the metric
 // of the paper's Figures 8, 9, 21, 24, 25 and 26. Cancelling ctx stops
@@ -166,15 +158,6 @@ func SlowdownContext(ctx context.Context, cfg Config, spec WorkloadSpec, opt Run
 	return float64(sec.Cycles) / float64(ub.Cycles), nil
 }
 
-// Slowdown computes the normalized execution time without cancellation
-// support.
-//
-// Deprecated: use SlowdownContext. Slowdown is a thin wrapper retained
-// for compatibility.
-func Slowdown(cfg Config, spec WorkloadSpec, opt RunOptions) (float64, error) {
-	return SlowdownContext(context.Background(), cfg, spec, opt)
-}
-
 // ExperimentParams sizes a table/figure reproduction.
 type ExperimentParams = experiments.Params
 
@@ -186,15 +169,6 @@ type ExperimentTable = experiments.Table
 // view of the experiments registry, the same source of truth behind
 // RunExperimentContext and cmd/secbench.
 func Experiments() []string { return experiments.Names() }
-
-// RunExperiment reproduces one table or figure by name without
-// cancellation support.
-//
-// Deprecated: use RunExperimentContext. RunExperiment is a thin wrapper
-// retained for compatibility.
-func RunExperiment(name string, p ExperimentParams) (*ExperimentTable, error) {
-	return RunExperimentContext(context.Background(), name, p)
-}
 
 // RunExperimentContext reproduces one table or figure by name. Cancelling
 // ctx stops the underlying sweep between simulations and returns ctx's
@@ -287,10 +261,6 @@ type ServeOptions struct {
 	// MaxQueueDepth, when positive, rejects new submissions while this
 	// many cells are pending on the work queue.
 	MaxQueueDepth int
-	// BrownoutMB, when positive, is a heap watermark in MiB: above it
-	// the coordinator browns out, pausing verification-quorum sampling
-	// and scrub passes until the heap recedes.
-	BrownoutMB int
 	// Drain, when non-nil, triggers a graceful drain on close: new
 	// submissions and lease grants stop, in-flight leases finish or
 	// expire, a clean-shutdown record is journaled, and Serve returns.
@@ -327,7 +297,6 @@ func Serve(ctx context.Context, addr string, opts ServeOptions) error {
 		ScrubInterval:  opts.ScrubInterval,
 		MaxCampaigns:   opts.MaxCampaigns,
 		MaxQueueDepth:  opts.MaxQueueDepth,
-		BrownoutMB:     opts.BrownoutMB,
 		Drain:          opts.Drain,
 		DrainTimeout:   opts.DrainTimeout,
 		Logf:           opts.Logf,
@@ -350,7 +319,7 @@ func CoordinatorHandler(opts ServeOptions) (http.Handler, func(), error) {
 		Store: st, LeaseTTL: opts.LeaseTTL, AuthToken: opts.AuthToken, Logf: opts.Logf,
 		VerifyFraction: opts.VerifyFraction, VerifyQuorum: opts.VerifyQuorum,
 		ScrubInterval: opts.ScrubInterval,
-		MaxCampaigns:  opts.MaxCampaigns, MaxQueueDepth: opts.MaxQueueDepth, BrownoutMB: opts.BrownoutMB,
+		MaxCampaigns:  opts.MaxCampaigns, MaxQueueDepth: opts.MaxQueueDepth,
 	})
 	return c.Handler(), c.Close, nil
 }

@@ -23,7 +23,7 @@ func TestRunUnsecureAndSecure(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := smallConfig(4)
-	base, err := Run(cfg, spec, RunOptions{})
+	base, err := RunContext(context.Background(), cfg, spec, RunOptions{})
 	if err != nil {
 		t.Fatalf("unsecure run: %v", err)
 	}
@@ -34,7 +34,7 @@ func TestRunUnsecureAndSecure(t *testing.T) {
 	cfg.Secure = true
 	cfg.Scheme = SchemeDynamic
 	cfg.Batching = true
-	sec, err := Run(cfg, spec, RunOptions{Functional: true})
+	sec, err := RunContext(context.Background(), cfg, spec, RunOptions{Functional: true})
 	if err != nil {
 		t.Fatalf("secure run: %v", err)
 	}
@@ -54,7 +54,7 @@ func TestRunValidatesConfig(t *testing.T) {
 	spec, _ := WorkloadByAbbr("mm")
 	cfg := smallConfig(4)
 	cfg.NumGPUs = 0
-	if _, err := Run(cfg, spec, RunOptions{}); err == nil {
+	if _, err := RunContext(context.Background(), cfg, spec, RunOptions{}); err == nil {
 		t.Error("invalid config accepted")
 	}
 }
@@ -69,18 +69,18 @@ func TestSlowdownOrdering(t *testing.T) {
 	cfg.Secure = true
 
 	cfg.Scheme = SchemePrivate
-	private, err := Slowdown(cfg, spec, RunOptions{})
+	private, err := SlowdownContext(context.Background(), cfg, spec, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Scheme = SchemeShared
-	shared, err := Slowdown(cfg, spec, RunOptions{})
+	shared, err := SlowdownContext(context.Background(), cfg, spec, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Scheme = SchemeDynamic
 	cfg.Batching = true
-	ours, err := Slowdown(cfg, spec, RunOptions{})
+	ours, err := SlowdownContext(context.Background(), cfg, spec, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestExperimentsRegistry(t *testing.T) {
 	p.Workloads = []string{"mm"}
 
 	// Analytic tables run instantly.
-	tab, err := RunExperiment("table1", p)
+	tab, err := RunExperimentContext(context.Background(), "table1", p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestExperimentsRegistry(t *testing.T) {
 	}
 
 	// One simulated figure end to end.
-	fig, err := RunExperiment("fig21", p)
+	fig, err := RunExperimentContext(context.Background(), "fig21", p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestExperimentsRegistry(t *testing.T) {
 	if !strings.Contains(fig.String(), "Figure 21") {
 		t.Error("table render missing ID")
 	}
-	if _, err := RunExperiment("nope", p); err == nil {
+	if _, err := RunExperimentContext(context.Background(), "nope", p); err == nil {
 		t.Error("unknown experiment accepted")
 	}
 }
@@ -216,7 +216,7 @@ func TestRunContextMatchesRun(t *testing.T) {
 	}
 	cfg := smallConfig(2)
 	cfg.Secure = true
-	plain, err := Run(cfg, spec, RunOptions{})
+	plain, err := RunContext(context.Background(), cfg, spec, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
