@@ -1,9 +1,10 @@
 // Package store is the durability layer under the sweep engine: an
-// on-disk, content-addressed result store plus a per-run append-only
-// journal, so a long deterministic campaign survives process death. A
-// crash, OOM kill, or SIGKILL at cell 190/200 of `secbench -exp all`
-// loses only the in-flight cells; a restarted run rehydrates every
-// persisted result from disk and simulates the rest.
+// on-disk, content-addressed result store plus one append-only log
+// (Log), of which the per-run cell Journal is a typed client, so a long
+// deterministic campaign survives process death. A crash, OOM kill, or
+// SIGKILL at cell 190/200 of `secbench -exp all` loses only the
+// in-flight cells; a restarted run rehydrates every persisted result
+// from disk and simulates the rest.
 //
 // Three invariants shape the package:
 //

@@ -1,6 +1,7 @@
 package store_test
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -8,6 +9,18 @@ import (
 
 	"secmgpu/internal/store"
 )
+
+// nonBlankLines counts the lines of data that hold more than white
+// space: each is replayed either as a record or as a corrupt line.
+func nonBlankLines(data []byte) int {
+	n := 0
+	for _, line := range bytes.Split(data, []byte("\n")) {
+		if len(bytes.TrimSpace(line)) > 0 {
+			n++
+		}
+	}
+	return n
+}
 
 // journalSeed builds a small valid journal for seeding the fuzzer.
 func journalSeed(t testing.TB) []byte {
@@ -53,6 +66,9 @@ func FuzzReplayJournal(f *testing.F) {
 		rep, err := store.ReplayJournal(path)
 		if err != nil {
 			return // unreadable or headerless is a reported error, fine
+		}
+		if n := nonBlankLines(data); rep.Records+rep.Corrupt != n {
+			t.Fatalf("records=%d + corrupt=%d, want %d non-blank lines", rep.Records, rep.Corrupt, n)
 		}
 		// Any record the replay trusted must have carried a valid
 		// checksum; spot-check internal consistency instead.
@@ -131,6 +147,9 @@ func FuzzControlLogReplay(f *testing.F) {
 		}
 		if corrupt < 0 || records < 0 {
 			t.Fatalf("negative counts: records=%d corrupt=%d", records, corrupt)
+		}
+		if n := nonBlankLines(data); records+corrupt != n {
+			t.Fatalf("records=%d + corrupt=%d, want %d non-blank lines", records, corrupt, n)
 		}
 	})
 }

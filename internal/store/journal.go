@@ -1,18 +1,12 @@
 package store
 
 import (
-	"bufio"
-	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
 	"slices"
 	"strings"
-	"sync"
 )
 
 // Record types appearing in a run journal.
@@ -46,20 +40,13 @@ type RunInfo struct {
 	Scale     float64  `json:"scale,omitempty"`
 	Seed      int64    `json:"seed,omitempty"`
 	Workloads []string `json:"workloads,omitempty"`
-	// LegacySimWorkers decodes the kernel worker count that journals
-	// written before the simulator had a single kernel may carry. It is
-	// never set by new runs and plays no part in parameter matching; it
-	// exists so an old header still round-trips through Record's
-	// checksum and a -resume of an old run keeps working.
-	LegacySimWorkers int `json:"simworkers,omitempty"`
 }
 
 // ParamsDigest hashes the campaign parameters that must match for a
 // resume to be meaningful (everything except the simulator digest,
-// which has its own invalidation path, and the legacy kernel field).
+// which has its own invalidation path).
 func (r RunInfo) ParamsDigest() string {
 	r.SimDigest = ""
-	r.LegacySimWorkers = 0
 	d, err := DigestJSON(r)
 	if err != nil {
 		return "unhashable"
@@ -119,8 +106,7 @@ func (r RunInfo) diff(other RunInfo) []string {
 }
 
 // Record is one journal line. Cell records carry the cell's key digest
-// and label; every record carries a truncated self-checksum (C) so a
-// bit-flipped line is detected on replay instead of trusted.
+// and label; the Log writing them adds the line's checksum.
 type Record struct {
 	T       string   `json:"t"`
 	Run     *RunInfo `json:"run,omitempty"`
@@ -129,136 +115,58 @@ type Record struct {
 	Attempt int      `json:"attempt,omitempty"`
 	Millis  int64    `json:"ms,omitempty"`
 	Err     string   `json:"err,omitempty"`
-	C       string   `json:"c,omitempty"`
 }
 
-// checksum returns the record's self-checksum: SHA-256 over its JSON
-// encoding with C cleared, truncated for line economy.
-func (r Record) checksum() string {
-	r.C = ""
-	b, err := json.Marshal(r)
-	if err != nil {
-		return "unhashable"
-	}
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:8])
-}
-
-// Journal is a per-run append-only JSONL write-ahead log. Each append
-// is fsynced, so every record before a SIGKILL survives and at most the
-// final record is torn (which Replay tolerates). A nil *Journal is a
-// valid no-op sink, so callers journal unconditionally.
-type Journal struct {
-	mu   sync.Mutex
-	f    *os.File
-	path string
-	err  error
-}
+// Journal is a per-run write-ahead log of Records: a Log that appends
+// typed records instead of opaque payloads. A nil *Journal is a valid
+// no-op sink, so callers journal unconditionally.
+type Journal Log
 
 // CreateJournal starts a new journal at path with a RecRun header. It
 // refuses to overwrite an existing journal: run IDs are one campaign
 // each, and resuming goes through OpenJournalAppend.
 func CreateJournal(path string, info RunInfo) (*Journal, error) {
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return nil, err
+	j, err := openJournal(path, os.O_CREATE|os.O_EXCL, Record{T: RecRun, Run: &info})
+	if os.IsExist(err) {
+		return nil, fmt.Errorf("store: journal %s already exists (resume it, or pick a new run ID)", path)
 	}
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
-	if err != nil {
-		if os.IsExist(err) {
-			return nil, fmt.Errorf("store: journal %s already exists (resume it, or pick a new run ID)", path)
-		}
-		return nil, err
-	}
-	j := &Journal{f: f, path: path}
-	if err := j.Append(Record{T: RecRun, Run: &info}); err != nil {
-		f.Close()
-		return nil, err
-	}
-	return j, nil
+	return j, err
 }
 
 // OpenJournalAppend opens an existing journal for appending (resume)
 // and records a RecResume header for this invocation.
 func OpenJournalAppend(path string, info RunInfo) (*Journal, error) {
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	return openJournal(path, 0, Record{T: RecResume, Run: &info})
+}
+
+// openJournal opens path as a Log with the extra open flags and appends
+// this invocation's header record.
+func openJournal(path string, flag int, header Record) (*Journal, error) {
+	l, err := openLog(path, flag)
 	if err != nil {
 		return nil, err
 	}
-	// A torn final record has no newline; terminate it so this
-	// invocation's records start on a fresh line and the torn one stays
-	// isolated (Replay counts it corrupt, nothing else is damaged).
-	if st, err := f.Stat(); err == nil && st.Size() > 0 {
-		if _, err := f.Write([]byte("\n")); err != nil {
-			f.Close()
-			return nil, err
-		}
-	}
-	j := &Journal{f: f, path: path}
-	if err := j.Append(Record{T: RecResume, Run: &info}); err != nil {
-		f.Close()
+	j := (*Journal)(l)
+	if err := j.Append(header); err != nil {
+		l.f.Close()
 		return nil, err
 	}
 	return j, nil
 }
 
 // Path returns the journal's file path ("" for a nil journal).
-func (j *Journal) Path() string {
-	if j == nil {
-		return ""
-	}
-	return j.path
-}
+func (j *Journal) Path() string { return (*Log)(j).Path() }
 
-// Append checksums and writes one record, fsyncing it to disk. Errors
-// are sticky and returned (also from Err); journaling failures must
-// never fail the sweep itself, so callers may ignore them and surface
-// Err once at the end.
-func (j *Journal) Append(rec Record) error {
-	if j == nil {
-		return nil
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.err != nil {
-		return j.err
-	}
-	rec.C = rec.checksum()
-	b, err := json.Marshal(rec)
-	if err != nil {
-		j.err = err
-		return err
-	}
-	b = append(b, '\n')
-	if _, err := j.f.Write(b); err != nil {
-		j.err = err
-		return err
-	}
-	if err := j.f.Sync(); err != nil {
-		j.err = err
-		return err
-	}
-	return nil
-}
+// Append writes one record with an fsync. Errors are sticky and returned
+// (also from Err); journaling failures must never fail the sweep itself,
+// so callers may ignore them and surface Err once at the end.
+func (j *Journal) Append(rec Record) error { return (*Log)(j).write(rec) }
 
 // Err returns the first append failure, if any.
-func (j *Journal) Err() error {
-	if j == nil {
-		return nil
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.err
-}
+func (j *Journal) Err() error { return (*Log)(j).Err() }
 
 // Close closes the journal file.
-func (j *Journal) Close() error {
-	if j == nil {
-		return nil
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.f.Close()
-}
+func (j *Journal) Close() error { return (*Log)(j).Close() }
 
 // CellMark is the replayed status of one cell.
 type CellMark struct {
@@ -285,23 +193,17 @@ type Replay struct {
 	Resumes int
 	// Records counts verified records replayed.
 	Records int
-	// Corrupt counts lines that failed to decode or checksum —
-	// quarantined in place (skipped), never trusted. A torn final
-	// record from a SIGKILL lands here.
+	// Corrupt counts lines that failed to decode or checksum, or ran
+	// past the line limit — quarantined in place (skipped), never
+	// trusted. A torn final record from a SIGKILL lands here.
 	Corrupt int
 }
 
 // ReplayJournal reads a journal and reconstructs the run's state. It
-// tolerates a torn or bit-flipped record anywhere in the file (counted
-// in Corrupt, skipped) and never panics on arbitrary bytes; it errors
-// only if the file is unreadable or no valid RecRun header survives.
+// tolerates a torn, bit-flipped or over-long record anywhere in the
+// file (counted in Corrupt, skipped) and never panics on arbitrary bytes;
+// it errors only if the file is unreadable or no valid RecRun header survives.
 func ReplayJournal(path string) (*Replay, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-
 	rep := &Replay{
 		Done:     make(map[string]CellMark),
 		Restored: make(map[string]CellMark),
@@ -309,23 +211,12 @@ func ReplayJournal(path string) (*Replay, error) {
 		Started:  make(map[string]CellMark),
 	}
 	sawHeader := false
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
+	var err error
+	rep.Records, rep.Corrupt, err = replayLines(path, func(obj []byte) bool {
 		var rec Record
-		if err := json.Unmarshal(line, &rec); err != nil {
-			rep.Corrupt++
-			continue
+		if json.Unmarshal(obj, &rec) != nil {
+			return false
 		}
-		if rec.checksum() != rec.C {
-			rep.Corrupt++
-			continue
-		}
-		rep.Records++
 		mark := CellMark{Label: rec.Label, Attempt: rec.Attempt, Err: rec.Err}
 		switch rec.T {
 		case RecRun:
@@ -347,10 +238,10 @@ func ReplayJournal(path string) (*Replay, error) {
 				rep.Failed[rec.Cell] = mark
 			}
 		}
-	}
-	if err := sc.Err(); err != nil {
-		// An over-long garbage line is corruption, not a replay error.
-		rep.Corrupt++
+		return true
+	})
+	if err != nil {
+		return nil, err
 	}
 	if !sawHeader {
 		return nil, fmt.Errorf("store: journal %s has no valid run header", path)

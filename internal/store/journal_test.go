@@ -228,13 +228,6 @@ func TestRunInfoVerify(t *testing.T) {
 	if err := a.Verify(e); err == nil {
 		t.Error("run-ID change accepted")
 	}
-	// The legacy kernel field is not a campaign parameter: a journal
-	// carrying it matches a request that does not.
-	f := a
-	f.LegacySimWorkers = 4
-	if err := f.Verify(a); err != nil {
-		t.Errorf("legacy sim-workers field refused a resume: %v", err)
-	}
 }
 
 // legacyJournal is a run journal exactly as a build with a selectable
@@ -246,8 +239,9 @@ const legacyJournal = `{"t":"run","run":{"id":"old","sim":"sim1","exps":["fig21"
 `
 
 // TestLegacySimWorkersJournalResumes checks an old journal whose header
-// names a kernel worker count still replays (the header checksum holds)
-// and resumes under a request that carries no such field.
+// names a kernel worker count still replays (the header checksum covers
+// the line's bytes; the decoder drops the unknown field) and resumes
+// under a request that carries no such field.
 func TestLegacySimWorkersJournalResumes(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "old.jsonl")
 	if err := os.WriteFile(path, []byte(legacyJournal), 0o644); err != nil {
@@ -257,8 +251,8 @@ func TestLegacySimWorkersJournalResumes(t *testing.T) {
 	if err != nil {
 		t.Fatalf("legacy journal does not replay: %v", err)
 	}
-	if rep.Corrupt != 0 || rep.Info.LegacySimWorkers != 2 {
-		t.Fatalf("corrupt=%d legacy=%d, want 0/2", rep.Corrupt, rep.Info.LegacySimWorkers)
+	if rep.Corrupt != 0 {
+		t.Fatalf("corrupt=%d, want 0", rep.Corrupt)
 	}
 	if _, ok := rep.Done["aa"]; !ok {
 		t.Fatal("done cell missing from legacy journal")
@@ -282,9 +276,8 @@ func TestLegacySimWorkersJournalResumes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Corrupt != 0 || rep.Resumes != 1 || rep.Info.LegacySimWorkers != 2 {
-		t.Errorf("after resume: corrupt=%d resumes=%d legacy=%d, want 0/1/2",
-			rep.Corrupt, rep.Resumes, rep.Info.LegacySimWorkers)
+	if rep.Corrupt != 0 || rep.Resumes != 1 {
+		t.Errorf("after resume: corrupt=%d resumes=%d, want 0/1", rep.Corrupt, rep.Resumes)
 	}
 	if _, ok := rep.Restored["aa"]; !ok {
 		t.Error("restored cell missing after resume")

@@ -12,10 +12,10 @@ type logPayload struct {
 	N  int    `json:"n"`
 }
 
-func replayAll(t *testing.T, path string) (recs []LogRecord, corrupt int) {
+func replayAll(t *testing.T, path string) (recs []logRecord, corrupt int) {
 	t.Helper()
 	n, c, err := ReplayLog(path, func(typ string, data json.RawMessage) {
-		recs = append(recs, LogRecord{T: typ, D: data})
+		recs = append(recs, logRecord{T: typ, D: data})
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -146,6 +146,65 @@ func TestLogBitFlipQuarantined(t *testing.T) {
 	var p logPayload
 	if err := json.Unmarshal(recs[0].D, &p); err != nil || p.ID != "c2" {
 		t.Fatalf("surviving record = %+v (err %v)", p, err)
+	}
+}
+
+// TestOverlongLineSkipped appends 17 MiB of NUL bytes (what a crash can
+// leave on some filesystems) between two records of a control log and of
+// a run journal: replay counts that line corrupt and still reaches the
+// record written after it.
+func TestOverlongLineSkipped(t *testing.T) {
+	dir := t.TempDir()
+	garbage := func(path string) {
+		t.Helper()
+		f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Write(make([]byte, 17<<20)); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	ctl := filepath.Join(dir, "ctl.jsonl")
+	l, err := OpenLog(ctl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.Append("submit", logPayload{ID: "c1"})
+	l.Close()
+	garbage(ctl)
+	if l, err = OpenLog(ctl); err != nil {
+		t.Fatal(err)
+	}
+	l.Append("terminal", logPayload{ID: "c1"})
+	l.Close()
+	recs, corrupt := replayAll(t, ctl)
+	if len(recs) != 2 || corrupt != 1 || recs[1].T != "terminal" {
+		t.Errorf("control log: records=%+v corrupt=%d, want submit and terminal with 1 corrupt", recs, corrupt)
+	}
+
+	run := filepath.Join(dir, "run.jsonl")
+	info := RunInfo{ID: "t1"}
+	j, err := CreateJournal(run, info)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	garbage(run)
+	if j, err = OpenJournalAppend(run, info); err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	rep, err := ReplayJournal(run)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Records != 2 || rep.Corrupt != 1 || rep.Resumes != 1 {
+		t.Errorf("journal: records=%d corrupt=%d resumes=%d, want 2/1/1", rep.Records, rep.Corrupt, rep.Resumes)
 	}
 }
 

@@ -15,7 +15,7 @@ import (
 
 // simResult runs one tiny real simulation so round-trip tests cover the
 // full Result shape (histograms, per-node stats, traffic accounting).
-func simResult(t *testing.T) (*machine.Result, string) {
+func simResult(t testing.TB) (*machine.Result, string) {
 	t.Helper()
 	spec, err := workload.ByAbbr("mm")
 	if err != nil {
@@ -32,7 +32,7 @@ func simResult(t *testing.T) (*machine.Result, string) {
 	return res, c.Key().Digest()
 }
 
-func openStore(t *testing.T, dir, simDigest string) *store.Store {
+func openStore(t testing.TB, dir, simDigest string) *store.Store {
 	t.Helper()
 	st, err := store.Open(dir, store.Options{SimDigest: simDigest})
 	if err != nil {
