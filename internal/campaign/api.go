@@ -27,9 +27,9 @@ import (
 //	DELETE /v1/campaigns/{id}         cancel                   -> 200 Status
 //	GET    /v1/campaigns/{id}/tables  finished tables          -> 200 tablesResponse
 //	POST   /v1/lease                  lease a cell             -> 200 wireGrant | 204 | 403 (quarantined) | 503 (draining)
-//	POST   /v1/lease/{id}/renew       heartbeat                -> 204 | 410
+//	POST   /v1/lease/{id}/renew       heartbeat (fenced)       -> 204 | 410
 //	POST   /v1/lease/{id}/complete    publish a result         -> 204 (admitted/vote/duplicate) | 409 (rejected)
-//	POST   /v1/lease/{id}/fail        report a failed attempt  -> 204 (idempotent)
+//	POST   /v1/lease/{id}/fail        report a failed attempt  -> 204 (idempotent; ignored unless fenced)
 //	GET    /v1/healthz                liveness + metrics       -> 200 Health (no auth)
 //
 // POST /v1/campaigns honours an Idempotency-Key header: re-submitting
@@ -97,9 +97,15 @@ type completeRequest struct {
 	Result       *machine.Result `json:"result"`
 }
 
-// failRequest reports a failed attempt.
+// renewRequest heartbeats a lease; Fence is the grant's fencing token.
+type renewRequest struct {
+	Fence string `json:"fence"`
+}
+
+// failRequest reports a failed attempt under the grant's fencing token.
 type failRequest struct {
 	Digest string `json:"digest"`
+	Fence  string `json:"fence"`
 	Error  string `json:"error"`
 }
 
@@ -313,7 +319,11 @@ func deadlineUnixMS(t time.Time) int64 {
 }
 
 func (c *Coordinator) handleRenew(w http.ResponseWriter, r *http.Request) {
-	if err := c.queue.Renew(r.PathValue("id")); err != nil {
+	var req renewRequest
+	if !decodeBody(w, r, &req) {
+		return
+	}
+	if err := c.queue.Renew(r.PathValue("id"), req.Fence); err != nil {
 		writeError(w, http.StatusGone, err)
 		return
 	}
@@ -342,7 +352,7 @@ func (c *Coordinator) handleFail(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, &req) {
 		return
 	}
-	c.queue.Fail(r.PathValue("id"), req.Digest, req.Error)
+	c.queue.Fail(r.PathValue("id"), req.Fence, req.Digest, req.Error)
 	w.WriteHeader(http.StatusNoContent)
 }
 

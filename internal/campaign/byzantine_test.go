@@ -3,6 +3,7 @@ package campaign
 import (
 	"context"
 	"errors"
+	"net/http"
 	"net/http/httptest"
 	"testing"
 	"time"
@@ -78,6 +79,85 @@ func TestQueueFenceForgeryDoesNotEvictHolder(t *testing.T) {
 	}
 	if st := q.Stats(); st.FenceMismatches != 1 || st.Completed != 1 {
 		t.Fatalf("FenceMismatches=%d Completed=%d, want 1/1", st.FenceMismatches, st.Completed)
+	}
+}
+
+// Fail and Renew are fenced like a publish. Lease IDs are sequential, so
+// a peer that knows a cell's digest can guess its lease; without the
+// fence it must neither fail the cell for every waiter nor keep the
+// lease alive, and the holder's publish is still admitted.
+func TestQueueForgedFailAndRenewAreFenced(t *testing.T) {
+	clock := newFakeClock()
+	q := withClock(NewQueue(time.Minute), clock)
+	ch := make(chan Outcome, 1)
+	digest, _ := q.Enqueue(testCell(t, 1), EnqueueOptions{MaxAttempts: 1}, ch)
+	g, _ := mustLease(t, q, "holder")
+	deadline := clock.now().Add(time.Minute)
+
+	clock.advance(30 * time.Second)
+	for _, fence := range []string{"", "0123456789abcdef0123456789abcdef"} {
+		q.Fail(g.Lease, fence, digest, "forged failure")
+		if err := q.Renew(g.Lease, fence); !errors.Is(err, ErrLeaseGone) {
+			t.Fatalf("renew with fence %q = %v, want ErrLeaseGone", fence, err)
+		}
+	}
+	if pending, leased := q.Depth(); pending != 0 || leased != 1 {
+		t.Fatalf("depth = (%d pending, %d leased), want the cell still leased", pending, leased)
+	}
+	if tk := q.tasks[digest]; tk.attempts != 0 || !tk.lease.deadline.Equal(deadline) {
+		t.Fatalf("attempts = %d, deadline = %v; want 0 and the grant's %v", tk.attempts, tk.lease.deadline, deadline)
+	}
+	select {
+	case o := <-ch:
+		t.Fatalf("forged failure delivered an outcome: %+v", o)
+	default:
+	}
+
+	if out := q.Complete(honestPublish(t, g, fakeResult(42))); out.Verdict != VerdictAdmitted {
+		t.Fatalf("holder's publish verdict = %s, want admitted", out.Verdict)
+	}
+	if o := <-ch; o.Err != nil {
+		t.Fatalf("holder's completion failed: %v", o.Err)
+	}
+}
+
+// The fence travels on the wire: Client.Renew and Client.Fail present
+// the grant's fence, and the coordinator answers an unfenced renew with
+// 410 and ignores an unfenced failure report.
+func TestLeaseFenceOverHTTP(t *testing.T) {
+	coord, cl, _ := newLimitedService(t, Options{})
+	q := coord.Queue()
+	ch := make(chan Outcome, 1)
+	digest, _ := q.Enqueue(testCell(t, 1), EnqueueOptions{MaxAttempts: 1}, ch)
+	ctx := context.Background()
+	g, ok, err := cl.Lease(ctx, "w1")
+	if err != nil || !ok {
+		t.Fatalf("lease: ok=%v err=%v", ok, err)
+	}
+
+	if err := cl.Renew(ctx, g.Lease, g.Fence); err != nil {
+		t.Fatalf("fenced renew: %v", err)
+	}
+	var apiErr *APIError
+	if err := cl.Renew(ctx, g.Lease, ""); !errors.As(err, &apiErr) || apiErr.Status != http.StatusGone {
+		t.Fatalf("unfenced renew = %v, want a 410", err)
+	}
+	if err := cl.Fail(ctx, g.Lease, "", digest, "forged failure"); err != nil {
+		t.Fatalf("unfenced fail: %v", err)
+	}
+	if _, leased := q.Depth(); leased != 1 {
+		t.Fatalf("leased = %d after an unfenced failure report, want 1", leased)
+	}
+	if err := cl.Fail(ctx, g.Lease, g.Fence, digest, "boom"); err != nil {
+		t.Fatalf("fenced fail: %v", err)
+	}
+	select {
+	case o := <-ch:
+		if o.Err == nil {
+			t.Fatal("fenced failure delivered no error")
+		}
+	default:
+		t.Fatal("fenced failure with no attempts left delivered no outcome")
 	}
 }
 

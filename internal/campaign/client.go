@@ -45,13 +45,24 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 	return p
 }
 
-// backoff returns the jittered wait before retry attempt i (0-based).
+// backoff returns the jittered wait before retry attempt i (0-based):
+// jitter(min(Base<<i, Cap)), where a shift past the int64 range also
+// selects Cap.
 func (p RetryPolicy) backoff(i int) time.Duration {
 	d := p.Base << i
 	if d <= 0 || d > p.Cap {
 		d = p.Cap
 	}
+	return jitter(d)
+}
+
+// jitter spreads a backoff uniformly over [d/2, d] so a worker fleet
+// does not stampede a coordinator that just came back.
+func jitter(d time.Duration) time.Duration {
 	half := int64(d) / 2
+	if half <= 0 {
+		return d
+	}
 	return time.Duration(half + rand.Int63n(half+1))
 }
 
@@ -467,7 +478,7 @@ func (cl *Client) Lease(ctx context.Context, worker string) (Grant, bool, error)
 		// The coordinator granted a workload this binary does not know;
 		// hand the lease back as a failure so another (newer) worker can
 		// take it.
-		cl.Fail(ctx, wg.Lease, wg.Digest, err.Error())
+		cl.Fail(ctx, wg.Lease, wg.Fence, wg.Digest, err.Error())
 		return Grant{}, false, err
 	}
 	g := Grant{
@@ -486,11 +497,12 @@ func (cl *Client) Lease(ctx context.Context, worker string) (Grant, bool, error)
 	return g, true, nil
 }
 
-// Renew heartbeats a lease. A lost lease returns an *APIError with
-// status 410; the worker may keep running (its publish stays valid) but
-// should expect the cell to be re-leased elsewhere.
-func (cl *Client) Renew(ctx context.Context, leaseID string) error {
-	_, err := cl.do(ctx, http.MethodPost, "/v1/lease/"+leaseID+"/renew", struct{}{}, nil, true, "", "")
+// Renew heartbeats a lease, presenting the grant's fencing token. A lost
+// lease (or a wrong fence) returns an *APIError with status 410; the
+// worker may keep running (its publish stays valid) but should expect
+// the cell to be re-leased elsewhere.
+func (cl *Client) Renew(ctx context.Context, leaseID, fence string) error {
+	_, err := cl.do(ctx, http.MethodPost, "/v1/lease/"+leaseID+"/renew", renewRequest{Fence: fence}, nil, true, "", "")
 	return err
 }
 
@@ -506,11 +518,12 @@ func (cl *Client) Complete(ctx context.Context, leaseID, fence, digest, label, r
 	return err
 }
 
-// Fail reports a failed execution attempt. Idempotent: a duplicate
-// report under the same (now dropped) lease is ignored server-side, so
-// one failure burns at most one attempt.
-func (cl *Client) Fail(ctx context.Context, leaseID, digest, msg string) error {
+// Fail reports a failed execution attempt under the grant's fencing
+// token. Idempotent: a duplicate report under the same (now dropped)
+// lease is ignored server-side, so one failure burns at most one
+// attempt.
+func (cl *Client) Fail(ctx context.Context, leaseID, fence, digest, msg string) error {
 	_, err := cl.do(ctx, http.MethodPost, "/v1/lease/"+leaseID+"/fail",
-		failRequest{Digest: digest, Error: msg}, nil, true, "", "")
+		failRequest{Digest: digest, Fence: fence, Error: msg}, nil, true, "", "")
 	return err
 }

@@ -200,6 +200,58 @@ func TestWeightedFairGrantOrdering(t *testing.T) {
 	}
 }
 
+// TestBucketFIFOGrantOrder pins the per-bucket pending FIFOs: each row
+// enqueues cells and returns the order in which one worker is granted
+// them.
+func TestBucketFIFOGrantOrder(t *testing.T) {
+	enqueue := func(t *testing.T, q *Queue, seed int64, campaign string, weight int) (string, int) {
+		return q.Enqueue(testCell(t, seed), EnqueueOptions{MaxAttempts: 1, Campaign: campaign, Weight: weight}, make(chan Outcome, 1))
+	}
+	rows := []struct {
+		name  string
+		setup func(t *testing.T, q *Queue) []string
+	}{
+		{
+			// l1, shared by "hi", leaves lo's FIFO for the tail of hi's,
+			// behind h1 and h2. At equal pass, lo (created first) takes
+			// the first grant.
+			name: "shared cell joins the tail of a higher-weight bucket",
+			setup: func(t *testing.T, q *Queue) []string {
+				l1, _ := enqueue(t, q, 1, "lo", weightLow)
+				l2, _ := enqueue(t, q, 2, "lo", weightLow)
+				h1, _ := enqueue(t, q, 3, "hi", weightHigh)
+				h2, _ := enqueue(t, q, 4, "hi", weightHigh)
+				enqueue(t, q, 1, "hi", weightHigh)
+				return []string{l2, h1, h2, l1}
+			},
+		},
+		{
+			name: "abandoning a mid-FIFO cell keeps its neighbours' order",
+			setup: func(t *testing.T, q *Queue) []string {
+				c1, _ := enqueue(t, q, 1, "c", weightNormal)
+				c2, w2 := enqueue(t, q, 2, "c", weightNormal)
+				c3, _ := enqueue(t, q, 3, "c", weightNormal)
+				q.Abandon(c2, w2)
+				c4, _ := enqueue(t, q, 4, "c", weightNormal)
+				return []string{c1, c3, c4}
+			},
+		},
+	}
+	for _, r := range rows {
+		t.Run(r.name, func(t *testing.T) {
+			q := NewQueue(time.Minute)
+			for i, want := range r.setup(t, q) {
+				if g, ok := mustLease(t, q, "w1"); !ok || g.Digest != want {
+					t.Fatalf("grant %d = %q (ok %v), want %s", i, short(g.Digest), ok, short(want))
+				}
+			}
+			if g, ok := mustLease(t, q, "w1"); ok {
+				t.Fatalf("extra grant %s", short(g.Digest))
+			}
+		})
+	}
+}
+
 // TestGrantCarriesDeadline: a deadline enqueued with the cell rides on
 // the grant so workers can bound their simulation contexts.
 func TestGrantCarriesDeadline(t *testing.T) {

@@ -22,9 +22,11 @@
 package campaign
 
 import (
+	"container/list"
 	crand "crypto/rand"
 	"encoding/hex"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -42,12 +44,16 @@ type Outcome struct {
 	Err error
 }
 
-// taskState is the lifecycle of one queued cell.
+// taskState is the lifecycle of one queued cell. setStateLocked is the
+// only code that changes a task's state.
 type taskState int
 
 const (
-	// taskPending: in the queue, waiting for a worker lease.
-	taskPending taskState = iota
+	// taskNone: not in the queue — a task under construction, or one
+	// Abandon pruned.
+	taskNone taskState = iota
+	// taskPending: in its bucket's FIFO, waiting for a worker lease.
+	taskPending
 	// taskLeased: held by a worker under a live lease.
 	taskLeased
 	// taskArbitrating: a verification quorum disagreed with no majority;
@@ -84,9 +90,11 @@ type task struct {
 	// wall time; the most lenient enqueuer wins (0 = unbounded).
 	cellTimeout time.Duration
 
-	// bucket names the fairness bucket (campaign) the task schedules
-	// under; a shared cell moves to the highest-weight waiter's bucket.
-	bucket string
+	// bucket is the fairness bucket (campaign) the task schedules under;
+	// a shared cell moves to the highest-weight waiter's bucket. elem is
+	// the task's entry in that bucket's FIFO while it is pending.
+	bucket *bucketState
+	elem   *list.Element
 
 	// deadline is the absolute point past which the work is worthless to
 	// every waiter (zero = none; the most lenient waiter wins). It rides
@@ -105,9 +113,9 @@ type task struct {
 	needed int
 	votes  []vote
 
-	// lease is the ID of the one live lease while state == taskLeased. A
-	// slow cell is re-leased only after that lease expires.
-	lease string
+	// lease is the one live lease while state == taskLeased, nil
+	// otherwise. A slow cell is re-leased only after that lease expires.
+	lease *lease
 
 	// waiters are delivery channels keyed by waiter ID; each channel has
 	// capacity 1 and receives exactly one Outcome.
@@ -120,7 +128,11 @@ type task struct {
 	err       error
 }
 
-// lease is one worker's time-bounded claim on a task.
+// lease is one worker's time-bounded claim on a task. A dead lease
+// (completed, failed, or expired) moves as it is into the tombstone ring,
+// so a publish arriving under it can still be attributed to its worker
+// and judged: same answer as the admitted one → benign duplicate,
+// anything else → zombie or divergence strike.
 type lease struct {
 	id       string
 	fence    string
@@ -128,16 +140,6 @@ type lease struct {
 	worker   string
 	deadline time.Time
 	granted  time.Time // grant instant, for the lease-duration histogram
-}
-
-// tomb remembers a dead lease (completed, failed, or expired) so a
-// publish arriving under it can still be attributed to its worker and
-// judged: same answer as the admitted one → benign duplicate, anything
-// else → zombie or divergence strike.
-type tomb struct {
-	worker string
-	fence  string
-	digest string
 }
 
 // maxLeaseTombs bounds the tombstone ring; old entries fall off and
@@ -229,18 +231,8 @@ type QueueStats struct {
 	WorkersQuarantined int
 }
 
-// workerRec is the queue's per-worker reputation ledger.
-type workerRec struct {
-	leased      int
-	completed   int
-	divergent   int
-	zombies     int
-	quarantined bool
-	reason      string
-}
-
-// WorkerHealth is one worker's reputation snapshot, surfaced on
-// /v1/healthz.
+// WorkerHealth is one worker's reputation ledger; Queue.Workers returns
+// snapshots of it for /v1/healthz.
 type WorkerHealth struct {
 	Name        string `json:"name"`
 	Leased      int    `json:"leased"`
@@ -363,15 +355,18 @@ const (
 var latencyBoundsMS = []uint64{1, 5, 10, 50, 100, 500, 1000, 5000, 10000, 60000}
 
 // bucketState is one fairness bucket: a campaign (or the "" default
-// bucket for legacy enqueues) with a stride-scheduler pass value and the
-// latency evidence for its tasks. Intra-bucket order stays FIFO via the
-// queue-wide pending list.
+// bucket for legacy enqueues) with a stride-scheduler pass value, its
+// pending FIFO, and the latency evidence for its tasks.
 type bucketState struct {
 	name   string
 	weight int
 	seq    int     // creation order, the deterministic pass tie-break
 	pass   float64 // stride virtual time consumed by this bucket's grants
 	grants int
+
+	// pending is the bucket's FIFO of *task: exactly its taskPending
+	// tasks, oldest first.
+	pending list.List
 
 	waitHist  *metrics.Histogram // enqueue→grant, ms
 	leaseHist *metrics.Histogram // grant→admitted publish, ms
@@ -390,19 +385,23 @@ type CampaignLatency struct {
 // Queue is the coordinator's lease-based work queue. All methods are safe
 // for concurrent use. Time is injectable for tests.
 type Queue struct {
-	mu      sync.Mutex
-	tasks   map[string]*task
-	pending []string // FIFO of pending task digests (intra-bucket order)
-	leases  map[string]*lease
-	tombs   map[string]tomb
-	tombLog []string // insertion order, capped at maxLeaseTombs
+	mu    sync.Mutex
+	tasks map[string]*task
+	// count is the number of tasks in each state (the taskNone slot is
+	// never read).
+	count   [taskFailed + 1]int
+	leases  map[string]*lease // live leases
+	tombs   map[string]*lease // dead leases, for publish attribution
+	tombLog []string          // tombs in retirement order, capped at maxLeaseTombs
 	ttl     time.Duration
 	now     func() time.Time
 
-	// buckets are the weighted-fair scheduling groups; vtime is the pass
-	// of the most recent grant, the join point for idle buckets so a
-	// returning bucket cannot monopolize grants with a stale low pass.
+	// buckets are the weighted-fair scheduling groups and ready those
+	// with pending work; vtime is the pass of the most recent grant, the
+	// join point for idle buckets so a returning bucket cannot
+	// monopolize grants with a stale low pass.
 	buckets map[string]*bucketState
+	ready   []*bucketState
 	vtime   float64
 
 	// verifyFraction in [0,1] selects cells for quorum verification by
@@ -416,7 +415,7 @@ type Queue struct {
 	zombieLimit     int
 	onQuarantine    func(worker, reason string)
 
-	workers map[string]*workerRec
+	workers map[string]*WorkerHealth
 
 	nextLease  int
 	nextWaiter int
@@ -432,8 +431,8 @@ func NewQueue(ttl time.Duration) *Queue {
 	return &Queue{
 		tasks:   make(map[string]*task),
 		leases:  make(map[string]*lease),
-		tombs:   make(map[string]tomb),
-		workers: make(map[string]*workerRec),
+		tombs:   make(map[string]*lease),
+		workers: make(map[string]*WorkerHealth),
 		buckets: make(map[string]*bucketState),
 		ttl:     ttl,
 		quorum:  2,
@@ -492,16 +491,8 @@ func (q *Queue) Workers() []WorkerHealth {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	out := make([]WorkerHealth, 0, len(q.workers))
-	for name, rec := range q.workers {
-		out = append(out, WorkerHealth{
-			Name:        name,
-			Leased:      rec.leased,
-			Completed:   rec.completed,
-			Divergent:   rec.divergent,
-			Zombies:     rec.zombies,
-			Quarantined: rec.quarantined,
-			Reason:      rec.reason,
-		})
+	for _, w := range q.workers {
+		out = append(out, *w)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
@@ -513,29 +504,14 @@ func (q *Queue) Workers() []WorkerHealth {
 func (q *Queue) QuarantineWorker(worker, reason string) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	rec := q.workerLocked(worker)
-	if rec.quarantined {
-		return
-	}
-	rec.quarantined = true
-	rec.reason = reason
-	q.stats.WorkersQuarantined++
-	q.drainWorkerLocked(worker)
+	q.quarantineLocked(q.workerLocked(worker), reason)
 }
 
 // Depth returns the number of pending and leased tasks.
 func (q *Queue) Depth() (pending, leased int) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	for _, t := range q.tasks {
-		switch t.state {
-		case taskPending:
-			pending++
-		case taskLeased:
-			leased++
-		}
-	}
-	return pending, leased
+	return q.count[taskPending], q.count[taskLeased]
 }
 
 // EnqueueOptions shapes how an enqueued cell schedules.
@@ -561,9 +537,12 @@ type EnqueueOptions struct {
 // finished, the call coalesces onto it: a finished task delivers
 // immediately, otherwise ch is added to the waiter set. Budgets merge in
 // the waiters' favor: the most generous attempt budget, the most lenient
-// cell timeout and deadline, the highest-weight bucket. The returned
-// waiter ID cancels the interest via Abandon. ch must have capacity
-// >= 1; it receives exactly one Outcome unless abandoned first.
+// cell timeout and deadline, the highest-weight bucket. A pending cell
+// that moves to a higher-weight bucket joins the tail of that bucket's
+// FIFO, behind the cells already queued there; its wait clock is not
+// reset. The returned waiter ID cancels the interest via Abandon. ch
+// must have capacity >= 1; it receives exactly one Outcome unless
+// abandoned first.
 func (q *Queue) Enqueue(cell sweep.Cell, opts EnqueueOptions, ch chan<- Outcome) (digest string, waiterID int) {
 	maxAttempts := opts.MaxAttempts
 	if maxAttempts < 1 {
@@ -591,8 +570,12 @@ func (q *Queue) Enqueue(cell sweep.Cell, opts EnqueueOptions, ch chan<- Outcome)
 			t.deadline = opts.Deadline
 		}
 		// A shared cell schedules at its most urgent waiter's priority.
-		if cur := q.buckets[t.bucket]; cur == nil || b.weight > cur.weight {
-			t.bucket = b.name
+		if b.weight > t.bucket.weight && t.state == taskPending {
+			q.unlinkLocked(t)
+			t.bucket = b
+			q.linkLocked(t)
+		} else if b.weight > t.bucket.weight {
+			t.bucket = b
 		}
 		switch t.state {
 		case taskDone:
@@ -616,10 +599,9 @@ func (q *Queue) Enqueue(cell sweep.Cell, opts EnqueueOptions, ch chan<- Outcome)
 	t := &task{
 		digest:      digest,
 		cell:        cell,
-		state:       taskPending,
 		maxAttempts: maxAttempts,
 		cellTimeout: opts.CellTimeout,
-		bucket:      b.name,
+		bucket:      b,
 		deadline:    opts.Deadline,
 		queuedAt:    q.now(),
 		waiters:     map[int]chan<- Outcome{waiterID: ch},
@@ -630,7 +612,7 @@ func (q *Queue) Enqueue(cell sweep.Cell, opts EnqueueOptions, ch chan<- Outcome)
 		q.stats.VerifiedCells++
 	}
 	q.tasks[digest] = t
-	q.pending = append(q.pending, digest)
+	q.setStateLocked(t, taskPending)
 	q.stats.Enqueued++
 	return digest, waiterID
 }
@@ -658,15 +640,68 @@ func (q *Queue) bucketLocked(name string, weight int) *bucketState {
 }
 
 // requeueLocked returns a task to pending: stamps the wait clock, lifts
-// its bucket's pass to the current virtual time if it went idle, and
-// appends to the FIFO.
+// its bucket's pass to the current virtual time if it fell behind, and
+// joins the tail of the bucket's FIFO.
 func (q *Queue) requeueLocked(t *task) {
-	t.state = taskPending
 	t.queuedAt = q.now()
-	if b := q.buckets[t.bucket]; b != nil && b.pass < q.vtime {
-		b.pass = q.vtime
+	if t.bucket.pass < q.vtime {
+		t.bucket.pass = q.vtime
 	}
-	q.pending = append(q.pending, t.digest)
+	q.setStateLocked(t, taskPending)
+}
+
+// setStateLocked is the one transition function: the only code that
+// assigns t.state. It keeps the derived state in step: a task leaving
+// taskPending leaves its bucket's FIFO and one entering it joins the
+// tail; a task leaving taskLeased retires its lease into the tombstone
+// ring; the per-state counts follow.
+func (q *Queue) setStateLocked(t *task, state taskState) {
+	switch t.state {
+	case taskPending:
+		q.unlinkLocked(t)
+	case taskLeased:
+		q.retireLocked(t.lease)
+		t.lease = nil
+	}
+	q.count[t.state]--
+	q.count[state]++
+	t.state = state
+	if state == taskPending {
+		q.linkLocked(t)
+	}
+}
+
+// linkLocked appends t to the tail of its bucket's FIFO; a bucket
+// gaining its first pending task joins the ready list.
+func (q *Queue) linkLocked(t *task) {
+	if t.bucket.pending.Len() == 0 {
+		q.ready = append(q.ready, t.bucket)
+	}
+	t.elem = t.bucket.pending.PushBack(t)
+}
+
+// unlinkLocked removes t from its bucket's FIFO; a bucket left without
+// pending tasks leaves the ready list.
+func (q *Queue) unlinkLocked(t *task) {
+	b := t.bucket
+	b.pending.Remove(t.elem)
+	t.elem = nil
+	if b.pending.Len() == 0 {
+		i := slices.Index(q.ready, b)
+		q.ready = slices.Delete(q.ready, i, i+1)
+	}
+}
+
+// retireLocked moves a dead lease into the tombstone ring as it is, so
+// later publishes under it stay attributable.
+func (q *Queue) retireLocked(l *lease) {
+	delete(q.leases, l.id)
+	q.tombs[l.id] = l
+	q.tombLog = append(q.tombLog, l.id)
+	if len(q.tombLog) > maxLeaseTombs {
+		delete(q.tombs, q.tombLog[0])
+		q.tombLog = q.tombLog[1:]
+	}
 }
 
 // digestFraction maps a hex digest onto [0,1) using its leading 52 bits,
@@ -684,9 +719,10 @@ func digestFraction(digest string) float64 {
 }
 
 // Requeue sends a done task back for quorum re-execution — the response
-// to divergence evidence or a scrubber damage report. The stale result
-// stays visible to dedup hits until the fresh quorum admits a value.
-// Reports ok=false when the digest is unknown or the task is not done.
+// to divergence evidence or a scrubber damage report. The task is
+// pending again, so a campaign enqueuing the cell meanwhile waits for the
+// fresh quorum's value instead of receiving the stale result. Reports
+// ok=false when the digest is unknown or the task is not done.
 func (q *Queue) Requeue(digest string) (cell sweep.Cell, ok bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -723,8 +759,8 @@ func (q *Queue) Abandon(digest string, waiterID int) {
 	}
 	delete(t.waiters, waiterID)
 	if len(t.waiters) == 0 && t.state == taskPending && len(t.votes) == 0 {
+		q.setStateLocked(t, taskNone)
 		delete(q.tasks, digest)
-		q.removePending(digest)
 		q.stats.Abandoned++
 	}
 }
@@ -751,82 +787,16 @@ func (q *Queue) Lease(worker string) (Grant, bool, error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	q.expireLocked()
-	rec := q.workerLocked(worker)
-	if rec.quarantined {
-		return Grant{}, false, fmt.Errorf("%w: %s", ErrWorkerQuarantined, rec.reason)
+	w := q.workerLocked(worker)
+	if w.Quarantined {
+		return Grant{}, false, fmt.Errorf("%w: %s", ErrWorkerQuarantined, w.Reason)
 	}
-
-	// One pass over the FIFO: prune dead entries and remember, per
-	// bucket, the first grantable index (preferring tasks the worker has
-	// not voted on; voted tasks are fallbacks).
-	type candidate struct{ pick, fallback int }
-	cands := make(map[string]*candidate)
-	kept := q.pending[:0]
-	for _, digest := range q.pending {
-		t, ok := q.tasks[digest]
-		if !ok || t.state != taskPending {
-			continue // pruned or completed entries fall out here
-		}
-		kept = append(kept, digest)
-		c, ok := cands[t.bucket]
-		if !ok {
-			c = &candidate{pick: -1, fallback: -1}
-			cands[t.bucket] = c
-		}
-		if c.pick >= 0 {
-			continue
-		}
-		if t.verify && t.votedBy(worker) {
-			if c.fallback < 0 {
-				c.fallback = len(kept) - 1
-			}
-			continue
-		}
-		c.pick = len(kept) - 1
-	}
-	q.pending = kept
-
-	// Weighted-fair choice: lowest pass among buckets with a preferred
-	// candidate; buckets holding only already-voted work are a second
-	// tier so independence is preserved across bucket lines.
-	chooseBucket := func(useFallback bool) *bucketState {
-		var best *bucketState
-		for name, c := range cands {
-			idx := c.pick
-			if useFallback {
-				idx = c.fallback
-			}
-			if idx < 0 {
-				continue
-			}
-			b := q.buckets[name]
-			if b == nil { // legacy task with no registered bucket
-				b = q.bucketLocked(name, weightNormal)
-			}
-			if best == nil || b.pass < best.pass || (b.pass == best.pass && b.seq < best.seq) {
-				best = b
-			}
-		}
-		return best
-	}
-	b := chooseBucket(false)
-	useFallback := false
-	if b == nil {
-		b = chooseBucket(true)
-		useFallback = true
-	}
-	if b == nil {
+	t := q.pickLocked(worker)
+	if t == nil {
 		return Grant{}, false, nil
 	}
-	c := cands[b.name]
-	idx := c.pick
-	if useFallback {
-		idx = c.fallback
-	}
-	digest := q.pending[idx]
-	q.pending = append(q.pending[:idx], q.pending[idx+1:]...)
-	t := q.tasks[digest]
 
+	b := t.bucket
 	q.vtime = b.pass
 	b.pass += strideUnit / float64(b.weight)
 	b.grants++
@@ -839,16 +809,16 @@ func (q *Queue) Lease(worker string) (Grant, bool, error) {
 	l := &lease{
 		id:       fmt.Sprintf("l%06d", q.nextLease),
 		fence:    newFence(),
-		digest:   digest,
+		digest:   t.digest,
 		worker:   worker,
 		deadline: now.Add(q.ttl),
 		granted:  now,
 	}
 	q.leases[l.id] = l
-	t.state = taskLeased
-	t.lease = l.id
+	q.setStateLocked(t, taskLeased)
+	t.lease = l
 	q.stats.Leased++
-	rec.leased++
+	w.Leased++
 	return Grant{
 		Lease:       l.id,
 		Fence:       l.fence,
@@ -862,16 +832,37 @@ func (q *Queue) Lease(worker string) (Grant, bool, error) {
 	}, true, nil
 }
 
-// observeLeaseLocked records a completed lease's duration in the task's
-// bucket histogram.
-func (q *Queue) observeLeaseLocked(t *task, l *lease) {
-	dur := q.now().Sub(l.granted)
-	if dur < 0 || l.granted.IsZero() {
-		return
+// pickLocked chooses the pending task to grant worker (nil when none is
+// pending): the oldest task the worker has not voted on, from the ready
+// bucket with the lowest stride pass among those holding one (ties by
+// creation order). When the worker voted on every pending task, the
+// lowest-pass bucket grants its oldest task.
+func (q *Queue) pickLocked(worker string) *task {
+	var pick, fallback *task
+	for _, b := range q.ready {
+		if fallback == nil || b.before(fallback.bucket) {
+			fallback = b.pending.Front().Value.(*task)
+		}
+		if pick != nil && !b.before(pick.bucket) {
+			continue
+		}
+		for e := b.pending.Front(); e != nil; e = e.Next() {
+			if t := e.Value.(*task); !t.verify || !t.votedBy(worker) {
+				pick = t
+				break
+			}
+		}
 	}
-	if b := q.buckets[t.bucket]; b != nil {
-		b.leaseHist.Observe(uint64(dur / time.Millisecond))
+	if pick == nil {
+		return fallback
 	}
+	return pick
+}
+
+// before orders buckets for grants: the lower stride pass first, ties by
+// creation order.
+func (b *bucketState) before(o *bucketState) bool {
+	return b.pass < o.pass || (b.pass == o.pass && b.seq < o.seq)
 }
 
 // Latencies returns per-campaign latency evidence: queue-wait and
@@ -914,13 +905,16 @@ func newFence() string {
 // own publish may be fenced off.
 var ErrLeaseGone = fmt.Errorf("campaign: lease expired or superseded")
 
-// Renew extends a live lease by the queue TTL.
-func (q *Queue) Renew(leaseID string) error {
+// Renew extends the live lease leaseID by the queue TTL. It is fenced
+// like a publish: an expired or superseded lease, or a fencing token
+// other than the lease's, gets ErrLeaseGone and leaves the lease as it
+// is, so no peer can keep another worker's lease alive.
+func (q *Queue) Renew(leaseID, fence string) error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	q.expireLocked()
 	l, ok := q.leases[leaseID]
-	if !ok {
+	if !ok || l.fence != fence {
 		return ErrLeaseGone
 	}
 	l.deadline = q.now().Add(q.ttl)
@@ -951,14 +945,13 @@ func (q *Queue) Complete(pub Publish) CompleteResult {
 	defer q.mu.Unlock()
 	q.expireLocked()
 
-	var worker, fence string
-	var pubLease *lease
-	live := false
-	if l, ok := q.leases[pub.Lease]; ok {
-		worker, fence, live = l.worker, l.fence, true
-		pubLease = l
-	} else if tb, ok := q.tombs[pub.Lease]; ok {
-		worker, fence = tb.worker, tb.fence
+	l, live := q.leases[pub.Lease]
+	if !live {
+		l = q.tombs[pub.Lease]
+	}
+	worker := ""
+	if l != nil {
+		worker = l.worker
 	}
 
 	t, ok := q.tasks[pub.Digest]
@@ -977,7 +970,7 @@ func (q *Queue) Complete(pub Publish) CompleteResult {
 			return CompleteResult{Verdict: VerdictDuplicate, Worker: worker}
 		}
 		q.stats.DivergentPublishes++
-		q.strikeDivergenceLocked(worker, "published a result diverging from the admitted value for cell "+t.cell.Label)
+		q.strikeLocked(worker, false, "published a result diverging from the admitted value for cell "+t.cell.Label)
 		if !t.verify {
 			t.verify = true
 			t.needed = q.quorum
@@ -1000,11 +993,11 @@ func (q *Queue) Complete(pub Publish) CompleteResult {
 			return CompleteResult{Verdict: VerdictDuplicate, Worker: worker}
 		}
 		q.stats.ZombiePublishes++
-		q.strikeZombieLocked(worker, "published under a dead lease for cell "+t.cell.Label)
+		q.strikeLocked(worker, true, "published under a dead lease for cell "+t.cell.Label)
 		return CompleteResult{Verdict: VerdictZombie, Reason: "lease " + pub.Lease + " is not live", Worker: worker}
 	}
 
-	if pub.Fence != fence || !t.holds(pub.Lease) {
+	if pub.Fence != l.fence || t.lease != l {
 		// Wrong token, or a live lease that backs another cell. Reject
 		// without dropping the live lease: a forger must not be able to
 		// evict the legitimate holder.
@@ -1017,13 +1010,14 @@ func (q *Queue) Complete(pub Publish) CompleteResult {
 		// corruption in flight or a lying worker. Requeue without
 		// burning an attempt — the cell itself is fine.
 		q.stats.DigestMismatches++
-		q.releaseLocked(pub.Lease)
-		q.strikeDivergenceLocked(worker, "attested digest does not match payload for cell "+t.cell.Label)
+		q.requeueLocked(t)
+		q.strikeLocked(worker, false, "attested digest does not match payload for cell "+t.cell.Label)
 		return CompleteResult{Verdict: VerdictDigestMismatch, Reason: "attested digest does not match payload", Worker: worker}
 	}
 
-	q.observeLeaseLocked(t, pubLease)
-	q.dropLeaseLocked(pub.Lease)
+	if dur := q.now().Sub(l.granted); dur >= 0 {
+		t.bucket.leaseHist.Observe(uint64(dur / time.Millisecond))
+	}
 
 	if t.verify {
 		t.votes = append(t.votes, vote{worker: worker, digest: pub.Canonical, res: pub.Result})
@@ -1031,7 +1025,7 @@ func (q *Queue) Complete(pub Publish) CompleteResult {
 		return q.tallyLocked(t)
 	}
 
-	q.workerLocked(worker).completed++
+	q.workerLocked(worker).Completed++
 	return q.admitLocked(t, pub.Canonical, pub.Result)
 }
 
@@ -1052,26 +1046,14 @@ func (q *Queue) tallyLocked(t *task) CompleteResult {
 	for _, d := range latest {
 		counts[d]++
 	}
-	majority := ""
-	for d, n := range counts {
-		if 2*n > len(latest) && n >= 2 {
-			majority = d
-			break
-		}
-	}
-	if majority == "" {
-		q.stats.Arbitrations++
-		t.state = taskArbitrating
-		return CompleteResult{Verdict: VerdictNeedArbiter, Cell: t.cell}
-	}
-	var res *machine.Result
 	for _, v := range t.votes {
-		if v.digest == majority {
-			res = v.res
-			break
+		if n := counts[v.digest]; 2*n > len(latest) && n >= 2 {
+			return q.admitLocked(t, v.digest, v.res)
 		}
 	}
-	return q.admitLocked(t, majority, res)
+	q.stats.Arbitrations++
+	q.setStateLocked(t, taskArbitrating)
+	return CompleteResult{Verdict: VerdictNeedArbiter, Cell: t.cell}
 }
 
 // ResolveArbiter installs the coordinator's own re-execution as the
@@ -1104,21 +1086,20 @@ func (q *Queue) ArbiterFailed(digest string) {
 // admitLocked finalizes a task with the admitted result, delivers it to
 // every waiter, and strikes every worker whose recorded vote disagreed.
 func (q *Queue) admitLocked(t *task, resDigest string, res *machine.Result) CompleteResult {
-	q.removePending(t.digest)
-	t.state = taskDone
+	q.setStateLocked(t, taskDone)
 	t.res = res
 	t.resDigest = resDigest
 	blamed := make(map[string]bool)
 	for _, v := range t.votes {
 		if v.digest == resDigest {
 			if !blamed[v.worker] {
-				q.workerLocked(v.worker).completed++
+				q.workerLocked(v.worker).Completed++
 				blamed[v.worker] = true
 			}
 			continue
 		}
 		q.stats.DivergentVotes++
-		q.strikeDivergenceLocked(v.worker, "quorum rejected its result for cell "+t.cell.Label)
+		q.strikeLocked(v.worker, false, "quorum rejected its result for cell "+t.cell.Label)
 	}
 	t.votes = nil
 	q.stats.Completed++
@@ -1126,26 +1107,24 @@ func (q *Queue) admitLocked(t *task, resDigest string, res *machine.Result) Comp
 	return CompleteResult{Verdict: VerdictAdmitted, Res: res, ResDigest: resDigest, Cell: t.cell}
 }
 
-// Fail reports a worker-side execution failure. A failure under a stale
-// lease is ignored (the task was already requeued or completed), and so
-// is one naming another cell than its lease's. Within the attempt budget
-// the task requeues; exhausting it delivers the error to every waiter.
-func (q *Queue) Fail(leaseID, digest, msg string) {
+// Fail reports a worker-side execution failure. It is fenced like a
+// publish: a failure under a dead lease (the task was already requeued
+// or completed), with a fencing token other than the live lease's, or
+// naming another cell than its lease's is ignored, so neither a late
+// report nor a forger disturbs the real holder. Within the attempt
+// budget the task requeues; exhausting it delivers the error to every
+// waiter.
+func (q *Queue) Fail(leaseID, fence, digest, msg string) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	l, live := q.leases[leaseID]
-	if !live || l.digest != digest {
-		return
-	}
-	q.dropLeaseLocked(leaseID)
 	t, ok := q.tasks[digest]
-	if !ok || !t.holds(leaseID) {
+	if !ok || t.lease == nil || t.lease.id != leaseID || t.lease.fence != fence {
 		return
 	}
 	t.attempts++
 	if t.attempts >= t.maxAttempts {
-		t.state = taskFailed
 		t.err = fmt.Errorf("campaign: cell %s failed after %d attempts: %s", t.cell.Label, t.attempts, msg)
+		q.setStateLocked(t, taskFailed)
 		q.stats.Failed++
 		q.deliverLocked(t, Outcome{Err: t.err})
 		return
@@ -1168,9 +1147,9 @@ func (q *Queue) ExpireLeases() int {
 func (q *Queue) expireLocked() int {
 	now := q.now()
 	expired := 0
-	for id, l := range q.leases {
+	for _, l := range q.leases {
 		if !now.Before(l.deadline) {
-			q.releaseLocked(id)
+			q.requeueLocked(q.tasks[l.digest])
 			expired++
 		}
 	}
@@ -1178,76 +1157,51 @@ func (q *Queue) expireLocked() int {
 	return expired
 }
 
-// releaseLocked retires a live lease and, when it backs its task,
-// returns the task to pending without burning an attempt.
-func (q *Queue) releaseLocked(leaseID string) {
-	l, ok := q.leases[leaseID]
+// workerLocked returns (creating if needed) the reputation ledger.
+func (q *Queue) workerLocked(worker string) *WorkerHealth {
+	w, ok := q.workers[worker]
 	if !ok {
-		return
+		w = &WorkerHealth{Name: worker}
+		q.workers[worker] = w
 	}
-	q.dropLeaseLocked(leaseID)
-	if t, ok := q.tasks[l.digest]; ok && t.holds(leaseID) {
-		q.requeueLocked(t)
-	}
+	return w
 }
 
-// workerLocked returns (creating if needed) the reputation record.
-func (q *Queue) workerLocked(worker string) *workerRec {
-	rec, ok := q.workers[worker]
-	if !ok {
-		rec = &workerRec{}
-		q.workers[worker] = rec
-	}
-	return rec
-}
-
-// strikeDivergenceLocked records a divergence strike and quarantines the
-// worker past the limit. Unattributable publishes strike nobody.
-func (q *Queue) strikeDivergenceLocked(worker, reason string) {
+// strikeLocked records a strike against worker — a zombie publish when
+// zombie is set, a divergence otherwise — and quarantines the worker
+// once that strike count reaches its limit, firing the OnQuarantine
+// hook. Unattributable publishes strike nobody.
+func (q *Queue) strikeLocked(worker string, zombie bool, reason string) {
 	if worker == "" {
 		return
 	}
-	rec := q.workerLocked(worker)
-	rec.divergent++
-	if q.divergenceLimit > 0 && rec.divergent >= q.divergenceLimit {
-		q.quarantineLocked(worker, rec, reason)
+	w := q.workerLocked(worker)
+	strikes, limit := &w.Divergent, q.divergenceLimit
+	if zombie {
+		strikes, limit = &w.Zombies, q.zombieLimit
 	}
-}
-
-// strikeZombieLocked records a zombie-publish strike.
-func (q *Queue) strikeZombieLocked(worker, reason string) {
-	if worker == "" {
-		return
-	}
-	rec := q.workerLocked(worker)
-	rec.zombies++
-	if q.zombieLimit > 0 && rec.zombies >= q.zombieLimit {
-		q.quarantineLocked(worker, rec, reason)
-	}
-}
-
-// quarantineLocked marks a worker quarantined, drains its live leases
-// back to pending (burning no attempts), and fires the hook.
-func (q *Queue) quarantineLocked(worker string, rec *workerRec, reason string) {
-	if rec.quarantined {
-		return
-	}
-	rec.quarantined = true
-	rec.reason = reason
-	q.stats.WorkersQuarantined++
-	q.drainWorkerLocked(worker)
-	if q.onQuarantine != nil {
+	*strikes++
+	if limit > 0 && *strikes >= limit && q.quarantineLocked(w, reason) && q.onQuarantine != nil {
 		q.onQuarantine(worker, reason)
 	}
 }
 
-// drainWorkerLocked requeues every task the worker currently leases.
-func (q *Queue) drainWorkerLocked(worker string) {
-	for id, l := range q.leases {
-		if l.worker == worker {
-			q.releaseLocked(id)
+// quarantineLocked marks a worker quarantined and drains its live leases
+// back to pending, burning no attempts. It reports whether the worker
+// was newly quarantined.
+func (q *Queue) quarantineLocked(w *WorkerHealth, reason string) bool {
+	if w.Quarantined {
+		return false
+	}
+	w.Quarantined = true
+	w.Reason = reason
+	q.stats.WorkersQuarantined++
+	for _, l := range q.leases {
+		if l.worker == w.Name {
+			q.requeueLocked(q.tasks[l.digest])
 		}
 	}
+	return true
 }
 
 // deliverLocked sends the outcome to every waiter and clears the set.
@@ -1256,32 +1210,6 @@ func (q *Queue) deliverLocked(t *task, out Outcome) {
 		ch <- out
 	}
 	t.waiters = make(map[int]chan<- Outcome)
-}
-
-// dropLeaseLocked retires a lease into the tombstone ring so later
-// publishes under it stay attributable.
-func (q *Queue) dropLeaseLocked(leaseID string) {
-	l, ok := q.leases[leaseID]
-	if !ok {
-		return
-	}
-	delete(q.leases, leaseID)
-	q.tombs[leaseID] = tomb{worker: l.worker, fence: l.fence, digest: l.digest}
-	q.tombLog = append(q.tombLog, leaseID)
-	if len(q.tombLog) > maxLeaseTombs {
-		delete(q.tombs, q.tombLog[0])
-		q.tombLog = q.tombLog[1:]
-	}
-}
-
-// removePending deletes digest from the pending FIFO if queued.
-func (q *Queue) removePending(digest string) {
-	for i, d := range q.pending {
-		if d == digest {
-			q.pending = append(q.pending[:i], q.pending[i+1:]...)
-			return
-		}
-	}
 }
 
 // latestVote returns the canonical digest of the worker's most recent
@@ -1297,9 +1225,6 @@ func (t *task) latestVote(worker string) string {
 
 // votedBy reports whether the worker already voted on the task.
 func (t *task) votedBy(worker string) bool { return t.latestVote(worker) != "" }
-
-// holds reports whether leaseID is the task's live lease.
-func (t *task) holds(leaseID string) bool { return t.state == taskLeased && t.lease == leaseID }
 
 // short truncates a digest for log lines.
 func short(digest string) string {

@@ -90,12 +90,12 @@ func TestQueueConcurrentHammer(t *testing.T) {
 				step++
 				switch {
 				case step%11 == 0:
-					q.Fail(g.Lease, g.Digest, "injected failure")
+					q.Fail(g.Lease, g.Fence, g.Digest, "injected failure")
 				case step%7 == 0:
 					// Abandon: walk away and let the TTL reap the lease.
 				case step%5 == 0:
 					// Divergent publish: self-consistent but wrong.
-					q.Renew(g.Lease)
+					q.Renew(g.Lease, g.Fence)
 					out := q.Complete(honestPublish(t, g, fakeResult(666)))
 					if out.Verdict == VerdictNeedArbiter {
 						canonical := fakeResult(1)

@@ -234,7 +234,7 @@ func TestQueueFailRetriesThenDelivers(t *testing.T) {
 	digest, _ := q.Enqueue(testCell(t, 1), EnqueueOptions{MaxAttempts: 2}, ch) // 1 retry
 
 	g1, _ := mustLease(t, q, "w1")
-	q.Fail(g1.Lease, digest, "boom")
+	q.Fail(g1.Lease, g1.Fence, digest, "boom")
 	select {
 	case <-ch:
 		t.Fatal("failure delivered with attempts remaining")
@@ -248,7 +248,7 @@ func TestQueueFailRetriesThenDelivers(t *testing.T) {
 	if g2.Attempt != 2 {
 		t.Fatalf("attempt = %d, want 2", g2.Attempt)
 	}
-	q.Fail(g2.Lease, digest, "boom again")
+	q.Fail(g2.Lease, g2.Fence, digest, "boom again")
 	out := <-ch
 	if out.Err == nil {
 		t.Fatal("exhausted task delivered no error")
@@ -270,15 +270,15 @@ func TestQueueStaleFailIgnored(t *testing.T) {
 
 	// w1's failure report arrives under its expired lease: ignored, no
 	// attempt burned, w2's lease untouched.
-	q.Fail(g1.Lease, digest, "late failure")
+	q.Fail(g1.Lease, g1.Fence, digest, "late failure")
 	// A failure naming another cell than its lease's is ignored too.
-	q.Fail(g2.Lease, testCell(t, 2).Key().Digest(), "wrong cell")
+	q.Fail(g2.Lease, g2.Fence, testCell(t, 2).Key().Digest(), "wrong cell")
 	select {
 	case <-ch:
 		t.Fatal("stale failure delivered an outcome")
 	default:
 	}
-	if err := q.Renew(g2.Lease); err != nil {
+	if err := q.Renew(g2.Lease, g2.Fence); err != nil {
 		t.Fatalf("w2's lease lost to a stray failure: %v", err)
 	}
 	q.Complete(honestPublish(t, g2, fakeResult(1)))
@@ -353,7 +353,7 @@ func TestQueueRenewExtendsLease(t *testing.T) {
 	g, _ := mustLease(t, q, "w1")
 
 	clock.advance(700 * time.Millisecond)
-	if err := q.Renew(g.Lease); err != nil {
+	if err := q.Renew(g.Lease, g.Fence); err != nil {
 		t.Fatalf("renew of a live lease failed: %v", err)
 	}
 	clock.advance(700 * time.Millisecond)
@@ -361,7 +361,7 @@ func TestQueueRenewExtendsLease(t *testing.T) {
 		t.Fatal("renewed lease expired inside its extended window")
 	}
 	clock.advance(time.Second)
-	if err := q.Renew(g.Lease); err != ErrLeaseGone {
+	if err := q.Renew(g.Lease, g.Fence); err != ErrLeaseGone {
 		t.Fatalf("renew of an expired lease = %v, want ErrLeaseGone", err)
 	}
 }
@@ -393,6 +393,12 @@ func TestQueueCompleteVerdicts(t *testing.T) {
 			t.Fatalf("no grant for %s", worker)
 		}
 		return g
+	}
+	depth := func(t *testing.T, q *Queue, pending, leased int) {
+		t.Helper()
+		if p, l := q.Depth(); p != pending || l != leased {
+			t.Fatalf("depth = (%d pending, %d leased), want (%d, %d)", p, l, pending, leased)
+		}
 	}
 	publish := func(t *testing.T, q *Queue, g Grant, res *machine.Result, want Verdict) Publish {
 		t.Helper()
@@ -439,14 +445,42 @@ func TestQueueCompleteVerdicts(t *testing.T) {
 				if _, ok := mustLease(t, q, "w3"); ok {
 					t.Fatal("cell leasable while arbitrating")
 				}
+				depth(t, q, 0, 0)
 				q.ArbiterFailed(pub.Digest)
-				if pending, _ := q.Depth(); pending != 1 {
-					t.Fatalf("pending = %d after ArbiterFailed, want 1", pending)
-				}
+				depth(t, q, 1, 0)
 				g := lease(t, q, "w3")
 				if g.Digest != pub.Digest || !g.Verify || g.Attempt != 1 {
 					t.Fatalf("re-grant = %+v, want a fresh verified attempt at %s", g, pub.Digest)
 				}
+			},
+		},
+		{
+			// Depth stays exact on every way back to pending: a failed
+			// cell revived by a fresh enqueue, a lease expiry, and a
+			// re-verification Requeue.
+			name: "admitted after a revival and an expiry",
+			setup: func(t *testing.T, q *Queue, clock *fakeClock) Publish {
+				enqueue(t, q, 1)
+				g := lease(t, q, "w1")
+				q.Fail(g.Lease, g.Fence, g.Digest, "boom")
+				depth(t, q, 0, 0)
+				enqueue(t, q, 1)
+				depth(t, q, 1, 0)
+				lease(t, q, "w1")
+				depth(t, q, 0, 1)
+				clock.advance(ttl)
+				q.ExpireLeases()
+				depth(t, q, 1, 0)
+				return honestPublish(t, lease(t, q, "w2"), fakeResult(1))
+			},
+			want: VerdictAdmitted,
+			bump: func(s *QueueStats) { s.Completed++ },
+			after: func(t *testing.T, q *Queue, pub Publish) {
+				depth(t, q, 0, 0)
+				if _, ok := q.Requeue(pub.Digest); !ok {
+					t.Fatal("Requeue refused a done cell")
+				}
+				depth(t, q, 1, 0)
 			},
 		},
 		{

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"os"
 	"sync"
 	"time"
@@ -188,16 +187,6 @@ func (w *Worker) sleep(ctx context.Context, d time.Duration) bool {
 	}
 }
 
-// jitter spreads a backoff uniformly over [d/2, d] so a worker fleet
-// does not stampede a coordinator that just came back.
-func jitter(d time.Duration) time.Duration {
-	half := int64(d) / 2
-	if half <= 0 {
-		return d
-	}
-	return time.Duration(half + rand.Int63n(half+1))
-}
-
 // runCell executes one granted cell under a heartbeat and publishes the
 // outcome with its attestation.
 func (w *Worker) runCell(ctx context.Context, g Grant) {
@@ -224,7 +213,7 @@ func (w *Worker) runCell(ctx context.Context, g Grant) {
 		w.stats.Failed++
 		w.mu.Unlock()
 		w.logf("worker %s: cell %s failed: %v", w.name, g.Digest[:12], err)
-		if ferr := w.client.Fail(ctx, g.Lease, g.Digest, err.Error()); ferr != nil {
+		if ferr := w.client.Fail(ctx, g.Lease, g.Fence, g.Digest, err.Error()); ferr != nil {
 			w.logf("worker %s: report failure: %v", w.name, ferr)
 		}
 		return
@@ -332,7 +321,7 @@ func (w *Worker) heartbeat(ctx context.Context, g Grant) (stop func()) {
 			case <-ctx.Done():
 				return
 			case <-tick.C:
-				err := w.client.Renew(ctx, g.Lease)
+				err := w.client.Renew(ctx, g.Lease, g.Fence)
 				var apiErr *APIError
 				switch {
 				case err == nil:

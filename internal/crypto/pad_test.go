@@ -239,3 +239,42 @@ func TestEngineFirstIssueAtCycleZero(t *testing.T) {
 		t.Errorf("starts=%v, want [40 41]", starts)
 	}
 }
+
+// Sinks keep the benchmarked calls from being optimised away.
+var (
+	padSink    Pad
+	digestSink [16]byte
+)
+
+// BenchmarkPadGenerate measures one pad derivation: five AES block
+// encryptions (the four encryption lanes and the authentication lane).
+func BenchmarkPadGenerate(b *testing.B) {
+	g, err := NewPadGenerator(testKey)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		padSink = g.Generate(uint64(i), 1, 2)
+	}
+}
+
+// BenchmarkBatchDigest measures the Batched_MsgMAC fold (Formula 5): the
+// keyed GHASH digest over the concatenated per-block MsgMACs of one
+// batch of 16 blocks, the default batch size.
+func BenchmarkBatchDigest(b *testing.B) {
+	g, err := NewPadGenerator(testKey)
+	if err != nil {
+		b.Fatal(err)
+	}
+	batch := make([]byte, 16*MACBytes)
+	for i := range batch {
+		batch[i] = byte(i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		digestSink = g.Digest(batch)
+	}
+}
