@@ -44,9 +44,18 @@ type Pad struct {
 // processors (Section IV-A). It is deterministic: the same
 // (key, ctr, sender, receiver) always yields the same pad, which is what
 // keeps sender and receiver in sync.
+//
+// Generate is not safe for concurrent use: each secure endpoint owns its
+// generator and drives it from its simulation's one goroutine.
 type PadGenerator struct {
 	block cipher.Block
 	h     fieldElement // GHASH key H = AES_K(0^128)
+
+	// seed and pad are Generate's AES input and output. Buffers passed
+	// through the cipher.Block interface escape, so keeping them here
+	// rather than on the stack saves two allocations per pad.
+	seed [16]byte
+	pad  Pad
 }
 
 // NewPadGenerator creates a generator from a 16-byte session key.
@@ -76,15 +85,13 @@ func seedBlock(dst *[16]byte, ctr uint64, sender, receiver uint16, lane uint8) {
 // Generate derives the pad for one (ctr, sender, receiver) triple. Lanes 0-3
 // form the 64B encryption pad; lane 4 is the authentication pad.
 func (g *PadGenerator) Generate(ctr uint64, sender, receiver uint16) Pad {
-	var p Pad
-	var seed [16]byte
 	for lane := 0; lane < 4; lane++ {
-		seedBlock(&seed, ctr, sender, receiver, uint8(lane))
-		g.block.Encrypt(p.Enc[lane*16:(lane+1)*16], seed[:])
+		seedBlock(&g.seed, ctr, sender, receiver, uint8(lane))
+		g.block.Encrypt(g.pad.Enc[lane*16:(lane+1)*16], g.seed[:])
 	}
-	seedBlock(&seed, ctr, sender, receiver, 4)
-	g.block.Encrypt(p.Auth[:], seed[:])
-	return p
+	seedBlock(&g.seed, ctr, sender, receiver, 4)
+	g.block.Encrypt(g.pad.Auth[:], g.seed[:])
+	return g.pad
 }
 
 // Encrypt XORs a 64B plaintext block with the encryption pad. Counter-mode

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"container/heap"
+	"fmt"
 	"math/rand"
 	"runtime"
 	"sync/atomic"
@@ -231,19 +232,26 @@ func (h *refHeap) Pop() any         { old := *h; n := len(old); ev := old[n-1]; 
 func (h *refHeap) push(ev refEvent) { heap.Push(h, ev) }
 func (h *refHeap) popMin() refEvent { return heap.Pop(h).(refEvent) }
 
+// orderSpans are the delay ranges the order tests draw from: one well
+// inside the calendar window, with heavy cycle ties, and one reaching
+// several windows ahead, so events go through the overflow heap and
+// migrate into the ring.
+var orderSpans = [...]int{50, 4 * ringSize}
+
 func TestQueueMatchesContainerHeapOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	for trial := 0; trial < 50; trial++ {
+	for trial := 0; trial < 100; trial++ {
+		span := orderSpans[trial%len(orderSpans)]
 		e := NewEngine()
 		ref := &refHeap{}
 		var popped []int
 
-		// Random workload: interleaved schedules (with heavy cycle ties),
-		// fires, and mid-run schedules from inside handlers.
+		// Random workload: interleaved schedules (with cycle ties) and
+		// fires.
 		n := 1 + rng.Intn(200)
 		var seq uint64
 		for i := 0; i < n; i++ {
-			at := Cycle(rng.Intn(50))
+			at := Cycle(rng.Intn(span))
 			id := i
 			seq++
 			ref.push(refEvent{at: at, seq: seq, id: id})
@@ -280,7 +288,8 @@ func TestQueueMatchesContainerHeapOrder(t *testing.T) {
 // cancellations must not perturb the relative order of surviving events.
 func TestQueueOrderWithCancellations(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 50; trial++ {
+	for trial := 0; trial < 100; trial++ {
+		span := orderSpans[trial%len(orderSpans)]
 		e := NewEngine()
 		ref := &refHeap{}
 		var popped, want []int
@@ -290,7 +299,7 @@ func TestQueueOrderWithCancellations(t *testing.T) {
 		cancelled := make(map[int]bool)
 		var seq uint64
 		for i := 0; i < n; i++ {
-			at := Cycle(rng.Intn(40))
+			at := Cycle(rng.Intn(span))
 			id := i
 			seq++
 			ref.push(refEvent{at: at, seq: seq, id: id})
@@ -354,12 +363,17 @@ func TestScheduleZeroAlloc(t *testing.T) {
 }
 
 // TestQueueMixedOrderWithCancellations interleaves plain events, timers and
-// cancellations, before the run and from inside handlers, and checks each
-// pop in lockstep against the container/heap reference: the surviving
-// events fire in (cycle, seq) order, and Cancel and Pending agree with it.
+// cancellations, before the run, from inside handlers and between RunUntil
+// calls that stop short of the next event, and checks each pop in lockstep
+// against the container/heap reference: the surviving events fire in
+// (cycle, seq) order, and Cancel and Pending agree with it. Half the trials
+// draw delays of several calendar windows, with rare idle gaps of many
+// windows, so events cross the overflow heap, migrate on one-cycle steps
+// and on jumps, and cancelled overflow timers cross migrations.
 func TestQueueMixedOrderWithCancellations(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 50; trial++ {
+	for trial := 0; trial < 100; trial++ {
+		span := orderSpans[trial%len(orderSpans)]
 		e := NewEngine()
 		ref := &refHeap{}
 		var seq uint64
@@ -367,7 +381,7 @@ func TestQueueMixedOrderWithCancellations(t *testing.T) {
 		var timerIDs []int
 		cancelled := map[int]bool{}
 		fired := map[int]bool{}
-		nextID, budget := 0, 300
+		nextID, budget := 0, 400
 
 		var schedule func()
 		handler := func(id int) HandlerFunc {
@@ -395,7 +409,10 @@ func TestQueueMixedOrderWithCancellations(t *testing.T) {
 			case 0, 1:
 				id := nextID
 				nextID++
-				at := e.Now() + Cycle(rng.Intn(30))
+				at := e.Now() + Cycle(rng.Intn(span))
+				if rng.Intn(50) == 0 {
+					at += 20 * ringSize
+				}
 				seq++
 				ref.push(refEvent{at: at, seq: seq, id: id})
 				if rng.Intn(2) == 0 {
@@ -419,17 +436,37 @@ func TestQueueMixedOrderWithCancellations(t *testing.T) {
 				}
 			}
 		}
+		checkPending := func(when string) {
+			live := 0
+			for _, ev := range *ref {
+				if !cancelled[ev.id] {
+					live++
+				}
+			}
+			if e.Pending() != live {
+				t.Fatalf("trial %d, %s: Pending()=%d, reference has %d live", trial, when, e.Pending(), live)
+			}
+		}
 		for i := 0; i < 1+rng.Intn(100); i++ {
 			schedule()
 		}
-		live := 0
-		for _, ev := range *ref {
-			if !cancelled[ev.id] {
-				live++
+		checkPending("before the run")
+		// Every other pair of trials steps with RunUntil, scheduling from
+		// outside between steps: the limit often falls short of the next
+		// event, so the new events land between now and the queue's head.
+		for trial/2%2 == 1 && e.Pending() > 0 {
+			limit := e.Now() + Cycle(rng.Intn(span))
+			end, err := e.RunUntil(limit)
+			if err != nil {
+				t.Fatalf("trial %d: RunUntil: %v", trial, err)
 			}
-		}
-		if e.Pending() != live {
-			t.Fatalf("trial %d: Pending()=%d, reference has %d live", trial, e.Pending(), live)
+			if end != limit {
+				t.Fatalf("trial %d: RunUntil(%d) returned %d", trial, limit, end)
+			}
+			checkPending("between RunUntil calls")
+			for n := rng.Intn(3); n > 0; n-- {
+				schedule()
+			}
 		}
 		if _, err := e.Run(); err != nil {
 			t.Fatalf("trial %d: Run: %v", trial, err)
@@ -442,6 +479,111 @@ func TestQueueMixedOrderWithCancellations(t *testing.T) {
 		if e.Pending() != 0 {
 			t.Fatalf("trial %d: Pending()=%d after drain", trial, e.Pending())
 		}
+		if _, held, dead := e.TimerSlab(); held != 0 || dead != 0 {
+			t.Fatalf("trial %d: TimerSlab held=%d dead=%d after drain, want 0, 0", trial, held, dead)
+		}
+	}
+}
+
+// TestOverflowAndRingEventsShareCycleInPushOrder pins the migration order
+// at the window's edge: events pushed to a cycle while it is beyond the
+// window migrate into its bucket ahead of events pushed after the window
+// reached it, cancelled overflow timers drop out on the way, and a
+// same-cycle event scheduled while the cycle runs goes last.
+func TestOverflowAndRingEventsShareCycleInPushOrder(t *testing.T) {
+	const at = 3*ringSize + 7
+	e := NewEngine()
+	var got []string
+	rec := func(name string) HandlerFunc {
+		return func(ev Event) {
+			if ev.At != at {
+				t.Errorf("%s fired at %d, want %d", name, ev.At, at)
+			}
+			got = append(got, name)
+		}
+	}
+	e.Schedule(at, HandlerFunc(func(Event) {
+		got = append(got, "far1")
+		e.Schedule(at, rec("same"), nil)
+	}), nil)
+	e.ScheduleTimer(at, rec("far2"), nil)
+	e.ScheduleTimer(at, rec("cancelled in overflow"), nil).Cancel()
+	late := e.ScheduleTimer(at, rec("cancelled in ring"), nil)
+	e.Schedule(at, rec("far3"), nil)
+	// The first cycle whose window reaches at: the jump to it migrates
+	// the far events, then its handler pushes straight into the bucket.
+	e.Schedule(at-ringSize+1, HandlerFunc(func(Event) {
+		e.Schedule(at, rec("near1"), nil)
+		late.Cancel()
+	}), nil)
+	e.Schedule(at-1, HandlerFunc(func(Event) { e.Schedule(at, rec("near2"), nil) }), nil)
+	if _, err := e.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	want := []string{"far1", "far2", "far3", "near1", "near2", "same"}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("fired %v, want %v", got, want)
+	}
+	if _, held, dead := e.TimerSlab(); held != 0 || dead != 0 {
+		t.Fatalf("TimerSlab held=%d dead=%d after drain, want 0, 0", held, dead)
+	}
+}
+
+// TestRunUntilShortThenScheduleBeforeHead checks that a RunUntil stopping
+// short of the queue's head leaves the window where a later Schedule
+// between now and the head, in the ring or beyond it, still fires first,
+// also after long idle gaps the window has to jump.
+func TestRunUntilShortThenScheduleBeforeHead(t *testing.T) {
+	e := NewEngine()
+	var fired []Cycle
+	r := HandlerFunc(func(ev Event) { fired = append(fired, ev.At) })
+	e.Schedule(10, r, nil)
+	e.Schedule(5*ringSize, r, nil)
+	e.Schedule(500*ringSize, r, nil)
+	if _, err := e.RunUntil(ringSize + 5); err != nil {
+		t.Fatalf("RunUntil: %v", err)
+	}
+	e.Schedule(2*ringSize, r, nil) // beyond the window, before the head
+	e.Schedule(ringSize+6, r, nil) // inside the window
+	e.Schedule(ringSize+5, r, nil) // now
+	if _, err := e.RunUntil(100 * ringSize); err != nil {
+		t.Fatalf("RunUntil: %v", err)
+	}
+	e.Schedule(100*ringSize+1, r, nil)
+	e.Schedule(300*ringSize, r, nil)
+	if _, err := e.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	want := []Cycle{10, ringSize + 5, ringSize + 6, 2 * ringSize, 5 * ringSize,
+		100*ringSize + 1, 300 * ringSize, 500 * ringSize}
+	if fmt.Sprint(fired) != fmt.Sprint(want) {
+		t.Fatalf("fired %v, want %v", fired, want)
+	}
+}
+
+// TestCancelledTimersDoNotMoveWindow drains a queue whose last events are
+// cancelled timers, in the ring and in the overflow heap. Retiring them
+// must not move the window past now, or later events scheduled between
+// now and those dead cycles would fire out of order.
+func TestCancelledTimersDoNotMoveWindow(t *testing.T) {
+	e := NewEngine()
+	var fired []Cycle
+	r := HandlerFunc(func(ev Event) { fired = append(fired, ev.At) })
+	e.Schedule(2, r, nil)
+	e.ScheduleTimer(10, r, nil).Cancel()
+	e.ScheduleTimer(3*ringSize, r, nil).Cancel()
+	if end, err := e.Run(); err != nil || end != 2 {
+		t.Fatalf("Run = %d, %v; want 2, nil", end, err)
+	}
+	for _, at := range []Cycle{5, 12, 3*ringSize + 1} {
+		e.Schedule(at, r, nil)
+	}
+	if _, err := e.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	want := []Cycle{2, 5, 12, 3*ringSize + 1}
+	if fmt.Sprint(fired) != fmt.Sprint(want) {
+		t.Fatalf("fired %v, want %v", fired, want)
 	}
 }
 
@@ -460,21 +602,26 @@ func TestDrainedEngineRetainsNoBodies(t *testing.T) {
 	func() {
 		fin := func(*finalProbe) { finalized.Add(1) }
 		plain, timed, h := &finalProbe{}, &finalProbe{}, &finalProbe{}
-		for _, p := range []*finalProbe{plain, timed, h} {
+		farPlain, farTimed := &finalProbe{}, &finalProbe{}
+		for _, p := range []*finalProbe{plain, timed, h, farPlain, farTimed} {
 			runtime.SetFinalizer(p, fin)
 		}
 		e.Schedule(5, h, plain)
 		e.ScheduleTimer(9, HandlerFunc(func(Event) {}), timed).Cancel()
+		// Far events go through the overflow heap: one migrates into the
+		// ring and fires, one is cancelled and dropped on migration.
+		e.Schedule(3*ringSize, h, farPlain)
+		e.ScheduleTimer(3*ringSize+1, HandlerFunc(func(Event) {}), farTimed).Cancel()
 	}()
 	if _, err := e.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	for i := 0; i < 50 && finalized.Load() < 3; i++ {
+	for i := 0; i < 50 && finalized.Load() < 5; i++ {
 		runtime.GC()
 		time.Sleep(time.Millisecond)
 	}
-	if got := finalized.Load(); got != 3 {
-		t.Fatalf("%d of 3 probes collected after draining; the engine still pins the rest", got)
+	if got := finalized.Load(); got != 5 {
+		t.Fatalf("%d of 5 probes collected after draining; the engine still pins the rest", got)
 	}
 	runtime.KeepAlive(e)
 }
