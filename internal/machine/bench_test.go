@@ -1,23 +1,39 @@
 package machine
 
 import (
+	"context"
 	"testing"
 
 	"secmgpu/internal/config"
 	"secmgpu/internal/workload"
 )
 
+// oursCell returns the configuration and mm traces of one secure cell
+// under Ours (Dynamic OTP with batching), as the evaluation sweeps build
+// them.
+func oursCell(tb testing.TB, gpus int, scale float64) (config.Config, [][]workload.Op) {
+	tb.Helper()
+	spec, err := workload.ByAbbr("mm")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	cfg := config.Default(gpus)
+	cfg.Scale = scale
+	cfg.Secure = true
+	cfg.Scheme = config.OTPDynamic
+	cfg.OTPMultiplier = 4
+	cfg.Batching = true
+	return cfg, workload.Traces(spec, cfg.NumGPUs, cfg.Scale, cfg.Seed)
+}
+
 // sysSink keeps the benchmarked constructor's result live.
 var sysSink *System
 
 // BenchmarkNew times building one secure system under Ours (Dynamic OTP
 // with batching) for the mm workload: nodes, memory paths, fabric and
-// secure endpoints. Traces are generated outside the timer.
+// secure endpoints. Traces are generated outside the timer. The systems
+// are never run, so nothing is released and every build is a cold one.
 func BenchmarkNew(b *testing.B) {
-	spec, err := workload.ByAbbr("mm")
-	if err != nil {
-		b.Fatal(err)
-	}
 	for _, tc := range []struct {
 		name  string
 		gpus  int
@@ -27,13 +43,7 @@ func BenchmarkNew(b *testing.B) {
 		{"16GPU", 16, 0.05},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
-			cfg := config.Default(tc.gpus)
-			cfg.Scale = tc.scale
-			cfg.Secure = true
-			cfg.Scheme = config.OTPDynamic
-			cfg.OTPMultiplier = 4
-			cfg.Batching = true
-			traces := workload.Traces(spec, cfg.NumGPUs, cfg.Scale, cfg.Seed)
+			cfg, traces := oursCell(b, tc.gpus, tc.scale)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -42,6 +52,36 @@ func BenchmarkNew(b *testing.B) {
 					b.Fatal(err)
 				}
 				sysSink = sys
+			}
+		})
+	}
+}
+
+// BenchmarkCell times one figures-sized cell end to end: New plus
+// RunContext of a secure mm cell under Ours at scale 0.01, as a sweep
+// worker runs thousands of them. Each run releases its engine slabs and
+// cache tag stores, so from the second op on a cell builds on the
+// previous one's arrays. Traces are generated outside the timer.
+func BenchmarkCell(b *testing.B) {
+	for _, tc := range []struct {
+		name string
+		gpus int
+	}{
+		{"4GPU", 4},
+		{"16GPU", 16},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			cfg, traces := oursCell(b, tc.gpus, 0.01)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sys, err := New(cfg, traces, RunOptions{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := sys.RunContext(context.Background()); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}

@@ -90,7 +90,11 @@ type Result struct {
 }
 
 // System is one runnable simulated machine. Build with New, run once with
-// Run.
+// Run or RunContext. The run ends the system's life: on return, whatever
+// the outcome, the event engine's slabs and the nodes' cache tag stores
+// go back to their pools for the next cell, and only the returned Result
+// stays valid. The system's engine, fabric, endpoints and caches must not
+// be driven afterwards; the engine and caches panic if they are.
 type System struct {
 	cfg    config.Config
 	opt    RunOptions
@@ -258,13 +262,14 @@ func (s *System) Run() (*Result, error) { return s.RunContext(context.Background
 // schedules events, so an uncancelled run is event-for-event identical to
 // Run (golden digests are unaffected).
 func (s *System) RunContext(ctx context.Context) (*Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
 	if s.ran {
 		return nil, fmt.Errorf("machine: system already ran")
 	}
 	s.ran = true
+	defer s.release()
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	if ctx.Done() != nil {
 		s.engine.Check = ctx.Err
 	}
@@ -345,6 +350,15 @@ func (s *System) RunContext(ctx context.Context) (*Result, error) {
 		}
 	}
 	return res, nil
+}
+
+// release hands the engine's slabs and every node's cache tag store back
+// to their pools; RunContext defers it, since a system runs once.
+func (s *System) release() {
+	s.engine.Release()
+	for _, n := range s.nodes {
+		n.memory.Release()
+	}
 }
 
 // progress is the watchdog's monotonic useful-work counter: operations

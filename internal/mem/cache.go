@@ -9,11 +9,21 @@
 // state lazily: a set gets its lines on first access, carved out of
 // fixed-size chunks that hold no pointers. Building a cache then costs one
 // slot per set, and the garbage collector never scans the tag store.
+//
+// The tag store outlives its cache. Release, called when a simulation
+// ends, zeroes the cache's full-size chunks and its slot array and parks
+// them in package-level sync.Pools, one for chunks and one per slot-array
+// size class; NewCache and the first touch of a chunk always draw from
+// them. The arrays are pooled, never the Cache: chunks pass freely between
+// an L2 and an LLC, and a released Cache panics on Access instead of
+// reading arrays another cell now owns. Recycled arrays come back zeroed,
+// so a cache built from them answers exactly as a fresh one.
 package mem
 
 import (
 	"fmt"
 	"math/bits"
+	"sync"
 
 	"secmgpu/internal/sim"
 )
@@ -26,6 +36,18 @@ type line struct {
 
 // chunkLines is the number of lines in one tag-store chunk: 64 KiB.
 const chunkLines = 4096
+
+// chunk is a full-size tag-store chunk. Only chunks of this size are
+// recycled; a cache too small to fill one gets a chunk of its own size.
+type chunk [chunkLines]line
+
+// chunkPool holds zeroed *chunk; slotPools[k] holds zeroed *[]int32 of
+// capacity 1<<k. They are sync.Pools, like the message pool, because a
+// sweep runs cells on parallel goroutines.
+var (
+	chunkPool sync.Pool
+	slotPools [32]sync.Pool
+)
 
 // Cache is a set-associative cache with LRU replacement, modelling tag
 // state only: it answers hit/miss and maintains recency, which is all the
@@ -67,19 +89,49 @@ func NewCache(capacityBytes, ways, blockSize int) *Cache {
 	// rounded up, so a small cache gets a small chunk.
 	shift := bits.Len(uint(max(chunkLines/ways, 1))) - 1
 	shift = min(shift, bits.Len(uint(sets-1)))
-	return &Cache{
+	c := &Cache{
 		sets:       uint64(sets),
 		ways:       ways,
 		blockSize:  uint64(blockSize),
-		slot:       make([]int32, sets),
 		chunkShift: uint(shift),
 	}
+	class := bits.Len(uint(sets - 1))
+	if slot, ok := slotPools[class].Get().(*[]int32); ok {
+		c.slot = (*slot)[:sets]
+	} else {
+		c.slot = make([]int32, sets, 1<<class)
+	}
+	return c
+}
+
+// Release ends the cache's life: it zeroes the slot array and every
+// full-size chunk and returns them to their pools for later caches.
+// Afterwards Access panics; the hit and miss counts stay readable.
+// Releasing twice is a no-op.
+func (c *Cache) Release() {
+	if c.slot == nil {
+		return
+	}
+	for _, ch := range c.chunks {
+		if len(ch) == chunkLines {
+			clear(ch)
+			chunkPool.Put((*chunk)(ch))
+		}
+	}
+	c.chunks = nil
+	clear(c.slot)
+	slot := c.slot[:0]
+	slotPools[bits.Len(uint(cap(slot)-1))].Put(&slot)
+	c.slot = nil
 }
 
 // Access looks up addr, allocating it on a miss (evicting the LRU way) and
 // reporting whether it hit. The victim is the last invalid way, otherwise
 // the way with the oldest stamp.
 func (c *Cache) Access(addr uint64) bool {
+	if c.slot == nil {
+		panic("mem: access to a released cache")
+	}
 	c.clock++
 	block := addr / c.blockSize
 	set := block % c.sets
@@ -111,7 +163,7 @@ func (c *Cache) lines(set uint64) []line {
 	s := c.slot[set]
 	if s == 0 {
 		if int(c.touched)>>c.chunkShift == len(c.chunks) {
-			c.chunks = append(c.chunks, make([]line, c.ways<<c.chunkShift))
+			c.chunks = append(c.chunks, newChunk(c.ways<<c.chunkShift))
 		}
 		c.touched++
 		s = c.touched
@@ -120,6 +172,18 @@ func (c *Cache) lines(set uint64) []line {
 	k := int(s - 1)
 	off := (k & (1<<c.chunkShift - 1)) * c.ways
 	return c.chunks[k>>c.chunkShift][off : off+c.ways : off+c.ways]
+}
+
+// newChunk returns n zeroed lines: a pooled full-size chunk when n is
+// chunkLines, else a fresh slice.
+func newChunk(n int) []line {
+	if n != chunkLines {
+		return make([]line, n)
+	}
+	if ch, ok := chunkPool.Get().(*chunk); ok {
+		return ch[:]
+	}
+	return new(chunk)[:]
 }
 
 // Hits returns the hit count.
@@ -148,6 +212,13 @@ type Memory struct {
 // DRAM-only path.
 func NewMemory(l2 *Cache, l2Latency, dramLatency sim.Cycle) *Memory {
 	return &Memory{l2: l2, l2Latency: l2Latency, dramLatency: dramLatency}
+}
+
+// Release returns the L2's tag store to the pools (see Cache.Release).
+func (m *Memory) Release() {
+	if m.l2 != nil {
+		m.l2.Release()
+	}
 }
 
 // ServiceLatency returns the cycles needed to produce the block at addr.

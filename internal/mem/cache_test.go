@@ -223,3 +223,70 @@ func TestCacheMatchesReference(t *testing.T) {
 		})
 	}
 }
+
+// TestReleasedCachePanics checks that a released cache fails loudly, since
+// its arrays may already serve another cache, while its counters stay
+// readable.
+func TestReleasedCachePanics(t *testing.T) {
+	m := HBM(64)
+	m.ServiceLatency(0)
+	m.ServiceLatency(0)
+	m.Release()
+	m.Release() // a second release is a no-op
+	if m.l2.Hits() != 1 || m.l2.Misses() != 1 {
+		t.Fatalf("released cache reports %d hits, %d misses; want 1, 1", m.l2.Hits(), m.l2.Misses())
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Access on a released cache did not panic")
+		}
+	}()
+	m.ServiceLatency(64)
+}
+
+// TestRecycledCacheMatchesFresh dirties caches, releases them, and builds
+// new ones, which draw the released slot arrays and chunks from the pools.
+// A cache on recycled arrays must answer the same hit/miss sequence as one
+// on fresh arrays.
+func TestRecycledCacheMatchesFresh(t *testing.T) {
+	stream := func(seed int64, c *Cache, hits []bool) []bool {
+		rng := rand.New(rand.NewSource(seed))
+		for i := 0; i < 50000; i++ {
+			addr := uint64(rng.Intn(2<<20)) &^ 63
+			if rng.Intn(2) == 0 {
+				addr = uint64(rng.Intn(32<<20)) &^ 63
+			}
+			hits = append(hits, c.Access(addr))
+		}
+		return hits
+	}
+	want := stream(2, NewCache(8<<20, 16, 64), nil)
+	reusedSlot, reusedChunk := false, false
+	// sync.Pool may drop an entry (the race detector drops some on
+	// purpose), so retry until both kinds of array were seen reused.
+	for attempt := 0; attempt < 20 && !(reusedSlot && reusedChunk); attempt++ {
+		old := NewCache(8<<20, 16, 64)
+		stream(int64(attempt+10), old, nil)
+		slot := &old.slot[0]
+		chunks := map[*line]bool{}
+		for _, ch := range old.chunks {
+			chunks[&ch[0]] = true
+		}
+		old.Release()
+		c := NewCache(8<<20, 16, 64)
+		reusedSlot = reusedSlot || &c.slot[0] == slot
+		got := stream(2, c, nil)
+		for _, ch := range c.chunks {
+			reusedChunk = reusedChunk || chunks[&ch[0]]
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("attempt %d: access %d hit=%v on recycled arrays, %v on fresh ones", attempt, i, got[i], want[i])
+			}
+		}
+		c.Release()
+	}
+	if !reusedSlot || !reusedChunk {
+		t.Fatalf("no cache drew recycled arrays (slot %v, chunk %v)", reusedSlot, reusedChunk)
+	}
+}

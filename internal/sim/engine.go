@@ -29,15 +29,26 @@
 // Each event's Handler and Payload live in a body slab, recycled through a
 // free list and zeroed when the event leaves the queue, so a drained queue
 // pins nothing. The ring, the meta slab and the overflow heap hold no
-// pointers, so moving events through them needs no GC write barriers, and
-// the slabs reach a steady capacity: the steady-state hot path
-// (Schedule/Run) performs zero allocations.
+// pointers, so moving events through them needs no GC write barriers.
+//
+// An engine's slabs outlive it. Release, called when a simulation ends,
+// zeroes the body slab, truncates every slab to length zero and parks
+// them in a package-level sync.Pool; NewEngine always draws from that
+// pool. A sweep runs thousands of short cells, so each new engine starts
+// with the capacity an earlier cell grew and the steady-state hot path
+// (Schedule/Run) performs zero allocations from the first event. The
+// Engine itself is never reused: a released one panics on Schedule,
+// Cancel and Run, so a stale handle fails loudly instead of touching
+// slabs that another cell now owns. Event order depends only on
+// (cycle, push order), never on slab indices, so recycling cannot change
+// a result.
 package sim
 
 import (
 	"fmt"
 	"math"
 	"math/bits"
+	"sync"
 )
 
 // Cycle is a point in simulated time, in GPU clock cycles.
@@ -137,14 +148,13 @@ type Engine struct {
 	base    Cycle
 	cal     calendar
 	near    int
-	over    []far
 	nextSeq uint64
 
-	// bodies[i] and meta[i] are the two halves of queued event i; bodyFree
-	// lists the zeroed entries ready for reuse.
-	bodies   []body
-	meta     []meta
-	bodyFree []int32
+	// slabs holds the growable arrays: the event body and meta slabs,
+	// the overflow heap and the timer slab. released marks an engine
+	// whose slabs went back to the pool.
+	slabs
+	released bool
 
 	// EventLimit bounds the number of events processed by Run as a runaway
 	// guard; zero means no limit.
@@ -157,17 +167,79 @@ type Engine struct {
 	Check     func() error
 	processed uint64
 
-	// Timer slab: timerGen[slot] is the generation a live timer event must
-	// match to fire; Cancel bumps it so the queued event dies in place.
-	// timerFree recycles slots, dead counts cancelled events still queued.
-	timerGen  []uint32
-	timerFree []int32
-	dead      int
+	// dead counts cancelled timer events still queued.
+	dead int
 }
 
-// NewEngine returns an empty engine at cycle 0.
+// slabs are an engine's growable arrays, recycled from one engine to the
+// next through slabPool. Pooled slabs have length zero and a zeroed body
+// slab, so they pin no Handler or Payload.
+type slabs struct {
+	// bodies[i] and meta[i] are the two halves of queued event i;
+	// bodyFree lists the zeroed entries ready for reuse.
+	bodies   []body
+	meta     []meta
+	bodyFree []int32
+	// over is the overflow heap of events beyond the window.
+	over []far
+	// Timer slab: timerGen[slot] is the generation a live timer event
+	// must match to fire; Cancel bumps it so the queued event dies in
+	// place. timerFree recycles slots.
+	timerGen  []uint32
+	timerFree []int32
+}
+
+// slabPool holds released engines' slabs as *slabs. It is a sync.Pool,
+// like the message pool, because a sweep runs cells on parallel
+// goroutines.
+var slabPool sync.Pool
+
+// NewEngine returns an empty engine at cycle 0, with the slabs of a
+// released engine when the pool has some.
 func NewEngine() *Engine {
-	return &Engine{}
+	e := &Engine{}
+	if s, ok := slabPool.Get().(*slabs); ok {
+		e.slabs = *s
+	}
+	return e
+}
+
+// Release ends the engine's life and returns its slabs to the pool for
+// the next NewEngine. Queued events are dropped unrun. Afterwards
+// Schedule, ScheduleTimer, Run, RunUntil and Timer.Cancel/Active panic;
+// Now and Processed keep reporting the final state. Releasing twice is a
+// no-op.
+func (e *Engine) Release() {
+	if box := e.detach(); box != nil {
+		slabPool.Put(box)
+	}
+}
+
+// detach marks the engine released and returns its slabs, emptied and
+// with the body slab zeroed, as a pool entry; nil if already released.
+func (e *Engine) detach() *slabs {
+	if e.released {
+		return nil
+	}
+	e.released = true
+	clear(e.bodies)
+	s := &slabs{
+		bodies:    e.bodies[:0],
+		meta:      e.meta[:0],
+		bodyFree:  e.bodyFree[:0],
+		over:      e.over[:0],
+		timerGen:  e.timerGen[:0],
+		timerFree: e.timerFree[:0],
+	}
+	e.slabs = slabs{}
+	return s
+}
+
+// mustLive panics when the engine has been released.
+func (e *Engine) mustLive() {
+	if e.released {
+		panic("sim: engine used after Release")
+	}
 }
 
 // Now returns the current simulation time.
@@ -177,6 +249,7 @@ func (e *Engine) Now() Cycle { return e.now }
 // past panics: it always indicates a component bug, and silently reordering
 // time would destroy the causality the whole model depends on.
 func (e *Engine) Schedule(at Cycle, h Handler, payload any) {
+	e.mustLive()
 	if at < e.now {
 		panic(fmt.Sprintf("sim: schedule at cycle %d before now %d", at, e.now))
 	}
@@ -224,6 +297,7 @@ const checkInterval = 16384
 // the final cycle and an error if the event limit was exceeded or Check
 // failed.
 func (e *Engine) Run() (Cycle, error) {
+	e.mustLive()
 	e.stopped = false
 	for !e.stopped {
 		if _, ok := e.peek(MaxCycle); !ok {
@@ -253,6 +327,7 @@ func (e *Engine) Run() (Cycle, error) {
 // handler called Stop during a previous RunUntil, the pending stop is
 // consumed and the call returns immediately without advancing time.
 func (e *Engine) RunUntil(limit Cycle) (Cycle, error) {
+	e.mustLive()
 	if e.stopped {
 		e.stopped = false
 		return e.now, nil

@@ -21,6 +21,7 @@ type Timer struct {
 // can cancel it before it fires. The same past-scheduling and nil-handler
 // panics apply.
 func (e *Engine) ScheduleTimer(at Cycle, h Handler, payload any) Timer {
+	e.mustLive()
 	if at < e.now {
 		panic("sim: schedule timer in the past")
 	}
@@ -50,9 +51,14 @@ func (e *Engine) ScheduleTimerAfter(delay Cycle, h Handler, payload any) Timer {
 // already cancelled, or is the zero handle. Cancelling is O(1); the dead
 // event is reclaimed when it surfaces at the queue head. After a
 // successful Cancel the event's payload is never read again, so a pooled
-// payload may be reused immediately.
+// payload may be reused immediately. Cancelling a timer of a released
+// engine panics.
 func (t Timer) Cancel() bool {
-	if t.e == nil || t.e.timerGen[t.slot] != t.gen {
+	if t.e == nil {
+		return false
+	}
+	t.e.mustLive()
+	if t.e.timerGen[t.slot] != t.gen {
 		return false
 	}
 	t.e.timerGen[t.slot]++
@@ -63,5 +69,9 @@ func (t Timer) Cancel() bool {
 // Active reports whether the timer's event is still pending: not yet
 // fired and not cancelled.
 func (t Timer) Active() bool {
-	return t.e != nil && t.e.timerGen[t.slot] == t.gen
+	if t.e == nil {
+		return false
+	}
+	t.e.mustLive()
+	return t.e.timerGen[t.slot] == t.gen
 }

@@ -595,33 +595,144 @@ func (*finalProbe) Handle(Event) {}
 
 // TestDrainedEngineRetainsNoBodies checks that the queue's body slab pins
 // nothing once drained: the payloads and handler of fired and cancelled
-// events are collectable while the engine itself is still reachable.
+// events are collectable while the engine itself is still reachable. A
+// released engine that still held events must pin nothing either, and
+// neither may the slabs it hands to the pool: those outlive the engine.
 func TestDrainedEngineRetainsNoBodies(t *testing.T) {
-	e := NewEngine()
-	var finalized atomic.Int32
-	func() {
-		fin := func(*finalProbe) { finalized.Add(1) }
-		plain, timed, h := &finalProbe{}, &finalProbe{}, &finalProbe{}
-		farPlain, farTimed := &finalProbe{}, &finalProbe{}
-		for _, p := range []*finalProbe{plain, timed, h, farPlain, farTimed} {
-			runtime.SetFinalizer(p, fin)
+	for _, release := range []bool{false, true} {
+		name := "drained"
+		if release {
+			name = "released"
 		}
-		e.Schedule(5, h, plain)
-		e.ScheduleTimer(9, HandlerFunc(func(Event) {}), timed).Cancel()
-		// Far events go through the overflow heap: one migrates into the
-		// ring and fires, one is cancelled and dropped on migration.
-		e.Schedule(3*ringSize, h, farPlain)
-		e.ScheduleTimer(3*ringSize+1, HandlerFunc(func(Event) {}), farTimed).Cancel()
-	}()
-	if _, err := e.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
+		t.Run(name, func(t *testing.T) {
+			e := NewEngine()
+			var finalized atomic.Int32
+			func() {
+				fin := func(*finalProbe) { finalized.Add(1) }
+				plain, timed, h := &finalProbe{}, &finalProbe{}, &finalProbe{}
+				farPlain, farTimed := &finalProbe{}, &finalProbe{}
+				for _, p := range []*finalProbe{plain, timed, h, farPlain, farTimed} {
+					runtime.SetFinalizer(p, fin)
+				}
+				e.Schedule(5, h, plain)
+				e.ScheduleTimer(9, HandlerFunc(func(Event) {}), timed).Cancel()
+				// Far events go through the overflow heap: one migrates
+				// into the ring and fires, one is cancelled and dropped
+				// on migration. Released before running, every event is
+				// still queued, in the ring or the heap.
+				e.Schedule(3*ringSize, h, farPlain)
+				e.ScheduleTimer(3*ringSize+1, HandlerFunc(func(Event) {}), farTimed).Cancel()
+			}()
+			var box *slabs
+			if release {
+				box = e.detach()
+				if cap(box.bodies) == 0 {
+					t.Fatal("released engine handed back no body slab")
+				}
+				for i, b := range box.bodies[:cap(box.bodies)] {
+					if b != (body{}) {
+						t.Fatalf("pooled body %d not zeroed", i)
+					}
+				}
+			} else if _, err := e.Run(); err != nil {
+				t.Fatalf("Run: %v", err)
+			}
+			for i := 0; i < 50 && finalized.Load() < 5; i++ {
+				runtime.GC()
+				time.Sleep(time.Millisecond)
+			}
+			if got := finalized.Load(); got != 5 {
+				t.Fatalf("%d of 5 probes collected; the engine or its slabs still pin the rest", got)
+			}
+			runtime.KeepAlive(e)
+			runtime.KeepAlive(box)
+		})
 	}
-	for i := 0; i < 50 && finalized.Load() < 5; i++ {
-		runtime.GC()
-		time.Sleep(time.Millisecond)
+}
+
+// TestReleasedEnginePanics checks that a released engine fails loudly:
+// scheduling, running and touching a timer armed before the release all
+// panic, since its slabs may already belong to another engine.
+func TestReleasedEnginePanics(t *testing.T) {
+	e := NewEngine()
+	h := HandlerFunc(func(Event) {})
+	tm := e.ScheduleTimer(10, h, nil)
+	e.Schedule(5, h, nil)
+	e.Release()
+	e.Release() // a second release is a no-op
+	for name, f := range map[string]func(){
+		"Schedule":      func() { e.Schedule(20, h, nil) },
+		"ScheduleAfter": func() { e.ScheduleAfter(1, h, nil) },
+		"ScheduleTimer": func() { e.ScheduleTimer(20, h, nil) },
+		"Cancel":        func() { tm.Cancel() },
+		"Active":        func() { tm.Active() },
+		"Run":           func() { _, _ = e.Run() },
+		"RunUntil":      func() { _, _ = e.RunUntil(100) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s on a released engine did not panic", name)
+				}
+			}()
+			f()
+		})
 	}
-	if got := finalized.Load(); got != 5 {
-		t.Fatalf("%d of 5 probes collected after draining; the engine still pins the rest", got)
+	if e.Now() != 0 || e.Processed() != 0 {
+		t.Fatalf("released engine reports now %d, processed %d", e.Now(), e.Processed())
 	}
-	runtime.KeepAlive(e)
+}
+
+// TestRecycledSlabsKeepOrder runs one random schedule on engines built
+// after other engines were released in various states (drained, holding
+// near and far events, holding live and cancelled timers), so their slabs
+// come back with stale free lists and capacities. Every run must fire the
+// events in the order a fresh engine does.
+func TestRecycledSlabsKeepOrder(t *testing.T) {
+	order := func(e *Engine) []int {
+		rng := rand.New(rand.NewSource(5))
+		var got []int
+		var timers []Timer
+		for i := 0; i < 2000; i++ {
+			id := i
+			h := HandlerFunc(func(Event) { got = append(got, id) })
+			at := Cycle(rng.Intn(3 * ringSize))
+			if rng.Intn(3) == 0 {
+				timers = append(timers, e.ScheduleTimer(at, h, nil))
+			} else {
+				e.Schedule(at, h, nil)
+			}
+			if len(timers) > 0 && rng.Intn(4) == 0 {
+				timers[rng.Intn(len(timers))].Cancel()
+			}
+		}
+		if _, err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	fresh := order(&Engine{})
+	for round := 0; round < 4; round++ {
+		// Leave an engine in a different state each round, release it,
+		// then build the next from the pool.
+		old := NewEngine()
+		rng := rand.New(rand.NewSource(int64(round)))
+		for i := 0; i < 500*(round+1); i++ {
+			at := Cycle(rng.Intn(4 * ringSize))
+			if i%2 == 0 {
+				old.ScheduleTimer(at, HandlerFunc(func(Event) {}), nil).Cancel()
+			} else {
+				old.Schedule(at, HandlerFunc(func(Event) {}), nil)
+			}
+		}
+		if round%2 == 1 {
+			if _, err := old.RunUntil(Cycle(ringSize)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		old.Release()
+		if got := order(NewEngine()); fmt.Sprint(got) != fmt.Sprint(fresh) {
+			t.Fatalf("round %d: an engine built after a release fired events in a different order", round)
+		}
+	}
 }

@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"sync"
 )
 
 // OpKind is the remote operation type.
@@ -152,6 +153,12 @@ func Traces(spec Spec, numGPUs int, scale float64, seed int64) [][]Op {
 	return traces
 }
 
+// rngPool recycles Trace's generators: a math/rand source is ~4.9 KiB,
+// and a sweep traces every GPU of every cell. Seed resets a generator to
+// exactly the state NewSource gives, so a reused one yields the same
+// stream. A sync.Pool because sweep workers trace on parallel goroutines.
+var rngPool = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
+
 // Trace generates the remote-op stream for one GPU (1-based GPU id) in a
 // numGPUs system. scale multiplies the op count; seed drives all
 // randomness deterministically.
@@ -162,11 +169,23 @@ func (s Spec) Trace(gpu, numGPUs int, scale float64, seed int64) []Op {
 	if gpu < 1 || gpu > numGPUs {
 		panic(fmt.Sprintf("workload: gpu %d outside 1..%d", gpu, numGPUs))
 	}
+	rng := rngPool.Get().(*rand.Rand)
+	defer rngPool.Put(rng)
+	rng.Seed(traceSeed(gpu, numGPUs, seed))
+	return s.generate(rng, gpu, numGPUs, scale)
+}
+
+// traceSeed is the generator seed of one GPU's trace.
+func traceSeed(gpu, numGPUs int, seed int64) int64 {
+	return seed*1_000_003 + int64(gpu)*7919 + int64(numGPUs)
+}
+
+// generate draws one GPU's trace from rng, freshly seeded by the caller.
+func (s Spec) generate(rng *rand.Rand, gpu, numGPUs int, scale float64) []Op {
 	nOps := int(float64(s.OpsPerGPU) * scale)
 	if nOps < 1 {
 		nOps = 1
 	}
-	rng := rand.New(rand.NewSource(seed*1_000_003 + int64(gpu)*7919 + int64(numGPUs)))
 
 	// Candidate destinations: the CPU (weight CPUWeight) and every other
 	// GPU (weight 1 each).

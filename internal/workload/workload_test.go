@@ -229,3 +229,35 @@ func TestTracesMatchesPerGPUTrace(t *testing.T) {
 		}
 	}
 }
+
+// TestReusedGeneratorMatchesFresh checks that Trace's recycled generators
+// change nothing: a generator dirtied by earlier draws and reseeded yields
+// the trace of a fresh one, and so does Trace itself, which draws from
+// the pool, over several seeds, GPU counts and workloads.
+func TestReusedGeneratorMatchesFresh(t *testing.T) {
+	reused := rand.New(rand.NewSource(99))
+	for _, abbr := range []string{"mm", "syr2k", "fir"} {
+		spec, err := ByAbbr(abbr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, gpus := range []int{4, 8, 16} {
+			for seed := int64(1); seed <= 3; seed++ {
+				for _, g := range []int{1, gpus} {
+					want := spec.generate(rand.New(rand.NewSource(traceSeed(g, gpus, seed))), g, gpus, 0.02)
+					// Leave the generator mid-stream, including a
+					// partly consumed Read buffer, before reseeding.
+					reused.Intn(1000)
+					reused.Read(make([]byte, 3))
+					reused.Seed(traceSeed(g, gpus, seed))
+					if got := spec.generate(reused, g, gpus, 0.02); !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s gpu %d/%d seed %d: reseeded generator's trace differs from a fresh one", abbr, g, gpus, seed)
+					}
+					if got := spec.Trace(g, gpus, 0.02, seed); !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s gpu %d/%d seed %d: Trace differs from a fresh generator's trace", abbr, g, gpus, seed)
+					}
+				}
+			}
+		}
+	}
+}
