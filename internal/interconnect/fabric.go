@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 
 	"secmgpu/internal/sim"
 )
@@ -198,7 +199,7 @@ func NewFabric(engine *sim.Engine, cfg FabricConfig) *Fabric {
 				}
 				// A distinct deterministic stream per directed link: a
 				// fault on one link never perturbs another's sequence.
-				f.faultRNG[s][d] = rand.New(rand.NewSource(cfg.Faults.Seed ^ int64(s*n+d+1)*0x5851f42d4c957f2d))
+				f.faultRNG[s][d] = seededRNG(cfg.Faults.Seed ^ int64(s*n+d+1)*0x5851f42d4c957f2d)
 			}
 		}
 	}
@@ -248,6 +249,48 @@ func NewFabric(engine *sim.Engine, cfg FabricConfig) *Fabric {
 		}
 	}
 	return f
+}
+
+// rngPool recycles the fault and outage generators: a math/rand source is
+// ~4.9 KiB, and an active profile gives every directed link (faults) and
+// every undirected link and node (outages) of every cell its own. Seed
+// resets a generator to exactly the state NewSource gives, so a reused one
+// draws the same sequence. A sync.Pool because sweep workers build cells
+// on parallel goroutines.
+var rngPool = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
+
+// seededRNG takes a generator from the pool, seeded with seed.
+func seededRNG(seed int64) *rand.Rand {
+	r := rngPool.Get().(*rand.Rand)
+	r.Seed(seed)
+	return r
+}
+
+// Release returns the fabric's fault and outage generators to the pool;
+// machine.System calls it when a cell ends. The fabric must carry no
+// traffic afterwards (its engine, released with it, panics on the arrival
+// event). Releasing twice is a no-op.
+func (f *Fabric) Release() {
+	for _, row := range f.faultRNG {
+		for _, r := range row {
+			if r != nil {
+				rngPool.Put(r)
+			}
+		}
+	}
+	f.faultRNG = nil
+	if m := f.outages; m != nil {
+		for _, row := range m.links {
+			for _, s := range row {
+				if s != nil {
+					s.release()
+				}
+			}
+		}
+		for _, s := range m.nodes {
+			s.release()
+		}
+	}
 }
 
 // Register installs the deliverer for a node.

@@ -57,12 +57,21 @@ type outageState struct {
 func newOutageState(seed int64, meanUp, meanDown uint64, count *uint64) *outageState {
 	s := &outageState{count: count}
 	if meanUp > 0 && meanDown > 0 {
-		s.rng = rand.New(rand.NewSource(seed))
+		s.rng = seededRNG(seed)
 		s.meanUp = float64(meanUp)
 		s.meanDown = float64(meanDown)
 		s.nextDown = s.sample(s.meanUp)
 	}
 	return s
+}
+
+// release hands the schedule's generator back to the pool; a released
+// schedule keeps only its scripted windows.
+func (s *outageState) release() {
+	if s.rng != nil {
+		rngPool.Put(s.rng)
+		s.rng = nil
+	}
 }
 
 // sample draws an exponential duration with the given mean, at least one

@@ -3,6 +3,7 @@ package machine
 import (
 	"encoding/binary"
 	"fmt"
+	"sync"
 
 	"secmgpu/internal/core"
 	"secmgpu/internal/gpu"
@@ -46,13 +47,55 @@ func pageOf(addr uint64) migration.PageID {
 	return migration.PageID(addr >> offsetBits)
 }
 
-// pendingOp is the requester-side context of one in-flight operation.
+// pendingOp is the requester-side context of one in-flight operation,
+// packed into 16 bytes: the pending map holds one per outstanding request
+// and its groups are recycled from cell to cell.
 type pendingOp struct {
-	kind      workload.OpKind
-	page      migration.PageID
-	migrating bool
+	page migration.PageID
 	// cu is the issuing compute unit in CU-sharded mode, -1 otherwise.
-	cu int
+	cu        int32
+	migrating bool
+}
+
+// requestMaps are a GPU's per-request maps, recycled from one cell to the
+// next through requestPool: a cell's churn of inserts and deletes grows
+// each map's groups well past its live size, and a cleared map keeps
+// them. Both maps stay small whatever the cell: pending holds at most the
+// outstanding-request window, migrating at most maxConcurrentMigrations,
+// so an entry needs no retention cap. Neither map is iterated, so a
+// recycled one cannot change a result.
+type requestMaps struct {
+	pending   map[uint64]pendingOp
+	migrating map[migration.PageID]bool
+}
+
+// requestPool holds released GPUs' cleared requestMaps. A sync.Pool
+// because sweep workers run cells on parallel goroutines.
+var requestPool sync.Pool
+
+// takeRequests installs a GPU's request maps, recycled when the pool has
+// some. The CPU is a passive home and issues no requests: its nil maps
+// only ever serve lookups.
+func (n *node) takeRequests() {
+	if rm, ok := requestPool.Get().(*requestMaps); ok {
+		n.pending, n.migrating = rm.pending, rm.migrating
+		return
+	}
+	n.pending = make(map[uint64]pendingOp)
+	n.migrating = make(map[migration.PageID]bool)
+}
+
+// releaseRequests clears the request maps and returns them to the pool.
+// The node's fields are nilled, so a stale insert panics instead of
+// writing into maps another cell now owns.
+func (n *node) releaseRequests() {
+	if n.pending == nil {
+		return
+	}
+	clear(n.pending)
+	clear(n.migrating)
+	requestPool.Put(&requestMaps{n.pending, n.migrating})
+	n.pending, n.migrating = nil, nil
 }
 
 // node is one processor: the CPU (passive home) or a GPU (trace-driven
@@ -294,7 +337,7 @@ func (n *node) issueTranslated(now sim.Cycle, op workload.Op, page migration.Pag
 			n.inFlight++
 		}
 		id := n.nextReqID()
-		n.pending[id] = pendingOp{kind: op.Kind, page: page, migrating: true, cu: cu}
+		n.pending[id] = pendingOp{page: page, migrating: true, cu: int32(cu)}
 		n.ep.SendControl(owner, interconnect.KindMigrReq, id, addr, secure.ReadReqBytes)
 		return
 	}
@@ -303,7 +346,7 @@ func (n *node) issueTranslated(now sim.Cycle, op workload.Op, page migration.Pag
 		n.inFlight++
 	}
 	id := n.nextReqID()
-	n.pending[id] = pendingOp{kind: op.Kind, page: page, cu: cu}
+	n.pending[id] = pendingOp{page: page, cu: int32(cu)}
 	switch op.Kind {
 	case workload.Read:
 		n.ep.SendControl(owner, interconnect.KindReadReq, id, addr, secure.ReadReqBytes)
@@ -365,7 +408,7 @@ func (n *node) HandleData(now sim.Cycle, msg *interconnect.Message) {
 			panic(fmt.Sprintf("machine: %v got unknown data response %d", n.id, msg.ReqID))
 		}
 		delete(n.pending, msg.ReqID)
-		n.complete(ctx.cu)
+		n.complete(int(ctx.cu))
 
 	case interconnect.KindWriteReq:
 		// We are the home: commit the block, then acknowledge.
@@ -410,7 +453,7 @@ func (n *node) HandleControl(now sim.Cycle, msg *interconnect.Message) {
 			panic(fmt.Sprintf("machine: %v got unknown write ack %d", n.id, msg.ReqID))
 		}
 		delete(n.pending, msg.ReqID)
-		n.complete(ctx.cu)
+		n.complete(int(ctx.cu))
 
 	case interconnect.KindMigrReq:
 		n.serveMigration(now, msg)
@@ -430,7 +473,7 @@ func (n *node) HandleControl(now sim.Cycle, msg *interconnect.Message) {
 			delete(n.migrating, ctx.page)
 		}
 		n.failedOps++
-		n.complete(ctx.cu)
+		n.complete(int(ctx.cu))
 
 	case interconnect.KindMigrDone:
 		ctx, ok := n.pending[msg.ReqID]
@@ -453,7 +496,7 @@ func (n *node) HandleControl(now sim.Cycle, msg *interconnect.Message) {
 		if until := now + migration.ShootdownCost; until > n.stallUntil {
 			n.stallUntil = until
 		}
-		n.complete(ctx.cu)
+		n.complete(int(ctx.cu))
 
 	default:
 		panic(fmt.Sprintf("machine: %v got unexpected control kind %v", n.id, msg.Kind))
@@ -475,7 +518,7 @@ func (n *node) HandlePoisoned(now sim.Cycle, dst interconnect.NodeID, kind inter
 			delete(n.migrating, ctx.page)
 		}
 		n.failedOps++
-		n.complete(ctx.cu)
+		n.complete(int(ctx.cu))
 		return
 	}
 	n.ep.SendControl(dst, interconnect.KindPoisoned, reqID, 0, secure.CtrlBytes)

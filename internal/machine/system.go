@@ -91,10 +91,12 @@ type Result struct {
 
 // System is one runnable simulated machine. Build with New, run once with
 // Run or RunContext. The run ends the system's life: on return, whatever
-// the outcome, the event engine's slabs and the nodes' cache tag stores
-// go back to their pools for the next cell, and only the returned Result
-// stays valid. The system's engine, fabric, endpoints and caches must not
-// be driven afterwards; the engine and caches panic if they are.
+// the outcome, the event engine's slabs, the fabric's fault and outage
+// generators, and each node's cache tag store, request maps and
+// retransmission bookkeeping go back to their pools for the next cell, and
+// only the returned Result stays valid. The system's engine, fabric,
+// endpoints and caches must not be driven afterwards; the engine,
+// endpoints and caches panic if they are.
 type System struct {
 	cfg    config.Config
 	opt    RunOptions
@@ -161,9 +163,8 @@ func New(cfg config.Config, traces [][]workload.Op, opt RunOptions) (*System, er
 
 	for id := 0; id < nNodes; id++ {
 		n := &node{
-			sys:     s,
-			id:      interconnect.NodeID(id),
-			pending: make(map[uint64]pendingOp),
+			sys: s,
+			id:  interconnect.NodeID(id),
 		}
 		n.evH = sim.HandlerFunc(n.onEvent)
 		if n.id.IsCPU() {
@@ -172,7 +173,7 @@ func New(cfg config.Config, traces [][]workload.Op, opt RunOptions) (*System, er
 			n.memory = mem.HBM(cfg.BlockSize)
 			n.ops = traces[id-1]
 			n.window = cfg.OutstandingRequests
-			n.migrating = make(map[migration.PageID]bool)
+			n.takeRequests()
 			if cfg.ModelTLB {
 				n.tlbH = tlb.New(2 * sim.Cycle(cfg.PCIeLatency))
 			}
@@ -352,12 +353,17 @@ func (s *System) RunContext(ctx context.Context) (*Result, error) {
 	return res, nil
 }
 
-// release hands the engine's slabs and every node's cache tag store back
-// to their pools; RunContext defers it, since a system runs once.
+// release hands the engine's slabs, the fabric's generators and every
+// node's cache tag store, request maps and retransmission bookkeeping back
+// to their pools; RunContext defers it, since a system runs once. The
+// engine goes first, so no queued event still names a pooled object.
 func (s *System) release() {
 	s.engine.Release()
+	s.fabric.Release()
 	for _, n := range s.nodes {
 		n.memory.Release()
+		n.ep.Release()
+		n.releaseRequests()
 	}
 }
 

@@ -19,6 +19,7 @@ package secure
 
 import (
 	"fmt"
+	"sync"
 
 	"secmgpu/internal/config"
 	"secmgpu/internal/core"
@@ -342,6 +343,10 @@ type Endpoint struct {
 	// opts.Recovery.
 	recov   []peerRecovery
 	resyncH sim.Handler
+
+	// released marks an endpoint whose retransmission bookkeeping went
+	// back to unitPool.
+	released bool
 }
 
 // unitKey identifies one retransmission unit: a batch (class 0 or 1) or a
@@ -352,27 +357,42 @@ type unitKey struct {
 	id    uint64
 }
 
-// txBlock retains what is needed to re-send one data block.
+// txBlock retains what is needed to re-send one data block, in 24 bytes:
+// kind is one of the three data kinds, so it fits a byte. The plaintext is
+// kept apart (txUnit.payloads), since only functional runs seal it.
 type txBlock struct {
-	kind    interconnect.Kind
-	reqID   uint64
-	addr    uint64
-	payload []byte
-	homed   bool
+	reqID uint64
+	addr  uint64
+	kind  uint8
+	homed bool
 }
 
 // txUnit is one unACKed send unit. Units are pooled: resolveUnit and
 // poison return them to the endpoint's free list.
 type txUnit struct {
-	dst     interconnect.NodeID
-	peer    int
-	class   int
-	id      uint64
-	blocks  []txBlock
-	attempt int
-	timer   sim.Timer
+	dst    interconnect.NodeID
+	peer   int
+	class  int
+	id     uint64
+	blocks []txBlock
+	// one backs blocks for a conventional (single-block) unit, so those
+	// need no slice of their own.
+	one [1]txBlock
+	// payloads[i] is block i's plaintext. Only functional runs keep it:
+	// seal ignores the payload otherwise.
+	payloads [][]byte
+	attempt  int
+	timer    sim.Timer
 
 	next *txUnit
+}
+
+// payload returns block i's plaintext, nil unless the run is functional.
+func (u *txUnit) payload(i int) []byte {
+	if i < len(u.payloads) {
+		return u.payloads[i]
+	}
+	return nil
 }
 
 func (u *txUnit) key() unitKey { return unitKey{peer: u.peer, class: u.class, id: u.id} }
@@ -412,7 +432,11 @@ func New(engine *sim.Engine, fabric *interconnect.Fabric, node interconnect.Node
 	e.lastCtr = make([]uint64, peers)
 	e.ctrSeen = make([]bool, peers)
 	if opts.Recovery {
-		e.units = make(map[unitKey]*txUnit)
+		if st, ok := unitPool.Get().(*unitStore); ok {
+			e.units, e.unitFree = st.units, st.free
+		} else {
+			e.units = make(map[unitKey]*txUnit)
+		}
 		if ph, ok := handler.(PoisonHandler); ok {
 			e.poisonH = ph
 		}
@@ -442,6 +466,106 @@ func New(engine *sim.Engine, fabric *interconnect.Fabric, node interconnect.Node
 	}
 	fabric.Register(node, e)
 	return e
+}
+
+// Retention caps of one unitPool entry. Without them an entry ratchets up
+// to the largest cell it ever served and keeps that memory in circulation:
+// an uncapped pool raised a sweep's peak RSS by half.
+const (
+	// maxPooledUnits caps the free units an entry carries.
+	maxPooledUnits = 128
+	// maxPooledBlocks caps the blocks capacity their slices add up to
+	// (a unit's one inline block aside); units past it are kept without
+	// a slice.
+	maxPooledBlocks = 512
+)
+
+// unitStore is one endpoint's retransmission bookkeeping parked between
+// cells: the cleared units map (a cleared map keeps its groups) and a
+// free list of at most maxPooledUnits zeroed units whose blocks slices
+// hold at most maxPooledBlocks in all, none more than the releasing
+// endpoint's batch size.
+type unitStore struct {
+	units  map[unitKey]*txUnit
+	free   *txUnit
+	n      int
+	blocks int
+}
+
+// unitPool holds released endpoints' unitStores. New draws from it when
+// Recovery is on. A sync.Pool because sweep workers run cells on parallel
+// goroutines.
+var unitPool sync.Pool
+
+// Release ends the endpoint's life and returns its retransmission
+// bookkeeping to the pool for the next endpoint: every unit, whether live
+// in the units map, parked for a resync or already free, is zeroed and
+// kept or dropped under the retention caps, and the units map is cleared.
+// machine.System calls it when a cell ends, after releasing the engine, so
+// no queued timer still names a unit. Afterwards SendData, SendControl and
+// Deliver panic; Stats and OTPStats keep reporting the final state.
+// Releasing twice is a no-op.
+func (e *Endpoint) Release() {
+	if st := e.detach(); st != nil {
+		unitPool.Put(st)
+	}
+}
+
+// detach marks the endpoint released and returns its bookkeeping as a pool
+// entry; nil if already released or Recovery is off.
+func (e *Endpoint) detach() *unitStore {
+	if e.released {
+		return nil
+	}
+	e.released = true
+	if e.units == nil {
+		return nil
+	}
+	st := &unitStore{units: e.units}
+	maxBlocks := e.unitBlocks(0)
+	keep := func(u *txUnit) {
+		if st.n == maxPooledUnits {
+			return
+		}
+		blocks := u.blocks
+		switch c := cap(blocks); {
+		case c <= 1:
+			// Empty, or backed by the unit's own one.
+		case c > maxBlocks || st.blocks+c > maxPooledBlocks:
+			blocks = nil
+		default:
+			st.blocks += c
+		}
+		// Blocks hold no pointers and a unit reads only those it appended,
+		// so they need no clearing; plaintexts are dropped.
+		*u = txUnit{blocks: blocks[:0], next: st.free}
+		st.free = u
+		st.n++
+	}
+	for u := e.unitFree; u != nil; {
+		next := u.next
+		keep(u)
+		u = next
+	}
+	for _, u := range e.units {
+		keep(u)
+	}
+	for i := range e.recov {
+		for _, u := range e.recov[i].parked {
+			keep(u)
+		}
+		e.recov[i].parked = nil
+	}
+	clear(st.units)
+	e.units, e.unitFree = nil, nil
+	return st
+}
+
+// mustLive panics when the endpoint has been released.
+func (e *Endpoint) mustLive() {
+	if e.released {
+		panic("secure: endpoint used after Release")
+	}
 }
 
 // Stats returns the endpoint's accumulated statistics.
@@ -526,6 +650,7 @@ func (e *Endpoint) at(cycle sim.Cycle, d *deferred) {
 // write acks, migration control). Control messages carry no data payload
 // and follow the paper in staying outside the OTP path.
 func (e *Endpoint) SendControl(dst interconnect.NodeID, kind interconnect.Kind, reqID, addr uint64, size int) {
+	e.mustLive()
 	msg := interconnect.AcquireMessage()
 	msg.Kind = kind
 	msg.Category = categoryOf(kind)
@@ -545,6 +670,7 @@ func (e *Endpoint) SendControl(dst interconnect.NodeID, kind interconnect.Kind, 
 // bus.
 func (e *Endpoint) SendData(dst interconnect.NodeID, kind interconnect.Kind, reqID, addr uint64,
 	payload []byte, homedInCPUMemory bool) {
+	e.mustLive()
 	if e.opts.Secure && e.resyncBlocked(dst, kind, reqID, addr, payload, homedInCPUMemory) {
 		// The peer's stream is mid-resync or mid-drain: the send is held
 		// and replays, in order, once the handshake completes.
@@ -603,7 +729,7 @@ func (e *Endpoint) SendData(dst interconnect.NodeID, kind interconnect.Kind, req
 		}
 		if e.opts.Recovery {
 			u := e.trackBlock(unitKey{peer: peer, class: class, id: tag.BatchID}, dst,
-				txBlock{kind: kind, reqID: reqID, addr: addr, payload: payload, homed: homedInCPUMemory})
+				txBlock{kind: uint8(kind), reqID: reqID, addr: addr, homed: homedInCPUMemory}, payload)
 			if c != nil {
 				e.armUnitTimer(u, sendAt)
 			}
@@ -614,7 +740,7 @@ func (e *Endpoint) SendData(dst interconnect.NodeID, kind interconnect.Kind, req
 		}
 		if e.opts.Recovery {
 			u := e.trackBlock(unitKey{peer: peer, class: convClass, id: use.Ctr}, dst,
-				txBlock{kind: kind, reqID: reqID, addr: addr, payload: payload, homed: homedInCPUMemory})
+				txBlock{kind: uint8(kind), reqID: reqID, addr: addr, homed: homedInCPUMemory}, payload)
 			e.armUnitTimer(u, sendAt)
 		}
 	}
@@ -675,19 +801,22 @@ func (e *Endpoint) newUnit() *txUnit {
 // timer must already be cancelled or spent; a cancelled timer event still
 // queued holds only a pointer the engine will discard unread.
 func (e *Endpoint) freeUnit(u *txUnit) {
-	for i := range u.blocks {
-		u.blocks[i] = txBlock{}
-	}
-	*u = txUnit{blocks: u.blocks[:0], next: e.unitFree}
+	clear(u.payloads)
+	*u = txUnit{blocks: u.blocks[:0], payloads: u.payloads[:0], next: e.unitFree}
 	e.unitFree = u
 }
 
 // trackBlock appends one block to its retransmission unit, creating the
-// unit on first use.
-func (e *Endpoint) trackBlock(key unitKey, dst interconnect.NodeID, blk txBlock) *txUnit {
+// unit on first use. A functional run also keeps the block's plaintext.
+func (e *Endpoint) trackBlock(key unitKey, dst interconnect.NodeID, blk txBlock, payload []byte) *txUnit {
 	u, ok := e.units[key]
 	if !ok {
 		u = e.newUnit()
+		if n := e.unitBlocks(key.class); n == 1 && cap(u.blocks) == 0 {
+			u.blocks = u.one[:0]
+		} else if cap(u.blocks) < n {
+			u.blocks = make([]txBlock, 0, n)
+		}
 		u.dst, u.peer, u.class, u.id = dst, key.peer, key.class, key.id
 		e.units[key] = u
 		if e.recov != nil {
@@ -695,7 +824,22 @@ func (e *Endpoint) trackBlock(key unitKey, dst interconnect.NodeID, blk txBlock)
 		}
 	}
 	u.blocks = append(u.blocks, blk)
+	if e.gen != nil {
+		u.payloads = append(u.payloads, payload)
+	}
 	return u
+}
+
+// unitBlocks is the block count of a full unit of the given class.
+func (e *Endpoint) unitBlocks(class int) int {
+	switch class {
+	case convClass:
+		return 1
+	case 1:
+		return PageBlocks
+	default:
+		return e.opts.BatchSize
+	}
 }
 
 // batchClass routes migration chunks to the page-granularity batcher.
@@ -783,6 +927,7 @@ func (e *Endpoint) sendBatchMAC(dst interconnect.NodeID, class int, cb *core.Clo
 
 // Deliver implements interconnect.Deliverer.
 func (e *Endpoint) Deliver(now sim.Cycle, msg *interconnect.Message) {
+	e.mustLive()
 	switch msg.Kind {
 	case interconnect.KindDataResp, interconnect.KindWriteReq, interconnect.KindMigrChunk:
 		e.deliverData(now, msg)
@@ -1065,7 +1210,7 @@ func (e *Endpoint) retransmit(u *txUnit) {
 		msg := e.dataMessage(u.dst, blk)
 		env := msg.AttachSec()
 		env.MsgCTR, env.SenderID = use.Ctr, e.node
-		e.seal(msg, env, u.dst, blk.payload)
+		e.seal(msg, env, u.dst, u.payload(0))
 		if e.opts.MetadataTraffic {
 			msg.MetaBytes = InlineMetaConv
 		}
@@ -1095,7 +1240,7 @@ func (e *Endpoint) retransmit(u *txUnit) {
 		env := msg.AttachSec()
 		env.MsgCTR, env.SenderID = use.Ctr, e.node
 		env.BatchClass, env.BatchID, env.BatchIndex = u.class, u.id, i
-		mac := e.seal(msg, env, u.dst, blk.payload)
+		mac := e.seal(msg, env, u.dst, u.payload(i))
 		macs = append(macs, mac[:]...)
 		if e.opts.MetadataTraffic {
 			msg.MetaBytes = InlineMetaBatch
@@ -1120,7 +1265,7 @@ func (e *Endpoint) retransmit(u *txUnit) {
 // dataMessage rebuilds the wire message for one retransmitted block.
 func (e *Endpoint) dataMessage(dst interconnect.NodeID, blk txBlock) *interconnect.Message {
 	msg := interconnect.AcquireMessage()
-	msg.Kind = blk.kind
+	msg.Kind = interconnect.Kind(blk.kind)
 	msg.Category = interconnect.CatData
 	msg.Src, msg.Dst = e.node, dst
 	msg.BaseBytes = DataBytes
@@ -1148,7 +1293,7 @@ func (e *Endpoint) poison(u *txUnit) {
 	if e.poisonH != nil {
 		now := e.engine.Now()
 		for _, blk := range u.blocks {
-			e.poisonH.HandlePoisoned(now, u.dst, blk.kind, blk.reqID)
+			e.poisonH.HandlePoisoned(now, u.dst, interconnect.Kind(blk.kind), blk.reqID)
 		}
 	}
 	e.freeUnit(u)

@@ -1,0 +1,134 @@
+package secure
+
+import (
+	"testing"
+
+	"secmgpu/internal/interconnect"
+	"secmgpu/internal/sim"
+)
+
+// mustPanic fails the test unless fn panics.
+func mustPanic(t *testing.T, name string, fn func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Errorf("%s on a released endpoint did not panic", name)
+		}
+	}()
+	fn()
+}
+
+// TestReleasedEndpointPanics checks that a released endpoint fails loudly
+// instead of driving units another endpoint now owns.
+func TestReleasedEndpointPanics(t *testing.T) {
+	p := newPair(t, recoveryOpts())
+	p.a.SendData(2, interconnect.KindDataResp, 1, 64, payload(1), false)
+	p.a.Release()
+	p.a.Release() // a second release is a no-op
+	mustPanic(t, "SendData", func() {
+		p.a.SendData(2, interconnect.KindDataResp, 2, 128, payload(2), false)
+	})
+	mustPanic(t, "SendControl", func() {
+		p.a.SendControl(2, interconnect.KindReadReq, 3, 192, ReadReqBytes)
+	})
+	mustPanic(t, "Deliver", func() {
+		msg := interconnect.AcquireMessage()
+		msg.Kind, msg.Src, msg.Dst = interconnect.KindReadReq, 2, 1
+		p.a.Deliver(0, msg)
+	})
+	if p.a.OpenUnits() != 0 {
+		t.Errorf("released endpoint still reports %d open units", p.a.OpenUnits())
+	}
+}
+
+// TestReleasedUnitsRespectCaps fills an endpoint with more units and more
+// blocks capacity than one pool entry may keep — live units toward the
+// CPU, units parked by a resync toward GPU 2, page-sized migration units
+// and already-freed units — and checks the entry it releases: at most
+// maxPooledUnits units, at most maxPooledBlocks blocks capacity in all,
+// none above the batch size, every unit emptied and zeroed with no
+// plaintext kept, the map empty and nothing left referenced by the
+// endpoint.
+func TestReleasedUnitsRespectCaps(t *testing.T) {
+	opts := recoveryOpts()
+	opts.BatchSize = 8
+	p := newPair(t, opts)
+	e := p.a
+	for i := 0; i < 100*opts.BatchSize; i++ {
+		e.SendData(0, interconnect.KindDataResp, uint64(i), uint64(i*64), payload(byte(i)), false)
+	}
+	for i := 0; i < 3*PageBlocks; i++ {
+		e.SendData(0, interconnect.KindMigrChunk, uint64(i), uint64(i*64), payload(byte(i)), false)
+	}
+	for i := 0; i < 60*opts.BatchSize; i++ {
+		e.SendData(2, interconnect.KindDataResp, uint64(i), uint64(i*64), payload(byte(i)), false)
+	}
+	// Resolve a few CPU-bound units onto the free list, then park every
+	// unit toward GPU 2 behind a resync.
+	for id := uint64(0); id < 4; id++ {
+		e.resolveUnit(unitKey{peer: e.PeerIndex(0), class: 0, id: id})
+	}
+	gpu2 := e.PeerIndex(2)
+	e.beginResync(gpu2, false)
+
+	units, capacity := 0, 0
+	count := func(u *txUnit) {
+		units++
+		capacity += cap(u.blocks)
+	}
+	for _, u := range e.units {
+		count(u)
+	}
+	for _, u := range e.recov[gpu2].parked {
+		count(u)
+	}
+	for u := e.unitFree; u != nil; u = u.next {
+		count(u)
+	}
+	if len(e.recov[gpu2].parked) == 0 || e.unitFree == nil || len(e.units) == 0 {
+		t.Fatalf("setup: %d live, %d parked, free list empty=%t; want all three non-empty",
+			len(e.units), len(e.recov[gpu2].parked), e.unitFree == nil)
+	}
+	if units <= maxPooledUnits || capacity <= maxPooledBlocks {
+		t.Fatalf("setup: %d units with %d blocks capacity do not exceed the caps (%d, %d)",
+			units, capacity, maxPooledUnits, maxPooledBlocks)
+	}
+
+	st := e.detach()
+	if st == nil {
+		t.Fatal("a Recovery endpoint released no pool entry")
+	}
+	if e.units != nil || e.unitFree != nil {
+		t.Error("released endpoint still references its units map or free list")
+	}
+	for i := range e.recov {
+		if e.recov[i].parked != nil {
+			t.Errorf("peer %d still references %d parked units", i, len(e.recov[i].parked))
+		}
+	}
+	if len(st.units) != 0 {
+		t.Errorf("pool entry's units map holds %d entries, want a cleared map", len(st.units))
+	}
+	kept, keptCap := 0, 0
+	for u := st.free; u != nil; u = u.next {
+		kept++
+		if c := cap(u.blocks); c > 1 {
+			keptCap += c
+		}
+		if c := cap(u.blocks); c > opts.BatchSize {
+			t.Errorf("pooled unit keeps %d blocks capacity, above the batch size %d", c, opts.BatchSize)
+		}
+		if len(u.blocks) != 0 || u.payloads != nil {
+			t.Errorf("pooled unit keeps %d blocks and %d plaintexts", len(u.blocks), cap(u.payloads))
+		}
+		if u.dst != 0 || u.peer != 0 || u.class != 0 || u.id != 0 || u.attempt != 0 || u.timer != (sim.Timer{}) {
+			t.Fatalf("pooled unit is not zeroed: %+v", *u)
+		}
+	}
+	if kept != st.n || kept > maxPooledUnits {
+		t.Errorf("pool entry keeps %d units (counted %d), cap %d", kept, st.n, maxPooledUnits)
+	}
+	if keptCap != st.blocks || keptCap > maxPooledBlocks {
+		t.Errorf("pool entry keeps %d blocks capacity (counted %d), cap %d", keptCap, st.blocks, maxPooledBlocks)
+	}
+}
