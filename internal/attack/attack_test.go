@@ -11,7 +11,9 @@ import (
 )
 
 // harness builds two secure endpoints with an attack injector in front of
-// the receiver.
+// the receiver. The endpoints run the recovery protocol with its default
+// timers: a block or batch that fails verification is NACKed and re-sent,
+// and the injector sees (and may attack) the re-sent copies too.
 type harness struct {
 	engine   *sim.Engine
 	fabric   *interconnect.Fabric
@@ -71,19 +73,39 @@ func (h *harness) sendBlocks(n int) {
 	}
 }
 
+// assertDrained checks that the sender ends with no unresolved unit and no
+// pending-ACK debt.
+func assertDrained(t *testing.T, h *harness) {
+	t.Helper()
+	if n, u := h.sender.PendingACK(), h.sender.OpenUnits(); n != 0 || u != 0 {
+		t.Errorf("sender pendingACK=%d openUnits=%d after drain, want 0/0", n, u)
+	}
+}
+
 func TestCiphertextTamperingIsDetected(t *testing.T) {
 	h := newHarness(t, false, EveryNth(4, TamperCiphertext))
 	h.sendBlocks(16)
-	if h.injector.Stats().Tampered != 4 {
-		t.Fatalf("tampered=%d, want 4", h.injector.Stats().Tampered)
+	// Each tampered block is re-sent once more, so the injector sees 16
+	// first sends plus one re-send per tamper: every 4th of those 21.
+	tampered := h.injector.Stats().Tampered
+	if tampered != 5 {
+		t.Fatalf("tampered=%d, want 5", tampered)
 	}
 	st := h.receiver.Stats()
-	if st.DecryptFailed != 4 {
-		t.Errorf("decrypt failures=%d, want every tampered block caught", st.DecryptFailed)
+	if st.DecryptFailed != tampered {
+		t.Errorf("decrypt failures=%d, want every one of the %d tampered blocks caught", st.DecryptFailed, tampered)
 	}
-	if st.DecryptOK != 12 {
-		t.Errorf("decrypt ok=%d, want 12 clean blocks", st.DecryptOK)
+	if st.NACKsSent != tampered || h.sender.Stats().Retransmits != tampered {
+		t.Errorf("NACKs=%d retransmits=%d, want one each per tampered block (%d)",
+			st.NACKsSent, h.sender.Stats().Retransmits, tampered)
 	}
+	if st.DecryptOK != 16 {
+		t.Errorf("decrypt ok=%d, want each of the 16 blocks clean exactly once", st.DecryptOK)
+	}
+	if h.got != 16 {
+		t.Errorf("delivered=%d, want 16 (a tampered block never reaches the node)", h.got)
+	}
+	assertDrained(t, h)
 }
 
 func TestMACForgeryIsDetected(t *testing.T) {
@@ -99,14 +121,28 @@ func TestBatchedTamperingIsDetected(t *testing.T) {
 	// Under batching, verification is lazy but still catches a corrupted
 	// block when the Batched_MsgMAC is checked.
 	h := newHarness(t, true, EveryNth(8, TamperCiphertext))
-	h.sendBlocks(16) // 4 batches of 4; blocks 8 and 16 tampered
+	h.sendBlocks(16) // 4 batches of 4
+	// Each failed batch is re-sent whole, so the injector sees 16 first
+	// sends plus 4 blocks per failure: every 8th of those 28.
+	tampered := h.injector.Stats().Tampered
+	if tampered != 3 {
+		t.Fatalf("tampered=%d, want 3", tampered)
+	}
 	st := h.receiver.Stats()
-	if st.BatchesFailed != 2 {
-		t.Errorf("failed batches=%d, want 2 (each containing a tampered block)", st.BatchesFailed)
+	if st.BatchesFailed != tampered {
+		t.Errorf("failed batches=%d, want one per tampered block (%d)", st.BatchesFailed, tampered)
 	}
-	if st.BatchesVerified != 2 {
-		t.Errorf("verified batches=%d, want the 2 clean ones", st.BatchesVerified)
+	if st.NACKsSent != tampered || h.sender.Stats().Retransmits != 4*tampered {
+		t.Errorf("NACKs=%d retransmits=%d, want one NACK and a 4-block re-send per failed batch (%d)",
+			st.NACKsSent, h.sender.Stats().Retransmits, tampered)
 	}
+	if st.Quarantined != 4*tampered {
+		t.Errorf("quarantined=%d, want the %d blocks of the failed batches", st.Quarantined, 4*tampered)
+	}
+	if st.BatchesVerified != 4 {
+		t.Errorf("verified batches=%d, want each of the 4 batches once (2 clean, 2 after re-sends)", st.BatchesVerified)
+	}
+	assertDrained(t, h)
 }
 
 func TestReplayIsDropped(t *testing.T) {
@@ -128,19 +164,42 @@ func TestReplayIsDropped(t *testing.T) {
 
 func TestDroppedBlockLeavesBatchUnverified(t *testing.T) {
 	h := newHarness(t, true, EveryNth(16, Drop))
+	// Probe the channel after the three intact batches verified but before
+	// any recovery timer can fire: the ACK timeout (50,000 cycles) and the
+	// stale-batch scan (25,000) both run from the sends at cycle 1,000.
+	var midVerified, midACKs, midRetransmits uint64
+	h.engine.Schedule(20_000, sim.HandlerFunc(func(sim.Event) {
+		midVerified = h.receiver.Stats().BatchesVerified
+		midACKs = h.sender.Stats().ACKsReceived
+		midRetransmits = h.sender.Stats().Retransmits
+	}), nil)
 	h.sendBlocks(16) // last block of batch 4 dropped
-	st := h.receiver.Stats()
-	if st.BatchesVerified != 3 {
-		t.Errorf("verified=%d, want 3; the incomplete batch must not verify", st.BatchesVerified)
-	}
 	if h.injector.Stats().Dropped != 1 {
-		t.Errorf("dropped=%d", h.injector.Stats().Dropped)
+		t.Fatalf("dropped=%d, want 1", h.injector.Stats().Dropped)
+	}
+	if midVerified != 3 {
+		t.Errorf("verified=%d before recovery, want 3; the incomplete batch must not verify", midVerified)
 	}
 	// The sender never receives the 4th batch's ACK: replay protection
-	// keeps the un-acknowledged state pending.
-	if h.sender.Stats().ACKsReceived != 3 {
-		t.Errorf("acks received=%d, want 3", h.sender.Stats().ACKsReceived)
+	// keeps the un-acknowledged state pending until the batch is re-sent.
+	if midACKs != 3 || midRetransmits != 0 {
+		t.Errorf("acks received=%d retransmits=%d before recovery, want 3/0", midACKs, midRetransmits)
 	}
+	st := h.receiver.Stats()
+	if st.BatchesVerified != 4 || st.BatchesFailed != 0 {
+		t.Errorf("verified=%d failed=%d, want 4/0: the batch verifies only after its re-send",
+			st.BatchesVerified, st.BatchesFailed)
+	}
+	if st.Quarantined != 3 {
+		t.Errorf("quarantined=%d, want the 3 delivered blocks of the abandoned batch", st.Quarantined)
+	}
+	if got := h.sender.Stats().Retransmits; got != 4 {
+		t.Errorf("retransmits=%d, want the 4 blocks of the batch missing a block", got)
+	}
+	if h.sender.Stats().ACKsReceived != 4 {
+		t.Errorf("acks received=%d, want 4", h.sender.Stats().ACKsReceived)
+	}
+	assertDrained(t, h)
 }
 
 func TestUnsecureBaselineDetectsNothing(t *testing.T) {

@@ -42,7 +42,6 @@ func newRecoveryHarness(t *testing.T, dataScript, feedbackScript Script) *recove
 		BatchSize:         4,
 		BatchTimeout:      200,
 		Functional:        true,
-		Recovery:          true,
 		RetransTimeout:    3000,
 		RetransMaxRetries: 6,
 		StaleBatchTimeout: 1500,

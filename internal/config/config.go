@@ -159,12 +159,12 @@ type Config struct {
 	// is an always-up fabric.
 	Outages OutageProfile
 
-	// Recovery enables the secure channel's NACK/retransmission protocol:
-	// per-batch ACK timers with bounded retries, receiver-side stale-batch
-	// NACKs, and batch poisoning after max retries. It is required for a
-	// secure system to make progress on a lossy fabric and is a behavioral
-	// no-op on a perfect one (timers never fire).
-	Recovery bool
+	// A secure system always runs the secure channel's NACK/retransmission
+	// protocol: per-batch ACK timers with bounded retries, receiver-side
+	// stale-batch NACKs, and batch poisoning after max retries. It lets a
+	// secure system make progress on a lossy fabric and is a behavioral
+	// no-op on a perfect one (no ACK timer fires).
+	//
 	// RetransTimeout is the sender's base ACK timeout in cycles; retries
 	// back off exponentially from it.
 	RetransTimeout uint64
@@ -314,7 +314,6 @@ func Default(numGPUs int) Config {
 		BlockSize:           64,
 		PageSize:            4096,
 		MigrationThreshold:  64,
-		Recovery:            true,
 		RetransTimeout:      50_000,
 		RetransMaxRetries:   6,
 		StaleBatchTimeout:   25_000,
@@ -351,12 +350,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("config: PageSize %d must be a positive multiple of BlockSize %d", c.PageSize, c.BlockSize)
 	case c.Scale <= 0:
 		return fmt.Errorf("config: Scale %v must be positive", c.Scale)
-	case c.Recovery && (c.RetransTimeout == 0 || c.RetransMaxRetries < 1 || c.StaleBatchTimeout == 0):
-		return fmt.Errorf("config: Recovery needs positive RetransTimeout, RetransMaxRetries, and StaleBatchTimeout")
-	case c.Faults.Active() && c.Secure && !c.Recovery:
-		return fmt.Errorf("config: a secure system on a lossy fabric needs Recovery (dropped blocks would deadlock the run)")
-	case c.Outages.Active() && c.Secure && !c.Recovery:
-		return fmt.Errorf("config: a secure system on an outage-prone fabric needs Recovery (blackholed blocks would deadlock the run)")
+	case c.Secure && (c.RetransTimeout == 0 || c.RetransMaxRetries < 1 || c.StaleBatchTimeout == 0):
+		return fmt.Errorf("config: a secure system needs positive RetransTimeout, RetransMaxRetries, and StaleBatchTimeout")
 	case c.Outages.Active() && c.Secure && c.ResyncThreshold < 1:
 		return fmt.Errorf("config: a secure system on an outage-prone fabric needs a positive ResyncThreshold to recover counter sync")
 	case c.ResyncThreshold < 0:

@@ -117,7 +117,6 @@ func TestDeterminism(t *testing.T) {
 	batched := secure(4, false)
 	batched.Batching = true
 	faulty := secure(8, false)
-	faulty.Recovery = true
 	faulty.ResyncThreshold = 4
 	faulty.Faults.DropRate = 0.01
 	faulty.Faults.Seed = 7

@@ -401,7 +401,7 @@ func (n *node) HandleData(now sim.Cycle, msg *interconnect.Message) {
 		if !ok {
 			// On a lossy fabric a retransmitted response can land after the
 			// original (or after the operation was poison-failed).
-			if n.recovery() {
+			if n.sys.cfg.Secure {
 				n.staleCompletions++
 				return
 			}
@@ -446,7 +446,7 @@ func (n *node) HandleControl(now sim.Cycle, msg *interconnect.Message) {
 		if !ok {
 			// A retransmitted write commits twice at the home, so its second
 			// ack finds the operation already retired.
-			if n.recovery() {
+			if n.sys.cfg.Secure {
 				n.staleCompletions++
 				return
 			}
@@ -480,7 +480,7 @@ func (n *node) HandleControl(now sim.Cycle, msg *interconnect.Message) {
 		if !ok || !ctx.migrating {
 			// The migration may have been poison-failed while its (lossless)
 			// completion signal was in flight.
-			if n.recovery() && !ok {
+			if n.sys.cfg.Secure && !ok {
 				n.staleCompletions++
 				return
 			}
@@ -502,10 +502,6 @@ func (n *node) HandleControl(now sim.Cycle, msg *interconnect.Message) {
 		panic(fmt.Sprintf("machine: %v got unexpected control kind %v", n.id, msg.Kind))
 	}
 }
-
-// recovery reports whether the secure channel's fault-recovery protocol is
-// active, which relaxes the duplicate-completion panics above.
-func (n *node) recovery() bool { return n.sys.cfg.Secure && n.sys.cfg.Recovery }
 
 // HandlePoisoned implements secure.PoisonHandler: our endpoint abandoned a
 // data block after exhausting retransmissions. If the affected operation is

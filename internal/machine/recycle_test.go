@@ -37,14 +37,13 @@ func (c recycleCell) digest() (string, error) {
 	return string(b), err
 }
 
-// recoveryCell is a 4-GPU Ours cell with Recovery on a lossy fabric: its
+// recoveryCell is a 4-GPU Ours cell recovering on a lossy fabric: its
 // retransmit and batch timers are still queued when the run stops.
 func recoveryCell(t *testing.T) recycleCell {
 	cfg := faultyConfig(4, 11)
 	cfg.Scheme = config.OTPDynamic
 	cfg.OTPMultiplier = 4
 	cfg.Batching = true
-	cfg.Recovery = true
 	return recycleCell{cfg, allTraces(4, 300, 8, 3)}
 }
 
@@ -87,7 +86,7 @@ func (c *liveStateCtx) Err() error {
 	return nil
 }
 
-// cancelledRecovery runs a 4-GPU Recovery cell whose GPU1-GPU2 link goes
+// cancelledRecovery runs a 4-GPU recovering cell whose GPU1-GPU2 link goes
 // dark for good, and cancels it once units are open, units are parked by
 // the resync the outage forces, and requests and migrations are pending.
 func cancelledRecovery() error {
@@ -168,7 +167,7 @@ func freshProcessDigest(t *testing.T, name string) string {
 // stores, request maps, retransmission units and fault generators. A
 // small cell B runs, then a disturbing cell that leaves its storage in a
 // different state, then B again; both B results must be equal field for
-// field. Last, after a Recovery cell cancelled with units open, units
+// field. Last, after a recovering cell cancelled with units open, units
 // parked, and requests and migrations pending, a cell of a configuration
 // not run before and a cell on a lossy fabric must each match a run in a
 // fresh process.

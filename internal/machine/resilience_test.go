@@ -128,34 +128,32 @@ func TestFaultProfileDeterminism(t *testing.T) {
 	}
 }
 
-// With recovery enabled but a healthy fabric, the protocol must be a
-// behavioral no-op: identical cycle counts and traffic to a run with
-// recovery disabled, and zero recovery activity.
+// On a healthy fabric the recovery protocol must be a behavioral no-op: no
+// timer ever fires, so the run's cycles and traffic are those of a protocol
+// that only detects faults, and no recovery activity shows. The healthy
+// 4-GPU Ours cell is pinned to the cycles and bytes it read while the
+// detect-only protocol could still be selected and matched it exactly.
 func TestRecoveryIsNoOpOnHealthyFabric(t *testing.T) {
-	base := config.Default(4)
-	base.Secure = true
-	base.Scheme = config.OTPDynamic
-	base.Batching = true
+	cfg := config.Default(4)
+	cfg.Secure = true
+	cfg.Scheme = config.OTPDynamic
+	cfg.Batching = true
+	res := run(t, cfg, allTraces(4, 250, 8, 3), RunOptions{})
 
-	on := base
-	off := base
-	off.Recovery = false
-
-	resOn := run(t, on, allTraces(4, 250, 8, 3), RunOptions{})
-	resOff := run(t, off, allTraces(4, 250, 8, 3), RunOptions{})
-
-	if resOn.Cycles != resOff.Cycles {
-		t.Errorf("recovery changed healthy-run timing: %d vs %d cycles", resOn.Cycles, resOff.Cycles)
+	const wantCycles, wantBytes = 2874, 106809
+	if res.Cycles != wantCycles {
+		t.Errorf("healthy-run timing: %d cycles, want %d", res.Cycles, wantCycles)
 	}
-	if resOn.Traffic.TotalBytes() != resOff.Traffic.TotalBytes() {
-		t.Errorf("recovery changed healthy-run traffic: %d vs %d bytes",
-			resOn.Traffic.TotalBytes(), resOff.Traffic.TotalBytes())
+	if got := res.Traffic.TotalBytes(); got != wantBytes {
+		t.Errorf("healthy-run traffic: %d bytes, want %d", got, wantBytes)
 	}
-	if resOn.Sec.Retransmits != 0 || resOn.Sec.BatchesPoisoned != 0 || resOn.Sec.NACKsSent != 0 {
-		t.Errorf("recovery activity on a healthy fabric: %+v", resOn.Sec)
+	sec := res.Sec
+	if sec.Retransmits != 0 || sec.BatchesPoisoned != 0 || sec.NACKsSent != 0 ||
+		sec.AckTimeouts != 0 || sec.StaleACKs != 0 {
+		t.Errorf("recovery activity on a healthy fabric: %+v", sec)
 	}
-	if resOn.FailedOps != 0 {
-		t.Errorf("failed ops on a healthy fabric: %d", resOn.FailedOps)
+	if res.FailedOps != 0 {
+		t.Errorf("failed ops on a healthy fabric: %d", res.FailedOps)
 	}
 }
 

@@ -16,10 +16,10 @@ func (discard) HandleData(sim.Cycle, *interconnect.Message)    {}
 func (discard) HandleControl(sim.Cycle, *interconnect.Message) {}
 
 // BenchmarkEndpointPair times one batch across the secure channel of a
-// 2-GPU fabric with functional crypto and Recovery on: GPU 1 seals
-// BatchSize blocks to GPU 2 and tracks them as one retransmission unit,
-// GPU 2 delivers and verifies each block and the Batched_MsgMAC, and its
-// ACK resolves the unit. One op is one batch, run until the engine
+// 2-GPU fabric with functional crypto: GPU 1 seals BatchSize blocks to
+// GPU 2 and tracks them as one retransmission unit, GPU 2 delivers and
+// verifies each block and the Batched_MsgMAC, and its ACK resolves the
+// unit. One op is one batch, run until the engine
 // drains; the unit comes from the free list and returns to it.
 func BenchmarkEndpointPair(b *testing.B) {
 	opts := recoveryOpts()

@@ -19,7 +19,6 @@ package secure
 
 import (
 	"fmt"
-	"sync"
 
 	"secmgpu/internal/config"
 	"secmgpu/internal/core"
@@ -93,13 +92,13 @@ type Options struct {
 	// Functional enables real encryption and MAC verification.
 	Functional bool
 
-	// Recovery enables the NACK/retransmission protocol: ACK timers with
-	// bounded, exponentially backed-off retries on the sender, stale-batch
-	// NACKs on the receiver, and poisoning after max retries. Off (the
-	// zero value) preserves the detect-only legacy behaviour.
-	Recovery bool
+	// A secure endpoint runs the NACK/retransmission protocol (see
+	// recovery.go): ACK timers with bounded, exponentially backed-off
+	// retries on the sender, stale-batch NACKs on the receiver, and
+	// poisoning after max retries.
+	//
 	// RetransTimeout is the base ACK timeout; retry k waits
-	// RetransTimeout << k. Zero selects the default when Recovery is set.
+	// RetransTimeout << k. Zero selects the default.
 	RetransTimeout sim.Cycle
 	// RetransMaxRetries bounds retransmissions per unit before poisoning.
 	RetransMaxRetries int
@@ -109,7 +108,7 @@ type Options struct {
 
 	// ResyncThreshold is the per-peer failure streak (ACK timeouts plus
 	// NACKs without an intervening clean ACK) that triggers a counter
-	// RESYNC handshake. Zero disables resync. Requires Recovery.
+	// RESYNC handshake. Zero disables resync.
 	ResyncThreshold int
 	// RekeyEpoch is the counter span of one key epoch; crossing it drains
 	// the pair and rotates to the next epoch boundary via a rekeying
@@ -127,7 +126,6 @@ func OptionsFrom(c config.Config, functional bool) Options {
 		BatchSize:         c.BatchSize,
 		BatchTimeout:      sim.Cycle(c.BatchFlushTimeout),
 		Functional:        functional,
-		Recovery:          c.Secure && c.Recovery,
 		RetransTimeout:    sim.Cycle(c.RetransTimeout),
 		RetransMaxRetries: c.RetransMaxRetries,
 		StaleBatchTimeout: sim.Cycle(c.StaleBatchTimeout),
@@ -146,7 +144,6 @@ type Stats struct {
 	TimeoutFlushes           uint64
 	DecryptOK, DecryptFailed uint64
 	ReplaysDropped           uint64
-	PendingACKPeak           int
 
 	// Recovery-protocol counters.
 	//
@@ -191,7 +188,7 @@ type Stats struct {
 	HeldSends uint64
 }
 
-// Merge accumulates o into s (PendingACKPeak takes the maximum).
+// Merge accumulates o into s.
 func (s *Stats) Merge(o *Stats) {
 	s.DataSent += o.DataSent
 	s.DataReceived += o.DataReceived
@@ -204,9 +201,6 @@ func (s *Stats) Merge(o *Stats) {
 	s.DecryptOK += o.DecryptOK
 	s.DecryptFailed += o.DecryptFailed
 	s.ReplaysDropped += o.ReplaysDropped
-	if o.PendingACKPeak > s.PendingACKPeak {
-		s.PendingACKPeak = o.PendingACKPeak
-	}
 	s.Retransmits += o.Retransmits
 	s.AckTimeouts += o.AckTimeouts
 	s.NACKsSent += o.NACKsSent
@@ -224,14 +218,6 @@ func (s *Stats) Merge(o *Stats) {
 	s.Rekeys += o.Rekeys
 	s.RekeyStallCycles += o.RekeyStallCycles
 	s.HeldSends += o.HeldSends
-}
-
-// PoisonHandler is optionally implemented by the node logic to learn when a
-// data block is abandoned after max retries. dst is the peer the block was
-// addressed to; the handler decides whether the failed operation is local
-// (fail it) or remote (tell the peer over the lossless control plane).
-type PoisonHandler interface {
-	HandlePoisoned(now sim.Cycle, dst interconnect.NodeID, kind interconnect.Kind, reqID uint64)
 }
 
 // convClass is the pseudo batch class identifying conventional (unbatched)
@@ -257,23 +243,15 @@ type deferred struct {
 	next *deferred
 }
 
-// batchTimer is the open-batch flush timer of one (class, peer) stream: the
-// cancellable engine timer plus its pooled context. The context is reused
-// the moment the timer is cancelled — a cancelled event's payload is never
-// read again.
+// batchTimer is the open-batch flush timer of one (class, peer) stream and
+// the timer's own payload: it names the batch it flushes. A stream has at
+// most one open batch, and its timer dies when the batch closes, so the
+// slot is never overwritten while its timer can still fire.
 type batchTimer struct {
 	timer sim.Timer
-	ctx   *batchTimeoutCtx
-}
-
-// batchTimeoutCtx is the pooled payload of a batch flush timer.
-type batchTimeoutCtx struct {
-	dst   interconnect.NodeID
 	class int
 	peer  int
 	id    uint64
-
-	next *batchTimeoutCtx
 }
 
 // Endpoint is one processor's secure channel termination.
@@ -316,11 +294,10 @@ type Endpoint struct {
 	unitH sim.Handler
 	scanH sim.Handler
 
-	// Free lists recycling the pooled payload types above. The endpoint is
-	// single-goroutine (one engine), so plain intrusive lists beat
-	// sync.Pool here.
+	// Free lists recycling deferred payloads and retransmission units. The
+	// endpoint is single-goroutine (one engine), so plain intrusive lists
+	// beat sync.Pool here.
 	defFree  *deferred
-	btoFree  *batchTimeoutCtx
 	unitFree *txUnit
 
 	// Scratch blocks for functional crypto: seal() pads short payloads in
@@ -329,7 +306,7 @@ type Endpoint struct {
 	sealScratch  [crypto.BlockBytes]byte
 	plainScratch [crypto.BlockBytes]byte
 
-	// Recovery state (nil/false unless opts.Recovery).
+	// Recovery state (nil unless opts.Secure).
 	//
 	// units tracks every unACKed send unit — one batch, or one
 	// conventional block — for retransmission. Each unit owns a
@@ -339,8 +316,7 @@ type Endpoint struct {
 	poisonH PoisonHandler
 	// scanArmed guards the self-quenching receiver-side stale-batch scan.
 	scanArmed bool
-	// recov is the per-peer resync/rekey state (see resync.go); nil unless
-	// opts.Recovery.
+	// recov is the per-peer resync/rekey state (see resync.go).
 	recov   []peerRecovery
 	resyncH sim.Handler
 
@@ -349,54 +325,6 @@ type Endpoint struct {
 	released bool
 }
 
-// unitKey identifies one retransmission unit: a batch (class 0 or 1) or a
-// conventional block (convClass, keyed by its MsgCTR).
-type unitKey struct {
-	peer  int
-	class int
-	id    uint64
-}
-
-// txBlock retains what is needed to re-send one data block, in 24 bytes:
-// kind is one of the three data kinds, so it fits a byte. The plaintext is
-// kept apart (txUnit.payloads), since only functional runs seal it.
-type txBlock struct {
-	reqID uint64
-	addr  uint64
-	kind  uint8
-	homed bool
-}
-
-// txUnit is one unACKed send unit. Units are pooled: resolveUnit and
-// poison return them to the endpoint's free list.
-type txUnit struct {
-	dst    interconnect.NodeID
-	peer   int
-	class  int
-	id     uint64
-	blocks []txBlock
-	// one backs blocks for a conventional (single-block) unit, so those
-	// need no slice of their own.
-	one [1]txBlock
-	// payloads[i] is block i's plaintext. Only functional runs keep it:
-	// seal ignores the payload otherwise.
-	payloads [][]byte
-	attempt  int
-	timer    sim.Timer
-
-	next *txUnit
-}
-
-// payload returns block i's plaintext, nil unless the run is functional.
-func (u *txUnit) payload(i int) []byte {
-	if i < len(u.payloads) {
-		return u.payloads[i]
-	}
-	return nil
-}
-
-func (u *txUnit) key() unitKey { return unitKey{peer: u.peer, class: u.class, id: u.id} }
-
 // New creates an endpoint. mgr may be nil when opts.Secure is false. The
 // endpoint registers itself as the node's fabric deliverer.
 func New(engine *sim.Engine, fabric *interconnect.Fabric, node interconnect.NodeID,
@@ -404,7 +332,7 @@ func New(engine *sim.Engine, fabric *interconnect.Fabric, node interconnect.Node
 	if opts.Secure && mgr == nil {
 		panic("secure: secure endpoint needs an OTP manager")
 	}
-	if opts.Recovery {
+	if opts.Secure {
 		if opts.RetransTimeout == 0 {
 			opts.RetransTimeout = 50_000
 		}
@@ -431,15 +359,13 @@ func New(engine *sim.Engine, fabric *interconnect.Fabric, node interconnect.Node
 	e.lastSendAt = make([]sim.Cycle, peers)
 	e.lastCtr = make([]uint64, peers)
 	e.ctrSeen = make([]bool, peers)
-	if opts.Recovery {
+	if opts.Secure {
 		if st, ok := unitPool.Get().(*unitStore); ok {
 			e.units, e.unitFree = st.units, st.free
 		} else {
 			e.units = make(map[unitKey]*txUnit)
 		}
-		if ph, ok := handler.(PoisonHandler); ok {
-			e.poisonH = ph
-		}
+		e.poisonH, _ = handler.(PoisonHandler)
 		e.recov = make([]peerRecovery, peers)
 		for i := range e.recov {
 			e.recov[i].peer = i
@@ -466,99 +392,6 @@ func New(engine *sim.Engine, fabric *interconnect.Fabric, node interconnect.Node
 	}
 	fabric.Register(node, e)
 	return e
-}
-
-// Retention caps of one unitPool entry. Without them an entry ratchets up
-// to the largest cell it ever served and keeps that memory in circulation:
-// an uncapped pool raised a sweep's peak RSS by half.
-const (
-	// maxPooledUnits caps the free units an entry carries.
-	maxPooledUnits = 128
-	// maxPooledBlocks caps the blocks capacity their slices add up to
-	// (a unit's one inline block aside); units past it are kept without
-	// a slice.
-	maxPooledBlocks = 512
-)
-
-// unitStore is one endpoint's retransmission bookkeeping parked between
-// cells: the cleared units map (a cleared map keeps its groups) and a
-// free list of at most maxPooledUnits zeroed units whose blocks slices
-// hold at most maxPooledBlocks in all, none more than the releasing
-// endpoint's batch size.
-type unitStore struct {
-	units  map[unitKey]*txUnit
-	free   *txUnit
-	n      int
-	blocks int
-}
-
-// unitPool holds released endpoints' unitStores. New draws from it when
-// Recovery is on. A sync.Pool because sweep workers run cells on parallel
-// goroutines.
-var unitPool sync.Pool
-
-// Release ends the endpoint's life and returns its retransmission
-// bookkeeping to the pool for the next endpoint: every unit, whether live
-// in the units map, parked for a resync or already free, is zeroed and
-// kept or dropped under the retention caps, and the units map is cleared.
-// machine.System calls it when a cell ends, after releasing the engine, so
-// no queued timer still names a unit. Afterwards SendData, SendControl and
-// Deliver panic; Stats and OTPStats keep reporting the final state.
-// Releasing twice is a no-op.
-func (e *Endpoint) Release() {
-	if st := e.detach(); st != nil {
-		unitPool.Put(st)
-	}
-}
-
-// detach marks the endpoint released and returns its bookkeeping as a pool
-// entry; nil if already released or Recovery is off.
-func (e *Endpoint) detach() *unitStore {
-	if e.released {
-		return nil
-	}
-	e.released = true
-	if e.units == nil {
-		return nil
-	}
-	st := &unitStore{units: e.units}
-	maxBlocks := e.unitBlocks(0)
-	keep := func(u *txUnit) {
-		if st.n == maxPooledUnits {
-			return
-		}
-		blocks := u.blocks
-		switch c := cap(blocks); {
-		case c <= 1:
-			// Empty, or backed by the unit's own one.
-		case c > maxBlocks || st.blocks+c > maxPooledBlocks:
-			blocks = nil
-		default:
-			st.blocks += c
-		}
-		// Blocks hold no pointers and a unit reads only those it appended,
-		// so they need no clearing; plaintexts are dropped.
-		*u = txUnit{blocks: blocks[:0], next: st.free}
-		st.free = u
-		st.n++
-	}
-	for u := e.unitFree; u != nil; {
-		next := u.next
-		keep(u)
-		u = next
-	}
-	for _, u := range e.units {
-		keep(u)
-	}
-	for i := range e.recov {
-		for _, u := range e.recov[i].parked {
-			keep(u)
-		}
-		e.recov[i].parked = nil
-	}
-	clear(st.units)
-	e.units, e.unitFree = nil, nil
-	return st
 }
 
 // mustLive panics when the endpoint has been released.
@@ -617,8 +450,10 @@ func (e *Endpoint) newDeferred() *deferred {
 	return d
 }
 
-// runDeferred executes a deferred action and returns it to the free list.
-func (e *Endpoint) runDeferred(d *deferred) {
+// onDeferred is the cached handler behind every deferred action: it runs
+// the action and returns it to the free list.
+func (e *Endpoint) onDeferred(ev sim.Event) {
+	d := ev.Payload.(*deferred)
 	if d.send != nil {
 		e.fabric.Send(d.send)
 	}
@@ -631,19 +466,6 @@ func (e *Endpoint) runDeferred(d *deferred) {
 	}
 	*d = deferred{next: e.defFree}
 	e.defFree = d
-}
-
-// onDeferred is the cached handler behind every at() call.
-func (e *Endpoint) onDeferred(ev sim.Event) { e.runDeferred(ev.Payload.(*deferred)) }
-
-// at runs the deferred action now (when the cycle is current) or schedules
-// it.
-func (e *Endpoint) at(cycle sim.Cycle, d *deferred) {
-	if cycle <= e.engine.Now() {
-		e.runDeferred(d)
-		return
-	}
-	e.engine.Schedule(cycle, e.defH, d)
 }
 
 // SendControl transmits an unprotected control message (read requests,
@@ -671,94 +493,118 @@ func (e *Endpoint) SendControl(dst interconnect.NodeID, kind interconnect.Kind, 
 func (e *Endpoint) SendData(dst interconnect.NodeID, kind interconnect.Kind, reqID, addr uint64,
 	payload []byte, homedInCPUMemory bool) {
 	e.mustLive()
-	if e.opts.Secure && e.resyncBlocked(dst, kind, reqID, addr, payload, homedInCPUMemory) {
+	blk := txBlock{kind: uint8(kind), reqID: reqID, addr: addr, homed: homedInCPUMemory}
+	if !e.opts.Secure {
+		e.stats.DataSent++
+		e.fabric.Send(e.dataMessage(dst, blk))
+		return
+	}
+	if e.resyncBlocked(dst, blk, payload) {
 		// The peer's stream is mid-resync or mid-drain: the send is held
 		// and replays, in order, once the handshake completes.
 		return
 	}
-	msg := interconnect.AcquireMessage()
-	msg.Kind = kind
-	msg.Category = interconnect.CatData
-	msg.Src, msg.Dst = e.node, dst
-	msg.BaseBytes = DataBytes
-	msg.ReqID, msg.Addr = reqID, addr
 	e.stats.DataSent++
-	if !e.opts.Secure {
-		e.fabric.Send(msg)
-		return
-	}
-
 	peer := e.PeerIndex(dst)
-	now := e.engine.Now()
-	use := e.mgr.UseSend(now, peer)
-	e.noteSendCtr(peer, use.Ctr)
-	sendAt := now + use.Stall + 1 // +1: the XOR once the pad is ready
-	if sendAt < e.lastSendAt[peer] {
-		sendAt = e.lastSendAt[peer]
-	}
-	e.lastSendAt[peer] = sendAt
+	msg, mac, sendAt := e.sealBlock(dst, peer, blk, payload)
 
-	env := msg.AttachSec()
-	env.MsgCTR, env.SenderID = use.Ctr, e.node
-	mac := e.seal(msg, env, dst, payload)
-
+	// A conventional block is its own unit, named by its counter; a batched
+	// one joins the open batch of its class.
+	class, id := convClass, msg.Sec.MsgCTR
 	var closed *core.ClosedBatch
-	var class int
 	if e.opts.Batching {
 		class = batchClass(kind)
-		tag, c := e.batchers[class][peer].Add(sendAt, mac)
-		env.BatchClass = class
-		env.BatchID = tag.BatchID
-		env.BatchIndex = tag.Index
-		if e.opts.MetadataTraffic {
-			msg.MetaBytes = InlineMetaBatch
-			if tag.First {
-				msg.MetaBytes += BatchLenByte
-			}
-		}
-		closed = c
-		if c == nil && tag.First && e.opts.BatchTimeout > 0 {
-			e.scheduleBatchTimeout(dst, class, peer, tag.BatchID, sendAt)
-		}
-		if c != nil {
-			env.BatchLen = c.Len
+		var tag core.BlockTag
+		tag, closed = e.batchers[class][peer].Add(sendAt, mac)
+		id = tag.BatchID
+		batchLen := 0
+		if closed != nil {
+			batchLen = closed.Len
 			// The batch closed full: its flush timer (none for a
-			// single-block batch) dies here, and its context is free for
-			// the next open batch.
-			e.cancelBatchTimer(class, peer)
+			// single-block batch) dies here.
+			e.batchTimers[class][peer].timer.Cancel()
+		} else if tag.First && e.opts.BatchTimeout > 0 {
+			e.scheduleBatchTimeout(class, peer, id, sendAt)
 		}
-		if e.opts.Recovery {
-			u := e.trackBlock(unitKey{peer: peer, class: class, id: tag.BatchID}, dst,
-				txBlock{kind: uint8(kind), reqID: reqID, addr: addr, homed: homedInCPUMemory}, payload)
-			if c != nil {
-				e.armUnitTimer(u, sendAt)
-			}
-		}
-	} else {
-		if e.opts.MetadataTraffic {
-			msg.MetaBytes = InlineMetaConv
-		}
-		if e.opts.Recovery {
-			u := e.trackBlock(unitKey{peer: peer, class: convClass, id: use.Ctr}, dst,
-				txBlock{kind: uint8(kind), reqID: reqID, addr: addr, homed: homedInCPUMemory}, payload)
-			e.armUnitTimer(u, sendAt)
-		}
+		e.placeBlock(msg, class, id, tag.Index, batchLen)
 	}
-	if homedInCPUMemory && e.opts.CPUMemProtection && e.opts.MetadataTraffic {
-		msg.MemProtBytes = MemProtBytes
+	u := e.trackBlock(unitKey{peer: peer, class: class, id: id}, dst, blk, payload)
+	if class == convClass || closed != nil {
+		// The unit is complete: its ACK is now due.
+		e.armUnitTimer(u, sendAt)
 	}
-
 	e.pendingACK++
-	if e.pendingACK > e.stats.PendingACKPeak {
-		e.stats.PendingACKPeak = e.pendingACK
-	}
 
 	d := e.newDeferred()
 	d.send = msg
 	if closed != nil {
 		d.closed, d.dst, d.class = closed, dst, class
 	}
-	e.at(sendAt, d)
+	e.engine.Schedule(sendAt, e.defH, d)
+}
+
+// txBlock is one protected data block as its unit retains it for re-sending,
+// in 24 bytes: kind is one of the three data kinds, so it fits a byte. The
+// plaintext is kept apart (txUnit.payloads), since only functional runs seal
+// it.
+type txBlock struct {
+	reqID uint64
+	addr  uint64
+	kind  uint8
+	homed bool
+}
+
+// dataMessage builds the wire message of one data block, before any
+// protection.
+func (e *Endpoint) dataMessage(dst interconnect.NodeID, blk txBlock) *interconnect.Message {
+	msg := interconnect.AcquireMessage()
+	msg.Kind = interconnect.Kind(blk.kind)
+	msg.Category = interconnect.CatData
+	msg.Src, msg.Dst = e.node, dst
+	msg.BaseBytes = DataBytes
+	msg.ReqID, msg.Addr = blk.reqID, blk.addr
+	return msg
+}
+
+// sealBlock is the one path that protects a data block, for first sends and
+// retransmits alike: it draws the peer's next send counter (stalling on a
+// pad miss), keeps the channel FIFO, builds and seals the wire message, and
+// sizes its per-block metadata. It returns the message, its MsgMAC and the
+// cycle it may leave; a batched block still needs its place (placeBlock).
+func (e *Endpoint) sealBlock(dst interconnect.NodeID, peer int, blk txBlock,
+	payload []byte) (*interconnect.Message, [crypto.MACBytes]byte, sim.Cycle) {
+	now := e.engine.Now()
+	use := e.mgr.UseSend(now, peer)
+	e.noteSendCtr(peer, use.Ctr)
+	// +1: the XOR once the pad is ready; lastSendAt keeps the channel FIFO.
+	sendAt := max(now+use.Stall+1, e.lastSendAt[peer])
+	e.lastSendAt[peer] = sendAt
+
+	msg := e.dataMessage(dst, blk)
+	env := msg.AttachSec()
+	env.MsgCTR, env.SenderID = use.Ctr, e.node
+	mac := e.seal(msg, env, dst, payload)
+	if e.opts.MetadataTraffic {
+		msg.MetaBytes = InlineMetaConv
+		if e.opts.Batching {
+			msg.MetaBytes = InlineMetaBatch
+		}
+		if blk.homed && e.opts.CPUMemProtection {
+			msg.MemProtBytes = MemProtBytes
+		}
+	}
+	return msg, mac, sendAt
+}
+
+// placeBlock stamps a sealed block with its place in batch id of class. The
+// batch's first block carries the 1B batch-length field; its last one names
+// the length (batchLen, zero on every other block).
+func (e *Endpoint) placeBlock(msg *interconnect.Message, class int, id uint64, index, batchLen int) {
+	env := msg.Sec
+	env.BatchClass, env.BatchID, env.BatchIndex, env.BatchLen = class, id, index, batchLen
+	if index == 0 && e.opts.MetadataTraffic {
+		msg.MetaBytes += BatchLenByte
+	}
 }
 
 // seal encrypts payload into the message's inline ciphertext block under
@@ -784,64 +630,6 @@ func (e *Endpoint) seal(msg *interconnect.Message, env *interconnect.SecEnvelope
 	return mac
 }
 
-// newUnit takes a txUnit from the free list, retaining its blocks slice
-// capacity across reuses.
-func (e *Endpoint) newUnit() *txUnit {
-	u := e.unitFree
-	if u == nil {
-		return &txUnit{}
-	}
-	e.unitFree = u.next
-	u.next = nil
-	return u
-}
-
-// freeUnit clears a retired unit (dropping payload references so freed
-// blocks do not pin memory) and returns it to the free list. The unit's
-// timer must already be cancelled or spent; a cancelled timer event still
-// queued holds only a pointer the engine will discard unread.
-func (e *Endpoint) freeUnit(u *txUnit) {
-	clear(u.payloads)
-	*u = txUnit{blocks: u.blocks[:0], payloads: u.payloads[:0], next: e.unitFree}
-	e.unitFree = u
-}
-
-// trackBlock appends one block to its retransmission unit, creating the
-// unit on first use. A functional run also keeps the block's plaintext.
-func (e *Endpoint) trackBlock(key unitKey, dst interconnect.NodeID, blk txBlock, payload []byte) *txUnit {
-	u, ok := e.units[key]
-	if !ok {
-		u = e.newUnit()
-		if n := e.unitBlocks(key.class); n == 1 && cap(u.blocks) == 0 {
-			u.blocks = u.one[:0]
-		} else if cap(u.blocks) < n {
-			u.blocks = make([]txBlock, 0, n)
-		}
-		u.dst, u.peer, u.class, u.id = dst, key.peer, key.class, key.id
-		e.units[key] = u
-		if e.recov != nil {
-			e.recov[key.peer].openUnits++
-		}
-	}
-	u.blocks = append(u.blocks, blk)
-	if e.gen != nil {
-		u.payloads = append(u.payloads, payload)
-	}
-	return u
-}
-
-// unitBlocks is the block count of a full unit of the given class.
-func (e *Endpoint) unitBlocks(class int) int {
-	switch class {
-	case convClass:
-		return 1
-	case 1:
-		return PageBlocks
-	default:
-		return e.opts.BatchSize
-	}
-}
-
 // batchClass routes migration chunks to the page-granularity batcher.
 func batchClass(kind interconnect.Kind) int {
 	if kind == interconnect.KindMigrChunk {
@@ -850,54 +638,28 @@ func batchClass(kind interconnect.Kind) int {
 	return 0
 }
 
-// newBatchTimeoutCtx / freeBatchTimeoutCtx recycle batch-timer payloads.
-func (e *Endpoint) newBatchTimeoutCtx() *batchTimeoutCtx {
-	c := e.btoFree
-	if c == nil {
-		return &batchTimeoutCtx{}
-	}
-	e.btoFree = c.next
-	c.next = nil
-	return c
-}
-
-func (e *Endpoint) freeBatchTimeoutCtx(c *batchTimeoutCtx) {
-	*c = batchTimeoutCtx{next: e.btoFree}
-	e.btoFree = c
-}
-
 // scheduleBatchTimeout arms the open batch's flush timer. The timer is
 // cancelled if the batch closes full first (SendData), so unlike the old
 // epoch-checked events a healthy stream leaves no dead timeouts churning
 // the queue.
-func (e *Endpoint) scheduleBatchTimeout(dst interconnect.NodeID, class, peer int, batchID uint64, openedAt sim.Cycle) {
-	ctx := e.newBatchTimeoutCtx()
-	ctx.dst, ctx.class, ctx.peer, ctx.id = dst, class, peer, batchID
+func (e *Endpoint) scheduleBatchTimeout(class, peer int, batchID uint64, openedAt sim.Cycle) {
 	bt := &e.batchTimers[class][peer]
-	bt.ctx = ctx
-	bt.timer = e.engine.ScheduleTimer(openedAt+e.opts.BatchTimeout, e.btoH, ctx)
+	bt.class, bt.peer, bt.id = class, peer, batchID
+	bt.timer = e.engine.ScheduleTimer(openedAt+e.opts.BatchTimeout, e.btoH, bt)
 }
 
-// onBatchTimeout flushes a batch still open when its timer expires. The
-// OpenID re-check is defensive (cancellation already guarantees it for
-// every close path).
+// onBatchTimeout flushes a batch still open when its timer expires, and
+// arms the now complete unit's ACK timer. The OpenID re-check is defensive
+// (cancellation already guarantees it for every close path).
 func (e *Endpoint) onBatchTimeout(ev sim.Event) {
-	ctx := ev.Payload.(*batchTimeoutCtx)
-	dst, class, peer, batchID := ctx.dst, ctx.class, ctx.peer, ctx.id
-	e.freeBatchTimeoutCtx(ctx)
-	b := e.batchers[class][peer]
-	if id, open := b.OpenID(); open && id == batchID {
+	bt := ev.Payload.(*batchTimer)
+	b := e.batchers[bt.class][bt.peer]
+	if id, open := b.OpenID(); open && id == bt.id {
 		if cb := b.Flush(); cb != nil {
 			e.stats.TimeoutFlushes++
-			e.sendBatchMAC(dst, class, cb)
-			if e.opts.Recovery {
-				if u, ok := e.units[unitKey{peer: peer, class: class, id: batchID}]; ok {
-					at := e.engine.Now()
-					if e.lastSendAt[peer] > at {
-						at = e.lastSendAt[peer]
-					}
-					e.armUnitTimer(u, at)
-				}
+			e.sendBatchMAC(PeerID(e.node, bt.peer), bt.class, cb)
+			if u, ok := e.units[unitKey{peer: bt.peer, class: bt.class, id: bt.id}]; ok {
+				e.armUnitTimer(u, max(e.engine.Now(), e.lastSendAt[bt.peer]))
 			}
 		}
 	}
@@ -931,29 +693,21 @@ func (e *Endpoint) Deliver(now sim.Cycle, msg *interconnect.Message) {
 	switch msg.Kind {
 	case interconnect.KindDataResp, interconnect.KindWriteReq, interconnect.KindMigrChunk:
 		e.deliverData(now, msg)
-	case interconnect.KindSecACK:
-		if e.opts.Recovery && msg.Sec != nil {
-			if msg.Corrupted {
-				// A damaged ACK frame is discarded; the unit's timer
-				// retransmits and a later ACK resolves it.
-				e.stats.MalformedDropped++
-				return
-			}
-			e.stats.ACKsReceived++
-			e.resolveUnit(unitKey{peer: e.PeerIndex(msg.Src), class: msg.Sec.BatchClass, id: msg.Sec.BatchID})
-			return
-		}
-		e.stats.ACKsReceived++
-		if e.pendingACK > 0 {
-			e.pendingACK--
-		}
-	case interconnect.KindSecNACK:
-		if !e.opts.Recovery || msg.Sec == nil || msg.Corrupted {
+	case interconnect.KindSecACK, interconnect.KindSecNACK:
+		if msg.Sec == nil || msg.Corrupted {
+			// A damaged frame, or one naming no unit, is discarded; the
+			// unit's timer retransmits and a later ACK resolves it.
 			e.stats.MalformedDropped++
 			return
 		}
-		e.stats.NACKsReceived++
-		e.onNACK(unitKey{peer: e.PeerIndex(msg.Src), class: msg.Sec.BatchClass, id: msg.Sec.BatchID})
+		key := unitKey{peer: e.PeerIndex(msg.Src), class: msg.Sec.BatchClass, id: msg.Sec.BatchID}
+		if msg.Kind == interconnect.KindSecACK {
+			e.stats.ACKsReceived++
+			e.resolveUnit(key)
+		} else {
+			e.stats.NACKsReceived++
+			e.onNACK(key)
+		}
 	case interconnect.KindBatchMAC:
 		// A malformed Batched_MsgMAC (no envelope, or one for a stream
 		// this endpoint does not run) is dropped, not dereferenced: an
@@ -1032,13 +786,12 @@ func (e *Endpoint) deliverData(now sim.Cycle, msg *interconnect.Message) {
 	} else {
 		if corrupt {
 			e.stats.DecryptFailed++
-			if e.opts.Recovery {
-				// The block is damaged: request a fresh copy instead of
-				// acknowledging, and never hand the data to the node.
-				e.sendNACK(msg.Src, convClass, msg.Sec.MsgCTR)
-				return
-			}
-		} else if e.gen != nil {
+			// The block is damaged: request a fresh copy instead of
+			// acknowledging, and never hand the data to the node.
+			e.sendNACK(msg.Src, convClass, msg.Sec.MsgCTR)
+			return
+		}
+		if e.gen != nil {
 			e.stats.DecryptOK++
 		}
 		e.sendACK(msg.Src, convClass, msg.Sec.MsgCTR)
@@ -1062,18 +815,15 @@ func (e *Endpoint) finishBatch(src interconnect.NodeID, class int, res *core.Ver
 	if res.OK {
 		e.stats.BatchesVerified++
 		e.stats.DecryptOK += uint64(res.Len)
-	} else {
-		e.stats.BatchesFailed++
-		e.stats.DecryptFailed += uint64(res.Len)
-		if e.opts.Recovery {
-			// Every covered block was already consumed under lazy
-			// verification; account for it and request a clean re-send.
-			e.stats.Quarantined += uint64(res.Len)
-			e.sendNACK(src, class, res.BatchID)
-			return
-		}
+		e.sendACK(src, class, res.BatchID)
+		return
 	}
-	e.sendACK(src, class, res.BatchID)
+	e.stats.BatchesFailed++
+	e.stats.DecryptFailed += uint64(res.Len)
+	// Every covered block was already consumed under lazy verification;
+	// account for it and request a clean re-send.
+	e.stats.Quarantined += uint64(res.Len)
+	e.sendNACK(src, class, res.BatchID)
 }
 
 func (e *Endpoint) sendACK(dst interconnect.NodeID, class int, id uint64) {
@@ -1081,15 +831,9 @@ func (e *Endpoint) sendACK(dst interconnect.NodeID, class int, id uint64) {
 	e.sendFeedback(dst, interconnect.KindSecACK, class, id)
 }
 
-func (e *Endpoint) sendNACK(dst interconnect.NodeID, class int, id uint64) {
-	e.stats.NACKsSent++
-	e.sendFeedback(dst, interconnect.KindSecNACK, class, id)
-}
-
-// sendFeedback transmits an ACK or NACK. Under recovery the frame carries
-// an envelope naming the acknowledged unit (same ACKBytes wire size: the 8B
-// echo field identifies the batch instead of the MAC); the legacy protocol
-// keeps its anonymous in-order ACKs.
+// sendFeedback transmits an ACK or NACK. The frame carries an envelope
+// naming the acknowledged unit (same ACKBytes wire size: the 8B echo field
+// identifies the batch instead of the MAC).
 func (e *Endpoint) sendFeedback(dst interconnect.NodeID, kind interconnect.Kind, class int, id uint64) {
 	size := 0
 	if e.opts.MetadataTraffic {
@@ -1100,251 +844,15 @@ func (e *Endpoint) sendFeedback(dst interconnect.NodeID, kind interconnect.Kind,
 	msg.Category = interconnect.CatSecACK
 	msg.Src, msg.Dst = e.node, dst
 	msg.MetaBytes = size
-	if e.opts.Recovery {
-		env := msg.AttachSec()
-		env.SenderID = e.node
-		env.BatchClass = class
-		env.BatchID = id
-	}
+	env := msg.AttachSec()
+	env.SenderID = e.node
+	env.BatchClass = class
+	env.BatchID = id
 	e.fabric.Send(msg)
-}
-
-// resolveUnit retires a unit on ACK: its blocks are confirmed received and
-// verified, so the pending-ACK debt is repaid and the ACK timer dies.
-func (e *Endpoint) resolveUnit(key unitKey) {
-	u, ok := e.units[key]
-	if !ok {
-		e.stats.StaleACKs++
-		return
-	}
-	u.timer.Cancel()
-	delete(e.units, key)
-	e.pendingACK -= len(u.blocks)
-	if e.pendingACK < 0 {
-		e.pendingACK = 0
-	}
-	e.freeUnit(u)
-	e.unitResolved(key.peer, true)
-}
-
-// onNACK retransmits the named unit immediately (or poisons it when the
-// retry budget is spent). A NACK for an unknown unit — already resolved, or
-// already re-keyed by a timer — is stale and ignored.
-func (e *Endpoint) onNACK(key unitKey) {
-	u, ok := e.units[key]
-	if !ok {
-		e.stats.StaleACKs++
-		return
-	}
-	if e.bumpFailure(key.peer) {
-		// The streak crossed the resync threshold: the unit was parked by
-		// the handshake launch and re-sends after the base is agreed.
-		return
-	}
-	if u.attempt >= e.opts.RetransMaxRetries {
-		e.poison(u)
-		return
-	}
-	e.retransmit(u)
-}
-
-// armUnitTimer schedules the unit's ACK timeout with exponential backoff,
-// cancelling any previous shot so each unit owns at most one live timer.
-func (e *Endpoint) armUnitTimer(u *txUnit, sentAt sim.Cycle) {
-	if !e.opts.Recovery {
-		return
-	}
-	shift := uint(u.attempt)
-	if shift > 6 {
-		shift = 6
-	}
-	u.timer.Cancel()
-	u.timer = e.engine.ScheduleTimer(sentAt+(e.opts.RetransTimeout<<shift), e.unitH, u)
-}
-
-// onUnitTimeout fires when a unit's ACK never arrived. The timer is
-// cancelled whenever its unit is resolved, poisoned, or re-keyed, so a
-// firing timer always names a live unit — no revalidation needed.
-func (e *Endpoint) onUnitTimeout(ev sim.Event) {
-	u := ev.Payload.(*txUnit)
-	e.stats.AckTimeouts++
-	if e.bumpFailure(u.peer) {
-		// Parked by the resync launch; the handshake re-sends it.
-		return
-	}
-	if u.attempt >= e.opts.RetransMaxRetries {
-		e.poison(u)
-		return
-	}
-	e.retransmit(u)
-}
-
-// retransmit re-sends every block of the unit. Pads are one-time and the
-// receiver's counter guard rejects stale counters, so each block is
-// re-encrypted under a fresh MsgCTR; a batch additionally re-keys to a
-// fresh BatchID (with a fresh Batched_MsgMAC) so the copy never collides
-// with the receiver's state for the lost original.
-func (e *Endpoint) retransmit(u *txUnit) {
-	u.attempt++
-	u.timer.Cancel()
-	// If the unit's batch is still open (a NACK can outrun the flush), the
-	// re-send supersedes it: drop the open remainder and its flush timer so
-	// no Batched_MsgMAC for the dead identity escapes later.
-	e.discardOpenBatch(u)
-	e.stats.Retransmits += uint64(len(u.blocks))
-	delete(e.units, u.key())
-	peer := u.peer
-
-	if u.class == convClass {
-		blk := u.blocks[0]
-		now := e.engine.Now()
-		use := e.mgr.UseSend(now, peer)
-		e.noteSendCtr(peer, use.Ctr)
-		sendAt := now + use.Stall + 1
-		if sendAt < e.lastSendAt[peer] {
-			sendAt = e.lastSendAt[peer]
-		}
-		e.lastSendAt[peer] = sendAt
-		u.id = use.Ctr
-		e.units[u.key()] = u
-		msg := e.dataMessage(u.dst, blk)
-		env := msg.AttachSec()
-		env.MsgCTR, env.SenderID = use.Ctr, e.node
-		e.seal(msg, env, u.dst, u.payload(0))
-		if e.opts.MetadataTraffic {
-			msg.MetaBytes = InlineMetaConv
-		}
-		d := e.newDeferred()
-		d.send = msg
-		e.at(sendAt, d)
-		e.armUnitTimer(u, sendAt)
-		return
-	}
-
-	n := len(u.blocks)
-	u.id = e.batchers[u.class][peer].AllocID()
-	e.units[u.key()] = u
-	var macs []byte
-	var lastSend sim.Cycle
-	for i, blk := range u.blocks {
-		now := e.engine.Now()
-		use := e.mgr.UseSend(now, peer)
-		e.noteSendCtr(peer, use.Ctr)
-		sendAt := now + use.Stall + 1
-		if sendAt < e.lastSendAt[peer] {
-			sendAt = e.lastSendAt[peer]
-		}
-		e.lastSendAt[peer] = sendAt
-		lastSend = sendAt
-		msg := e.dataMessage(u.dst, blk)
-		env := msg.AttachSec()
-		env.MsgCTR, env.SenderID = use.Ctr, e.node
-		env.BatchClass, env.BatchID, env.BatchIndex = u.class, u.id, i
-		mac := e.seal(msg, env, u.dst, u.payload(i))
-		macs = append(macs, mac[:]...)
-		if e.opts.MetadataTraffic {
-			msg.MetaBytes = InlineMetaBatch
-			if i == 0 {
-				msg.MetaBytes += BatchLenByte
-			}
-		}
-		if i == n-1 {
-			env.BatchLen = n
-		}
-		d := e.newDeferred()
-		d.send = msg
-		e.at(sendAt, d)
-	}
-	cb := &core.ClosedBatch{BatchID: u.id, Len: n, MAC: core.BatchMAC(e.gen, macs)}
-	d := e.newDeferred()
-	d.closed, d.dst, d.class = cb, u.dst, u.class
-	e.at(lastSend, d)
-	e.armUnitTimer(u, lastSend)
-}
-
-// dataMessage rebuilds the wire message for one retransmitted block.
-func (e *Endpoint) dataMessage(dst interconnect.NodeID, blk txBlock) *interconnect.Message {
-	msg := interconnect.AcquireMessage()
-	msg.Kind = interconnect.Kind(blk.kind)
-	msg.Category = interconnect.CatData
-	msg.Src, msg.Dst = e.node, dst
-	msg.BaseBytes = DataBytes
-	msg.ReqID, msg.Addr = blk.reqID, blk.addr
-	if blk.homed && e.opts.CPUMemProtection && e.opts.MetadataTraffic {
-		msg.MemProtBytes = MemProtBytes
-	}
-	return msg
-}
-
-// poison abandons a unit after max retries: the pending-ACK debt is repaid,
-// the blocks are surfaced in Stats, and the node logic is told so affected
-// operations fail instead of hanging the simulation.
-func (e *Endpoint) poison(u *txUnit) {
-	u.timer.Cancel()
-	e.discardOpenBatch(u)
-	delete(e.units, u.key())
-	e.unitResolved(u.peer, false)
-	e.pendingACK -= len(u.blocks)
-	if e.pendingACK < 0 {
-		e.pendingACK = 0
-	}
-	e.stats.BatchesPoisoned++
-	e.stats.BlocksPoisoned += uint64(len(u.blocks))
-	if e.poisonH != nil {
-		now := e.engine.Now()
-		for _, blk := range u.blocks {
-			e.poisonH.HandlePoisoned(now, u.dst, interconnect.Kind(blk.kind), blk.reqID)
-		}
-	}
-	e.freeUnit(u)
-}
-
-// armStaleScan schedules the receiver-side stale-batch sweep. The scan is
-// self-quenching: it re-arms only while incomplete batches remain, so a
-// drained endpoint schedules no further events.
-func (e *Endpoint) armStaleScan() {
-	if !e.opts.Recovery || !e.opts.Batching || e.scanArmed {
-		return
-	}
-	e.scanArmed = true
-	e.engine.Schedule(e.engine.Now()+e.opts.StaleBatchTimeout, e.scanH, nil)
-}
-
-// scanStale NACKs and abandons every incomplete batch older than the stale
-// timeout: blocks lost on the wire leave holes no Batched_MsgMAC can close,
-// and a lost Batched_MsgMAC leaves a complete batch unverifiable — either
-// way the sender must re-send, and hoarding the remains would exhaust the
-// MsgMAC storage.
-func (e *Endpoint) scanStale(sim.Event) {
-	e.scanArmed = false
-	now := e.engine.Now()
-	rearm := false
-	for class := range e.macStores {
-		for peer, store := range e.macStores[class] {
-			if store == nil {
-				continue
-			}
-			for _, ex := range store.Expire(now, e.opts.StaleBatchTimeout) {
-				e.stats.Quarantined += uint64(ex.Received)
-				e.sendNACK(PeerID(e.node, peer), class, ex.BatchID)
-			}
-			if store.Filling() > 0 {
-				rearm = true
-			}
-		}
-	}
-	if rearm {
-		e.scanArmed = true
-		e.engine.Schedule(now+e.opts.StaleBatchTimeout, e.scanH, nil)
-	}
 }
 
 // PendingACK returns the sender's current unacknowledged-block debt.
 func (e *Endpoint) PendingACK() int { return e.pendingACK }
-
-// OpenUnits returns the retransmission units still awaiting resolution
-// (always zero with recovery off or after a drained recovery run).
-func (e *Endpoint) OpenUnits() int { return len(e.units) }
 
 // FillingBatches returns the incomplete batches across all MsgMAC stores.
 func (e *Endpoint) FillingBatches() int {

@@ -1,0 +1,387 @@
+package secure
+
+import (
+	"sync"
+
+	"secmgpu/internal/core"
+	"secmgpu/internal/interconnect"
+	"secmgpu/internal/sim"
+)
+
+// This file implements the sender-driven recovery protocol every secure
+// endpoint runs alongside the paper's path. Each send unit — one batch, or
+// one conventional block — stays tracked until its ACK arrives. A NACK
+// (the receiver saw a damaged block, a failed batch, or a batch its
+// stale-batch scan abandoned) or an ACK timeout re-sends the unit under
+// fresh counters, with exponential backoff and a bounded retry budget;
+// past it the unit is poisoned and the node logic fails the affected
+// operations. On a healthy fabric no ACK timer fires and nothing is
+// re-sent, so the protocol costs no cycles and no bytes.
+
+// PoisonHandler is optionally implemented by the node logic to learn when a
+// data block is abandoned after max retries. dst is the peer the block was
+// addressed to; the handler decides whether the failed operation is local
+// (fail it) or remote (tell the peer over the lossless control plane).
+type PoisonHandler interface {
+	HandlePoisoned(now sim.Cycle, dst interconnect.NodeID, kind interconnect.Kind, reqID uint64)
+}
+
+// unitKey identifies one retransmission unit: a batch (class 0 or 1) or a
+// conventional block (convClass, keyed by its MsgCTR).
+type unitKey struct {
+	peer  int
+	class int
+	id    uint64
+}
+
+// txUnit is one unACKed send unit. Units are pooled: resolveUnit and
+// poison return them to the endpoint's free list.
+type txUnit struct {
+	dst    interconnect.NodeID
+	peer   int
+	class  int
+	id     uint64
+	blocks []txBlock
+	// one backs blocks for a conventional (single-block) unit, so those
+	// need no slice of their own.
+	one [1]txBlock
+	// payloads[i] is block i's plaintext. Only functional runs keep it:
+	// seal ignores the payload otherwise.
+	payloads [][]byte
+	attempt  int
+	timer    sim.Timer
+
+	next *txUnit
+}
+
+// payload returns block i's plaintext, nil unless the run is functional.
+func (u *txUnit) payload(i int) []byte {
+	if i < len(u.payloads) {
+		return u.payloads[i]
+	}
+	return nil
+}
+
+func (u *txUnit) key() unitKey { return unitKey{peer: u.peer, class: u.class, id: u.id} }
+
+// Retention caps of one unitPool entry. Without them an entry ratchets up
+// to the largest cell it ever served and keeps that memory in circulation:
+// an uncapped pool raised a sweep's peak RSS by half.
+const (
+	// maxPooledUnits caps the free units an entry carries.
+	maxPooledUnits = 128
+	// maxPooledBlocks caps the blocks capacity their slices add up to
+	// (a unit's one inline block aside); units past it are kept without
+	// a slice.
+	maxPooledBlocks = 512
+)
+
+// unitStore is one endpoint's retransmission bookkeeping parked between
+// cells: the cleared units map (a cleared map keeps its groups) and a
+// free list of at most maxPooledUnits zeroed units whose blocks slices
+// hold at most maxPooledBlocks in all, none more than the releasing
+// endpoint's batch size.
+type unitStore struct {
+	units  map[unitKey]*txUnit
+	free   *txUnit
+	n      int
+	blocks int
+}
+
+// unitPool holds released endpoints' unitStores. New draws from it for a
+// secure endpoint. A sync.Pool because sweep workers run cells on parallel
+// goroutines.
+var unitPool sync.Pool
+
+// Release ends the endpoint's life and returns its retransmission
+// bookkeeping to the pool for the next endpoint: every unit, whether live
+// in the units map, parked for a resync or already free, is zeroed and
+// kept or dropped under the retention caps, and the units map is cleared.
+// machine.System calls it when a cell ends, after releasing the engine, so
+// no queued timer still names a unit. Afterwards SendData, SendControl and
+// Deliver panic; Stats and OTPStats keep reporting the final state.
+// Releasing twice is a no-op.
+func (e *Endpoint) Release() {
+	if st := e.detach(); st != nil {
+		unitPool.Put(st)
+	}
+}
+
+// detach marks the endpoint released and returns its bookkeeping as a pool
+// entry; nil if already released or unsecure.
+func (e *Endpoint) detach() *unitStore {
+	if e.released {
+		return nil
+	}
+	e.released = true
+	if e.units == nil {
+		return nil
+	}
+	st := &unitStore{units: e.units}
+	maxBlocks := e.unitBlocks(0)
+	keep := func(u *txUnit) {
+		if st.n == maxPooledUnits {
+			return
+		}
+		blocks := u.blocks
+		switch c := cap(blocks); {
+		case c <= 1:
+			// Empty, or backed by the unit's own one.
+		case c > maxBlocks || st.blocks+c > maxPooledBlocks:
+			blocks = nil
+		default:
+			st.blocks += c
+		}
+		// Blocks hold no pointers and a unit reads only those it appended,
+		// so they need no clearing; plaintexts are dropped.
+		*u = txUnit{blocks: blocks[:0], next: st.free}
+		st.free = u
+		st.n++
+	}
+	for u := e.unitFree; u != nil; {
+		next := u.next
+		keep(u)
+		u = next
+	}
+	for _, u := range e.units {
+		keep(u)
+	}
+	for i := range e.recov {
+		for _, u := range e.recov[i].parked {
+			keep(u)
+		}
+		e.recov[i].parked = nil
+	}
+	clear(st.units)
+	e.units, e.unitFree = nil, nil
+	return st
+}
+
+// newUnit takes a txUnit from the free list, retaining its blocks slice
+// capacity across reuses.
+func (e *Endpoint) newUnit() *txUnit {
+	u := e.unitFree
+	if u == nil {
+		return &txUnit{}
+	}
+	e.unitFree = u.next
+	u.next = nil
+	return u
+}
+
+// freeUnit clears a retired unit (dropping payload references so freed
+// blocks do not pin memory) and returns it to the free list. The unit's
+// timer must already be cancelled or spent; a cancelled timer event still
+// queued holds only a pointer the engine will discard unread.
+func (e *Endpoint) freeUnit(u *txUnit) {
+	clear(u.payloads)
+	*u = txUnit{blocks: u.blocks[:0], payloads: u.payloads[:0], next: e.unitFree}
+	e.unitFree = u
+}
+
+// trackBlock appends one block to its retransmission unit, creating the
+// unit on first use. A functional run also keeps the block's plaintext.
+func (e *Endpoint) trackBlock(key unitKey, dst interconnect.NodeID, blk txBlock, payload []byte) *txUnit {
+	u, ok := e.units[key]
+	if !ok {
+		u = e.newUnit()
+		if n := e.unitBlocks(key.class); n == 1 && cap(u.blocks) == 0 {
+			u.blocks = u.one[:0]
+		} else if cap(u.blocks) < n {
+			u.blocks = make([]txBlock, 0, n)
+		}
+		u.dst, u.peer, u.class, u.id = dst, key.peer, key.class, key.id
+		e.units[key] = u
+		e.recov[key.peer].openUnits++
+	}
+	u.blocks = append(u.blocks, blk)
+	if e.gen != nil {
+		u.payloads = append(u.payloads, payload)
+	}
+	return u
+}
+
+// unitBlocks is the block count of a full unit of the given class.
+func (e *Endpoint) unitBlocks(class int) int {
+	switch class {
+	case convClass:
+		return 1
+	case 1:
+		return PageBlocks
+	default:
+		return e.opts.BatchSize
+	}
+}
+
+// retire takes an ACKed or poisoned unit out of tracking: its timer dies
+// and its pending-ACK debt is repaid. clean marks an ACK.
+func (e *Endpoint) retire(u *txUnit, clean bool) {
+	u.timer.Cancel()
+	delete(e.units, u.key())
+	e.pendingACK = max(e.pendingACK-len(u.blocks), 0)
+	e.unitResolved(u.peer, clean)
+}
+
+// resolveUnit retires a unit on ACK: its blocks are confirmed received and
+// verified.
+func (e *Endpoint) resolveUnit(key unitKey) {
+	u, ok := e.units[key]
+	if !ok {
+		e.stats.StaleACKs++
+		return
+	}
+	e.retire(u, true)
+	e.freeUnit(u)
+}
+
+func (e *Endpoint) sendNACK(dst interconnect.NodeID, class int, id uint64) {
+	e.stats.NACKsSent++
+	e.sendFeedback(dst, interconnect.KindSecNACK, class, id)
+}
+
+// onNACK retries the named unit at once. A NACK for an unknown unit —
+// already resolved, or already re-keyed by a timer — is stale and ignored.
+func (e *Endpoint) onNACK(key unitKey) {
+	if u, ok := e.units[key]; ok {
+		e.retry(u)
+		return
+	}
+	e.stats.StaleACKs++
+}
+
+// armUnitTimer schedules the unit's ACK timeout with exponential backoff,
+// cancelling any previous shot so each unit owns at most one live timer.
+func (e *Endpoint) armUnitTimer(u *txUnit, sentAt sim.Cycle) {
+	shift := uint(min(u.attempt, 6))
+	u.timer.Cancel()
+	u.timer = e.engine.ScheduleTimer(sentAt+(e.opts.RetransTimeout<<shift), e.unitH, u)
+}
+
+// onUnitTimeout fires when a unit's ACK never arrived. The timer is
+// cancelled whenever its unit is resolved, poisoned, or re-keyed, so a
+// firing timer always names a live unit — no revalidation needed.
+func (e *Endpoint) onUnitTimeout(ev sim.Event) {
+	e.stats.AckTimeouts++
+	e.retry(ev.Payload.(*txUnit))
+}
+
+// retry handles one failed delivery of a unit (a NACK or an ACK timeout):
+// it re-sends the unit, or poisons it once the retry budget is spent. A
+// failure that crosses the resync threshold instead parks the unit behind
+// the handshake, which re-sends it once the base is agreed.
+func (e *Endpoint) retry(u *txUnit) {
+	switch {
+	case e.bumpFailure(u.peer):
+		// Parked by the resync launch; the handshake re-sends it.
+	case u.attempt >= e.opts.RetransMaxRetries:
+		e.poison(u)
+	default:
+		e.retransmit(u)
+	}
+}
+
+// retransmit re-sends every block of the unit through the same sealBlock
+// path as a first send. Pads are one-time and the receiver's counter guard
+// rejects stale counters, so each block is re-encrypted under a fresh
+// MsgCTR; a batch additionally re-keys to a fresh BatchID (with a fresh
+// Batched_MsgMAC, sent right after its last block) so the copy never
+// collides with the receiver's state for the lost original.
+func (e *Endpoint) retransmit(u *txUnit) {
+	u.attempt++
+	u.timer.Cancel()
+	// If the unit's batch is still open (a NACK can outrun the flush), the
+	// re-send supersedes it: drop the open remainder and its flush timer so
+	// no Batched_MsgMAC for the dead identity escapes later.
+	e.discardOpenBatch(u)
+	e.stats.Retransmits += uint64(len(u.blocks))
+	delete(e.units, u.key())
+
+	n := len(u.blocks)
+	if u.class != convClass {
+		u.id = e.batchers[u.class][u.peer].AllocID()
+	}
+	var macs []byte
+	var sendAt sim.Cycle
+	for i, blk := range u.blocks {
+		msg, mac, at := e.sealBlock(u.dst, u.peer, blk, u.payload(i))
+		sendAt = at
+		d := e.newDeferred()
+		d.send = msg
+		if u.class == convClass {
+			// A conventional unit is named by its block's counter.
+			u.id = msg.Sec.MsgCTR
+		} else {
+			macs = append(macs, mac[:]...)
+			batchLen := 0
+			if i == n-1 {
+				batchLen = n
+				d.closed = &core.ClosedBatch{BatchID: u.id, Len: n, MAC: core.BatchMAC(e.gen, macs)}
+				d.dst, d.class = u.dst, u.class
+			}
+			e.placeBlock(msg, u.class, u.id, i, batchLen)
+		}
+		e.engine.Schedule(sendAt, e.defH, d)
+	}
+	e.units[u.key()] = u
+	e.armUnitTimer(u, sendAt)
+}
+
+// poison abandons a unit after max retries: the pending-ACK debt is repaid,
+// the blocks are surfaced in Stats, and the node logic is told so affected
+// operations fail instead of hanging the simulation.
+func (e *Endpoint) poison(u *txUnit) {
+	e.discardOpenBatch(u)
+	e.retire(u, false)
+	e.stats.BatchesPoisoned++
+	e.stats.BlocksPoisoned += uint64(len(u.blocks))
+	if e.poisonH != nil {
+		now := e.engine.Now()
+		for _, blk := range u.blocks {
+			e.poisonH.HandlePoisoned(now, u.dst, interconnect.Kind(blk.kind), blk.reqID)
+		}
+	}
+	e.freeUnit(u)
+}
+
+// armStaleScan schedules the receiver-side stale-batch sweep. The scan is
+// self-quenching: it re-arms only while incomplete batches remain, so a
+// drained endpoint schedules no further events.
+func (e *Endpoint) armStaleScan() {
+	if e.scanArmed {
+		return
+	}
+	e.scanArmed = true
+	e.engine.Schedule(e.engine.Now()+e.opts.StaleBatchTimeout, e.scanH, nil)
+}
+
+// scanStale NACKs and abandons every incomplete batch older than the stale
+// timeout: blocks lost on the wire leave holes no Batched_MsgMAC can close,
+// and a lost Batched_MsgMAC leaves a complete batch unverifiable — either
+// way the sender must re-send, and hoarding the remains would exhaust the
+// MsgMAC storage.
+func (e *Endpoint) scanStale(sim.Event) {
+	e.scanArmed = false
+	now := e.engine.Now()
+	rearm := false
+	for class := range e.macStores {
+		for peer, store := range e.macStores[class] {
+			if store == nil {
+				continue
+			}
+			for _, ex := range store.Expire(now, e.opts.StaleBatchTimeout) {
+				e.stats.Quarantined += uint64(ex.Received)
+				e.sendNACK(PeerID(e.node, peer), class, ex.BatchID)
+			}
+			if store.Filling() > 0 {
+				rearm = true
+			}
+		}
+	}
+	if rearm {
+		e.armStaleScan()
+	}
+}
+
+// OpenUnits returns the retransmission units still awaiting resolution
+// (always zero on an unsecure endpoint or after a drained run).
+func (e *Endpoint) OpenUnits() int { return len(e.units) }

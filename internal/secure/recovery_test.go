@@ -37,7 +37,6 @@ func (p *poisonRecorder) HandlePoisoned(now sim.Cycle, dst interconnect.NodeID, 
 
 func recoveryOpts() Options {
 	o := secureOpts()
-	o.Recovery = true
 	o.RetransTimeout = 3000
 	o.RetransMaxRetries = 4
 	o.StaleBatchTimeout = 1500
@@ -248,5 +247,82 @@ func TestMalformedBatchMACDropped(t *testing.T) {
 	})
 	if got := p.b.Stats().MalformedDropped; got != 2 {
 		t.Errorf("malformedDropped=%d, want 2", got)
+	}
+}
+
+// TestRetransmitSizedLikeOriginal checks that a re-sent block carries the
+// same metadata on the wire as its first send, for a conventional and a
+// batched unit: MsgCTR, MsgMAC and sender ID per conventional block; MsgCTR
+// and sender ID per batched block, plus the batch-length byte on its first
+// block and the length on its last; memory-protection metadata on blocks
+// homed in host DRAM. Every first send of the unit is dropped, so each
+// block is seen once as sent first and once as re-sent.
+func TestRetransmitSizedLikeOriginal(t *testing.T) {
+	for _, batching := range []bool{false, true} {
+		opts := recoveryOpts() // MetadataTraffic and CPUMemProtection on
+		opts.Batching = batching
+		p := newPair(t, opts)
+		var sent []*interconnect.Message
+		firstSend := map[uint64]*interconnect.Message{}
+		p.fabric.Register(2, &interposer{inner: p.b, intercept: func(msg *interconnect.Message) bool {
+			if msg.Kind != interconnect.KindDataResp {
+				return false
+			}
+			sent = append(sent, msg.Clone())
+			if firstSend[msg.ReqID] == nil {
+				firstSend[msg.ReqID] = sent[len(sent)-1]
+				return true
+			}
+			return false
+		}})
+		n := opts.BatchSize
+		p.engine.Schedule(0, sim.HandlerFunc(func(sim.Event) {
+			for i := 0; i < n; i++ {
+				p.a.SendData(2, interconnect.KindDataResp, uint64(i), uint64(i*64), payload(byte(i)), i%2 == 0)
+			}
+		}), nil)
+		if _, err := p.engine.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if len(sent) != 2*n || p.a.Stats().Retransmits != uint64(n) {
+			t.Fatalf("batching=%t: %d data messages and %d retransmits, want %d and %d",
+				batching, len(sent), p.a.Stats().Retransmits, 2*n, n)
+		}
+		for _, msg := range sent {
+			blk := int(msg.ReqID)
+			orig := firstSend[msg.ReqID]
+			want := InlineMetaConv
+			wantLen := 0
+			if batching {
+				if msg.Sec.BatchIndex != blk {
+					t.Errorf("batching=%t: block %d travels at batch index %d", batching, blk, msg.Sec.BatchIndex)
+				}
+				want = InlineMetaBatch
+				if blk == 0 {
+					want += BatchLenByte
+				}
+				if blk == n-1 {
+					wantLen = n
+				}
+			}
+			wantMemProt := 0
+			if blk%2 == 0 {
+				wantMemProt = MemProtBytes
+			}
+			copyOf := "first send"
+			if msg != orig {
+				copyOf = "re-send"
+			}
+			if msg.MetaBytes != want || msg.MemProtBytes != wantMemProt || msg.Sec.BatchLen != wantLen {
+				t.Errorf("batching=%t: %s of block %d carries meta=%d memprot=%d batchLen=%d, want %d/%d/%d",
+					batching, copyOf, blk, msg.MetaBytes, msg.MemProtBytes, msg.Sec.BatchLen,
+					want, wantMemProt, wantLen)
+			}
+			if msg.Size() != orig.Size() {
+				t.Errorf("batching=%t: block %d re-sent in %dB, first sent in %dB",
+					batching, blk, msg.Size(), orig.Size())
+			}
+		}
+		assertDrained(t, p.a, p.b)
 	}
 }

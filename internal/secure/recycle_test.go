@@ -96,7 +96,7 @@ func TestReleasedUnitsRespectCaps(t *testing.T) {
 
 	st := e.detach()
 	if st == nil {
-		t.Fatal("a Recovery endpoint released no pool entry")
+		t.Fatal("a secure endpoint released no pool entry")
 	}
 	if e.units != nil || e.unitFree != nil {
 		t.Error("released endpoint still references its units map or free list")

@@ -110,11 +110,8 @@ func resyncChecksum(b []byte) uint32 {
 // heldSend is one SendData call intercepted while its peer's stream was
 // resyncing or draining; it replays in order once the handshake completes.
 type heldSend struct {
-	kind    interconnect.Kind
-	reqID   uint64
-	addr    uint64
+	blk     txBlock
 	payload []byte
-	homed   bool
 }
 
 // peerRecovery is the per-peer resync/rekey state on the sender side.
@@ -155,16 +152,12 @@ func (rs *peerRecovery) blocked() bool { return rs.active || rs.draining }
 
 // resyncBlocked reports whether a send to dst must be parked in the peer's
 // held queue, recording it if so.
-func (e *Endpoint) resyncBlocked(dst interconnect.NodeID, kind interconnect.Kind,
-	reqID, addr uint64, payload []byte, homed bool) bool {
-	if e.recov == nil {
-		return false
-	}
+func (e *Endpoint) resyncBlocked(dst interconnect.NodeID, blk txBlock, payload []byte) bool {
 	rs := &e.recov[e.PeerIndex(dst)]
 	if !rs.blocked() {
 		return false
 	}
-	rs.held = append(rs.held, heldSend{kind: kind, reqID: reqID, addr: addr, payload: payload, homed: homed})
+	rs.held = append(rs.held, heldSend{blk: blk, payload: payload})
 	e.stats.HeldSends++
 	return true
 }
@@ -172,9 +165,6 @@ func (e *Endpoint) resyncBlocked(dst interconnect.NodeID, kind interconnect.Kind
 // noteSendCtr records a consumed send counter and arms the epoch-rekey
 // drain when the counter crosses the epoch boundary.
 func (e *Endpoint) noteSendCtr(peer int, ctr uint64) {
-	if e.recov == nil {
-		return
-	}
 	rs := &e.recov[peer]
 	if ctr > rs.lastSentCtr {
 		rs.lastSentCtr = ctr
@@ -193,7 +183,7 @@ func (e *Endpoint) noteSendCtr(peer int, ctr uint64) {
 // launches a resync. It reports true when the caller's unit was parked by
 // the launch and must not be retransmitted or poisoned directly.
 func (e *Endpoint) bumpFailure(peer int) bool {
-	if e.recov == nil || e.opts.ResyncThreshold <= 0 {
+	if e.opts.ResyncThreshold <= 0 {
 		return false
 	}
 	rs := &e.recov[peer]
@@ -218,9 +208,6 @@ func (e *Endpoint) bumpFailure(peer int) bool {
 // retransmission map (ACKed or poisoned). clean marks an ACK, which resets
 // the failure streak.
 func (e *Endpoint) unitResolved(peer int, clean bool) {
-	if e.recov == nil {
-		return
-	}
 	rs := &e.recov[peer]
 	if clean {
 		rs.failStreak = 0
@@ -242,16 +229,7 @@ func (e *Endpoint) discardOpenBatch(u *txUnit) {
 	b := e.batchers[u.class][u.peer]
 	if id, open := b.OpenID(); open && id == u.id {
 		b.Flush()
-		e.cancelBatchTimer(u.class, u.peer)
-	}
-}
-
-// cancelBatchTimer kills the (class, peer) stream's open-batch flush timer
-// and recycles its context.
-func (e *Endpoint) cancelBatchTimer(class, peer int) {
-	if bt := &e.batchTimers[class][peer]; bt.timer.Cancel() {
-		e.freeBatchTimeoutCtx(bt.ctx)
-		bt.ctx = nil
+		e.batchTimers[u.class][u.peer].timer.Cancel()
 	}
 }
 
@@ -266,7 +244,7 @@ func (e *Endpoint) beginResync(peer int, rekey bool) {
 		for class := range e.batchers {
 			if _, open := e.batchers[class][peer].OpenID(); open {
 				e.batchers[class][peer].Flush()
-				e.cancelBatchTimer(class, peer)
+				e.batchTimers[class][peer].timer.Cancel()
 			}
 		}
 	}
@@ -360,7 +338,7 @@ func (e *Endpoint) onResyncTimeout(ev sim.Event) {
 // reinstalling; stale proposals (the stream already moved past the base)
 // are dropped so an old wire copy can never rewind the replay guard.
 func (e *Endpoint) onResyncRequest(now sim.Cycle, msg *interconnect.Message) {
-	if !e.opts.Recovery || msg.Sec == nil || msg.Corrupted {
+	if !e.opts.Secure || msg.Sec == nil || msg.Corrupted {
 		e.stats.MalformedDropped++
 		return
 	}
@@ -399,7 +377,7 @@ func (e *Endpoint) onResyncRequest(now sim.Cycle, msg *interconnect.Message) {
 // onResyncAck completes the sender side of the handshake when the echo
 // matches the live proposal; anything else is a stale duplicate.
 func (e *Endpoint) onResyncAck(now sim.Cycle, msg *interconnect.Message) {
-	if !e.opts.Recovery || msg.Sec == nil || msg.Corrupted {
+	if !e.opts.Secure || msg.Sec == nil || msg.Corrupted {
 		e.stats.MalformedDropped++
 		return
 	}
@@ -446,9 +424,8 @@ func (e *Endpoint) completeResync(now sim.Cycle, rs *peerRecovery) {
 	held := rs.held
 	rs.held = nil
 	dst := PeerID(e.node, rs.peer)
-	for i := range held {
-		h := &held[i]
-		e.SendData(dst, h.kind, h.reqID, h.addr, h.payload, h.homed)
+	for _, h := range held {
+		e.SendData(dst, interconnect.Kind(h.blk.kind), h.blk.reqID, h.blk.addr, h.payload, h.blk.homed)
 	}
 }
 

@@ -82,8 +82,8 @@ const (
 )
 
 // FaultProfile models a lossy fabric: seeded per-link drop, corruption, and
-// duplication of protected messages, recovered by the secure channel's
-// NACK/retransmission protocol (Config.Recovery).
+// duplication of protected messages, recovered by the NACK/retransmission
+// protocol every secure channel runs.
 type FaultProfile = config.FaultProfile
 
 // RunOptions selects run-time features (functional crypto, communication
