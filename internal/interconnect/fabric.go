@@ -89,7 +89,93 @@ type Fabric struct {
 	// scheduling a delivery allocates nothing.
 	deliverH sim.Handler
 
+	// msgs is the fabric's message free list, taken from parkedMsgs at
+	// NewFabric and parked there again by Release, which nils it. The
+	// fabric runs on one goroutine, so it is a plain intrusive list.
+	msgs *msgList
+	// acquired and freed count AcquireMessage and FreeMessage calls on
+	// pooled messages; see Outstanding.
+	acquired, freed int
+
 	stats Stats
+}
+
+// msgList is a free list of zeroed messages: a fabric's while it runs, a
+// parkedMsgs entry between cells.
+type msgList struct {
+	head *Message
+	n    int
+}
+
+// trim cuts the list to its first keep messages.
+func (l *msgList) trim(keep int) {
+	if l.n <= keep {
+		return
+	}
+	if keep == 0 {
+		l.head, l.n = nil, 0
+		return
+	}
+	m := l.head
+	for i := 1; i < keep; i++ {
+		m = m.next
+	}
+	m.next = nil
+	l.n = keep
+}
+
+// msgShelf holds released fabrics' message free lists for the next
+// NewFabric, under one budget for all of them: maxParkedMsgs messages.
+// A mutex rather than a sync.Pool because sweep workers build cells on
+// parallel goroutines and a pool has no total bound: each cell's list
+// holds its peak in-flight count, and a pool kept several of them, one
+// per concurrent cell, ratcheting up to the largest cell each served.
+type msgShelf struct {
+	mu    sync.Mutex
+	lists []*msgList
+	n     int
+}
+
+// parkedMsgs is the shelf every fabric takes its list from.
+var parkedMsgs msgShelf
+
+// maxParkedMsgBytes bounds the messages parked on the shelf, in bytes of
+// Message. One cell's list holds up to ~4,100 messages (a 16-GPU
+// page-migration cell); the median cell of a `secbench -exp all` pass
+// needs 895. A 1 MiB budget ran perfbench `figures` ~5% faster, but
+// `campaign` then peaked ~1% higher in resident memory than with the
+// global message sync.Pool this shelf replaced.
+const maxParkedMsgBytes = 1 << 19
+
+// maxParkedMsgs is maxParkedMsgBytes in messages.
+const maxParkedMsgs = maxParkedMsgBytes / messageBytes
+
+// take pops the most recently parked list, or returns a new empty one.
+func (s *msgShelf) take() *msgList {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	k := len(s.lists) - 1
+	if k < 0 {
+		return &msgList{}
+	}
+	l := s.lists[k]
+	s.lists[k] = nil
+	s.lists = s.lists[:k]
+	s.n -= l.n
+	return l
+}
+
+// park adds l, trimmed so the shelf holds at most maxParkedMsgs messages;
+// a list trimmed to nothing is dropped.
+func (s *msgShelf) park(l *msgList) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	l.trim(maxParkedMsgs - s.n)
+	if l.n == 0 {
+		return
+	}
+	s.lists = append(s.lists, l)
+	s.n += l.n
 }
 
 // Topology selects how GPUs reach each other.
@@ -188,6 +274,7 @@ func NewFabric(engine *sim.Engine, cfg FabricConfig) *Fabric {
 		faults:     cfg.Faults,
 		stats:      newStats(n),
 	}
+	f.msgs = parkedMsgs.take()
 	f.deliverH = sim.HandlerFunc(f.deliverEvent)
 	if cfg.Faults.Active() {
 		f.faultRNG = make([][]*rand.Rand, n)
@@ -266,11 +353,18 @@ func seededRNG(seed int64) *rand.Rand {
 	return r
 }
 
-// Release returns the fabric's fault and outage generators to the pool;
-// machine.System calls it when a cell ends. The fabric must carry no
-// traffic afterwards (its engine, released with it, panics on the arrival
-// event). Releasing twice is a no-op.
+// Release ends the fabric's life: it parks the message free list for the
+// next fabric, within the shelf's budget, and returns the fault and
+// outage generators to the pool. machine.System calls it when a cell ends, after
+// releasing the engine. Afterwards AcquireMessage and Send panic, and
+// FreeMessage drops what it is handed, so a message still out at the end
+// of the cell never enters another fabric's list; Stats and Outstanding
+// keep reporting the final state. Releasing twice is a no-op.
 func (f *Fabric) Release() {
+	if l := f.msgs; l != nil {
+		f.msgs = nil
+		parkedMsgs.park(l)
+	}
 	for _, row := range f.faultRNG {
 		for _, r := range row {
 			if r != nil {
@@ -293,6 +387,66 @@ func (f *Fabric) Release() {
 	}
 }
 
+// mustLive panics when the fabric has been released.
+func (f *Fabric) mustLive() {
+	if f.msgs == nil {
+		panic("interconnect: fabric used after Release")
+	}
+}
+
+// AcquireMessage returns a zeroed message from the fabric's free list,
+// allocating one when the list is empty.
+//
+// Ownership protocol: the sender owns the message until Send; from then
+// the fabric owns it and frees it to its list after the destination's
+// Deliver returns (or at once on a fault or outage drop). A receiver that
+// needs the message beyond its Deliver call — e.g. an OTP stall delaying
+// HandleData — must call Retain inside Deliver and hand it back with
+// FreeMessage when done. Messages built as plain literals (tests, Clone)
+// are not pooled: FreeMessage ignores them.
+func (f *Fabric) AcquireMessage() *Message {
+	f.mustLive()
+	l := f.msgs
+	m := l.head
+	if m == nil {
+		m = new(Message)
+	} else {
+		l.head, m.next = m.next, nil
+		l.n--
+	}
+	m.pooled = true
+	f.acquired++
+	return m
+}
+
+// FreeMessage zeroes a pooled message, keeping only its ciphertext
+// block, and pushes it on the fabric's free list. It is a no-op on
+// messages not obtained from AcquireMessage, or already freed, so paths
+// that build literal Messages need no special casing. A released fabric
+// counts the message but drops it. After FreeMessage the caller must not
+// touch the message (or any Sec envelope or ciphertext attached to it)
+// again.
+func (f *Fabric) FreeMessage(m *Message) {
+	if !m.pooled {
+		return
+	}
+	f.freed++
+	l := f.msgs
+	if l == nil {
+		*m = Message{}
+		return
+	}
+	*m = Message{next: l.head, cipher: m.cipher}
+	l.head = m
+	l.n++
+}
+
+// Outstanding returns the pooled messages acquired from this fabric and
+// not yet freed: zero after a run that drained, positive while messages
+// are in flight, held by a sender, retained by a receiver, or lost to a
+// leak.
+func (f *Fabric) Outstanding() int { return f.acquired - f.freed }
+
 // Register installs the deliverer for a node.
 func (f *Fabric) Register(node NodeID, d Deliverer) {
 	f.deliverers[node] = d
@@ -305,6 +459,7 @@ func (f *Fabric) NumNodes() int { return f.nodes }
 // after sender-NIC serialization, wire serialization, propagation latency,
 // and receiver-NIC serialization.
 func (f *Fabric) Send(msg *Message) {
+	f.mustLive()
 	if msg.Src == msg.Dst {
 		panic(fmt.Sprintf("interconnect: self-send on node %v", msg.Src))
 	}
@@ -339,7 +494,7 @@ func (f *Fabric) Send(msg *Message) {
 	// unprotected control plane is exempt so the simulation can drain.
 	if f.outages != nil && msg.Sec != nil && f.outages.blocked(now, msg.Src, msg.Dst) {
 		f.stats.OutageDropped++
-		msg.Release()
+		f.FreeMessage(msg)
 		return
 	}
 
@@ -352,7 +507,7 @@ func (f *Fabric) Send(msg *Message) {
 		switch {
 		case r < f.faults.DropRate:
 			f.stats.FaultDropped++
-			msg.Release()
+			f.FreeMessage(msg)
 			return
 		case r < f.faults.DropRate+f.faults.CorruptRate:
 			f.stats.FaultCorrupted++
@@ -373,13 +528,13 @@ func (f *Fabric) Send(msg *Message) {
 }
 
 // deliverEvent hands an arrived message to its destination and, unless the
-// receiver retained it, returns a pooled message to the pool. This is the
-// release point of the pooling ownership protocol (see AcquireMessage).
+// receiver retained it, frees it to the fabric's list. This is the free
+// point of the ownership protocol (see AcquireMessage).
 func (f *Fabric) deliverEvent(ev sim.Event) {
 	msg := ev.Payload.(*Message)
 	f.deliverers[msg.Dst].Deliver(f.engine.Now(), msg)
 	if !msg.retained {
-		msg.Release()
+		f.FreeMessage(msg)
 	}
 }
 

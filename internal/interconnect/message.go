@@ -8,7 +8,7 @@ package interconnect
 
 import (
 	"fmt"
-	"sync"
+	"unsafe"
 )
 
 // NodeID identifies a processor on the fabric. The CPU is node 0 and GPUs
@@ -29,8 +29,9 @@ func (n NodeID) String() string {
 	return fmt.Sprintf("GPU%d", int(n))
 }
 
-// Category classifies a message's bytes for traffic accounting.
-type Category int
+// Category classifies a message's bytes for traffic accounting. A byte,
+// like Kind, so the two pack with Message's flags into one word.
+type Category uint8
 
 const (
 	// CatData covers messages that exist in the unsecure baseline: block
@@ -76,7 +77,7 @@ func (c Category) String() string {
 }
 
 // Kind enumerates the protocol-level message types carried by the fabric.
-type Kind int
+type Kind uint8
 
 const (
 	// KindReadReq asks a remote home node for one 64B block.
@@ -159,6 +160,18 @@ func (k Kind) String() string {
 type Message struct {
 	Kind     Kind
 	Category Category
+
+	// Corrupted marks a message damaged in flight by the fault profile.
+	// Functional runs also flip a ciphertext bit so real MAC verification
+	// fails; timing-only runs use the flag itself to model detection.
+	Corrupted bool
+
+	// pooled/retained drive the delivery-time free protocol; see
+	// Fabric.AcquireMessage. They sit beside Kind and Category so the
+	// five one-byte fields share a word.
+	pooled   bool
+	retained bool
+
 	Src, Dst NodeID
 
 	// BaseBytes + MetaBytes + MemProtBytes is the wire size used for
@@ -178,83 +191,45 @@ type Message struct {
 	// nil on unsecured messages.
 	Sec *SecEnvelope
 
-	// Corrupted marks a message damaged in flight by the fault profile.
-	// Functional runs also flip a ciphertext bit so real MAC verification
-	// fails; timing-only runs use the flag itself to model detection.
-	Corrupted bool
+	// next links the message into its fabric's free list.
+	next *Message
 
 	// secBuf is the inline envelope AttachSec points Sec at, so a pooled
 	// message carries its security metadata without a second allocation.
 	secBuf SecEnvelope
-	// cipherBuf is the inline ciphertext block CipherBuf exposes; one data
-	// block fits exactly (CipherBlockBytes = the 64B block size).
-	cipherBuf [CipherBlockBytes]byte
-
-	// pooled/retained drive the delivery-time release protocol; see
-	// AcquireMessage.
-	pooled   bool
-	retained bool
+	// cipher is the ciphertext block CipherBuf exposes; one data block
+	// fits exactly (CipherBlockBytes = the 64B block size). It is
+	// allocated on a message's first CipherBuf call and stays with the
+	// message across frees, so timing runs, which never seal, do not
+	// carry 64 bytes per message they never use.
+	cipher *[CipherBlockBytes]byte
 }
 
-// CipherBlockBytes is the inline ciphertext capacity of a Message. It must
+// CipherBlockBytes is the ciphertext capacity of a Message. It must
 // equal crypto.BlockBytes (asserted at compile time in internal/secure).
 const CipherBlockBytes = 64
 
-// msgPool recycles Messages across the simulation hot path. It is a
-// sync.Pool rather than a free list because the sweep engine runs many
-// independent simulations on parallel goroutines.
-var msgPool = sync.Pool{New: func() any { return new(Message) }}
-
-// AcquireMessage returns a zeroed pooled message.
-//
-// Ownership protocol: the sender owns the message until Fabric.Send; from
-// then the fabric owns it and releases it back to the pool after the
-// destination's Deliver returns (or immediately on a fault-drop). A
-// receiver that needs the message beyond its Deliver call — e.g. lazy
-// verification delaying HandleData — must call Retain inside Deliver and
-// Release when done. Messages constructed as plain literals (tests, cold
-// paths) never enter the pool: Release is a no-op for them.
-func AcquireMessage() *Message {
-	if a := poolAudit.Load(); a != nil {
-		a.acquired.Add(1)
-	}
-	m := msgPool.Get().(*Message)
-	m.pooled = true
-	return m
-}
+// messageBytes is the size of one Message (the 176-byte size class; a
+// message that sealed a block holds 64 more in its cipher block), which
+// the retention cap of a parked free list is sized by.
+const messageBytes = int(unsafe.Sizeof(Message{}))
 
 // Retain transfers ownership of a delivered message to the receiver: the
-// fabric will not release it after Deliver returns, and the receiver must
-// call Release when finished.
+// fabric will not free it after Deliver returns, and the receiver must
+// hand it back with Fabric.FreeMessage when finished.
 func (m *Message) Retain() { m.retained = true }
 
 // Retained reports whether a receiver took ownership via Retain.
 func (m *Message) Retained() bool { return m.retained }
 
-// Release zeroes a pooled message and returns it to the pool. It is a
-// no-op on messages not obtained from AcquireMessage, so code paths that
-// build literal Messages need no special casing. After Release the caller
-// must not touch the message (or any Sec envelope / ciphertext attached to
-// it) again.
-func (m *Message) Release() {
-	if !m.pooled {
-		return
-	}
-	if a := poolAudit.Load(); a != nil {
-		a.released.Add(1)
-	}
-	*m = Message{}
-	msgPool.Put(m)
-}
-
 // Clone returns an unpooled deep copy: the envelope and ciphertext are
-// owned by the copy, so it stays valid after the original is released.
+// owned by the copy, so it stays valid after the original is freed.
 // Fault duplication and attack replay use it to re-inject messages whose
 // originals have independent lifetimes.
 func (m *Message) Clone() *Message {
 	c := new(Message)
 	*c = *m
-	c.pooled, c.retained = false, false
+	c.pooled, c.retained, c.next, c.cipher = false, false, nil, nil
 	if m.Sec != nil {
 		c.secBuf = *m.Sec
 		c.Sec = &c.secBuf
@@ -274,10 +249,17 @@ func (m *Message) AttachSec() *SecEnvelope {
 	return m.Sec
 }
 
-// CipherBuf returns the message's inline ciphertext block, for seal() to
-// encrypt into without a per-message allocation. The buffer's lifetime is
-// the message's: it dies at Release.
-func (m *Message) CipherBuf() []byte { return m.cipherBuf[:] }
+// CipherBuf returns the message's ciphertext block, for seal() to
+// encrypt into without a per-message allocation once the message has
+// been through a free list. The block may hold an earlier use's bytes:
+// callers overwrite what they use. The buffer's lifetime is the
+// message's: it is no longer the caller's when the message is freed.
+func (m *Message) CipherBuf() []byte {
+	if m.cipher == nil {
+		m.cipher = new([CipherBlockBytes]byte)
+	}
+	return m.cipher[:]
+}
 
 // Size returns the total wire size in bytes.
 func (m *Message) Size() int { return m.BaseBytes + m.MetaBytes + m.MemProtBytes }

@@ -8,8 +8,8 @@ import (
 )
 
 // secMsg builds a pooled protected message, the kind outages blackhole.
-func secMsg(src, dst NodeID) *Message {
-	m := AcquireMessage()
+func secMsg(f *Fabric, src, dst NodeID) *Message {
+	m := f.AcquireMessage()
 	m.Kind, m.Category = KindDataResp, CatData
 	m.Src, m.Dst = src, dst
 	m.BaseBytes = 64
@@ -28,7 +28,7 @@ func TestForcedLinkOutageBlackholesWindow(t *testing.T) {
 	f.ForceLinkOutage(1, 2, 100, 200)
 
 	send := func(at sim.Cycle, src, dst NodeID) {
-		e.Schedule(at, sim.HandlerFunc(func(sim.Event) { f.Send(secMsg(src, dst)) }), nil)
+		e.Schedule(at, sim.HandlerFunc(func(sim.Event) { f.Send(secMsg(f, src, dst)) }), nil)
 	}
 	send(0, 1, 2)   // before the window: delivered
 	send(150, 1, 2) // inside: blackholed
@@ -61,8 +61,8 @@ func TestForcedLinkOutageIsPerLink(t *testing.T) {
 	f.ForceLinkOutage(1, 2, 0, 1000)
 
 	e.Schedule(10, sim.HandlerFunc(func(sim.Event) {
-		f.Send(secMsg(1, 2))
-		f.Send(secMsg(1, 3))
+		f.Send(secMsg(f, 1, 2))
+		f.Send(secMsg(f, 1, 3))
 	}), nil)
 	if _, err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -84,9 +84,9 @@ func TestForcedNodeOutageBlackholesBothDirections(t *testing.T) {
 	f.ForceNodeOutage(2, 100, 200)
 
 	e.Schedule(150, sim.HandlerFunc(func(sim.Event) {
-		f.Send(secMsg(1, 2)) // toward the resetting node
-		f.Send(secMsg(2, 3)) // from it
-		f.Send(secMsg(1, 3)) // uninvolved pair: unaffected
+		f.Send(secMsg(f, 1, 2)) // toward the resetting node
+		f.Send(secMsg(f, 2, 3)) // from it
+		f.Send(secMsg(f, 1, 3)) // uninvolved pair: unaffected
 	}), nil)
 	if _, err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -141,7 +141,7 @@ func randomOutageRun(t *testing.T, seed int64) Stats {
 	for at := sim.Cycle(0); at < 100_000; at += 50 {
 		src := NodeID(1 + int(at/50)%3)
 		dst := NodeID(1 + int(at/50+1)%3)
-		e.Schedule(at, sim.HandlerFunc(func(sim.Event) { f.Send(secMsg(src, dst)) }), nil)
+		e.Schedule(at, sim.HandlerFunc(func(sim.Event) { f.Send(secMsg(f, src, dst)) }), nil)
 	}
 	if _, err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -165,18 +165,15 @@ func TestRandomOutagesDeterministic(t *testing.T) {
 	}
 }
 
-// Blackholed pooled messages are released, not leaked: the pool audit
+// Blackholed pooled messages are freed, not leaked: the fabric's count
 // balances even when every message dies in an outage.
 func TestOutageDropReleasesPooledMessages(t *testing.T) {
-	audit := StartPoolAudit()
-	defer StopPoolAudit()
-
 	e, f := testFabric(t, 2)
 	f.Register(2, &sink{})
 	f.ForceLinkOutage(1, 2, 0, 1_000_000)
 	e.Schedule(10, sim.HandlerFunc(func(sim.Event) {
 		for i := 0; i < 16; i++ {
-			f.Send(secMsg(1, 2))
+			f.Send(secMsg(f, 1, 2))
 		}
 	}), nil)
 	if _, err := e.Run(); err != nil {
@@ -185,9 +182,9 @@ func TestOutageDropReleasesPooledMessages(t *testing.T) {
 	if f.Stats().OutageDropped != 16 {
 		t.Fatalf("outageDropped=%d, want 16", f.Stats().OutageDropped)
 	}
-	if n := audit.Outstanding(); n != 0 {
-		t.Errorf("pool outstanding=%d after drain, want 0 (acquired=%d released=%d)",
-			n, audit.Acquired(), audit.Released())
+	if n := f.Outstanding(); n != 0 {
+		t.Errorf("outstanding=%d after drain, want 0 (acquired=%d freed=%d)",
+			n, f.acquired, f.freed)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"secmgpu/internal/config"
-	"secmgpu/internal/interconnect"
 	"secmgpu/internal/sim"
 	"secmgpu/internal/workload"
 )
@@ -29,9 +28,6 @@ func outageConfig(gpus int) config.Config {
 // unbounded retries, and once the link returns every parked payload is
 // retransmitted under fresh counters and the run completes in full.
 func TestLinkOutageDuringMigrationRecovers(t *testing.T) {
-	audit := interconnect.StartPoolAudit()
-	defer interconnect.StopPoolAudit()
-
 	cfg := outageConfig(2)
 	cfg.MigrationThreshold = 4
 
@@ -94,7 +90,7 @@ func TestLinkOutageDuringMigrationRecovers(t *testing.T) {
 	// flight at shutdown are legitimately outstanding — but their count is
 	// bounded by the request window. A recovery path that dropped messages
 	// without releasing them would grow past it.
-	if n := audit.Outstanding(); n > int64(cfg.OutstandingRequests) {
+	if n := sys.Fabric().Outstanding(); n > cfg.OutstandingRequests {
 		t.Errorf("%d pooled messages outstanding at shutdown (window %d); recovery is leaking",
 			n, cfg.OutstandingRequests)
 	}

@@ -57,45 +57,56 @@ type pendingOp struct {
 	migrating bool
 }
 
-// requestMaps are a GPU's per-request maps, recycled from one cell to the
-// next through requestPool: a cell's churn of inserts and deletes grows
-// each map's groups well past its live size, and a cleared map keeps
-// them. Both maps stay small whatever the cell: pending holds at most the
-// outstanding-request window, migrating at most maxConcurrentMigrations,
-// so an entry needs no retention cap. Neither map is iterated, so a
-// recycled one cannot change a result.
+// requestMaps are a node's per-request maps and its event free list,
+// recycled from one cell to the next through requestPool: a cell's churn
+// of inserts and deletes grows each map's groups well past its live size,
+// and a cleared map keeps them. None of the three needs a retention cap:
+// pending holds at most the outstanding-request window, migrating at most
+// maxConcurrentMigrations, and the free list the node's peak count of
+// queued events — wakes, TLB-deferred issues and local completions within
+// its window, plus the replies it serves as a home (at most 217 on any
+// node of a `secbench -exp all` pass). Neither map is iterated, and an
+// event is zeroed when taken, so a recycled entry cannot change a result.
 type requestMaps struct {
 	pending   map[uint64]pendingOp
 	migrating map[migration.PageID]bool
+	evFree    *nodeEvent
 }
 
-// requestPool holds released GPUs' cleared requestMaps. A sync.Pool
+// requestPool holds released nodes' cleared requestMaps. A sync.Pool
 // because sweep workers run cells on parallel goroutines.
 var requestPool sync.Pool
 
-// takeRequests installs a GPU's request maps, recycled when the pool has
-// some. The CPU is a passive home and issues no requests: its nil maps
-// only ever serve lookups.
+// takeRequests installs a node's request maps and event free list,
+// recycled when the pool has some. The CPU takes them too: it serves
+// reads and migrations, so it schedules events; it issues no requests, so
+// its maps only ever serve lookups.
 func (n *node) takeRequests() {
-	if rm, ok := requestPool.Get().(*requestMaps); ok {
-		n.pending, n.migrating = rm.pending, rm.migrating
-		return
+	rm, ok := requestPool.Get().(*requestMaps)
+	if !ok {
+		rm = &requestMaps{
+			pending:   make(map[uint64]pendingOp),
+			migrating: make(map[migration.PageID]bool),
+		}
 	}
-	n.pending = make(map[uint64]pendingOp)
-	n.migrating = make(map[migration.PageID]bool)
+	n.pending, n.migrating, n.evFree = rm.pending, rm.migrating, rm.evFree
+	*rm = requestMaps{}
+	n.pooled = rm
 }
 
-// releaseRequests clears the request maps and returns them to the pool.
-// The node's fields are nilled, so a stale insert panics instead of
-// writing into maps another cell now owns.
+// releaseRequests clears the request maps and returns them, with the
+// event free list, to the pool. The node's fields are nilled, so a stale
+// insert panics instead of writing into maps another cell now owns.
 func (n *node) releaseRequests() {
-	if n.pending == nil {
+	rm := n.pooled
+	if rm == nil {
 		return
 	}
 	clear(n.pending)
 	clear(n.migrating)
-	requestPool.Put(&requestMaps{n.pending, n.migrating})
-	n.pending, n.migrating = nil, nil
+	*rm = requestMaps{n.pending, n.migrating, n.evFree}
+	requestPool.Put(rm)
+	n.pooled, n.pending, n.migrating, n.evFree = nil, nil, nil, nil
 }
 
 // node is one processor: the CPU (passive home) or a GPU (trace-driven
@@ -139,20 +150,26 @@ type node struct {
 	// single-goroutine, so a plain intrusive list suffices).
 	evH    sim.Handler
 	evFree *nodeEvent
+
+	// pooled is the requestPool entry the maps and free list came in,
+	// handed back by releaseRequests; nil once released.
+	pooled *requestMaps
 }
 
 // nodeEvent is the pooled typed payload behind every event a node
 // schedules: wakeups, issues deferred by a TLB walk, memory-service
 // completions, and the home side's delayed replies. One union with a
 // single cached handler replaces a closure allocation per event.
+//
+// It packs into 72 bytes (the 80-byte size class): the kind shares a word
+// with the CU, and a TLB-deferred issue recovers its page from addr.
 type nodeEvent struct {
 	kind nodeEventKind
-	cu   int
+	cu   int32
 	src  interconnect.NodeID
 	id   uint64
 	addr uint64
 	op   workload.Op
-	page migration.PageID
 
 	next *nodeEvent
 }
@@ -193,8 +210,8 @@ func (n *node) newEvent(kind nodeEventKind) *nodeEvent {
 // follow-up events can reuse it immediately.
 func (n *node) onEvent(se sim.Event) {
 	ev := se.Payload.(*nodeEvent)
-	kind, cu, src, id, addr, op, page :=
-		ev.kind, ev.cu, ev.src, ev.id, ev.addr, ev.op, ev.page
+	kind, cu, src, id, addr, op :=
+		ev.kind, int(ev.cu), ev.src, ev.id, ev.addr, ev.op
 	ev.next = n.evFree
 	n.evFree = ev
 	now := n.engine().Now()
@@ -208,7 +225,7 @@ func (n *node) onEvent(se sim.Event) {
 		if cu < 0 {
 			n.inFlight--
 		}
-		n.issueTranslated(now, op, page, addr, cu)
+		n.issueTranslated(now, op, pageOf(addr), addr, cu)
 	case evComplete:
 		n.complete(cu)
 	case evWriteCommit:
@@ -302,7 +319,7 @@ func (n *node) issue(now sim.Cycle, op workload.Op, cu int) {
 				n.inFlight++
 			}
 			ev := n.newEvent(evIssueTranslated)
-			ev.cu, ev.op, ev.page, ev.addr = cu, op, page, addr
+			ev.cu, ev.op, ev.addr = int32(cu), op, addr
 			n.sys.engine.Schedule(now+lat, n.evH, ev)
 			return
 		}
@@ -325,7 +342,7 @@ func (n *node) issueTranslated(now sim.Cycle, op workload.Op, page migration.Pag
 		}
 		done := now + n.memory.ServiceLatency(addr)
 		ev := n.newEvent(evComplete)
-		ev.cu = cu
+		ev.cu = int32(cu)
 		n.engine().Schedule(done, n.evH, ev)
 		return
 	}

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"secmgpu/internal/config"
+	"secmgpu/internal/interconnect"
 	"secmgpu/internal/sim"
 	"secmgpu/internal/workload"
 )
@@ -110,6 +111,96 @@ func cancelledRecovery() error {
 	return nil
 }
 
+// inFlightCell runs an 8-GPU Ours cell cancelled at the engine's first
+// mid-run poll and checks that it was released with pooled messages still
+// in flight or held.
+func inFlightCell(t *testing.T) func() error {
+	cfg, traces := oursCell(t, 8, 0.05)
+	return func() error {
+		sys, err := New(cfg, traces, RunOptions{})
+		if err != nil {
+			return err
+		}
+		ctx := &tripCtx{Context: context.Background(), trip: 2}
+		if _, err := sys.RunContext(ctx); !errors.Is(err, context.Canceled) {
+			return fmt.Errorf("in-flight cell: err = %v, want context.Canceled", err)
+		}
+		if sys.Fabric().Outstanding() == 0 {
+			return fmt.Errorf("in-flight cell: released with no message out")
+		}
+		return nil
+	}
+}
+
+// stallStop is a node's fabric deliverer that wraps its endpoint and
+// stops the engine as soon as the endpoint retains a delivery to hand to
+// the node after an OTP stall, so the system is released with that
+// delivery still pending.
+type stallStop struct {
+	ep  interconnect.Deliverer
+	sys *System
+	hit *bool
+}
+
+func (s stallStop) Deliver(now sim.Cycle, msg *interconnect.Message) {
+	s.ep.Deliver(now, msg)
+	if msg.Retained() && !*s.hit {
+		*s.hit = true
+		s.sys.engine.Stop()
+	}
+}
+
+// stalledDeliveryCell runs a 4-GPU cell whose receivers run short of
+// pads, and ends it at the first delivery an endpoint retains for an
+// OTP-stalled hand-off.
+func stalledDeliveryCell(t *testing.T) func() error {
+	cfg, traces := oursCell(t, 4, 0.02)
+	cfg.Scheme = config.OTPShared
+	cfg.OTPMultiplier = 1
+	return func() error {
+		sys, err := New(cfg, traces, RunOptions{})
+		if err != nil {
+			return err
+		}
+		hit := false
+		for _, n := range sys.nodes {
+			sys.Fabric().Register(n.id, stallStop{n.ep, sys, &hit})
+		}
+		if _, err := sys.Run(); err == nil || !hit {
+			return fmt.Errorf("stalled-delivery cell: err = %v, retained = %t; want a run stopped at a retained delivery", err, hit)
+		}
+		if sys.Fabric().Outstanding() == 0 {
+			return fmt.Errorf("stalled-delivery cell: released with no message out")
+		}
+		return nil
+	}
+}
+
+// duplicatingCell runs an 8-GPU cell to completion on a fabric that drops,
+// corrupts and duplicates secure traffic far more often than the faulty
+// fresh cell does, so unpooled duplicates and damaged ciphertext pass
+// through the fabric's free path.
+func duplicatingCell() func() error {
+	cfg := faultyConfig(8, 41)
+	cfg.Scheme = config.OTPPrivate
+	cfg.Faults.DuplicateRate = 0.05
+	traces := allTraces(8, 200, 6, 2)
+	return func() error {
+		sys, err := New(cfg, traces, RunOptions{Functional: true})
+		if err != nil {
+			return err
+		}
+		res, err := sys.Run()
+		if err != nil {
+			return err
+		}
+		if res.Traffic.FaultDuplicated == 0 || res.Traffic.FaultDropped == 0 {
+			return fmt.Errorf("duplicating cell: %d duplicated, %d dropped; want both", res.Traffic.FaultDuplicated, res.Traffic.FaultDropped)
+		}
+		return nil
+	}
+}
+
 // freshCells are compared with a run in a fresh process, where no pool
 // holds anything: an 8-GPU conventional cell that migrates pages, whose
 // configuration no other recycling test runs, and a 4-GPU cell on a
@@ -164,13 +255,17 @@ func freshProcessDigest(t *testing.T, name string) string {
 
 // TestRecycledStorageIsInvisible checks that a cell's result does not
 // depend on what ran before it on recycled engine slabs, cache tag
-// stores, request maps, retransmission units and fault generators. A
+// stores, request maps, node events, page maps, message free lists,
+// retransmission units and fault generators. A
 // small cell B runs, then a disturbing cell that leaves its storage in a
 // different state, then B again; both B results must be equal field for
-// field. Last, after a recovering cell cancelled with units open, units
-// parked, and requests and migrations pending, a cell of a configuration
-// not run before and a cell on a lossy fabric must each match a run in a
-// fresh process.
+// field. Last, a cell of a configuration not run before and a cell on a
+// lossy fabric must each match a run in a fresh process, after each of
+// four cells that end with storage still in use: a recovering cell
+// cancelled with units open, units parked, and requests and migrations
+// pending; a cell cancelled with messages in flight; a cell stopped with
+// a retained OTP-stalled delivery pending; and a cell on a fabric that
+// duplicates and drops messages.
 func TestRecycledStorageIsInvisible(t *testing.T) {
 	cfg4, tr4 := oursCell(t, 4, 0.01)
 	b := recycleCell{cfg4, tr4}
@@ -222,17 +317,34 @@ func TestRecycledStorageIsInvisible(t *testing.T) {
 		})
 	}
 	t.Run("fresh-process", func(t *testing.T) {
-		if err := cancelledRecovery(); err != nil {
-			t.Fatal(err)
+		fresh := map[string]string{}
+		for name := range freshCells() {
+			fresh[name] = freshProcessDigest(t, name)
 		}
-		for name, c := range freshCells() {
-			got, err := c.digest()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if want := freshProcessDigest(t, name); got != want {
-				t.Errorf("%s cell differs from its fresh-process run\nhere:  %.300s\nfresh: %.300s", name, got, want)
-			}
+		ends := []struct {
+			name string
+			cell func() error
+		}{
+			{"recovery-cancelled-with-live-units", cancelledRecovery},
+			{"messages-in-flight", inFlightCell(t)},
+			{"stalled-delivery-pending", stalledDeliveryCell(t)},
+			{"lossy-duplicating", duplicatingCell()},
+		}
+		for _, end := range ends {
+			t.Run("after-"+end.name, func(t *testing.T) {
+				if err := end.cell(); err != nil {
+					t.Fatal(err)
+				}
+				for name, c := range freshCells() {
+					got, err := c.digest()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got != fresh[name] {
+						t.Errorf("%s cell differs from its fresh-process run\nhere:  %.300s\nfresh: %.300s", name, got, fresh[name])
+					}
+				}
+			})
 		}
 	})
 }
@@ -279,5 +391,63 @@ func TestRecycledStorageParallel(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
+	}
+}
+
+// pendingCtx cancels a run at the first engine poll that finds requests
+// pending, so the system is released with its request maps in use.
+type pendingCtx struct {
+	context.Context
+	sys     *System
+	reached bool
+}
+
+func (c *pendingCtx) Done() <-chan struct{} { return make(chan struct{}) }
+func (c *pendingCtx) Err() error {
+	for _, n := range c.sys.nodes {
+		if len(n.pending) > 0 {
+			c.reached = true
+			return context.Canceled
+		}
+	}
+	return nil
+}
+
+// TestReleasedNodesHandOverEvents checks that every node, the CPU
+// included, takes a request entry at New and hands it back at release
+// with its event free list and emptied maps, keeping nothing itself. The
+// cell is cancelled with requests pending, so the maps are in use when
+// it is released.
+func TestReleasedNodesHandOverEvents(t *testing.T) {
+	cfg, traces := oursCell(t, 8, 0.05)
+	sys, err := New(cfg, traces, RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cpu := sys.nodes[0]
+	if cpu.pooled == nil || cpu.pending == nil {
+		t.Fatal("the CPU took no request entry")
+	}
+	entries := make([]*requestMaps, len(sys.nodes))
+	for i, n := range sys.nodes {
+		entries[i] = n.pooled
+	}
+	ctx := &pendingCtx{Context: context.Background(), sys: sys}
+	if _, err := sys.RunContext(ctx); !errors.Is(err, context.Canceled) || !ctx.reached {
+		t.Fatalf("err = %v, pending reached = %t; want a run cancelled with requests pending", err, ctx.reached)
+	}
+	for i, n := range sys.nodes {
+		if n.pooled != nil || n.evFree != nil || n.pending != nil || n.migrating != nil {
+			t.Errorf("released %v still holds its entry, events or maps", n.id)
+		}
+		rm := entries[i]
+		events := 0
+		for ev := rm.evFree; ev != nil; ev = ev.next {
+			events++
+		}
+		if events == 0 || len(rm.pending) != 0 || len(rm.migrating) != 0 {
+			t.Errorf("%v handed back %d events and maps of %d and %d entries; want events and empty maps",
+				n.id, events, len(rm.pending), len(rm.migrating))
+		}
 	}
 }

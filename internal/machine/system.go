@@ -91,12 +91,13 @@ type Result struct {
 
 // System is one runnable simulated machine. Build with New, run once with
 // Run or RunContext. The run ends the system's life: on return, whatever
-// the outcome, the event engine's slabs, the fabric's fault and outage
-// generators, and each node's cache tag store, request maps and
+// the outcome, the event engine's slabs, the fabric's message free list
+// and fault and outage generators, the migration policy's page map, and
+// each node's cache tag store, request maps, event free list and
 // retransmission bookkeeping go back to their pools for the next cell, and
 // only the returned Result stays valid. The system's engine, fabric,
-// endpoints and caches must not be driven afterwards; the engine,
-// endpoints and caches panic if they are.
+// endpoints and caches must not be driven afterwards; they panic if they
+// are.
 type System struct {
 	cfg    config.Config
 	opt    RunOptions
@@ -167,13 +168,13 @@ func New(cfg config.Config, traces [][]workload.Op, opt RunOptions) (*System, er
 			id:  interconnect.NodeID(id),
 		}
 		n.evH = sim.HandlerFunc(n.onEvent)
+		n.takeRequests()
 		if n.id.IsCPU() {
 			n.memory = mem.HostDRAM(cfg.BlockSize)
 		} else {
 			n.memory = mem.HBM(cfg.BlockSize)
 			n.ops = traces[id-1]
 			n.window = cfg.OutstandingRequests
-			n.takeRequests()
 			if cfg.ModelTLB {
 				n.tlbH = tlb.New(2 * sim.Cycle(cfg.PCIeLatency))
 			}
@@ -353,13 +354,15 @@ func (s *System) RunContext(ctx context.Context) (*Result, error) {
 	return res, nil
 }
 
-// release hands the engine's slabs, the fabric's generators and every
-// node's cache tag store, request maps and retransmission bookkeeping back
-// to their pools; RunContext defers it, since a system runs once. The
-// engine goes first, so no queued event still names a pooled object.
+// release hands the engine's slabs, the fabric's message list and
+// generators, the page map and every node's cache tag store, request
+// maps, event list and retransmission bookkeeping back to their pools;
+// RunContext defers it, since a system runs once. The engine goes first,
+// so no queued event still names a pooled object.
 func (s *System) release() {
 	s.engine.Release()
 	s.fabric.Release()
+	s.policy.Release()
 	for _, n := range s.nodes {
 		n.memory.Release()
 		n.ep.Release()
@@ -380,14 +383,15 @@ func (s *System) progress() uint64 {
 }
 
 // diagnose builds the watchdog's trip-time dump: engine-level queue and
-// timer-slab occupancy, message-pool balance, and each endpoint's live
-// protocol state, as one JSON document.
+// timer-slab occupancy, the fabric's count of messages acquired and not
+// yet freed, and each endpoint's live protocol state, as one JSON
+// document.
 func (s *System) diagnose() string {
 	var sb strings.Builder
 	slots, held, dead := s.engine.TimerSlab()
-	fmt.Fprintf(&sb, `{"cycle":%d,"pendingEvents":%d,"timerSlab":{"slots":%d,"held":%d,"dead":%d},"poolOutstanding":%d,"unfinishedGPUs":%d,"endpoints":[`,
+	fmt.Fprintf(&sb, `{"cycle":%d,"pendingEvents":%d,"timerSlab":{"slots":%d,"held":%d,"dead":%d},"msgsOutstanding":%d,"unfinishedGPUs":%d,"endpoints":[`,
 		s.engine.Now(), s.engine.Pending(), slots, held, dead,
-		interconnect.AuditOutstanding(), s.remaining)
+		s.fabric.Outstanding(), s.remaining)
 	for i, n := range s.nodes {
 		if i > 0 {
 			sb.WriteByte(',')

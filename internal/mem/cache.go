@@ -42,8 +42,8 @@ const chunkLines = 4096
 type chunk [chunkLines]line
 
 // chunkPool holds zeroed *chunk; slotPools[k] holds zeroed *[]int32 of
-// capacity 1<<k. They are sync.Pools, like the message pool, because a
-// sweep runs cells on parallel goroutines.
+// capacity 1<<k. They are sync.Pools because a sweep runs cells on
+// parallel goroutines.
 var (
 	chunkPool sync.Pool
 	slotPools [32]sync.Pool

@@ -5,21 +5,26 @@
 // access and page migration (Section II-A).
 package migration
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // PageID identifies a 4KB page in the unified address space.
 type PageID uint64
 
 // Node mirrors interconnect.NodeID without importing it; 0 is the CPU.
-type Node int
+// An int32 keeps pageState at 24 bytes.
+type Node int32
 
 // Policy tracks page ownership and per-(page, accessor) counters.
 type Policy struct {
 	threshold int
 	// pages holds the migration state of every page touched remotely or
-	// migrated; absent pages live at their home node (encoded in the
-	// address) with no accesses counted.
-	pages      map[PageID]*pageState
+	// migrated, by value so a touched page costs no object of its own;
+	// absent pages live at their home node (encoded in the address) with
+	// no accesses counted.
+	pages      map[PageID]pageState
 	migrations uint64
 }
 
@@ -27,22 +32,56 @@ type Policy struct {
 // remote accessor (the address layout gives each (requester, home) pair a
 // private page pool), stored inline; further accessors overflow to a map.
 type pageState struct {
-	owner    Node
-	hasOwner bool
-	cNode    Node
-	cCount   int
 	overflow map[Node]int
+	owner    Node
+	cNode    Node
+	cCount   int32
+	hasOwner bool
 }
+
+// pagesPool holds released policies' cleared page maps for the next
+// NewPolicy: a cleared map keeps its groups, so a cell does not regrow
+// one from empty. A map value is a pointer, so pooling one allocates
+// nothing. A sync.Pool because sweep workers run cells on parallel
+// goroutines.
+var pagesPool sync.Pool
+
+// maxPooledPages caps the pages of a map that Release pools. Pages are
+// never deleted, so a map's size is its peak. A `secbench -exp all`
+// pass at scale 0.01 touches at most 1,625 pages in one cell; larger
+// cells (3,703 pages in a 4-GPU `mm` cell at scale 0.25) are few and
+// long, and their maps go to the collector instead of pinning their
+// groups between cells.
+const maxPooledPages = 2048
 
 // NewPolicy builds an access-counter migration policy. threshold <= 0
 // disables migration entirely (pure direct block access).
 func NewPolicy(threshold int) *Policy {
-	return &Policy{threshold: threshold, pages: make(map[PageID]*pageState)}
+	pages, _ := pagesPool.Get().(map[PageID]pageState)
+	if pages == nil {
+		pages = make(map[PageID]pageState)
+	}
+	return &Policy{threshold: threshold, pages: pages}
+}
+
+// Release hands the page map, cleared, to the next NewPolicy;
+// machine.System calls it when a cell ends. Afterwards Owner reports
+// every page at its home and RecordAccess and Migrate panic; Migrations
+// keeps reporting the final count. Releasing twice is a no-op.
+func (p *Policy) Release() {
+	if p.pages == nil {
+		return
+	}
+	if len(p.pages) <= maxPooledPages {
+		clear(p.pages)
+		pagesPool.Put(p.pages)
+	}
+	p.pages = nil
 }
 
 // Owner returns the page's current owner given its home node.
 func (p *Policy) Owner(page PageID, home Node) Node {
-	if st := p.pages[page]; st != nil && st.hasOwner {
+	if st := p.pages[page]; st.hasOwner {
 		return st.owner
 	}
 	return home
@@ -55,14 +94,16 @@ func (p *Policy) RecordAccess(page PageID, accessor, owner Node) (migrate bool) 
 	if accessor == owner || p.threshold <= 0 {
 		return false
 	}
-	st := p.state(page)
+	st := p.pages[page]
 	if (st.cCount == 0 && st.overflow == nil) || st.cNode == accessor {
 		st.cNode = accessor
 		st.cCount++
-		return st.cCount >= p.threshold
+		p.pages[page] = st
+		return int(st.cCount) >= p.threshold
 	}
 	if st.overflow == nil {
 		st.overflow = make(map[Node]int)
+		p.pages[page] = st
 	}
 	st.overflow[accessor]++
 	return st.overflow[accessor] >= p.threshold
@@ -72,22 +113,8 @@ func (p *Policy) RecordAccess(page PageID, accessor, owner Node) (migrate bool) 
 // counters. The caller is responsible for simulating the data movement and
 // shootdown cost.
 func (p *Policy) Migrate(page PageID, to Node, home Node) {
-	st := p.state(page)
-	st.hasOwner = to != home
-	st.owner = to
-	st.cCount = 0
-	st.overflow = nil
+	p.pages[page] = pageState{owner: to, hasOwner: to != home}
 	p.migrations++
-}
-
-// state returns the page's entry, creating it on first touch.
-func (p *Policy) state(page PageID) *pageState {
-	st := p.pages[page]
-	if st == nil {
-		st = &pageState{}
-		p.pages[page] = st
-	}
-	return st
 }
 
 // Migrations returns the number of migrations performed.

@@ -89,3 +89,48 @@ func TestOwnershipProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestReleasedPolicy checks Release: the released policy keeps its
+// migration count, reports every page at home and panics on a write
+// instead of touching a map the next policy may own, and a policy built
+// after it starts from an empty map whatever the released one held.
+func TestReleasedPolicy(t *testing.T) {
+	p := NewPolicy(2)
+	for page := PageID(0); page < 100; page++ {
+		p.RecordAccess(page, 1, 2)
+		p.RecordAccess(page, 3, 2) // a second accessor overflows
+	}
+	p.RecordAccess(5, 1, 2)
+	p.Migrate(5, 1, 2)
+	p.Release()
+	p.Release() // a second release is a no-op
+	if p.Migrations() != 1 || p.Owner(5, 2) != 2 {
+		t.Errorf("released policy: migrations=%d owner=%v, want 1 and home 2", p.Migrations(), p.Owner(5, 2))
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("RecordAccess on a released policy did not panic")
+			}
+		}()
+		p.RecordAccess(9, 1, 2)
+	}()
+	q := NewPolicy(2)
+	if q.RecordAccess(5, 1, 2) || q.Owner(5, 2) != 2 || len(q.pages) != 1 {
+		t.Errorf("a new policy saw the released one's pages: %d entries", len(q.pages))
+	}
+}
+
+// TestOversizedPageMapNotPooled checks that Release drops, rather than
+// pools, a map past maxPooledPages.
+func TestOversizedPageMapNotPooled(t *testing.T) {
+	p := NewPolicy(2)
+	for page := PageID(0); page <= maxPooledPages; page++ {
+		p.RecordAccess(page, 1, 2)
+	}
+	big := p.pages
+	p.Release()
+	if len(big) != maxPooledPages+1 {
+		t.Errorf("Release cleared a map it does not pool: %d entries left", len(big))
+	}
+}

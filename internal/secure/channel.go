@@ -28,9 +28,8 @@ import (
 	"secmgpu/internal/sim"
 )
 
-// The message pool's inline ciphertext block must hold exactly one crypto
-// block; a mismatch breaks seal() silently, so it is rejected at compile
-// time.
+// A message's ciphertext block must hold exactly one crypto block; a
+// mismatch breaks seal() silently, so it is rejected at compile time.
 var _ = [1]struct{}{}[crypto.BlockBytes-interconnect.CipherBlockBytes]
 
 // Wire sizes in bytes. The data path matches the paper's accounting: each
@@ -237,7 +236,7 @@ type deferred struct {
 	dst    interconnect.NodeID
 	class  int
 	// deliver, when set, is a retained message to hand to the node logic
-	// and then release back to the pool.
+	// and then free back to the fabric.
 	deliver *interconnect.Message
 
 	next *deferred
@@ -462,7 +461,7 @@ func (e *Endpoint) onDeferred(ev sim.Event) {
 	}
 	if m := d.deliver; m != nil {
 		e.handler.HandleData(e.engine.Now(), m)
-		m.Release()
+		e.fabric.FreeMessage(m)
 	}
 	*d = deferred{next: e.defFree}
 	e.defFree = d
@@ -473,7 +472,7 @@ func (e *Endpoint) onDeferred(ev sim.Event) {
 // and follow the paper in staying outside the OTP path.
 func (e *Endpoint) SendControl(dst interconnect.NodeID, kind interconnect.Kind, reqID, addr uint64, size int) {
 	e.mustLive()
-	msg := interconnect.AcquireMessage()
+	msg := e.fabric.AcquireMessage()
 	msg.Kind = kind
 	msg.Category = categoryOf(kind)
 	msg.Src, msg.Dst = e.node, dst
@@ -557,7 +556,7 @@ type txBlock struct {
 // dataMessage builds the wire message of one data block, before any
 // protection.
 func (e *Endpoint) dataMessage(dst interconnect.NodeID, blk txBlock) *interconnect.Message {
-	msg := interconnect.AcquireMessage()
+	msg := e.fabric.AcquireMessage()
 	msg.Kind = interconnect.Kind(blk.kind)
 	msg.Category = interconnect.CatData
 	msg.Src, msg.Dst = e.node, dst
@@ -673,7 +672,7 @@ func (e *Endpoint) sendBatchMAC(dst interconnect.NodeID, class int, cb *core.Clo
 	if e.opts.MetadataTraffic {
 		size = BatchMACBytes
 	}
-	msg := interconnect.AcquireMessage()
+	msg := e.fabric.AcquireMessage()
 	msg.Kind = interconnect.KindBatchMAC
 	msg.Category = interconnect.CatBatchMAC
 	msg.Src, msg.Dst = e.node, dst
@@ -803,7 +802,7 @@ func (e *Endpoint) deliverData(now sim.Cycle, msg *interconnect.Message) {
 		return
 	}
 	// The message outlives this Deliver call (deliverAt > now whenever
-	// use.Stall > 0): take ownership from the fabric and release after the
+	// use.Stall > 0): take ownership from the fabric and free it after the
 	// node logic consumed it.
 	msg.Retain()
 	d := e.newDeferred()
@@ -839,7 +838,7 @@ func (e *Endpoint) sendFeedback(dst interconnect.NodeID, kind interconnect.Kind,
 	if e.opts.MetadataTraffic {
 		size = ACKBytes
 	}
-	msg := interconnect.AcquireMessage()
+	msg := e.fabric.AcquireMessage()
 	msg.Kind = kind
 	msg.Category = interconnect.CatSecACK
 	msg.Src, msg.Dst = e.node, dst

@@ -262,6 +262,55 @@ func TestOTPStallDelaysDelivery(t *testing.T) {
 	}
 }
 
+// retainCounter wraps an endpoint on the fabric and counts the deliveries
+// it retains past their Deliver call.
+type retainCounter struct {
+	ep       *Endpoint
+	retained int
+}
+
+func (r *retainCounter) Deliver(now sim.Cycle, msg *interconnect.Message) {
+	r.ep.Deliver(now, msg)
+	if msg.Retained() {
+		r.retained++
+	}
+}
+
+// A receiver short of pads retains each stalled delivery past its Deliver
+// call and must hand the message back to the fabric once the node has
+// consumed it: after the drain nothing is outstanding.
+func TestRetainedDeliveryIsFreed(t *testing.T) {
+	e := sim.NewEngine()
+	f := interconnect.NewFabric(e, interconnect.FabricConfig{
+		NumGPUs:         2,
+		PCIeBandwidth:   32,
+		NVLinkBandwidth: 50,
+		GPUNICBandwidth: 150,
+		PCIeLatency:     400,
+		NVLinkLatency:   100,
+	})
+	cb := &capture{}
+	a := New(e, f, 1, secureOpts(), otp.NewPrivate(2, 16, crypto.NewEngine(40)), &capture{})
+	b := New(e, f, 2, secureOpts(), otp.NewPrivate(2, 1, crypto.NewEngine(40)), cb)
+	New(e, f, interconnect.CPUNode, Options{}, nil, &capture{})
+	rc := &retainCounter{ep: b}
+	f.Register(2, rc)
+	e.Schedule(1000, sim.HandlerFunc(func(sim.Event) {
+		for i := 0; i < 8; i++ {
+			a.SendData(2, interconnect.KindDataResp, uint64(i), uint64(i*64), payload(byte(i)), false)
+		}
+	}), nil)
+	if _, err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if rc.retained == 0 || len(cb.data) != 8 {
+		t.Fatalf("retained %d deliveries, delivered %d; want some retained and all 8 delivered", rc.retained, len(cb.data))
+	}
+	if n := f.Outstanding(); n != 0 {
+		t.Errorf("%d messages outstanding after the drain; a retained delivery was not freed", n)
+	}
+}
+
 func TestMemProtBytesOnlyWhenFlagged(t *testing.T) {
 	p := newPair(t, secureOpts())
 	p.engine.Schedule(1000, sim.HandlerFunc(func(sim.Event) {

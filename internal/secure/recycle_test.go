@@ -32,7 +32,7 @@ func TestReleasedEndpointPanics(t *testing.T) {
 		p.a.SendControl(2, interconnect.KindReadReq, 3, 192, ReadReqBytes)
 	})
 	mustPanic(t, "Deliver", func() {
-		msg := interconnect.AcquireMessage()
+		msg := p.fabric.AcquireMessage()
 		msg.Kind, msg.Src, msg.Dst = interconnect.KindReadReq, 2, 1
 		p.a.Deliver(0, msg)
 	})

@@ -292,7 +292,7 @@ func (rs *peerRecovery) frameType() byte {
 // sendResyncFrame transmits one handshake message on the protected plane.
 func (e *Endpoint) sendResyncFrame(kind interconnect.Kind, dst interconnect.NodeID,
 	typ byte, seq uint32, base uint64) {
-	msg := interconnect.AcquireMessage()
+	msg := e.fabric.AcquireMessage()
 	msg.Kind = kind
 	msg.Category = interconnect.CatResync
 	msg.Src, msg.Dst = e.node, dst

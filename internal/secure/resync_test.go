@@ -49,9 +49,6 @@ func TestResyncFrameRoundTrip(t *testing.T) {
 // parked block — no poisoning, everything verified, every pooled message
 // returned.
 func TestOutageTriggersResyncAndRecovers(t *testing.T) {
-	audit := interconnect.StartPoolAudit()
-	defer interconnect.StopPoolAudit()
-
 	p := newPair(t, resyncOpts())
 	p.fabric.ForceLinkOutage(1, 2, 0, 50_000)
 
@@ -87,7 +84,7 @@ func TestOutageTriggersResyncAndRecovers(t *testing.T) {
 		t.Errorf("verified=%d decryptFailed=%d after recovery", sb.BatchesVerified, sb.DecryptFailed)
 	}
 	assertDrained(t, p.a, p.b)
-	if n := audit.Outstanding(); n != 0 {
+	if n := p.fabric.Outstanding(); n != 0 {
 		t.Errorf("%d pooled messages leaked across the outage recovery", n)
 	}
 }
@@ -191,7 +188,7 @@ func TestMalformedResyncDropped(t *testing.T) {
 	p := newPair(t, resyncOpts())
 
 	// Corrupted flag set: dropped before decode.
-	msg := interconnect.AcquireMessage()
+	msg := p.fabric.AcquireMessage()
 	msg.Kind = interconnect.KindSecResync
 	msg.Src, msg.Dst = 1, 2
 	env := msg.AttachSec()
@@ -200,16 +197,16 @@ func TestMalformedResyncDropped(t *testing.T) {
 	env.Ciphertext = buf
 	msg.Corrupted = true
 	p.b.Deliver(0, msg)
-	msg.Release()
+	p.fabric.FreeMessage(msg)
 
 	// Garbage ciphertext: fails decode.
-	msg = interconnect.AcquireMessage()
+	msg = p.fabric.AcquireMessage()
 	msg.Kind = interconnect.KindSecResyncAck
 	msg.Src, msg.Dst = 1, 2
 	env = msg.AttachSec()
 	env.Ciphertext = []byte("not a handshake frame")
 	p.b.Deliver(0, msg)
-	msg.Release()
+	p.fabric.FreeMessage(msg)
 
 	// No envelope at all.
 	bare := &interconnect.Message{Kind: interconnect.KindSecResync, Src: 1, Dst: 2}

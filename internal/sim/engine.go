@@ -189,9 +189,8 @@ type slabs struct {
 	timerFree []int32
 }
 
-// slabPool holds released engines' slabs as *slabs. It is a sync.Pool,
-// like the message pool, because a sweep runs cells on parallel
-// goroutines.
+// slabPool holds released engines' slabs as *slabs. It is a sync.Pool
+// because a sweep runs cells on parallel goroutines.
 var slabPool sync.Pool
 
 // NewEngine returns an empty engine at cycle 0, with the slabs of a
