@@ -53,6 +53,11 @@ func (s OTPScheme) String() string {
 // (Section IV-D).
 const OTPEntryBits = 1 + 512 + 128 + 64
 
+// MaxGPUs is the largest GPU count a system may have: a trace op names its
+// home node in one byte (workload.Op.Home), as a page ID names its
+// requester.
+const MaxGPUs = 255
+
 // Config describes one simulated secure multi-GPU system.
 type Config struct {
 	// NumGPUs is the GPU count (the paper evaluates 4, 8, and 16; Table I
@@ -330,6 +335,8 @@ func (c Config) Validate() error {
 	switch {
 	case c.NumGPUs < 2:
 		return fmt.Errorf("config: NumGPUs %d < 2; a multi-GPU system needs at least two GPUs", c.NumGPUs)
+	case c.NumGPUs > MaxGPUs:
+		return fmt.Errorf("config: NumGPUs %d > %d; a trace op names its home node in one byte", c.NumGPUs, MaxGPUs)
 	case c.OTPMultiplier < 1:
 		return fmt.Errorf("config: OTPMultiplier %d < 1", c.OTPMultiplier)
 	case c.Secure && c.AESGCMLatency == 0:

@@ -75,9 +75,16 @@ func TestMACStorageMatchesSectionIVD(t *testing.T) {
 	}
 }
 
+func TestValidateAcceptsMaxGPUs(t *testing.T) {
+	if err := Default(MaxGPUs).Validate(); err != nil {
+		t.Errorf("Default(%d): %v", MaxGPUs, err)
+	}
+}
+
 func TestValidateRejectsBadConfigs(t *testing.T) {
 	mutations := map[string]func(*Config){
 		"one gpu":          func(c *Config) { c.NumGPUs = 1 },
+		"256 gpus":         func(c *Config) { c.NumGPUs = MaxGPUs + 1 },
 		"zero multiplier":  func(c *Config) { c.OTPMultiplier = 0 },
 		"zero aes latency": func(c *Config) { c.Secure = true; c.AESGCMLatency = 0 },
 		"zero bandwidth":   func(c *Config) { c.PCIeBandwidth = 0 },

@@ -29,7 +29,7 @@ func synthTrace(gpu, numGPUs, count int, gap uint32, writeEvery int) []workload.
 		ops = append(ops, workload.Op{
 			Gap:   gap,
 			Kind:  kind,
-			Home:  dests[i%len(dests)],
+			Home:  uint8(dests[i%len(dests)]),
 			Page:  uint32(i % 64),
 			Block: uint8(i % 64),
 		})

@@ -307,7 +307,7 @@ func (n *node) tryIssueCUs() {
 }
 
 func (n *node) issue(now sim.Cycle, op workload.Op, cu int) {
-	page := pageIDOf(op.Home, int(n.id), op.Page)
+	page := pageIDOf(int(op.Home), int(n.id), op.Page)
 	addr := addrOf(page, op.Block)
 
 	if n.tlbH != nil {

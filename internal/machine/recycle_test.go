@@ -256,7 +256,7 @@ func freshProcessDigest(t *testing.T, name string) string {
 // TestRecycledStorageIsInvisible checks that a cell's result does not
 // depend on what ran before it on recycled engine slabs, cache tag
 // stores, request maps, node events, page maps, message free lists,
-// retransmission units and fault generators. A
+// retransmission units, deferred payloads and fault generators. A
 // small cell B runs, then a disturbing cell that leaves its storage in a
 // different state, then B again; both B results must be equal field for
 // field. Last, a cell of a configuration not run before and a cell on a

@@ -360,7 +360,7 @@ func New(engine *sim.Engine, fabric *interconnect.Fabric, node interconnect.Node
 	e.ctrSeen = make([]bool, peers)
 	if opts.Secure {
 		if st, ok := unitPool.Get().(*unitStore); ok {
-			e.units, e.unitFree = st.units, st.free
+			e.units, e.unitFree, e.defFree = st.units, st.free, st.deferreds
 		} else {
 			e.units = make(map[unitKey]*txUnit)
 		}
@@ -463,6 +463,11 @@ func (e *Endpoint) onDeferred(ev sim.Event) {
 		e.handler.HandleData(e.engine.Now(), m)
 		e.fabric.FreeMessage(m)
 	}
+	e.freeDeferred(d)
+}
+
+// freeDeferred zeroes d and returns it to the free list.
+func (e *Endpoint) freeDeferred(d *deferred) {
 	*d = deferred{next: e.defFree}
 	e.defFree = d
 }

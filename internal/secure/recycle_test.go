@@ -3,6 +3,7 @@ package secure
 import (
 	"testing"
 
+	"secmgpu/internal/core"
 	"secmgpu/internal/interconnect"
 	"secmgpu/internal/sim"
 )
@@ -44,11 +45,12 @@ func TestReleasedEndpointPanics(t *testing.T) {
 // TestReleasedUnitsRespectCaps fills an endpoint with more units and more
 // blocks capacity than one pool entry may keep — live units toward the
 // CPU, units parked by a resync toward GPU 2, page-sized migration units
-// and already-freed units — and checks the entry it releases: at most
-// maxPooledUnits units, at most maxPooledBlocks blocks capacity in all,
-// none above the batch size, every unit emptied and zeroed with no
-// plaintext kept, the map empty and nothing left referenced by the
-// endpoint.
+// and already-freed units — and with more free deferreds than the entry may
+// keep, and checks the entry it releases: at most maxPooledUnits units, at
+// most maxPooledBlocks blocks capacity in all, none above the batch size,
+// every unit emptied and zeroed with no plaintext kept, at most
+// maxPooledDeferreds deferreds, all zeroed, the map empty and nothing left
+// referenced by the endpoint.
 func TestReleasedUnitsRespectCaps(t *testing.T) {
 	opts := recoveryOpts()
 	opts.BatchSize = 8
@@ -70,6 +72,18 @@ func TestReleasedUnitsRespectCaps(t *testing.T) {
 	}
 	gpu2 := e.PeerIndex(2)
 	e.beginResync(gpu2, false)
+	// Free more deferreds than the cap, each having carried a send, a
+	// closed batch and a delivery.
+	taken := make([]*deferred, 2*maxPooledDeferreds)
+	for i := range taken {
+		d := e.newDeferred()
+		d.send, d.deliver = &interconnect.Message{}, &interconnect.Message{}
+		d.closed, d.dst, d.class = &core.ClosedBatch{}, 2, 1
+		taken[i] = d
+	}
+	for _, d := range taken {
+		e.freeDeferred(d)
+	}
 
 	units, capacity := 0, 0
 	count := func(u *txUnit) {
@@ -98,8 +112,8 @@ func TestReleasedUnitsRespectCaps(t *testing.T) {
 	if st == nil {
 		t.Fatal("a secure endpoint released no pool entry")
 	}
-	if e.units != nil || e.unitFree != nil {
-		t.Error("released endpoint still references its units map or free list")
+	if e.units != nil || e.unitFree != nil || e.defFree != nil {
+		t.Error("released endpoint still references its units map or a free list")
 	}
 	for i := range e.recov {
 		if e.recov[i].parked != nil {
@@ -130,5 +144,15 @@ func TestReleasedUnitsRespectCaps(t *testing.T) {
 	}
 	if keptCap != st.blocks || keptCap > maxPooledBlocks {
 		t.Errorf("pool entry keeps %d blocks capacity (counted %d), cap %d", keptCap, st.blocks, maxPooledBlocks)
+	}
+	keptDeferreds := 0
+	for d := st.deferreds; d != nil; d = d.next {
+		keptDeferreds++
+		if *d != (deferred{next: d.next}) {
+			t.Fatalf("pooled deferred is not zeroed: %+v", *d)
+		}
+	}
+	if keptDeferreds == 0 || keptDeferreds > maxPooledDeferreds {
+		t.Errorf("pool entry keeps %d deferreds, want 1..%d", keptDeferreds, maxPooledDeferreds)
 	}
 }

@@ -33,15 +33,12 @@ func WriteTrace(w io.Writer, ops []Op) error {
 	}
 	var rec [opRecordBytes]byte
 	for i, op := range ops {
-		if op.Home < 0 || op.Home > 255 {
-			return fmt.Errorf("workload: op %d home %d does not fit the trace format", i, op.Home)
-		}
 		if op.Kind != Read && op.Kind != Write {
 			return fmt.Errorf("workload: op %d has invalid kind %d", i, op.Kind)
 		}
 		binary.LittleEndian.PutUint32(rec[0:4], op.Gap)
 		rec[4] = byte(op.Kind)
-		rec[5] = byte(op.Home)
+		rec[5] = op.Home
 		binary.LittleEndian.PutUint32(rec[6:10], op.Page)
 		rec[10] = op.Block
 		if _, err := bw.Write(rec[:]); err != nil {
@@ -85,7 +82,7 @@ func ReadTrace(r io.Reader) ([]Op, error) {
 		ops = append(ops, Op{
 			Gap:   binary.LittleEndian.Uint32(rec[0:4]),
 			Kind:  kind,
-			Home:  int(rec[5]),
+			Home:  rec[5],
 			Page:  binary.LittleEndian.Uint32(rec[6:10]),
 			Block: rec[10],
 		})
@@ -118,7 +115,7 @@ func AnalyzeTrace(ops []Op) TraceStats {
 			st.Writes++
 		}
 		st.TotalGap += uint64(op.Gap)
-		counts[op.Home]++
+		counts[int(op.Home)]++
 		pages[uint64(op.Home)<<32|uint64(op.Page)] = struct{}{}
 		// A burst boundary is a gap larger than a generation time.
 		if i == 0 || op.Gap > 40 {

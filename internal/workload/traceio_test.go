@@ -6,6 +6,8 @@ import (
 	"reflect"
 	"testing"
 	"testing/quick"
+
+	"secmgpu/internal/config"
 )
 
 func TestTraceRoundTrip(t *testing.T) {
@@ -34,7 +36,7 @@ func TestTraceRoundTripProperty(t *testing.T) {
 			ops[i] = Op{
 				Gap:   r,
 				Kind:  OpKind(r % 2),
-				Home:  int(r % 17),
+				Home:  uint8(r % 17),
 				Page:  r / 7,
 				Block: uint8(r % 64),
 			}
@@ -87,10 +89,30 @@ func TestReadTraceRejectsInvalidOps(t *testing.T) {
 	}
 }
 
+// TestWriteTraceRejectsUnencodableOps checks the two ways an op could miss
+// the file format. A home past a byte cannot be built: Op.Home is a byte,
+// and a trace for more than config.MaxGPUs GPUs panics, while one for
+// exactly that many round-trips. A bad kind is refused on write.
 func TestWriteTraceRejectsUnencodableOps(t *testing.T) {
+	spec, err := ByAbbr("fir")
+	if err != nil {
+		t.Fatal(err)
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Errorf("a trace for %d GPUs was built", config.MaxGPUs+1)
+			}
+		}()
+		spec.Trace(config.MaxGPUs+1, config.MaxGPUs+1, 0.01, 1)
+	}()
+	ops := spec.Trace(1, config.MaxGPUs, 0.2, 1)
 	var buf bytes.Buffer
-	if err := WriteTrace(&buf, []Op{{Home: 300}}); err == nil {
-		t.Error("home 300 accepted")
+	if err := WriteTrace(&buf, ops); err != nil {
+		t.Fatalf("write %d-GPU trace: %v", config.MaxGPUs, err)
+	}
+	if got, err := ReadTrace(&buf); err != nil || !reflect.DeepEqual(got, ops) {
+		t.Errorf("%d-GPU trace did not round-trip: %v", config.MaxGPUs, err)
 	}
 	if err := WriteTrace(&buf, []Op{{Kind: OpKind(7), Home: 1}}); err == nil {
 		t.Error("bad kind accepted")

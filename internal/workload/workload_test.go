@@ -1,10 +1,13 @@
 package workload
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestRegistryMatchesTableIV(t *testing.T) {
@@ -92,7 +95,7 @@ func TestTraceDestinationsValid(t *testing.T) {
 			if op.Home == 2 {
 				t.Fatalf("%s op %d targets the requester itself", s.Abbr, i)
 			}
-			if op.Home < 0 || op.Home > 4 {
+			if op.Home > 4 {
 				t.Fatalf("%s op %d home=%d outside 0..4", s.Abbr, i, op.Home)
 			}
 			if op.Block > 63 {
@@ -202,7 +205,7 @@ func TestTraceValidityProperty(t *testing.T) {
 		s := specs[int(seed%17+17)%17]
 		ops := s.Trace(gpu, n, 0.01, seed)
 		for _, op := range ops {
-			if op.Home == gpu || op.Home < 0 || op.Home > n || op.Block > 63 {
+			if int(op.Home) == gpu || int(op.Home) > n || op.Block > 63 {
 				return false
 			}
 		}
@@ -230,12 +233,35 @@ func TestTracesMatchesPerGPUTrace(t *testing.T) {
 	}
 }
 
-// TestReusedGeneratorMatchesFresh checks that Trace's recycled generators
-// change nothing: a generator dirtied by earlier draws and reseeded yields
-// the trace of a fresh one, and so does Trace itself, which draws from
-// the pool, over several seeds, GPU counts and workloads.
-func TestReusedGeneratorMatchesFresh(t *testing.T) {
-	reused := rand.New(rand.NewSource(99))
+// TestOpSize pins the in-memory op, which the trace cache budgets by.
+func TestOpSize(t *testing.T) {
+	if got := unsafe.Sizeof(Op{}); got != 12 {
+		t.Errorf("Op is %d bytes, want 12", got)
+	}
+}
+
+// resetTraceCache empties the process-wide trace cache.
+func resetTraceCache() {
+	traceCache.mu.Lock()
+	defer traceCache.mu.Unlock()
+	clear(traceCache.sets)
+	traceCache.bytes = 0
+}
+
+// freshTraces builds a trace set without the cache, from fresh generators.
+func freshTraces(spec Spec, numGPUs int, scale float64, seed int64) [][]Op {
+	set := make([][]Op, numGPUs)
+	for g := 1; g <= numGPUs; g++ {
+		set[g-1] = spec.generate(rand.New(rand.NewSource(traceSeed(g, numGPUs, seed))), g, numGPUs, scale)
+	}
+	return set
+}
+
+// TestCachedTracesMatchFresh checks that a set Traces serves from its cache
+// equals, GPU for GPU, what fresh generators draw, over several workloads,
+// GPU counts and seeds.
+func TestCachedTracesMatchFresh(t *testing.T) {
+	resetTraceCache()
 	for _, abbr := range []string{"mm", "syr2k", "fir"} {
 		spec, err := ByAbbr(abbr)
 		if err != nil {
@@ -243,21 +269,97 @@ func TestReusedGeneratorMatchesFresh(t *testing.T) {
 		}
 		for _, gpus := range []int{4, 8, 16} {
 			for seed := int64(1); seed <= 3; seed++ {
-				for _, g := range []int{1, gpus} {
-					want := spec.generate(rand.New(rand.NewSource(traceSeed(g, gpus, seed))), g, gpus, 0.02)
-					// Leave the generator mid-stream, including a
-					// partly consumed Read buffer, before reseeding.
-					reused.Intn(1000)
-					reused.Read(make([]byte, 3))
-					reused.Seed(traceSeed(g, gpus, seed))
-					if got := spec.generate(reused, g, gpus, 0.02); !reflect.DeepEqual(got, want) {
-						t.Fatalf("%s gpu %d/%d seed %d: reseeded generator's trace differs from a fresh one", abbr, g, gpus, seed)
-					}
-					if got := spec.Trace(g, gpus, 0.02, seed); !reflect.DeepEqual(got, want) {
-						t.Fatalf("%s gpu %d/%d seed %d: Trace differs from a fresh generator's trace", abbr, g, gpus, seed)
-					}
+				want := freshTraces(spec, gpus, 0.02, seed)
+				Traces(spec, gpus, 0.02, seed)
+				if traceCache.get(traceKey{spec, gpus, 0.02, seed}) == nil {
+					t.Fatalf("%s %d GPUs seed %d: set not cached", abbr, gpus, seed)
+				}
+				if got := Traces(spec, gpus, 0.02, seed); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s %d GPUs seed %d: cached set differs from fresh generators' traces", abbr, gpus, seed)
 				}
 			}
 		}
+	}
+}
+
+// TestTracesAppendLeavesCacheUnchanged checks that a caller appending to a
+// returned trace, or replacing one, does not reach the cached set.
+func TestTracesAppendLeavesCacheUnchanged(t *testing.T) {
+	resetTraceCache()
+	spec, _ := ByAbbr("mm")
+	want := freshTraces(spec, 4, 0.02, 5)
+	got := Traces(spec, 4, 0.02, 5)
+	for i, tr := range got {
+		if cap(tr) != len(tr) {
+			t.Errorf("trace %d has capacity %d beyond its %d ops", i, cap(tr), len(tr))
+		}
+	}
+	got[0] = append(got[0], Op{Gap: 7, Home: 3})
+	got[1] = nil
+	if again := Traces(spec, 4, 0.02, 5); !reflect.DeepEqual(again, want) {
+		t.Error("an append to or a replaced returned trace changed the cached set")
+	}
+}
+
+// TestTraceCacheBudget checks that the cache never holds more ops than its
+// budget while sets come and go, that its count matches what it holds, and
+// that a set over budget on its own is not cached.
+func TestTraceCacheBudget(t *testing.T) {
+	resetTraceCache()
+	spec, _ := ByAbbr("syr2k")
+	for seed := int64(1); seed <= 40; seed++ {
+		Traces(spec, 16, 0.01, seed)
+		traceCache.mu.Lock()
+		held := 0
+		for _, set := range traceCache.sets {
+			held += setBytes(set)
+		}
+		bytes, sets := traceCache.bytes, len(traceCache.sets)
+		traceCache.mu.Unlock()
+		if held != bytes || bytes > traceCacheBytes || sets == 0 {
+			t.Fatalf("after seed %d: %d sets hold %d bytes, counted %d, budget %d", seed, sets, held, bytes, traceCacheBytes)
+		}
+	}
+	if big := Traces(spec, 16, 0.5, 1); setBytes(big) <= traceCacheBytes {
+		t.Fatalf("setup: a %d-byte set is not over the %d-byte budget", setBytes(big), traceCacheBytes)
+	}
+	if traceCache.get(traceKey{spec, 16, 0.5, 1}) != nil {
+		t.Error("a set over budget on its own was cached")
+	}
+}
+
+// TestTracesParallel calls Traces from several goroutines on shared and
+// distinct keys, as sweep workers do; every set must equal a fresh one.
+func TestTracesParallel(t *testing.T) {
+	resetTraceCache()
+	spec, _ := ByAbbr("mm")
+	const workers, rounds = 4, 5
+	want := make([][][]Op, workers+1)
+	for k := range want {
+		want[k] = freshTraces(spec, 8, 0.01, int64(k))
+	}
+	var wg sync.WaitGroup
+	errs := make(chan string, workers*rounds*2)
+	for w := 1; w <= workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				// Seed 0 is shared by every worker, seed w is this one's.
+				for _, k := range []int{0, w} {
+					if got := Traces(spec, 8, 0.01, int64(k)); !reflect.DeepEqual(got, want[k]) {
+						errs <- fmt.Sprintf("worker %d round %d seed %d: set differs from a fresh one", w, r, k)
+					}
+					if r%2 == 1 {
+						resetTraceCache()
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
 	}
 }
