@@ -6,6 +6,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -223,7 +224,24 @@ func TestCoordinatorRestartRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	coord1 := NewCoordinator(Options{Store: st1, LeaseTTL: time.Second, Logf: t.Logf})
-	sh := &swapHandler{h: coord1.Handler()}
+	// The first published cell stages the crash: once coord1 has admitted
+	// it, the address answers 503 (workers see an outage, not a vanished
+	// host), so the other cells cannot finish the campaign before the
+	// coordinator dies. At most one more publish can be in flight with
+	// two workers, which leaves cells to recover.
+	h1 := coord1.Handler()
+	crashed := make(chan struct{})
+	var stage sync.Once
+	sh := &swapHandler{}
+	sh.set(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		h1.ServeHTTP(w, r)
+		if strings.HasSuffix(r.URL.Path, "/complete") {
+			stage.Do(func() {
+				sh.set(downHandler)
+				close(crashed)
+			})
+		}
+	}))
 	srv := httptest.NewServer(sh)
 	defer srv.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Minute)
@@ -250,25 +268,14 @@ func TestCoordinatorRestartRecovers(t *testing.T) {
 	}
 
 	// Let real work land in the store before pulling the plug.
-	deadline := time.Now().Add(time.Minute)
-	for {
-		st, err := client.Campaign(ctx, sub.ID)
-		if err == nil && st.Cells.Completed >= 1 {
-			break
-		}
-		if err == nil && st.State.Terminal() {
-			t.Fatalf("campaign finished before the crash could be staged: %+v", st)
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("no cell completed within a minute")
-		}
-		time.Sleep(10 * time.Millisecond)
+	select {
+	case <-crashed:
+	case <-time.After(time.Minute):
+		t.Fatal("no cell completed within a minute")
 	}
 
-	// Crash: the address stays reachable but answers 503 (workers see an
-	// outage, not a vanished host), and the first coordinator is torn down
-	// without journaling any outcome.
-	sh.set(downHandler)
+	// Crash: the first coordinator is torn down without journaling any
+	// outcome.
 	coord1.Close()
 
 	// Give the workers a beat inside the outage so the backoff path runs.
