@@ -64,13 +64,13 @@
 //
 // Workers are not trusted blindly: every publish attests the canonical
 // digest of its payload under a per-lease fencing token, -verify-fraction
-// sends a deterministic sample of cells to an independent quorum
-// (-verify-quorum) of workers and quarantines whoever diverges, and
-// -scrub-interval makes the coordinator periodically re-verify every
-// object at rest. `secbench -fsck -store DIR` runs that same scrub once,
-// offline, and exits non-zero if corruption was found. SECBENCH_BYZANTINE
-// (or -byzantine) turns a worker actively malicious — corrupt payloads,
-// lying attestations, zombie publishes — for chaos-testing the defenses.
+// sends a deterministic sample of cells to two independent workers and
+// quarantines whoever diverges, and -scrub-interval makes the
+// coordinator periodically re-verify every object at rest. `secbench
+// -fsck -store DIR` runs that same scrub once, offline, and exits
+// non-zero if corruption was found. SECBENCH_BYZANTINE (or -byzantine)
+// turns a worker actively malicious — corrupt payloads, lying
+// attestations, zombie publishes — for chaos-testing the defenses.
 package main
 
 import (
@@ -146,24 +146,24 @@ func main() {
 	workerMode := flag.Bool("worker", false, "run as a campaign worker: lease cells from -coordinator, execute, publish results (shares -store)")
 	submitMode := flag.Bool("submit", false, "submit the experiment set to -coordinator as a campaign, wait, and fetch tables")
 	coordinator := flag.String("coordinator", "", "coordinator base URL for -worker and -submit (e.g. http://127.0.0.1:8123)")
-	leaseTTL := flag.Duration("lease-ttl", 30*time.Second, "how long a worker may hold a leased cell without renewing before it requeues (-serve)")
-	maxCampaigns := flag.Int("max-campaigns", 0, "admission limit: reject new submissions with 429 + Retry-After while this many campaigns are running (-serve; 0 = unlimited)")
-	maxQueueDepth := flag.Int("max-queue-depth", 0, "admission limit: reject new submissions while this many cells are pending on the work queue (-serve; 0 = unlimited)")
-	drainTimeout := flag.Duration("drain-timeout", 0, "how long a SIGTERM drain waits for in-flight leases before giving up (-serve; 0 = 2×lease TTL + 5s)")
+	var serve campaign.Options // the -serve settings, filled by their flags
+	flag.DurationVar(&serve.LeaseTTL, "lease-ttl", 30*time.Second, "how long a worker may hold a leased cell without renewing before it requeues (-serve)")
+	flag.IntVar(&serve.MaxCampaigns, "max-campaigns", 0, "admission limit: reject new submissions with 429 + Retry-After while this many campaigns are running (-serve; 0 = unlimited)")
+	flag.IntVar(&serve.MaxQueueDepth, "max-queue-depth", 0, "admission limit: reject new submissions while this many cells are pending on the work queue (-serve; 0 = unlimited)")
 	poll := flag.Duration("poll", 500*time.Millisecond, "idle wait between lease attempts when the queue is empty (-worker) and between status polls (-submit)")
 	workerName := flag.String("worker-name", "", "worker identity in lease records (default hostname-pid)")
 	authToken := flag.String("auth-token", os.Getenv("SECBENCH_AUTH_TOKEN"), "shared bearer token: required by -serve on every endpoint except /v1/healthz, sent by -worker and -submit (default $SECBENCH_AUTH_TOKEN)")
-	tlsCert := flag.String("tls-cert", "", "TLS certificate file for -serve (with -tls-key, the coordinator terminates TLS)")
-	tlsKey := flag.String("tls-key", "", "TLS private key file for -serve")
+	flag.StringVar(&serve.TLSCertFile, "tls-cert", "", "TLS certificate file for -serve (with -tls-key, the coordinator terminates TLS)")
+	flag.StringVar(&serve.TLSKeyFile, "tls-key", "", "TLS private key file for -serve")
 	faults := flag.String("faults", os.Getenv("SECBENCH_FAULTS"), "seeded RPC fault injection for -worker and -submit traffic, e.g. \"seed=7,refuse=0.05,timeout=0.02,err=0.05,torn=0.03,dup=0.05\" (default $SECBENCH_FAULTS; chaos testing only)")
-	verifyFraction := flag.Float64("verify-fraction", 0, "fraction of cells the coordinator re-executes on an independent worker quorum to catch Byzantine results (-serve; 0 disables, 1 verifies everything)")
-	verifyQuorum := flag.Int("verify-quorum", 2, "independent executions a verified cell needs before its result is admitted (-serve; minimum 2)")
-	scrubInterval := flag.Duration("scrub-interval", 0, "how often the coordinator re-verifies every stored object at rest and heals corruption (-serve; 0 disables)")
+	flag.Float64Var(&serve.VerifyFraction, "verify-fraction", 0, "fraction of cells the coordinator re-executes on two independent workers to catch Byzantine results (-serve; 0 disables, 1 verifies everything)")
+	flag.DurationVar(&serve.ScrubInterval, "scrub-interval", 0, "how often the coordinator re-verifies every stored object at rest and heals corruption (-serve; 0 disables)")
 	byzantine := flag.String("byzantine", os.Getenv("SECBENCH_BYZANTINE"), "seeded worker misbehavior, e.g. \"seed=3,corrupt=0.5,lie=0.2,zombie=0.1\" (-worker; default $SECBENCH_BYZANTINE; chaos testing only)")
 	priority := flag.String("priority", "", "campaign priority for weighted-fair scheduling: low, normal, or high (-submit; default normal)")
 	deadline := flag.Duration("deadline", 0, "campaign wall-time budget from submission (-submit; 0 = unbounded): past it the campaign fails and returns the tables finished so far")
 	fsck := flag.Bool("fsck", false, "verify every object in -store once (the coordinator's scrub pass, offline), quarantine corruption, and exit non-zero if any was found")
 	flag.Parse()
+	serve.AuthToken = *authToken
 
 	stop, err := prof.Start(*cpuProfile, *memProfile)
 	if err != nil {
@@ -187,8 +187,7 @@ func main() {
 		// (crash semantics — campaigns recover from the journal), SIGTERM
 		// drains gracefully (no new leases, in-flight work finishes, a
 		// clean-shutdown record lands in the journal).
-		runServe(*serveAddr, *storeDir, *leaseTTL, *drainTimeout, *maxCampaigns, *maxQueueDepth,
-			*authToken, *tlsCert, *tlsKey, *verifyFraction, *verifyQuorum, *scrubInterval, *quiet)
+		runServe(*serveAddr, *storeDir, serve, *quiet)
 		return
 	}
 
@@ -200,7 +199,18 @@ func main() {
 		runWorker(ctx, *coordinator, *storeDir, *workerName, *poll, *authToken, *faults, *byzantine, *quiet)
 		return
 	case *submitMode:
-		spec := campaignSpec(*exp, *workloads, *gpus, *scale, *seed, *par, *retries, *cellTimeout, *priority, *deadline)
+		// The sweep flags map onto the campaign options struct, the same
+		// surface the library and the coordinator use.
+		spec := campaign.Spec{
+			GPUs: *gpus, Scale: *scale, Seed: *seed, Parallelism: *par, Retries: *retries,
+			CellTimeout: *cellTimeout, Priority: campaign.Priority(*priority), Deadline: *deadline,
+		}
+		if *exp != "" && *exp != "all" {
+			spec.Experiments = strings.Split(*exp, ",")
+		}
+		if *workloads != "" {
+			spec.Workloads = strings.Split(*workloads, ",")
+		}
 		runSubmit(ctx, *coordinator, spec, *outDir, *csv, *poll, *authToken, *faults, *quiet)
 		return
 	}
@@ -387,28 +397,6 @@ func writeRendered(outDir, name string, csv bool, rendered string) error {
 	return nil
 }
 
-// campaignSpec maps the sweep flags onto the shared campaign options
-// struct — the same surface the library and the coordinator use.
-func campaignSpec(exp, workloads string, gpus int, scale float64, seed int64, par, retries int, cellTimeout time.Duration, priority string, deadline time.Duration) campaign.Spec {
-	spec := campaign.Spec{
-		GPUs:        gpus,
-		Scale:       scale,
-		Seed:        seed,
-		Parallelism: par,
-		Retries:     retries,
-		CellTimeout: cellTimeout,
-		Priority:    campaign.Priority(priority),
-		Deadline:    deadline,
-	}
-	if exp != "" && exp != "all" {
-		spec.Experiments = strings.Split(exp, ",")
-	}
-	if workloads != "" {
-		spec.Workloads = strings.Split(workloads, ",")
-	}
-	return spec
-}
-
 // runFsck opens the store, runs one scrub pass over every object, prints
 // the report, and exits non-zero when corruption was quarantined — the
 // offline twin of the coordinator's -scrub-interval loop.
@@ -416,11 +404,7 @@ func runFsck(storeDir string) {
 	if storeDir == "" {
 		fatal(errors.New("-fsck requires -store"))
 	}
-	st, err := store.Open(storeDir, store.Options{SimDigest: store.BinaryDigest()})
-	if err != nil {
-		fatal(err)
-	}
-	rep, err := st.Scrub()
+	rep, err := openStore(storeDir).Scrub()
 	if err != nil {
 		fatal(err)
 	}
@@ -436,59 +420,65 @@ func runFsck(storeDir string) {
 	}
 }
 
-// runServe hosts a campaign coordinator. SIGINT cancels the serve
-// context — crash semantics, campaigns recover from the journal on the
-// next boot. SIGTERM instead triggers a graceful drain: lease granting
-// and submissions stop (503 + Retry-After), in-flight leases finish or
-// expire, a clean-shutdown record is journaled, and the process exits 0.
-func runServe(addr, storeDir string, leaseTTL, drainTimeout time.Duration, maxCampaigns, maxQueueDepth int, authToken, tlsCert, tlsKey string, verifyFraction float64, verifyQuorum int, scrubInterval time.Duration, quiet bool) {
-	logf := func(format string, args ...any) {
+// openStore opens the shared result store at dir (nil when dir is "").
+func openStore(dir string) *store.Store {
+	if dir == "" {
+		return nil
+	}
+	st, err := store.Open(dir, store.Options{SimDigest: store.BinaryDigest()})
+	if err != nil {
+		fatal(err)
+	}
+	return st
+}
+
+// logger returns the operational log of -serve, -worker and -submit: one
+// "secbench: " line per message on stderr, or nil under -quiet.
+func logger(quiet bool) func(format string, args ...any) {
+	if quiet {
+		return nil
+	}
+	return func(format string, args ...any) {
 		fmt.Fprintf(os.Stderr, "secbench: "+format+"\n", args...)
 	}
-	if quiet {
-		logf = nil
-	} else {
-		logf("serving campaigns on %s (store %q, lease TTL %s, auth %v, tls %v, verify %.2f×%d, scrub %s, max campaigns %d, max queue %d)",
-			addr, storeDir, leaseTTL, authToken != "", tlsCert != "",
-			verifyFraction, verifyQuorum, scrubInterval, maxCampaigns, maxQueueDepth)
+}
+
+// runServe hosts a campaign coordinator configured by opts, the -serve
+// flags, on the store at storeDir. SIGINT cancels the serve context —
+// crash semantics, campaigns recover from the journal on the next boot.
+// SIGTERM instead triggers a graceful drain: lease granting and
+// submissions stop (503 + Retry-After), in-flight leases finish or
+// expire, a clean-shutdown record is journaled, and the process exits 0.
+func runServe(addr, storeDir string, opts campaign.Options, quiet bool) {
+	opts.Logf = logger(quiet)
+	if opts.Logf != nil {
+		opts.Logf("serving campaigns on %s (store %q, lease TTL %s, auth %v, tls %v, verify %.2f, scrub %s, max campaigns %d, max queue %d)",
+			addr, storeDir, opts.LeaseTTL, opts.AuthToken != "", opts.TLSCertFile != "",
+			opts.VerifyFraction, opts.ScrubInterval, opts.MaxCampaigns, opts.MaxQueueDepth)
 	}
-	if (tlsCert == "") != (tlsKey == "") {
+	if (opts.TLSCertFile == "") != (opts.TLSKeyFile == "") {
 		fatal(errors.New("-tls-cert and -tls-key must be set together"))
 	}
-	var st *store.Store
-	if storeDir != "" {
-		var err error
-		st, err = store.Open(storeDir, store.Options{SimDigest: store.BinaryDigest()})
-		if err != nil {
-			fatal(err)
-		}
-	}
+	opts.Store = openStore(storeDir)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 	drain := make(chan struct{})
+	opts.Drain = drain
 	sigterm := make(chan os.Signal, 1)
 	signal.Notify(sigterm, syscall.SIGTERM)
 	go func() {
 		select {
 		case <-sigterm:
-			if logf != nil {
-				logf("SIGTERM: draining — refusing new work, waiting for in-flight leases")
+			if opts.Logf != nil {
+				opts.Logf("SIGTERM: draining — refusing new work, waiting for in-flight leases")
 			}
 			close(drain)
 		case <-ctx.Done():
 		}
 	}()
 
-	err := campaign.Serve(ctx, addr, campaign.Options{
-		Store: st, LeaseTTL: leaseTTL, Logf: logf,
-		AuthToken: authToken, TLSCertFile: tlsCert, TLSKeyFile: tlsKey,
-		VerifyFraction: verifyFraction, VerifyQuorum: verifyQuorum,
-		ScrubInterval: scrubInterval,
-		MaxCampaigns:  maxCampaigns, MaxQueueDepth: maxQueueDepth,
-		Drain: drain, DrainTimeout: drainTimeout,
-	})
-	if err != nil && !errors.Is(err, context.Canceled) {
+	if err := campaign.Serve(ctx, addr, opts); err != nil && !errors.Is(err, context.Canceled) {
 		fatal(err)
 	}
 }
@@ -522,12 +512,7 @@ func runWorker(ctx context.Context, coordinator, storeDir, name string, poll tim
 	if coordinator == "" {
 		fatal(errors.New("-worker requires -coordinator URL"))
 	}
-	logf := func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, "secbench: "+format+"\n", args...)
-	}
-	if quiet {
-		logf = nil
-	}
+	logf := logger(quiet)
 	var byzSpec campaign.ByzantineSpec
 	if byzantine != "" {
 		var err error
@@ -539,16 +524,8 @@ func runWorker(ctx context.Context, coordinator, storeDir, name string, poll tim
 			logf("BYZANTINE worker: misbehaving per %q (chaos testing only)", byzantine)
 		}
 	}
-	var st *store.Store
-	if storeDir != "" {
-		var err error
-		st, err = store.Open(storeDir, store.Options{SimDigest: store.BinaryDigest()})
-		if err != nil {
-			fatal(err)
-		}
-	}
 	w := campaign.NewWorker(newCampaignClient(coordinator, authToken, faults, logf), campaign.WorkerOptions{
-		Name: name, Store: st, Poll: poll, Byzantine: byzSpec, Logf: logf,
+		Name: name, Store: openStore(storeDir), Poll: poll, Byzantine: byzSpec, Logf: logf,
 	})
 	err := w.Run(ctx)
 	ws := w.Stats()
@@ -574,12 +551,7 @@ func runSubmit(ctx context.Context, coordinator string, spec campaign.Spec, outD
 	if coordinator == "" {
 		fatal(errors.New("-submit requires -coordinator URL"))
 	}
-	logf := func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, "secbench: "+format+"\n", args...)
-	}
-	if quiet {
-		logf = nil
-	}
+	logf := logger(quiet)
 	client := newCampaignClient(coordinator, authToken, faults, logf)
 	var st campaign.Status
 	for {
@@ -662,14 +634,14 @@ func runSubmit(ctx context.Context, coordinator string, spec campaign.Spec, outD
 	}
 
 	// Authoritative flush: WaitTables' streaming is best-effort, so fetch
-	// the terminal snapshot and emit anything that slipped through. For a
+	// the terminal tables and emit anything that slipped through. For a
 	// deadline-expired (failed) campaign this is the partial-tables
 	// answer: whatever finished before the budget ran out.
-	snap, err := client.PartialTables(ctx, st.ID)
+	tables, err := client.Tables(ctx, st.ID)
 	if err != nil {
 		fatal(err)
 	}
-	for _, t := range snap.Tables {
+	for _, t := range tables {
 		if !streamed[t.Name] {
 			emit(t)
 		}

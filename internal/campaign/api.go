@@ -36,11 +36,6 @@ import (
 // the same key returns the original campaign instead of starting a
 // duplicate, which makes submission retry-safe.
 //
-// GET /v1/campaigns/{id}/tables?partial=1 explicitly requests the
-// tables finished so far on a still-running campaign (mid-campaign
-// streaming); the response carries experiment counts and a partial
-// marker either way.
-//
 // Over-limit submissions answer 429, and any request refused because
 // the coordinator is draining answers 503; both carry a Retry-After
 // header (integer seconds) the client retry policy honours.
@@ -110,9 +105,8 @@ type failRequest struct {
 }
 
 // tablesResponse carries a campaign's finished tables. On a running
-// campaign the set is the experiments finished so far (Partial true);
-// clients polling with ?partial=1 stream rows as experiments complete
-// instead of waiting for the campaign to end.
+// campaign the set is the experiments finished so far (Partial true),
+// which is how clients stream tables before the campaign ends.
 type tablesResponse struct {
 	ID               string        `json:"id"`
 	State            State         `json:"state"`
@@ -425,7 +419,7 @@ func writeError(w http.ResponseWriter, status int, err error) {
 //
 // A signal on Options.Drain triggers a graceful drain instead of a hard
 // stop: lease grants and submissions answer 503 + Retry-After,
-// in-flight leases finish or expire (bounded by Options.DrainTimeout),
+// in-flight leases finish or expire (bounded by 2×LeaseTTL+5s),
 // a clean-shutdown record is journaled, and Serve returns nil.
 func Serve(ctx context.Context, addr string, opts Options) error {
 	c := NewCoordinator(opts)
@@ -457,11 +451,7 @@ func Serve(ctx context.Context, addr string, opts Options) error {
 		shutdown()
 		return ctx.Err()
 	case <-opts.Drain:
-		timeout := opts.DrainTimeout
-		if timeout <= 0 {
-			timeout = 2*c.queue.TTL() + 5*time.Second
-		}
-		drainCtx, cancel := context.WithTimeout(context.Background(), timeout)
+		drainCtx, cancel := context.WithTimeout(context.Background(), c.drainTimeout())
 		// The API stays up during the drain: workers must still renew,
 		// complete, and fail their in-flight leases.
 		err := c.Drain(drainCtx)

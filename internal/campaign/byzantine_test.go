@@ -163,7 +163,7 @@ func TestLeaseFenceOverHTTP(t *testing.T) {
 
 func TestQueueQuorumAgreementAdmits(t *testing.T) {
 	q := NewQueue(time.Minute)
-	q.ConfigureVerification(1, 2) // every cell verified by 2 workers
+	q.ConfigureVerification(1) // every cell verified by 2 workers
 	ch := make(chan Outcome, 1)
 	q.Enqueue(testCell(t, 1), EnqueueOptions{MaxAttempts: 1}, ch)
 
@@ -199,7 +199,7 @@ func TestQueueQuorumAgreementAdmits(t *testing.T) {
 
 func TestQueueQuorumDivergenceEscalatesToArbiter(t *testing.T) {
 	q := NewQueue(time.Minute)
-	q.ConfigureVerification(1, 2)
+	q.ConfigureVerification(1)
 	ch := make(chan Outcome, 1)
 	digest, _ := q.Enqueue(testCell(t, 1), EnqueueOptions{MaxAttempts: 1}, ch)
 
@@ -257,7 +257,7 @@ func TestQueueQuorumDivergenceEscalatesToArbiter(t *testing.T) {
 // fleet converging instead of deadlocking.
 func TestQueueSingleWorkerQuorumConverges(t *testing.T) {
 	q := NewQueue(time.Minute)
-	q.ConfigureVerification(1, 2)
+	q.ConfigureVerification(1)
 	ch := make(chan Outcome, 1)
 	digest, _ := q.Enqueue(testCell(t, 1), EnqueueOptions{MaxAttempts: 1}, ch)
 
@@ -488,7 +488,7 @@ func TestByzantineCampaignEndToEnd(t *testing.T) {
 	}
 	coord := NewCoordinator(Options{
 		Store: st, LeaseTTL: time.Minute, Logf: t.Logf,
-		VerifyFraction: 1, VerifyQuorum: 2,
+		VerifyFraction: 1,
 	})
 	coord.Queue().ConfigureReputation(1, 16)
 	srv := httptest.NewServer(coord.Handler())

@@ -19,10 +19,10 @@ import (
 	"secmgpu/internal/machine"
 )
 
-// RetryPolicy bounds the client's retry-with-jittered-backoff loop for
-// idempotent requests. Attempt n waits in [base·2ⁿ⁻¹/2, base·2ⁿ⁻¹],
-// capped at Cap — the jitter decorrelates a fleet of workers hammering
-// a coordinator that just came back.
+// RetryPolicy bounds the client's retry-with-jittered-backoff loop.
+// Attempt n waits in [base·2ⁿ⁻¹/2, base·2ⁿ⁻¹], capped at Cap — the
+// jitter decorrelates a fleet of workers hammering a coordinator that
+// just came back.
 type RetryPolicy struct {
 	// Attempts is the total number of tries (default 6).
 	Attempts int
@@ -68,12 +68,11 @@ func jitter(d time.Duration) time.Duration {
 
 // Client is the typed HTTP client for a coordinator's v1 API, used by
 // campaign submitters (secbench -submit, library callers via
-// secmgpu.NewClient) and by workers. Idempotent requests — everything
-// except the submission itself, which instead carries a client-minted
-// idempotency key the coordinator dedupes on — are retried with
-// jittered exponential backoff on transport errors, torn responses, and
-// 5xx answers, so a coordinator restart or a flaky network is a delay,
-// not a failure.
+// secmgpu.NewClient) and by workers. Every request is idempotent — the
+// submission itself carries a client-minted idempotency key the
+// coordinator dedupes on — so all are retried with jittered exponential
+// backoff on transport errors, torn responses, and 5xx answers, and a
+// coordinator restart or a flaky network is a delay, not a failure.
 type Client struct {
 	base    string
 	http    *http.Client
@@ -101,8 +100,7 @@ func NewClient(baseURL string, httpClient *http.Client) *Client {
 // the coordinator's AuthToken).
 func (cl *Client) SetToken(token string) { cl.token = token }
 
-// SetRetry replaces the retry policy for idempotent requests; zero
-// fields select defaults.
+// SetRetry replaces the retry policy; zero fields select defaults.
 func (cl *Client) SetRetry(p RetryPolicy) { cl.retry = p.withDefaults() }
 
 // SetBreaker tunes the client's circuit breaker: after threshold
@@ -180,9 +178,9 @@ func (b *breaker) record(err error) {
 	}
 }
 
-// transient reports whether err is worth retrying (for an idempotent
-// request): transport-level failures, torn responses, and 5xx-class
-// answers qualify; 4xx answers are the caller's mistake and final.
+// transient reports whether err is worth retrying: transport-level
+// failures, torn responses, and 5xx-class answers qualify; 4xx answers
+// are the caller's mistake and final.
 func transient(err error) bool {
 	if err == nil {
 		return false
@@ -195,21 +193,17 @@ func transient(err error) bool {
 	return true
 }
 
-// do issues one request, retrying per the client policy when idempotent.
-// in nil sends no body; out nil discards the response. A 204 yields
-// ok=false with no error (used by Lease). extraHeader adds one header to
-// every attempt ("" skips it).
-func (cl *Client) do(ctx context.Context, method, path string, in, out any, idempotent bool, headerK, headerV string) (ok bool, err error) {
+// do issues one request, retrying per the client policy. in nil sends no
+// body; out nil discards the response. A 204 yields ok=false with no
+// error (used by Lease). headerK adds one header to every attempt (""
+// skips it).
+func (cl *Client) do(ctx context.Context, method, path string, in, out any, headerK, headerV string) (ok bool, err error) {
 	var body []byte
 	if in != nil {
 		body, err = json.Marshal(in)
 		if err != nil {
 			return false, fmt.Errorf("campaign: encode request: %w", err)
 		}
-	}
-	attempts := 1
-	if idempotent {
-		attempts = cl.retry.Attempts
 	}
 	for i := 0; ; i++ {
 		if !cl.breaker.allow() {
@@ -221,7 +215,7 @@ func (cl *Client) do(ctx context.Context, method, path string, in, out any, idem
 				return ok, nil
 			}
 		}
-		if ctx.Err() != nil || i >= attempts-1 || !transient(err) {
+		if ctx.Err() != nil || i >= cl.retry.Attempts-1 || !transient(err) {
 			return false, err
 		}
 		// An overloaded coordinator's Retry-After hint overrides our own
@@ -307,7 +301,7 @@ func (cl *Client) attempt(ctx context.Context, method, path string, body []byte,
 // original campaign's status.
 func (cl *Client) Submit(ctx context.Context, spec Spec) (Status, error) {
 	var st Status
-	_, err := cl.do(ctx, http.MethodPost, "/v1/campaigns", spec, &st, true, idemHeader, newIdemKey())
+	_, err := cl.do(ctx, http.MethodPost, "/v1/campaigns", spec, &st, idemHeader, newIdemKey())
 	return st, err
 }
 
@@ -328,14 +322,14 @@ func newIdemKey() string {
 // Campaign fetches one campaign's status.
 func (cl *Client) Campaign(ctx context.Context, id string) (Status, error) {
 	var st Status
-	_, err := cl.do(ctx, http.MethodGet, "/v1/campaigns/"+id, nil, &st, true, "", "")
+	_, err := cl.do(ctx, http.MethodGet, "/v1/campaigns/"+id, nil, &st, "", "")
 	return st, err
 }
 
 // Campaigns lists campaign statuses, newest first.
 func (cl *Client) Campaigns(ctx context.Context) ([]Status, error) {
 	var out []Status
-	_, err := cl.do(ctx, http.MethodGet, "/v1/campaigns", nil, &out, true, "", "")
+	_, err := cl.do(ctx, http.MethodGet, "/v1/campaigns", nil, &out, "", "")
 	return out, err
 }
 
@@ -343,34 +337,16 @@ func (cl *Client) Campaigns(ctx context.Context) ([]Status, error) {
 // idempotent server-side, so it retries like a read.
 func (cl *Client) Cancel(ctx context.Context, id string) (Status, error) {
 	var st Status
-	_, err := cl.do(ctx, http.MethodDelete, "/v1/campaigns/"+id, nil, &st, true, "", "")
+	_, err := cl.do(ctx, http.MethodDelete, "/v1/campaigns/"+id, nil, &st, "", "")
 	return st, err
 }
 
-// Tables fetches a campaign's finished tables.
+// Tables fetches a campaign's finished tables: on a running campaign,
+// the experiments finished so far.
 func (cl *Client) Tables(ctx context.Context, id string) ([]TableResult, error) {
 	var resp tablesResponse
-	_, err := cl.do(ctx, http.MethodGet, "/v1/campaigns/"+id+"/tables", nil, &resp, true, "", "")
+	_, err := cl.do(ctx, http.MethodGet, "/v1/campaigns/"+id+"/tables", nil, &resp, "", "")
 	return resp.Tables, err
-}
-
-// TablesSnapshot is a point-in-time view of a campaign's tables,
-// possibly mid-run: Partial is true while the campaign is still
-// executing, and Tables holds only the experiments finished so far.
-type TablesSnapshot struct {
-	State            State         `json:"state"`
-	Partial          bool          `json:"partial,omitempty"`
-	ExperimentsDone  int           `json:"experiments_done"`
-	ExperimentsTotal int           `json:"experiments_total"`
-	Tables           []TableResult `json:"tables"`
-}
-
-// PartialTables fetches whatever tables the campaign has finished so
-// far (GET …/tables?partial=1), without waiting for a terminal state.
-func (cl *Client) PartialTables(ctx context.Context, id string) (TablesSnapshot, error) {
-	var resp TablesSnapshot
-	_, err := cl.do(ctx, http.MethodGet, "/v1/campaigns/"+id+"/tables?partial=1", nil, &resp, true, "", "")
-	return resp, err
 }
 
 // Wait polls the campaign until it reaches a terminal state (or ctx is
@@ -427,14 +403,14 @@ func (cl *Client) WaitTables(ctx context.Context, id string, poll time.Duration,
 			progress(st)
 		}
 		if onTable != nil && !st.State.Terminal() && st.ExperimentsDone > len(seen) {
-			if snap, terr := cl.PartialTables(ctx, id); terr == nil {
-				emit(snap.Tables)
+			if tables, terr := cl.Tables(ctx, id); terr == nil {
+				emit(tables)
 			}
 		}
 	})
 	if err == nil && onTable != nil {
-		if snap, terr := cl.PartialTables(ctx, id); terr == nil {
-			emit(snap.Tables)
+		if tables, terr := cl.Tables(ctx, id); terr == nil {
+			emit(tables)
 		}
 	}
 	return st, err
@@ -444,7 +420,7 @@ func (cl *Client) WaitTables(ctx context.Context, id string, poll time.Duration,
 // queue and campaign metrics (the worker-autoscaling surface).
 func (cl *Client) Health(ctx context.Context) (Health, error) {
 	var resp Health
-	if _, err := cl.do(ctx, http.MethodGet, "/v1/healthz", nil, &resp, true, "", ""); err != nil {
+	if _, err := cl.do(ctx, http.MethodGet, "/v1/healthz", nil, &resp, "", ""); err != nil {
 		return resp, err
 	}
 	if !resp.OK {
@@ -462,7 +438,7 @@ func (cl *Client) Health(ctx context.Context) (Health, error) {
 // should be treated as terminal.
 func (cl *Client) Lease(ctx context.Context, worker string) (Grant, bool, error) {
 	var wg wireGrant
-	ok, err := cl.do(ctx, http.MethodPost, "/v1/lease", leaseRequest{Worker: worker}, &wg, true, "", "")
+	ok, err := cl.do(ctx, http.MethodPost, "/v1/lease", leaseRequest{Worker: worker}, &wg, "", "")
 	if err != nil {
 		var apiErr *APIError
 		if errors.As(err, &apiErr) && apiErr.Status == http.StatusForbidden {
@@ -502,7 +478,7 @@ func (cl *Client) Lease(ctx context.Context, worker string) (Grant, bool, error)
 // worker may keep running (its publish stays valid) but should expect
 // the cell to be re-leased elsewhere.
 func (cl *Client) Renew(ctx context.Context, leaseID, fence string) error {
-	_, err := cl.do(ctx, http.MethodPost, "/v1/lease/"+leaseID+"/renew", renewRequest{Fence: fence}, nil, true, "", "")
+	_, err := cl.do(ctx, http.MethodPost, "/v1/lease/"+leaseID+"/renew", renewRequest{Fence: fence}, nil, "", "")
 	return err
 }
 
@@ -514,7 +490,7 @@ func (cl *Client) Renew(ctx context.Context, leaseID, fence string) error {
 // admitted value) — final, not retried.
 func (cl *Client) Complete(ctx context.Context, leaseID, fence, digest, label, resultDigest string, res *machine.Result) error {
 	_, err := cl.do(ctx, http.MethodPost, "/v1/lease/"+leaseID+"/complete",
-		completeRequest{Digest: digest, Fence: fence, Label: label, ResultDigest: resultDigest, Result: res}, nil, true, "", "")
+		completeRequest{Digest: digest, Fence: fence, Label: label, ResultDigest: resultDigest, Result: res}, nil, "", "")
 	return err
 }
 
@@ -524,6 +500,6 @@ func (cl *Client) Complete(ctx context.Context, leaseID, fence, digest, label, r
 // attempt.
 func (cl *Client) Fail(ctx context.Context, leaseID, fence, digest, msg string) error {
 	_, err := cl.do(ctx, http.MethodPost, "/v1/lease/"+leaseID+"/fail",
-		failRequest{Digest: digest, Fence: fence, Error: msg}, nil, true, "", "")
+		failRequest{Digest: digest, Fence: fence, Error: msg}, nil, "", "")
 	return err
 }

@@ -113,13 +113,10 @@ type Options struct {
 
 	// VerifyFraction in [0,1] selects that fraction of cells (by digest,
 	// deterministically) for quorum verification: each is executed by
-	// VerifyQuorum independent workers and only an agreeing majority is
-	// admitted. 0 disables the lottery; cells with divergence evidence
-	// are always verified.
+	// two independent workers and only an agreeing majority is admitted.
+	// 0 disables the lottery; cells with divergence evidence are always
+	// verified.
 	VerifyFraction float64
-	// VerifyQuorum is how many independent executions a verified cell
-	// needs (default and minimum 2).
-	VerifyQuorum int
 	// ScrubInterval runs the background store scrubber this often: every
 	// object is re-verified at rest, corruption is quarantined, and
 	// damaged cells still known to the queue are resubmitted for
@@ -137,12 +134,10 @@ type Options struct {
 	// Drain, when non-nil, makes Serve perform a graceful drain when
 	// the channel delivers (or closes): stop granting leases, let
 	// in-flight leases finish or expire, journal a clean-shutdown
-	// record, exit. Wired to SIGTERM by secbench -serve.
+	// record, exit. The wait is bounded by 2×LeaseTTL+5s: every honest
+	// lease has finished, renewed, or expired by then. Wired to SIGTERM
+	// by secbench -serve.
 	Drain <-chan struct{}
-	// DrainTimeout bounds how long a drain waits for in-flight leases
-	// (default 2×LeaseTTL+5s — every honest lease has finished, renewed,
-	// or expired by then).
-	DrainTimeout time.Duration
 }
 
 // Coordinator owns the work queue and the set of campaigns. Construct
@@ -248,7 +243,7 @@ func NewCoordinator(opts Options) *Coordinator {
 	if c.logf == nil {
 		c.logf = func(string, ...any) {}
 	}
-	c.queue.ConfigureVerification(opts.VerifyFraction, opts.VerifyQuorum)
+	c.queue.ConfigureVerification(opts.VerifyFraction)
 	// A worker is quarantined at its 3rd divergent or mis-attested result
 	// or its 16th zombie publish.
 	c.queue.ConfigureReputation(3, 16)
@@ -359,6 +354,10 @@ func (c *Coordinator) CleanShutdown() bool { return c.cleanBoot }
 // Draining reports whether a graceful drain is in progress: lease grants
 // and submissions are refused while in-flight leases finish.
 func (c *Coordinator) Draining() bool { return c.draining.Load() }
+
+// drainTimeout bounds the drain Serve runs on Options.Drain: by
+// 2×LeaseTTL+5s every honest lease has finished, renewed, or expired.
+func (c *Coordinator) drainTimeout() time.Duration { return 2*c.queue.TTL() + 5*time.Second }
 
 // Drain performs a graceful shutdown: new lease grants and submissions
 // stop (HTTP 503 + Retry-After), in-flight leases run to completion or
@@ -546,7 +545,6 @@ func (c *Coordinator) SubmitKeyed(spec Spec, key string) (Status, error) {
 		}
 	}
 	spec = spec.withDefaults()
-	spec.Store = "" // the coordinator's store always wins
 	if err := spec.Validate(); err != nil {
 		return Status{}, err
 	}

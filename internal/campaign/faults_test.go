@@ -250,7 +250,7 @@ func TestChaosCampaignEndToEnd(t *testing.T) {
 	defer wcancel()
 	for i := 0; i < 2; i++ {
 		w := NewWorker(faultyClient(int64(100+i)), WorkerOptions{
-			Store: st, Poll: 10 * time.Millisecond, MaxBackoff: 200 * time.Millisecond, Logf: t.Logf,
+			Store: st, Poll: 10 * time.Millisecond, Logf: t.Logf,
 		})
 		go w.Run(wctx)
 	}

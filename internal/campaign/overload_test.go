@@ -311,15 +311,15 @@ func TestDeadlineExpiryPartialTables(t *testing.T) {
 		t.Fatalf("error %q does not name the deadline", final.Error)
 	}
 
-	snap, err := client.PartialTables(ctx, sub.ID)
+	if final.ExperimentsDone < 1 || final.ExperimentsTotal != 2 {
+		t.Fatalf("partial progress = %d/%d, want >=1/2", final.ExperimentsDone, final.ExperimentsTotal)
+	}
+	tables, err := client.Tables(ctx, sub.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(snap.Tables) != 1 || snap.Tables[0].Name != "table1" {
-		t.Fatalf("partial tables = %+v, want just table1", snap.Tables)
-	}
-	if snap.ExperimentsDone < 1 || snap.ExperimentsTotal != 2 {
-		t.Fatalf("partial progress = %d/%d, want >=1/2", snap.ExperimentsDone, snap.ExperimentsTotal)
+	if len(tables) != 1 || tables[0].Name != "table1" {
+		t.Fatalf("partial tables = %+v, want just table1", tables)
 	}
 }
 
@@ -430,6 +430,10 @@ func TestDrainCleanVsCrashRestart(t *testing.T) {
 func TestDrainRefusesLeases(t *testing.T) {
 	coord, client, _ := newLimitedService(t, Options{})
 	ctx := context.Background()
+	// Serve bounds its drain by the lease TTL (one minute here).
+	if got, want := coord.drainTimeout(), 2*time.Minute+5*time.Second; got != want {
+		t.Fatalf("drain timeout = %s, want 2×TTL+5s = %s", got, want)
+	}
 	if err := coord.Drain(ctx); err != nil {
 		t.Fatalf("drain: %v", err)
 	}

@@ -105,12 +105,11 @@ type task struct {
 	// per-bucket queue-wait histogram at grant time.
 	queuedAt time.Time
 
-	// verify marks the task for quorum verification: it needs `needed`
-	// agreeing independent executions instead of one. Set at enqueue by
-	// the verify fraction, by Requeue, or permanently once any publish
-	// for the cell ever diverged.
+	// verify marks the task for quorum verification: it needs
+	// verifyQuorum agreeing independent executions instead of one. Set
+	// at enqueue by the verify fraction, by Requeue, or permanently once
+	// any publish for the cell ever diverged.
 	verify bool
-	needed int
 	votes  []vote
 
 	// lease is the one live lease while state == taskLeased, nil
@@ -405,9 +404,8 @@ type Queue struct {
 	vtime   float64
 
 	// verifyFraction in [0,1] selects cells for quorum verification by
-	// their digest; quorum is how many votes a verified cell needs.
+	// their digest.
 	verifyFraction float64
-	quorum         int
 
 	// divergenceLimit / zombieLimit quarantine a worker once its strike
 	// counters reach them (0 disables that limit).
@@ -435,27 +433,20 @@ func NewQueue(ttl time.Duration) *Queue {
 		workers: make(map[string]*WorkerHealth),
 		buckets: make(map[string]*bucketState),
 		ttl:     ttl,
-		quorum:  2,
 		now:     time.Now,
 	}
 }
 
+// verifyQuorum is how many independent executions a verified cell
+// needs before a majority of them is admitted.
+const verifyQuorum = 2
+
 // ConfigureVerification sets the fraction of cells selected for quorum
-// verification (clamped to [0,1]) and the quorum size (minimum 2).
-func (q *Queue) ConfigureVerification(fraction float64, quorum int) {
+// verification (clamped to [0,1]).
+func (q *Queue) ConfigureVerification(fraction float64) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if fraction < 0 {
-		fraction = 0
-	}
-	if fraction > 1 {
-		fraction = 1
-	}
-	if quorum < 2 {
-		quorum = 2
-	}
-	q.verifyFraction = fraction
-	q.quorum = quorum
+	q.verifyFraction = min(max(fraction, 0), 1)
 }
 
 // ConfigureReputation sets the strike limits past which a worker is
@@ -608,7 +599,6 @@ func (q *Queue) Enqueue(cell sweep.Cell, opts EnqueueOptions, ch chan<- Outcome)
 	}
 	if q.verifyFraction > 0 && digestFraction(digest) < q.verifyFraction {
 		t.verify = true
-		t.needed = q.quorum
 		q.stats.VerifiedCells++
 	}
 	q.tasks[digest] = t
@@ -733,9 +723,6 @@ func (q *Queue) Requeue(digest string) (cell sweep.Cell, ok bool) {
 	if !t.verify {
 		t.verify = true
 		q.stats.VerifiedCells++
-	}
-	if t.needed < q.quorum {
-		t.needed = q.quorum
 	}
 	t.votes = nil
 	t.attempts = 0
@@ -973,7 +960,6 @@ func (q *Queue) Complete(pub Publish) CompleteResult {
 		q.strikeLocked(worker, false, "published a result diverging from the admitted value for cell "+t.cell.Label)
 		if !t.verify {
 			t.verify = true
-			t.needed = q.quorum
 			q.stats.VerifiedCells++
 		}
 		return CompleteResult{
@@ -1034,7 +1020,7 @@ func (q *Queue) Complete(pub Publish) CompleteResult {
 // strict majority of the latest vote per worker (and at least two
 // agreeing executions); a tie escalates to the coordinator arbiter.
 func (q *Queue) tallyLocked(t *task) CompleteResult {
-	if len(t.votes) < t.needed {
+	if len(t.votes) < verifyQuorum {
 		q.requeueLocked(t)
 		return CompleteResult{Verdict: VerdictVoteRecorded}
 	}

@@ -19,7 +19,7 @@ func TestQueueConcurrentHammer(t *testing.T) {
 		workers = 8
 	)
 	q := NewQueue(40 * time.Millisecond) // short TTL: real expiries under load
-	q.ConfigureVerification(0.5, 2)      // mixed verified/unverified population
+	q.ConfigureVerification(0.5)         // mixed verified/unverified population
 	q.ConfigureReputation(0, 0)          // hammer workers diverge on purpose; no quarantine
 
 	chans := make([]chan Outcome, cells)

@@ -422,7 +422,7 @@ func TestQueueCompleteVerdicts(t *testing.T) {
 		{
 			name: "vote recorded",
 			setup: func(t *testing.T, q *Queue, _ *fakeClock) Publish {
-				q.ConfigureVerification(1, 2)
+				q.ConfigureVerification(1)
 				enqueue(t, q, 1)
 				return honestPublish(t, lease(t, q, "w1"), fakeResult(1))
 			},
@@ -434,7 +434,7 @@ func TestQueueCompleteVerdicts(t *testing.T) {
 			// then fails, the cell requeues for a fresh quorum.
 			name: "quorum tie needs the arbiter",
 			setup: func(t *testing.T, q *Queue, _ *fakeClock) Publish {
-				q.ConfigureVerification(1, 2)
+				q.ConfigureVerification(1)
 				enqueue(t, q, 1)
 				publish(t, q, lease(t, q, "w1"), fakeResult(1), VerdictVoteRecorded)
 				return honestPublish(t, lease(t, q, "w2"), fakeResult(2))
@@ -495,7 +495,7 @@ func TestQueueCompleteVerdicts(t *testing.T) {
 		{
 			name: "retried vote under a dead lease",
 			setup: func(t *testing.T, q *Queue, _ *fakeClock) Publish {
-				q.ConfigureVerification(1, 2)
+				q.ConfigureVerification(1)
 				enqueue(t, q, 1)
 				return publish(t, q, lease(t, q, "w1"), fakeResult(1), VerdictVoteRecorded)
 			},

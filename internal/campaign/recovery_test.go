@@ -152,15 +152,17 @@ func TestRestartRemembersExplicitCancel(t *testing.T) {
 	}
 }
 
-// legacyControlLog is a control journal exactly as a build with a
-// selectable simulation kernel wrote it: the submitted spec carries
-// "sim_workers", a field this build no longer has.
+// legacyControlLog is a control journal written by older builds: the
+// first submitted spec carries "sim_workers" (a build with a selectable
+// simulation kernel), the second "store" (a build whose Spec named a
+// store directory). This build has neither field.
 const legacyControlLog = `{"t":"submit","d":{"id":"c20260101-000000-0001","spec":{"experiments":["table1"],"sim_workers":8},"created":"2026-01-01T00:00:00Z"},"c":"a16741764d797654"}
+{"t":"submit","d":{"id":"c20260101-000000-0002","spec":{"experiments":["table1"],"store":"results/store"},"created":"2026-01-01T00:00:01Z"},"c":"fbd88c6e0d062737"}
 `
 
-// TestRestartRecoversLegacySpec: a campaign journaled with the retired
-// kernel field still passes its checksum, is re-submitted at boot, and
-// finishes.
+// TestRestartRecoversLegacySpec: campaigns journaled with retired spec
+// fields still pass their checksums, are re-submitted at boot, and
+// finish.
 func TestRestartRecoversLegacySpec(t *testing.T) {
 	st, err := store.Open(t.TempDir(), store.Options{SimDigest: "test-sim"})
 	if err != nil {
@@ -171,14 +173,15 @@ func TestRestartRecoversLegacySpec(t *testing.T) {
 	}
 	coord := NewCoordinator(Options{Store: st, LeaseTTL: time.Minute, Logf: t.Logf})
 	defer coord.Close()
-	if coord.Recovered() != 1 {
-		t.Fatalf("Recovered() = %d, want the legacy campaign back", coord.Recovered())
+	if coord.Recovered() != 2 {
+		t.Fatalf("Recovered() = %d, want both legacy campaigns back", coord.Recovered())
 	}
-	const id = "c20260101-000000-0001"
-	waitState(t, coord, id, StateDone)
-	got, _ := coord.Campaign(id)
-	if !got.Recovered || len(got.Spec.Experiments) != 1 || got.Spec.Experiments[0] != "table1" {
-		t.Fatalf("recovered campaign = %+v", got)
+	for _, id := range []string{"c20260101-000000-0001", "c20260101-000000-0002"} {
+		waitState(t, coord, id, StateDone)
+		got, _ := coord.Campaign(id)
+		if !got.Recovered || len(got.Spec.Experiments) != 1 || got.Spec.Experiments[0] != "table1" {
+			t.Fatalf("recovered campaign = %+v", got)
+		}
 	}
 }
 
@@ -255,9 +258,18 @@ func TestCoordinatorRestartRecovers(t *testing.T) {
 	wctx, wcancel := context.WithCancel(ctx)
 	defer wcancel()
 	for i := 0; i < 2; i++ {
-		w := NewWorker(client, WorkerOptions{
-			Store: st1, Poll: 10 * time.Millisecond, MaxBackoff: 100 * time.Millisecond, Logf: t.Logf,
-		})
+		w := NewWorker(client, WorkerOptions{Store: st1, Poll: 10 * time.Millisecond, Logf: t.Logf})
+		// The outage backoff derives from Poll: jittered doubling from
+		// 10ms, capped at 10×Poll.
+		if want := (RetryPolicy{Base: 10 * time.Millisecond, Cap: 100 * time.Millisecond}); w.backoff != want {
+			t.Fatalf("worker backoff = %+v, want %+v", w.backoff, want)
+		}
+		for n := 0; n < 6; n++ {
+			hi := min(10*time.Millisecond<<n, 100*time.Millisecond)
+			if d := w.backoff.backoff(n); d < hi/2 || d > hi {
+				t.Fatalf("backoff after %d lease errors = %s, want within [%s, %s]", n+1, d, hi/2, hi)
+			}
+		}
 		go w.Run(wctx)
 	}
 

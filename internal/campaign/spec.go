@@ -50,11 +50,6 @@ type Spec struct {
 	// simulation contexts cancel. It is journaled with the submit
 	// record, so a recovered campaign keeps its original budget.
 	Deadline time.Duration `json:"deadline,omitempty"`
-	// Store is the shared content-addressed store directory. It
-	// configures local serving (secmgpu.Serve, secbench -serve) and
-	// workers; a coordinator ignores the field on submitted campaigns
-	// and always uses its own store.
-	Store string `json:"store,omitempty"`
 }
 
 // withDefaults returns the spec with zero fields replaced by defaults.

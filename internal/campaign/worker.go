@@ -24,13 +24,11 @@ type WorkerOptions struct {
 	// results still reach the coordinator through the publish call.
 	Store *store.Store
 	// Poll is the idle wait between lease attempts when the queue is
-	// empty (default 500ms).
+	// empty (default 500ms). It also sets the worker's backoff when
+	// lease attempts error — a coordinator restart or network
+	// partition: jittered, doubling from Poll up to 10×Poll, reset on
+	// the first successful exchange.
 	Poll time.Duration
-	// MaxBackoff caps the jittered exponential backoff the worker
-	// applies when lease attempts error — a coordinator restart or
-	// network partition (default 5s, never below Poll). The backoff
-	// resets on the first successful exchange.
-	MaxBackoff time.Duration
 	// Byzantine, when enabled, makes the worker misbehave per the seeded
 	// spec (corrupt results, lying attestations, zombie publishes) —
 	// chaos-testing the coordinator's defenses.
@@ -45,13 +43,13 @@ type WorkerOptions struct {
 // re-leased; if it stalls and publishes late, the digest-keyed store
 // makes the publish a no-op.
 type Worker struct {
-	client     *Client
-	name       string
-	poll       time.Duration
-	maxBackoff time.Duration
-	logf       func(string, ...any)
-	engine     *sweep.Engine
-	byz        *byzantine
+	client  *Client
+	name    string
+	poll    time.Duration
+	backoff RetryPolicy // lease-error backoff: Base Poll, Cap 10×Poll
+	logf    func(string, ...any)
+	engine  *sweep.Engine
+	byz     *byzantine
 
 	mu    sync.Mutex
 	stats WorkerStats
@@ -91,13 +89,6 @@ func NewWorker(client *Client, opts WorkerOptions) *Worker {
 	if poll <= 0 {
 		poll = 500 * time.Millisecond
 	}
-	maxBackoff := opts.MaxBackoff
-	if maxBackoff <= 0 {
-		maxBackoff = 5 * time.Second
-	}
-	if maxBackoff < poll {
-		maxBackoff = poll
-	}
 	logf := opts.Logf
 	if logf == nil {
 		logf = func(string, ...any) {}
@@ -105,7 +96,7 @@ func NewWorker(client *Client, opts WorkerOptions) *Worker {
 	engine := sweep.New(1)
 	engine.SetStore(opts.Store)
 	return &Worker{
-		client: client, name: name, poll: poll, maxBackoff: maxBackoff,
+		client: client, name: name, poll: poll, backoff: RetryPolicy{Base: poll, Cap: 10 * poll},
 		logf: logf, engine: engine, byz: newByzantine(opts.Byzantine),
 	}
 }
@@ -131,7 +122,7 @@ func (w *Worker) Stats() WorkerStats {
 
 // Run leases and executes cells until ctx is cancelled. Transient
 // coordinator errors (it restarted, the network is partitioned) back
-// off with jittered exponential delays up to MaxBackoff, resetting on
+// off with jittered exponential delays up to 10×Poll, resetting on
 // the first successful exchange — the worker rides out a full
 // coordinator restart and re-leases without intervention. Run returns
 // ctx.Err(), or ErrWorkerQuarantined when the coordinator quarantined
@@ -140,7 +131,7 @@ func (w *Worker) Stats() WorkerStats {
 // 403 must never be mistaken for a healthy exchange.
 func (w *Worker) Run(ctx context.Context) error {
 	w.logf("worker %s: polling for work", w.name)
-	backoff := w.poll
+	fails := 0 // consecutive lease errors
 	for {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -157,16 +148,17 @@ func (w *Worker) Run(ctx context.Context) error {
 			w.mu.Lock()
 			w.stats.LeaseErrors++
 			w.mu.Unlock()
-			w.logf("worker %s: lease: %v (backing off %s)", w.name, err, backoff)
-			if !w.sleep(ctx, jitter(backoff)) {
+			wait := w.backoff.backoff(fails)
+			fails++
+			w.logf("worker %s: lease: %v (backing off %s)", w.name, err, wait)
+			if !w.sleep(ctx, wait) {
 				return ctx.Err()
 			}
-			backoff = min(backoff*2, w.maxBackoff)
 			continue
 		}
 		// Any answer from the coordinator — a grant or an empty queue —
 		// resets the backoff.
-		backoff = w.poll
+		fails = 0
 		if !ok {
 			if !w.sleep(ctx, w.poll) {
 				return ctx.Err()

@@ -52,7 +52,6 @@ import (
 	"context"
 	"fmt"
 	"net/http"
-	"time"
 
 	"secmgpu/internal/campaign"
 	"secmgpu/internal/config"
@@ -221,7 +220,12 @@ type Client = campaign.Client
 // "http://127.0.0.1:8123") using a default HTTP client.
 func NewClient(baseURL string) *Client { return campaign.NewClient(baseURL, nil) }
 
-// ServeOptions configures Serve.
+// CoordinatorOptions configures a campaign coordinator: lease TTL, bearer
+// token, TLS, listener, quorum verification, store scrubbing, admission
+// limits, and graceful drain.
+type CoordinatorOptions = campaign.Options
+
+// ServeOptions configures Serve and CoordinatorHandler.
 type ServeOptions struct {
 	// StoreDir is the shared content-addressed result store directory
 	// ("" disables durability; workers then deliver results only over
@@ -229,46 +233,23 @@ type ServeOptions struct {
 	// campaign lifecycles to <StoreDir>/coordinator.jsonl and a
 	// restarted coordinator re-submits campaigns that were running.
 	StoreDir string
-	// LeaseTTL bounds how long a worker may hold a cell without
-	// renewing (default 30s).
-	LeaseTTL time.Duration
-	// AuthToken, when non-empty, requires every API request except
-	// GET /v1/healthz to carry "Authorization: Bearer <AuthToken>"
-	// (compared in constant time); clients attach it with
-	// Client.SetToken.
-	AuthToken string
-	// TLSCertFile / TLSKeyFile, when both set, make Serve terminate
-	// TLS.
-	TLSCertFile string
-	TLSKeyFile  string
-	// VerifyFraction is the fraction of cells (deterministically
-	// sampled by digest) the coordinator re-executes on VerifyQuorum
-	// independent workers before admitting a result, quarantining
-	// workers whose answers diverge. 0 disables verification; 1
-	// verifies every cell.
-	VerifyFraction float64
-	// VerifyQuorum is the number of independent executions a verified
-	// cell needs (default and minimum 2).
-	VerifyQuorum int
-	// ScrubInterval, when positive, makes the coordinator periodically
-	// re-verify every stored object at rest, quarantine corruption,
-	// and resubmit the damaged cells for re-simulation.
-	ScrubInterval time.Duration
-	// MaxCampaigns, when positive, is an admission limit: new
-	// submissions are rejected (429 + Retry-After) while this many
-	// campaigns are running.
-	MaxCampaigns int
-	// MaxQueueDepth, when positive, rejects new submissions while this
-	// many cells are pending on the work queue.
-	MaxQueueDepth int
-	// Drain, when non-nil, triggers a graceful drain on close: new
-	// submissions and lease grants stop, in-flight leases finish or
-	// expire, a clean-shutdown record is journaled, and Serve returns.
-	Drain <-chan struct{}
-	// DrainTimeout bounds the drain wait (default 2×LeaseTTL + 5s).
-	DrainTimeout time.Duration
-	// Logf receives operational log lines (nil silences them).
-	Logf func(format string, args ...any)
+	// CoordinatorOptions holds every other setting; its Store is the
+	// one opened at StoreDir.
+	CoordinatorOptions
+}
+
+// coordinatorOptions opens the store at StoreDir, if any, and returns
+// the coordinator options that carry it.
+func (o ServeOptions) coordinatorOptions() (CoordinatorOptions, error) {
+	opts := o.CoordinatorOptions
+	if o.StoreDir != "" {
+		st, err := store.Open(o.StoreDir, store.Options{SimDigest: store.BinaryDigest()})
+		if err != nil {
+			return opts, err
+		}
+		opts.Store = st
+	}
+	return opts, nil
 }
 
 // Serve runs a campaign coordinator on addr until ctx is cancelled: the
@@ -278,49 +259,22 @@ type ServeOptions struct {
 // separate processes (secbench -worker -coordinator=URL) sharing the
 // store directory, or remote ones publishing over the API.
 func Serve(ctx context.Context, addr string, opts ServeOptions) error {
-	var st *store.Store
-	if opts.StoreDir != "" {
-		var err error
-		st, err = store.Open(opts.StoreDir, store.Options{SimDigest: store.BinaryDigest()})
-		if err != nil {
-			return err
-		}
+	co, err := opts.coordinatorOptions()
+	if err != nil {
+		return err
 	}
-	return campaign.Serve(ctx, addr, campaign.Options{
-		Store:          st,
-		LeaseTTL:       opts.LeaseTTL,
-		AuthToken:      opts.AuthToken,
-		TLSCertFile:    opts.TLSCertFile,
-		TLSKeyFile:     opts.TLSKeyFile,
-		VerifyFraction: opts.VerifyFraction,
-		VerifyQuorum:   opts.VerifyQuorum,
-		ScrubInterval:  opts.ScrubInterval,
-		MaxCampaigns:   opts.MaxCampaigns,
-		MaxQueueDepth:  opts.MaxQueueDepth,
-		Drain:          opts.Drain,
-		DrainTimeout:   opts.DrainTimeout,
-		Logf:           opts.Logf,
-	})
+	return campaign.Serve(ctx, addr, co)
 }
 
 // CoordinatorHandler returns the coordinator API as an http.Handler for
-// embedding into an existing server; Close the returned coordinator when
-// done. Most callers want Serve instead.
+// embedding into an existing server; call the returned func to close the
+// coordinator when done. Most callers want Serve instead.
 func CoordinatorHandler(opts ServeOptions) (http.Handler, func(), error) {
-	var st *store.Store
-	if opts.StoreDir != "" {
-		var err error
-		st, err = store.Open(opts.StoreDir, store.Options{SimDigest: store.BinaryDigest()})
-		if err != nil {
-			return nil, nil, err
-		}
+	co, err := opts.coordinatorOptions()
+	if err != nil {
+		return nil, nil, err
 	}
-	c := campaign.NewCoordinator(campaign.Options{
-		Store: st, LeaseTTL: opts.LeaseTTL, AuthToken: opts.AuthToken, Logf: opts.Logf,
-		VerifyFraction: opts.VerifyFraction, VerifyQuorum: opts.VerifyQuorum,
-		ScrubInterval: opts.ScrubInterval,
-		MaxCampaigns:  opts.MaxCampaigns, MaxQueueDepth: opts.MaxQueueDepth,
-	})
+	c := campaign.NewCoordinator(co)
 	return c.Handler(), c.Close, nil
 }
 

@@ -3,9 +3,14 @@ package secmgpu
 import (
 	"context"
 	"errors"
+	"net"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"secmgpu/internal/experiments"
 	"secmgpu/internal/sweep"
@@ -227,4 +232,68 @@ func TestRunContextMatchesRun(t *testing.T) {
 	if plain.Cycles != ctxed.Cycles || plain.Ops != ctxed.Ops {
 		t.Fatalf("Run and RunContext disagree: cycles %d vs %d", plain.Cycles, ctxed.Cycles)
 	}
+}
+
+// TestServeFacade drives the campaign service through the public surface:
+// Serve on a caller-supplied listener and CoordinatorHandler mounted on
+// an httptest server, each on its own store directory, each answering a
+// table1 campaign submitted through NewClient with the table a direct
+// run renders.
+func TestServeFacade(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	want := experiments.Table1().String()
+	runTable1 := func(t *testing.T, url, storeDir string) {
+		t.Helper()
+		client := NewClient(url)
+		st, err := client.Submit(ctx, CampaignSpec{Experiments: []string{"table1"}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st, err = client.Wait(ctx, st.ID, 10*time.Millisecond, nil); err != nil || st.State != "done" {
+			t.Fatalf("campaign ended %s (%v)", st.State, err)
+		}
+		tables, err := client.Tables(ctx, st.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(tables) != 1 || tables[0].Text != want {
+			t.Fatalf("tables = %+v, want table1 as a direct run renders it", tables)
+		}
+		// The coordinator ran on the store at StoreDir: its control
+		// journal is there.
+		if _, err := os.Stat(filepath.Join(storeDir, "coordinator.jsonl")); err != nil {
+			t.Fatalf("no control journal in StoreDir: %v", err)
+		}
+	}
+
+	t.Run("Serve", func(t *testing.T) {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		dir := t.TempDir()
+		sctx, stop := context.WithCancel(ctx)
+		served := make(chan error, 1)
+		go func() {
+			served <- Serve(sctx, "", ServeOptions{StoreDir: dir, CoordinatorOptions: CoordinatorOptions{Listener: ln}})
+		}()
+		runTable1(t, "http://"+ln.Addr().String(), dir)
+		stop()
+		if err := <-served; !errors.Is(err, context.Canceled) {
+			t.Fatalf("Serve returned %v, want context.Canceled", err)
+		}
+	})
+
+	t.Run("CoordinatorHandler", func(t *testing.T) {
+		dir := t.TempDir()
+		h, closeCoord, err := CoordinatorHandler(ServeOptions{StoreDir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer closeCoord()
+		srv := httptest.NewServer(h)
+		defer srv.Close()
+		runTable1(t, srv.URL, dir)
+	})
 }
