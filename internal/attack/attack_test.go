@@ -3,6 +3,7 @@ package attack
 import (
 	"testing"
 
+	"secmgpu/internal/config"
 	"secmgpu/internal/crypto"
 	"secmgpu/internal/interconnect"
 	"secmgpu/internal/otp"
@@ -15,6 +16,7 @@ import (
 // timers: a block or batch that fails verification is NACKed and re-sent,
 // and the injector sees (and may attack) the re-sent copies too.
 type harness struct {
+	cfg      config.Config
 	engine   *sim.Engine
 	fabric   *interconnect.Fabric
 	sender   *secure.Endpoint
@@ -31,29 +33,34 @@ type nullHandler struct{}
 func (nullHandler) HandleData(sim.Cycle, *interconnect.Message)    {}
 func (nullHandler) HandleControl(sim.Cycle, *interconnect.Message) {}
 
+// channelConfig is the 2-GPU system of the harnesses: secure with n = 4,
+// metadata traffic on, CPU memory protection off, the recovery protocol's
+// default timers, resync and rekeying off, and no per-message fabric
+// overhead.
+func channelConfig(batching bool) config.Config {
+	c := config.Default(2)
+	c.Secure, c.Batching = true, batching
+	c.CPUMemProtection = false
+	c.BatchSize = 4
+	c.ResyncThreshold, c.RekeyEpoch = 0, 0
+	c.MsgOverheadCycles = 0
+	return c
+}
+
+// newUnsecure builds an endpoint that sends and delivers in the clear.
+func newUnsecure(e *sim.Engine, f *interconnect.Fabric, node interconnect.NodeID, h secure.Handler) *secure.Endpoint {
+	return secure.New(e, f, node, &config.Config{}, false, nil, h)
+}
+
 func newHarness(t *testing.T, batching bool, script Script) *harness {
 	t.Helper()
-	e := sim.NewEngine()
-	f := interconnect.NewFabric(e, interconnect.FabricConfig{
-		NumGPUs:         2,
-		PCIeBandwidth:   32,
-		NVLinkBandwidth: 50,
-		GPUNICBandwidth: 150,
-		PCIeLatency:     400,
-		NVLinkLatency:   100,
-	})
-	opts := secure.Options{
-		Secure:          true,
-		Batching:        batching,
-		MetadataTraffic: true,
-		BatchSize:       4,
-		BatchTimeout:    200,
-		Functional:      true,
-	}
-	h := &harness{engine: e, fabric: f}
-	h.sender = secure.New(e, f, 1, opts, otp.NewPrivate(2, 4, crypto.NewEngine(40)), nullHandler{})
-	h.receiver = secure.New(e, f, 2, opts, otp.NewPrivate(2, 4, crypto.NewEngine(40)), h)
-	secure.New(e, f, interconnect.CPUNode, secure.Options{}, nil, nullHandler{})
+	h := &harness{cfg: channelConfig(batching), engine: sim.NewEngine()}
+	e := h.engine
+	f := interconnect.NewFabric(e, h.cfg)
+	h.fabric = f
+	h.sender = secure.New(e, f, 1, &h.cfg, true, otp.NewPrivate(2, 4, crypto.NewEngine(40)), nullHandler{})
+	h.receiver = secure.New(e, f, 2, &h.cfg, true, otp.NewPrivate(2, 4, crypto.NewEngine(40)), h)
+	newUnsecure(e, f, interconnect.CPUNode, nullHandler{})
 	// Interpose the adversary on the receiver's delivery path.
 	h.injector = NewInjector(e, h.receiver, script)
 	f.Register(2, h.injector)
@@ -205,14 +212,14 @@ func TestDroppedBlockLeavesBatchUnverified(t *testing.T) {
 func TestUnsecureBaselineDetectsNothing(t *testing.T) {
 	// Control experiment: without the protection mechanisms an in-flight
 	// tamper reaches the node unnoticed.
+	cfg := channelConfig(false)
+	cfg.PCIeLatency, cfg.NVLinkLatency = 0, 0
 	e := sim.NewEngine()
-	f := interconnect.NewFabric(e, interconnect.FabricConfig{
-		NumGPUs: 2, PCIeBandwidth: 32, NVLinkBandwidth: 50, GPUNICBandwidth: 150,
-	})
+	f := interconnect.NewFabric(e, cfg)
 	h := &harness{engine: e, fabric: f}
-	h.sender = secure.New(e, f, 1, secure.Options{}, nil, nullHandler{})
-	h.receiver = secure.New(e, f, 2, secure.Options{}, nil, h)
-	secure.New(e, f, interconnect.CPUNode, secure.Options{}, nil, nullHandler{})
+	h.sender = newUnsecure(e, f, 1, nullHandler{})
+	h.receiver = newUnsecure(e, f, 2, h)
+	newUnsecure(e, f, interconnect.CPUNode, nullHandler{})
 	h.injector = NewInjector(e, h.receiver, EveryNth(2, Replay))
 	f.Register(2, h.injector)
 	h.sendBlocks(8)

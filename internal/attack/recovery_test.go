@@ -3,6 +3,7 @@ package attack
 import (
 	"testing"
 
+	"secmgpu/internal/config"
 	"secmgpu/internal/crypto"
 	"secmgpu/internal/interconnect"
 	"secmgpu/internal/otp"
@@ -15,6 +16,7 @@ import (
 // direction (sender -> receiver) and the feedback direction (ACKs, NACKs,
 // Batched_MsgMACs flowing back).
 type recoveryHarness struct {
+	cfg              config.Config
 	engine           *sim.Engine
 	sender, receiver *secure.Endpoint
 	toRecv, toSend   *Injector
@@ -26,30 +28,14 @@ func (h *recoveryHarness) HandleControl(sim.Cycle, *interconnect.Message)      {
 
 func newRecoveryHarness(t *testing.T, dataScript, feedbackScript Script) *recoveryHarness {
 	t.Helper()
-	e := sim.NewEngine()
-	f := interconnect.NewFabric(e, interconnect.FabricConfig{
-		NumGPUs:         2,
-		PCIeBandwidth:   32,
-		NVLinkBandwidth: 50,
-		GPUNICBandwidth: 150,
-		PCIeLatency:     400,
-		NVLinkLatency:   100,
-	})
-	opts := secure.Options{
-		Secure:            true,
-		Batching:          true,
-		MetadataTraffic:   true,
-		BatchSize:         4,
-		BatchTimeout:      200,
-		Functional:        true,
-		RetransTimeout:    3000,
-		RetransMaxRetries: 6,
-		StaleBatchTimeout: 1500,
-	}
-	h := &recoveryHarness{engine: e}
-	h.sender = secure.New(e, f, 1, opts, otp.NewPrivate(2, 4, crypto.NewEngine(40)), nullHandler{})
-	h.receiver = secure.New(e, f, 2, opts, otp.NewPrivate(2, 4, crypto.NewEngine(40)), h)
-	secure.New(e, f, interconnect.CPUNode, secure.Options{}, nil, nullHandler{})
+	h := &recoveryHarness{cfg: channelConfig(true), engine: sim.NewEngine()}
+	h.cfg.RetransTimeout = 3000
+	h.cfg.StaleBatchTimeout = 1500
+	e := h.engine
+	f := interconnect.NewFabric(e, h.cfg)
+	h.sender = secure.New(e, f, 1, &h.cfg, true, otp.NewPrivate(2, 4, crypto.NewEngine(40)), nullHandler{})
+	h.receiver = secure.New(e, f, 2, &h.cfg, true, otp.NewPrivate(2, 4, crypto.NewEngine(40)), h)
+	newUnsecure(e, f, interconnect.CPUNode, nullHandler{})
 	h.toRecv = NewInjector(e, h.receiver, dataScript)
 	h.toSend = NewInjector(e, h.sender, feedbackScript)
 	f.Register(2, h.toRecv)

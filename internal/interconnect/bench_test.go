@@ -14,18 +14,12 @@ func (nopDeliverer) Deliver(sim.Cycle, *Message) {}
 
 // benchFabric builds a 4-GPU fabric with every node registered to d and
 // returns it with every directed (src, dst) pair.
-func benchFabric(topo Topology, d Deliverer) (*sim.Engine, *Fabric, [][2]NodeID) {
+func benchFabric(switched bool, d Deliverer) (*sim.Engine, *Fabric, [][2]NodeID) {
+	cfg := testConfig(4)
+	cfg.MsgOverheadCycles = 2
+	cfg.SwitchTopology = switched
 	e := sim.NewEngine()
-	f := NewFabric(e, FabricConfig{
-		NumGPUs:         4,
-		PCIeBandwidth:   32,
-		NVLinkBandwidth: 50,
-		GPUNICBandwidth: 150,
-		PCIeLatency:     400,
-		NVLinkLatency:   100,
-		MsgOverhead:     2,
-		Topology:        topo,
-	})
+	f := NewFabric(e, cfg)
 	var pairs [][2]NodeID
 	for s := 0; s < f.NumNodes(); s++ {
 		f.Register(NodeID(s), d)
@@ -61,9 +55,12 @@ const benchWindow = 256
 // pushed and popped with hundreds of messages out. Every case allocates
 // nothing in steady state.
 func BenchmarkSendDeliver(b *testing.B) {
-	for _, topo := range []Topology{TopologyP2P, TopologySwitch} {
-		b.Run(topo.String(), func(b *testing.B) {
-			e, f, pairs := benchFabric(topo, nopDeliverer{})
+	for _, topo := range []struct {
+		name     string
+		switched bool
+	}{{"p2p", false}, {"switch", true}} {
+		b.Run(topo.name, func(b *testing.B) {
+			e, f, pairs := benchFabric(topo.switched, nopDeliverer{})
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -88,7 +85,7 @@ func BenchmarkSendDeliver(b *testing.B) {
 			}
 		})
 		var e *sim.Engine
-		e, f, pairs = benchFabric(TopologyP2P, relay)
+		e, f, pairs = benchFabric(false, relay)
 		run := func(n int) {
 			sent, limit = 0, n
 			for i := 0; i < benchWindow && sent < limit; i++ {

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"sync"
 
+	"secmgpu/internal/config"
 	"secmgpu/internal/sim"
 )
 
@@ -70,14 +71,13 @@ type Fabric struct {
 	deliverers []Deliverer
 
 	// Switch topology state (nil slices in p2p mode).
-	topology  Topology
+	switched  bool
 	uplinks   []stage
 	downlinks []stage
 	crossbar  stage
-	switchHop sim.Cycle
 
 	// Fault injection state (nil when the profile is inactive).
-	faults   FaultConfig
+	faults   config.FaultProfile
 	faultRNG [][]*rand.Rand
 
 	// Outage state (nil until a profile is configured or a scripted
@@ -178,99 +178,39 @@ func (s *msgShelf) park(l *msgList) {
 	s.n += l.n
 }
 
-// Topology selects how GPUs reach each other.
-type Topology int
-
+// The switch topology (config.Config.SwitchTopology, DGX-2 / NVSwitch
+// style) routes all GPU-GPU traffic through a central switch: each GPU has
+// one uplink and one downlink at NVLink bandwidth, and the switch itself has
+// an aggregate crossbar bandwidth of switchBandwidthLinks NVLinks and adds
+// switchHop cycles of latency. The default, p2p, wires every GPU pair
+// directly (DGX-1 style).
 const (
-	// TopologyP2P wires every GPU pair directly (DGX-1 style).
-	TopologyP2P Topology = iota
-	// TopologySwitch routes all GPU-GPU traffic through a central switch
-	// (DGX-2 / NVSwitch style): each GPU has one uplink and one downlink
-	// at NVLink bandwidth, and the switch itself has an aggregate
-	// crossbar bandwidth.
-	TopologySwitch
+	switchBandwidthLinks = 8
+	switchHop            = 30
 )
-
-// String names the topology.
-func (t Topology) String() string {
-	if t == TopologySwitch {
-		return "switch"
-	}
-	return "p2p"
-}
-
-// FabricConfig sizes the fabric.
-type FabricConfig struct {
-	// NumGPUs is the GPU count; node 0 is the CPU.
-	NumGPUs int
-	// PCIeBandwidth is the shared CPU bus bandwidth in bytes/cycle.
-	PCIeBandwidth float64
-	// NVLinkBandwidth is the per-pair GPU-GPU wire bandwidth.
-	NVLinkBandwidth float64
-	// GPUNICBandwidth is each GPU's aggregate injection/ejection
-	// bandwidth across all of its links.
-	GPUNICBandwidth float64
-	// PCIeLatency and NVLinkLatency are one-way propagation latencies.
-	PCIeLatency   sim.Cycle
-	NVLinkLatency sim.Cycle
-	// MsgOverhead is the fixed per-message NIC occupancy in cycles
-	// (packetization/flit framing).
-	MsgOverhead sim.Cycle
-	// Topology selects p2p (default) or switch routing for GPU-GPU
-	// traffic.
-	Topology Topology
-	// SwitchBandwidth is the crossbar's aggregate bandwidth in
-	// bytes/cycle (switch topology only; default 8x NVLink).
-	SwitchBandwidth float64
-	// SwitchLatency is the extra hop latency through the switch.
-	SwitchLatency sim.Cycle
-	// Faults injects loss/corruption/duplication into secure-channel
-	// traffic (messages carrying a Sec envelope). Zero rates disable it.
-	Faults FaultConfig
-	// Outages injects sustained link/node down windows that blackhole
-	// secure-channel traffic. The zero value is an always-up fabric.
-	Outages OutageConfig
-}
-
-// FaultConfig models a lossy fabric: each secure-channel message (one with
-// a Sec envelope) is independently dropped, corrupted, or duplicated. The
-// unprotected control plane is exempt — no recovery protocol exists for it,
-// and the paper's baseline assumes reliable links. Faults are drawn from
-// per-link generators seeded by (Seed, src, dst) for deterministic,
-// link-independent sequences.
-type FaultConfig struct {
-	DropRate      float64
-	CorruptRate   float64
-	DuplicateRate float64
-	Seed          int64
-}
-
-// Active reports whether any fault is injected.
-func (f FaultConfig) Active() bool {
-	return f.DropRate > 0 || f.CorruptRate > 0 || f.DuplicateRate > 0
-}
 
 // duplicateDelay is how many cycles after the original a duplicated copy
 // arrives, as if re-injected on the wire.
 const duplicateDelay = 7
 
-// NewFabric builds the fabric for cfg. Deliverers must be registered for
-// every node before messages are sent to it.
-func NewFabric(engine *sim.Engine, cfg FabricConfig) *Fabric {
-	if cfg.NumGPUs < 1 {
-		panic("interconnect: need at least one GPU")
-	}
-	if cfg.PCIeBandwidth <= 0 || cfg.NVLinkBandwidth <= 0 || cfg.GPUNICBandwidth <= 0 {
-		panic("interconnect: bandwidths must be positive")
-	}
-	n := cfg.NumGPUs + 1
+// NewFabric builds the fabric of the system cfg describes, which
+// config.Validate accepts. Deliverers must be registered for every node
+// before messages are sent to it.
+//
+// Fault injection (cfg.Faults) drops, corrupts or duplicates secure-channel
+// messages (those carrying a Sec envelope); the unprotected control plane is
+// exempt, since no recovery protocol exists for it and the paper's baseline
+// assumes reliable links. Faults are drawn from per-link generators seeded
+// by (Seed, src, dst), for deterministic, link-independent sequences.
+func NewFabric(engine *sim.Engine, cfg config.Config) *Fabric {
+	n := cfg.NumProcessors()
 	f := &Fabric{
 		engine:     engine,
 		nodes:      n,
 		nicOut:     make([]stage, n),
 		nicIn:      make([]stage, n),
 		deliverers: make([]Deliverer, n),
-		topology:   cfg.Topology,
+		switched:   cfg.SwitchTopology,
 		faults:     cfg.Faults,
 		stats:      newStats(n),
 	}
@@ -293,15 +233,8 @@ func NewFabric(engine *sim.Engine, cfg FabricConfig) *Fabric {
 	if cfg.Outages.Active() {
 		f.outages = newOutageModel(n, cfg.Outages, &f.stats)
 	}
-	if cfg.Topology == TopologySwitch {
-		if cfg.SwitchBandwidth <= 0 {
-			cfg.SwitchBandwidth = 8 * cfg.NVLinkBandwidth
-		}
-		if cfg.SwitchLatency == 0 {
-			cfg.SwitchLatency = 30
-		}
-		f.switchHop = cfg.SwitchLatency
-		f.crossbar = stage{bandwidth: cfg.SwitchBandwidth}
+	if cfg.SwitchTopology {
+		f.crossbar = stage{bandwidth: switchBandwidthLinks * cfg.NVLinkBandwidth}
 		f.uplinks = make([]stage, n)
 		f.downlinks = make([]stage, n)
 		for i := range f.uplinks {
@@ -309,13 +242,14 @@ func NewFabric(engine *sim.Engine, cfg FabricConfig) *Fabric {
 			f.downlinks[i] = stage{bandwidth: cfg.NVLinkBandwidth}
 		}
 	}
+	overhead := sim.Cycle(cfg.MsgOverheadCycles)
 	for i := 0; i < n; i++ {
 		bw := cfg.GPUNICBandwidth
 		if NodeID(i).IsCPU() {
 			bw = cfg.PCIeBandwidth
 		}
-		f.nicOut[i] = stage{bandwidth: bw, overhead: cfg.MsgOverhead}
-		f.nicIn[i] = stage{bandwidth: bw, overhead: cfg.MsgOverhead}
+		f.nicOut[i] = stage{bandwidth: bw, overhead: overhead}
+		f.nicIn[i] = stage{bandwidth: bw, overhead: overhead}
 	}
 	f.wires = make([][]stage, n)
 	f.latency = make([][]sim.Cycle, n)
@@ -328,10 +262,10 @@ func NewFabric(engine *sim.Engine, cfg FabricConfig) *Fabric {
 			}
 			if NodeID(s).IsCPU() || NodeID(d).IsCPU() {
 				f.wires[s][d] = stage{bandwidth: cfg.PCIeBandwidth}
-				f.latency[s][d] = cfg.PCIeLatency
+				f.latency[s][d] = sim.Cycle(cfg.PCIeLatency)
 			} else {
 				f.wires[s][d] = stage{bandwidth: cfg.NVLinkBandwidth}
-				f.latency[s][d] = cfg.NVLinkLatency
+				f.latency[s][d] = sim.Cycle(cfg.NVLinkLatency)
 			}
 		}
 	}
@@ -474,12 +408,12 @@ func (f *Fabric) Send(msg *Message) {
 	now := f.engine.Now()
 	size := msg.Size()
 	t := f.nicOut[msg.Src].pass(now, size)
-	if f.topology == TopologySwitch && !msg.Src.IsCPU() && !msg.Dst.IsCPU() {
+	if f.switched && !msg.Src.IsCPU() && !msg.Dst.IsCPU() {
 		// GPU-GPU traffic rides the per-GPU uplink, crosses the shared
 		// crossbar, and exits on the destination's downlink.
 		t = f.uplinks[msg.Src].pass(t, size)
 		t = f.crossbar.pass(t, size)
-		t += f.switchHop + f.latency[msg.Src][msg.Dst]
+		t += switchHop + f.latency[msg.Src][msg.Dst]
 		t = f.downlinks[msg.Dst].pass(t, size)
 	} else {
 		t = f.wires[msg.Src][msg.Dst].pass(t, size)
@@ -552,13 +486,13 @@ type Stats struct {
 	perNodeSent   []uint64
 	perNodeRecved []uint64
 
-	// Fault-injection counters (FaultConfig): secure-channel messages
+	// Fault-injection counters (config.FaultProfile): secure-channel messages
 	// dropped, corrupted, or duplicated in flight.
 	FaultDropped    uint64
 	FaultCorrupted  uint64
 	FaultDuplicated uint64
 
-	// Outage counters (OutageConfig): secure-channel messages blackholed
+	// Outage counters (config.OutageProfile): secure-channel messages blackholed
 	// by a dark link or resetting node, and the number of link/node outage
 	// windows entered (scripted windows count once when forced).
 	OutageDropped uint64

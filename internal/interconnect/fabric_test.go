@@ -6,21 +6,23 @@ import (
 	"testing"
 	"testing/quick"
 
+	"secmgpu/internal/config"
 	"secmgpu/internal/sim"
 )
+
+// testConfig is the fabric the tests time by hand: Table III's links and
+// latencies (PCIe 32 B/cycle and 400 cycles, NVLink 50 B/cycle and 100
+// cycles, a 150 B/cycle GPU NIC) with no per-message overhead.
+func testConfig(gpus int) config.Config {
+	cfg := config.Default(gpus)
+	cfg.MsgOverheadCycles = 0
+	return cfg
+}
 
 func testFabric(t *testing.T, gpus int) (*sim.Engine, *Fabric) {
 	t.Helper()
 	e := sim.NewEngine()
-	f := NewFabric(e, FabricConfig{
-		NumGPUs:         gpus,
-		PCIeBandwidth:   32,
-		NVLinkBandwidth: 50,
-		GPUNICBandwidth: 150,
-		PCIeLatency:     400,
-		NVLinkLatency:   100,
-	})
-	return e, f
+	return e, NewFabric(e, testConfig(gpus))
 }
 
 type sink struct {
@@ -262,17 +264,12 @@ func TestFIFOSpacingProperty(t *testing.T) {
 }
 
 func TestSwitchTopologyCrossbarContention(t *testing.T) {
+	cfg := testConfig(4)
+	cfg.PCIeLatency = 0
+	cfg.SwitchTopology = true
 	e := sim.NewEngine()
-	f := NewFabric(e, FabricConfig{
-		NumGPUs:         4,
-		PCIeBandwidth:   32,
-		NVLinkBandwidth: 50,
-		GPUNICBandwidth: 150,
-		NVLinkLatency:   100,
-		Topology:        TopologySwitch,
-		SwitchBandwidth: 50, // deliberately narrow: one link's worth
-		SwitchLatency:   30,
-	})
+	f := NewFabric(e, cfg)
+	f.crossbar.bandwidth = 50 // deliberately narrow: one link's worth
 	s2, s3 := &sink{}, &sink{}
 	f.Register(2, s2)
 	f.Register(3, s3)
@@ -295,12 +292,12 @@ func TestSwitchTopologyCrossbarContention(t *testing.T) {
 }
 
 func TestSwitchTopologyCPUPathUnchanged(t *testing.T) {
-	mk := func(top Topology) sim.Cycle {
+	mk := func(switched bool) sim.Cycle {
+		cfg := testConfig(2)
+		cfg.NVLinkLatency = 0
+		cfg.SwitchTopology = switched
 		e := sim.NewEngine()
-		f := NewFabric(e, FabricConfig{
-			NumGPUs: 2, PCIeBandwidth: 32, NVLinkBandwidth: 50,
-			GPUNICBandwidth: 150, PCIeLatency: 400, Topology: top,
-		})
+		f := NewFabric(e, cfg)
 		cpu := &sink{}
 		f.Register(CPUNode, cpu)
 		e.Schedule(0, sim.HandlerFunc(func(sim.Event) {
@@ -311,19 +308,18 @@ func TestSwitchTopologyCPUPathUnchanged(t *testing.T) {
 		}
 		return cpu.arrivals[0]
 	}
-	if p2p, sw := mk(TopologyP2P), mk(TopologySwitch); p2p != sw {
+	if p2p, sw := mk(false), mk(true); p2p != sw {
 		t.Errorf("CPU path differs across topologies: %d vs %d", p2p, sw)
 	}
 }
 
 func TestSwitchTopologyAddsHopLatency(t *testing.T) {
-	mk := func(top Topology) sim.Cycle {
+	mk := func(switched bool) sim.Cycle {
+		cfg := testConfig(2)
+		cfg.PCIeLatency = 0
+		cfg.SwitchTopology = switched
 		e := sim.NewEngine()
-		f := NewFabric(e, FabricConfig{
-			NumGPUs: 2, PCIeBandwidth: 32, NVLinkBandwidth: 50,
-			GPUNICBandwidth: 150, NVLinkLatency: 100, Topology: top,
-			SwitchLatency: 30,
-		})
+		f := NewFabric(e, cfg)
 		dst := &sink{}
 		f.Register(2, dst)
 		e.Schedule(0, sim.HandlerFunc(func(sim.Event) {
@@ -334,7 +330,7 @@ func TestSwitchTopologyAddsHopLatency(t *testing.T) {
 		}
 		return dst.arrivals[0]
 	}
-	p2p, sw := mk(TopologyP2P), mk(TopologySwitch)
+	p2p, sw := mk(false), mk(true)
 	if sw <= p2p {
 		t.Errorf("switch path %d not slower than p2p %d for a single message", sw, p2p)
 	}

@@ -204,8 +204,10 @@ func TestShelfParallel(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
+				cfg := testConfig(2)
+				cfg.PCIeLatency, cfg.NVLinkLatency = 0, 0
 				e := sim.NewEngine()
-				f := NewFabric(e, FabricConfig{NumGPUs: 2, PCIeBandwidth: 32, NVLinkBandwidth: 50, GPUNICBandwidth: 150})
+				f := NewFabric(e, cfg)
 				f.Register(1, nopDeliverer{})
 				f.Register(2, nopDeliverer{})
 				for k := 0; k < 10*(w+i%7); k++ {

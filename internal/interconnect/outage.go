@@ -3,38 +3,15 @@ package interconnect
 import (
 	"math/rand"
 
+	"secmgpu/internal/config"
 	"secmgpu/internal/sim"
 )
 
-// OutageConfig models sustained fabric outages: whole undirected links
-// going dark for a window of cycles, and nodes transiently resetting so
-// that all protected traffic to or from them is blackholed. It is distinct
-// from FaultConfig, which flips a coin per message — an outage kills every
-// protected message crossing the affected link for its whole duration,
-// which is what forces the secure channel's counter-resynchronization
-// path rather than its per-message retransmission path.
-//
-// Up-times and durations are exponentially distributed with the given
-// means, drawn from per-link / per-node generators seeded by (Seed,
-// endpoints), so runs are fully deterministic and one link's outage
-// schedule never perturbs another's.
-type OutageConfig struct {
-	// LinkMTBF is the mean up-time between outages of each undirected
-	// link; LinkOutage is the mean outage duration. Zero disables link
-	// outages.
-	LinkMTBF   uint64
-	LinkOutage uint64
-	// NodeMTBF / NodeOutage are the same for transient node resets.
-	NodeMTBF   uint64
-	NodeOutage uint64
-	// Seed drives the outage generators.
-	Seed int64
-}
-
-// Active reports whether the config injects any outages.
-func (o OutageConfig) Active() bool {
-	return (o.LinkMTBF > 0 && o.LinkOutage > 0) || (o.NodeMTBF > 0 && o.NodeOutage > 0)
-}
+// An outage (config.OutageProfile) kills every protected message crossing
+// a dark link or a resetting node for the whole window, unlike a fault,
+// which is a coin flip per message: that is what forces the secure
+// channel's counter-resynchronization path rather than its per-message
+// retransmission path.
 
 // window is one scripted outage interval [from, until).
 type window struct {
@@ -107,7 +84,7 @@ type outageModel struct {
 
 // newOutageModel builds the schedules for an n-node fabric. A zero config
 // yields an all-up model that only scripted windows can darken.
-func newOutageModel(n int, cfg OutageConfig, stats *Stats) *outageModel {
+func newOutageModel(n int, cfg config.OutageProfile, stats *Stats) *outageModel {
 	m := &outageModel{
 		links: make([][]*outageState, n),
 		nodes: make([]*outageState, n),
@@ -147,7 +124,7 @@ func (m *outageModel) blocked(now sim.Cycle, src, dst NodeID) bool {
 // first use so scripted outages work without a random profile.
 func (f *Fabric) outage() *outageModel {
 	if f.outages == nil {
-		f.outages = newOutageModel(f.nodes, OutageConfig{}, &f.stats)
+		f.outages = newOutageModel(f.nodes, config.OutageProfile{}, &f.stats)
 	}
 	return f.outages
 }

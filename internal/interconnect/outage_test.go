@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"testing"
 
+	"secmgpu/internal/config"
 	"secmgpu/internal/sim"
 )
 
@@ -129,12 +130,10 @@ func TestOutagesSpareControlPlane(t *testing.T) {
 // outage profile and returns the resulting stats.
 func randomOutageRun(t *testing.T, seed int64) Stats {
 	t.Helper()
+	cfg := testConfig(3)
+	cfg.Outages = config.OutageProfile{LinkMTBF: 5000, LinkOutage: 1000, NodeMTBF: 20000, NodeOutage: 2000, Seed: seed}
 	e := sim.NewEngine()
-	f := NewFabric(e, FabricConfig{
-		NumGPUs: 3, PCIeBandwidth: 32, NVLinkBandwidth: 50,
-		GPUNICBandwidth: 150, PCIeLatency: 400, NVLinkLatency: 100,
-		Outages: OutageConfig{LinkMTBF: 5000, LinkOutage: 1000, NodeMTBF: 20000, NodeOutage: 2000, Seed: seed},
-	})
+	f := NewFabric(e, cfg)
 	for i := 0; i < 4; i++ {
 		f.Register(NodeID(i), &sink{})
 	}

@@ -2,6 +2,7 @@ package machine
 
 import (
 	"encoding/json"
+	"fmt"
 	"testing"
 
 	"secmgpu/internal/config"
@@ -437,21 +438,28 @@ func TestCUShardedFrontEnd(t *testing.T) {
 	}
 }
 
+// TestCUModeWithTLBAndMigration runs the TLB-deferred issue path under
+// both front-ends: CU-sharded (8 CUs, the wavefront slot held via OnIssue)
+// and the flat per-GPU window (0 CUs, the slot taken in node.issue).
 func TestCUModeWithTLBAndMigration(t *testing.T) {
-	cfg := config.Default(2)
-	cfg.CUsPerGPU = 8
-	cfg.ModelTLB = true
-	cfg.MigrationThreshold = 16
-	trace := make([]workload.Op, 300)
-	for i := range trace {
-		trace[i] = workload.Op{Gap: 20, Kind: workload.Read, Home: 2, Page: uint32(i % 3), Block: uint8(i % 64)}
-	}
-	idle := []workload.Op{{Gap: 1, Kind: workload.Read, Home: 1, Page: 0, Block: 0}}
-	res := run(t, cfg, [][]workload.Op{trace, idle}, RunOptions{})
-	if res.Ops != 301 {
-		t.Errorf("ops=%d", res.Ops)
-	}
-	if res.Migrations == 0 {
-		t.Error("no migration under heavy reuse in CU mode")
+	for _, cus := range []int{8, 0} {
+		t.Run(fmt.Sprintf("cus=%d", cus), func(t *testing.T) {
+			cfg := config.Default(2)
+			cfg.CUsPerGPU = cus
+			cfg.ModelTLB = true
+			cfg.MigrationThreshold = 16
+			trace := make([]workload.Op, 300)
+			for i := range trace {
+				trace[i] = workload.Op{Gap: 20, Kind: workload.Read, Home: 2, Page: uint32(i % 3), Block: uint8(i % 64)}
+			}
+			idle := []workload.Op{{Gap: 1, Kind: workload.Read, Home: 1, Page: 0, Block: 0}}
+			res := run(t, cfg, [][]workload.Op{trace, idle}, RunOptions{})
+			if res.Ops != 301 {
+				t.Errorf("ops=%d", res.Ops)
+			}
+			if res.Migrations == 0 {
+				t.Error("no migration under heavy reuse")
+			}
+		})
 	}
 }

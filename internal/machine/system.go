@@ -37,9 +37,11 @@ type RunOptions struct {
 	TraceComms bool
 	// TraceInterval is the series flush period (default 10000 cycles).
 	TraceInterval sim.Cycle
-	// EventLimit guards against runaway simulations (default 400M).
-	EventLimit uint64
 }
+
+// eventLimit guards against runaway simulations: a run that processes more
+// events fails.
+const eventLimit = 400_000_000
 
 // Canonical returns the options with unset fields replaced by their
 // defaults — the form under which two option values select identical
@@ -48,9 +50,6 @@ type RunOptions struct {
 func (o RunOptions) Canonical() RunOptions {
 	if o.TraceInterval == 0 {
 		o.TraceInterval = 10000
-	}
-	if o.EventLimit == 0 {
-		o.EventLimit = 400_000_000
 	}
 	return o
 }
@@ -125,30 +124,8 @@ func New(cfg config.Config, traces [][]workload.Op, opt RunOptions) (*System, er
 	opt = opt.Canonical()
 
 	engine := sim.NewEngine()
-	engine.EventLimit = opt.EventLimit
-	fabric := interconnect.NewFabric(engine, interconnect.FabricConfig{
-		NumGPUs:         cfg.NumGPUs,
-		PCIeBandwidth:   cfg.PCIeBandwidth,
-		NVLinkBandwidth: cfg.NVLinkBandwidth,
-		GPUNICBandwidth: cfg.GPUNICBandwidth,
-		PCIeLatency:     sim.Cycle(cfg.PCIeLatency),
-		NVLinkLatency:   sim.Cycle(cfg.NVLinkLatency),
-		MsgOverhead:     sim.Cycle(cfg.MsgOverheadCycles),
-		Topology:        topologyOf(cfg),
-		Faults: interconnect.FaultConfig{
-			DropRate:      cfg.Faults.DropRate,
-			CorruptRate:   cfg.Faults.CorruptRate,
-			DuplicateRate: cfg.Faults.DuplicateRate,
-			Seed:          cfg.Faults.Seed,
-		},
-		Outages: interconnect.OutageConfig{
-			LinkMTBF:   cfg.Outages.LinkMTBF,
-			LinkOutage: cfg.Outages.LinkOutage,
-			NodeMTBF:   cfg.Outages.NodeMTBF,
-			NodeOutage: cfg.Outages.NodeOutage,
-			Seed:       cfg.Outages.Seed,
-		},
-	})
+	engine.EventLimit = eventLimit
+	fabric := interconnect.NewFabric(engine, cfg)
 
 	nNodes := cfg.NumProcessors()
 	s := &System{
@@ -188,7 +165,7 @@ func New(cfg config.Config, traces [][]workload.Op, opt RunOptions) (*System, er
 		}
 		mgr, dyn := buildOTPManager(cfg)
 		n.dyn = dyn
-		n.ep = secure.New(engine, fabric, n.id, secure.OptionsFrom(cfg, opt.Functional), mgr, n)
+		n.ep = secure.New(engine, fabric, n.id, &s.cfg, opt.Functional, mgr, n)
 		if dyn != nil {
 			d := dyn
 			tk := sim.NewTicker(engine, sim.Cycle(cfg.IntervalT), func(now sim.Cycle) {
@@ -218,14 +195,6 @@ func New(cfg config.Config, traces [][]workload.Op, opt RunOptions) (*System, er
 		}
 	}
 	return s, nil
-}
-
-// topologyOf maps the config flag to the fabric topology.
-func topologyOf(cfg config.Config) interconnect.Topology {
-	if cfg.SwitchTopology {
-		return interconnect.TopologySwitch
-	}
-	return interconnect.TopologyP2P
 }
 
 // buildOTPManager constructs the per-node OTP manager for the configured

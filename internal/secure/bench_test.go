@@ -22,23 +22,16 @@ func (discard) HandleControl(sim.Cycle, *interconnect.Message) {}
 // unit. One op is one batch, run until the engine
 // drains; the unit comes from the free list and returns to it.
 func BenchmarkEndpointPair(b *testing.B) {
-	opts := recoveryOpts()
+	cfg := recoveryConfig()
 	e := sim.NewEngine()
-	f := interconnect.NewFabric(e, interconnect.FabricConfig{
-		NumGPUs:         2,
-		PCIeBandwidth:   32,
-		NVLinkBandwidth: 50,
-		GPUNICBandwidth: 150,
-		PCIeLatency:     400,
-		NVLinkLatency:   100,
-	})
-	src := New(e, f, 1, opts, otp.NewPrivate(2, 4, crypto.NewEngine(40)), discard{})
-	New(e, f, 2, opts, otp.NewPrivate(2, 4, crypto.NewEngine(40)), discard{})
-	New(e, f, interconnect.CPUNode, Options{}, nil, discard{})
+	f := interconnect.NewFabric(e, cfg)
+	src := New(e, f, 1, &cfg, true, otp.NewPrivate(2, 4, crypto.NewEngine(40)), discard{})
+	New(e, f, 2, &cfg, true, otp.NewPrivate(2, 4, crypto.NewEngine(40)), discard{})
+	newUnsecure(e, f, interconnect.CPUNode, discard{})
 	block := payload(7)
 	var req uint64
 	send := sim.HandlerFunc(func(sim.Event) {
-		for i := 0; i < opts.BatchSize; i++ {
+		for i := 0; i < cfg.BatchSize; i++ {
 			req++
 			src.SendData(2, interconnect.KindDataResp, req, req*64, block, false)
 		}

@@ -80,59 +80,6 @@ type Handler interface {
 	HandleControl(now sim.Cycle, msg *interconnect.Message)
 }
 
-// Options configures an endpoint from the system config.
-type Options struct {
-	Secure           bool
-	Batching         bool
-	MetadataTraffic  bool
-	CPUMemProtection bool
-	BatchSize        int
-	BatchTimeout     sim.Cycle
-	// Functional enables real encryption and MAC verification.
-	Functional bool
-
-	// A secure endpoint runs the NACK/retransmission protocol (see
-	// recovery.go): ACK timers with bounded, exponentially backed-off
-	// retries on the sender, stale-batch NACKs on the receiver, and
-	// poisoning after max retries.
-	//
-	// RetransTimeout is the base ACK timeout; retry k waits
-	// RetransTimeout << k. Zero selects the default.
-	RetransTimeout sim.Cycle
-	// RetransMaxRetries bounds retransmissions per unit before poisoning.
-	RetransMaxRetries int
-	// StaleBatchTimeout is how long the receiver holds an incomplete
-	// batch before NACKing and abandoning it.
-	StaleBatchTimeout sim.Cycle
-
-	// ResyncThreshold is the per-peer failure streak (ACK timeouts plus
-	// NACKs without an intervening clean ACK) that triggers a counter
-	// RESYNC handshake. Zero disables resync.
-	ResyncThreshold int
-	// RekeyEpoch is the counter span of one key epoch; crossing it drains
-	// the pair and rotates to the next epoch boundary via a rekeying
-	// RESYNC. Zero disables rekeying.
-	RekeyEpoch uint64
-}
-
-// OptionsFrom derives endpoint options from the system configuration.
-func OptionsFrom(c config.Config, functional bool) Options {
-	return Options{
-		Secure:            c.Secure,
-		Batching:          c.Secure && c.Batching,
-		MetadataTraffic:   c.MetadataTraffic,
-		CPUMemProtection:  c.CPUMemProtection,
-		BatchSize:         c.BatchSize,
-		BatchTimeout:      sim.Cycle(c.BatchFlushTimeout),
-		Functional:        functional,
-		RetransTimeout:    sim.Cycle(c.RetransTimeout),
-		RetransMaxRetries: c.RetransMaxRetries,
-		StaleBatchTimeout: sim.Cycle(c.StaleBatchTimeout),
-		ResyncThreshold:   c.ResyncThreshold,
-		RekeyEpoch:        c.RekeyEpoch,
-	}
-}
-
 // Stats aggregates endpoint-level security accounting.
 type Stats struct {
 	DataSent, DataReceived   uint64
@@ -258,8 +205,13 @@ type Endpoint struct {
 	engine  *sim.Engine
 	fabric  *interconnect.Fabric
 	node    interconnect.NodeID
-	opts    Options
 	handler Handler
+
+	// cfg is the system's configuration, shared by every endpoint. A
+	// secure endpoint runs the NACK/retransmission protocol (see
+	// recovery.go) on its timers. batching is cfg.Secure && cfg.Batching.
+	cfg      *config.Config
+	batching bool
 
 	mgr otp.Manager
 	gen *crypto.PadGenerator
@@ -305,7 +257,7 @@ type Endpoint struct {
 	sealScratch  [crypto.BlockBytes]byte
 	plainScratch [crypto.BlockBytes]byte
 
-	// Recovery state (nil unless opts.Secure).
+	// Recovery state (nil unless cfg.Secure).
 	//
 	// units tracks every unACKed send unit — one batch, or one
 	// conventional block — for retransmission. Each unit owns a
@@ -324,31 +276,24 @@ type Endpoint struct {
 	released bool
 }
 
-// New creates an endpoint. mgr may be nil when opts.Secure is false. The
-// endpoint registers itself as the node's fabric deliverer.
+// New creates an endpoint for the system cfg describes, which
+// config.Validate accepts; the endpoint reads cfg for its whole life, so
+// cfg must not change. functional enables real encryption and MAC
+// verification. mgr may be nil when cfg.Secure is false. The endpoint
+// registers itself as the node's fabric deliverer.
 func New(engine *sim.Engine, fabric *interconnect.Fabric, node interconnect.NodeID,
-	opts Options, mgr otp.Manager, handler Handler) *Endpoint {
-	if opts.Secure && mgr == nil {
+	cfg *config.Config, functional bool, mgr otp.Manager, handler Handler) *Endpoint {
+	if cfg.Secure && mgr == nil {
 		panic("secure: secure endpoint needs an OTP manager")
 	}
-	if opts.Secure {
-		if opts.RetransTimeout == 0 {
-			opts.RetransTimeout = 50_000
-		}
-		if opts.RetransMaxRetries == 0 {
-			opts.RetransMaxRetries = 6
-		}
-		if opts.StaleBatchTimeout == 0 {
-			opts.StaleBatchTimeout = 25_000
-		}
-	}
 	e := &Endpoint{
-		engine:  engine,
-		fabric:  fabric,
-		node:    node,
-		opts:    opts,
-		handler: handler,
-		mgr:     mgr,
+		engine:   engine,
+		fabric:   fabric,
+		node:     node,
+		handler:  handler,
+		cfg:      cfg,
+		batching: cfg.Secure && cfg.Batching,
+		mgr:      mgr,
 	}
 	e.defH = sim.HandlerFunc(e.onDeferred)
 	e.btoH = sim.HandlerFunc(e.onBatchTimeout)
@@ -358,7 +303,7 @@ func New(engine *sim.Engine, fabric *interconnect.Fabric, node interconnect.Node
 	e.lastSendAt = make([]sim.Cycle, peers)
 	e.lastCtr = make([]uint64, peers)
 	e.ctrSeen = make([]bool, peers)
-	if opts.Secure {
+	if cfg.Secure {
 		if st, ok := unitPool.Get().(*unitStore); ok {
 			e.units, e.unitFree, e.defFree = st.units, st.free, st.deferreds
 		} else {
@@ -371,20 +316,20 @@ func New(engine *sim.Engine, fabric *interconnect.Fabric, node interconnect.Node
 		}
 		e.resyncH = sim.HandlerFunc(e.onResyncTimeout)
 	}
-	if opts.Functional {
+	if functional {
 		gen, err := crypto.NewPadGenerator(SessionKey)
 		if err != nil {
 			panic(fmt.Sprintf("secure: session key: %v", err))
 		}
 		e.gen = gen
 	}
-	if opts.Secure && opts.Batching {
-		for class, n := range [2]int{opts.BatchSize, PageBlocks} {
+	if e.batching {
+		for class, n := range [2]int{cfg.BatchSize, PageBlocks} {
 			e.batchers[class] = make([]*core.Batcher, peers)
 			e.macStores[class] = make([]*core.MACStore, peers)
 			e.batchTimers[class] = make([]batchTimer, peers)
 			for i := 0; i < peers; i++ {
-				e.batchers[class][i] = core.NewBatcher(n, opts.BatchTimeout, e.gen)
+				e.batchers[class][i] = core.NewBatcher(n, sim.Cycle(cfg.BatchFlushTimeout), e.gen)
 				e.macStores[class][i] = core.NewMACStore(PageBlocks, e.gen)
 			}
 		}
@@ -498,7 +443,7 @@ func (e *Endpoint) SendData(dst interconnect.NodeID, kind interconnect.Kind, req
 	payload []byte, homedInCPUMemory bool) {
 	e.mustLive()
 	blk := txBlock{kind: uint8(kind), reqID: reqID, addr: addr, homed: homedInCPUMemory}
-	if !e.opts.Secure {
+	if !e.cfg.Secure {
 		e.stats.DataSent++
 		e.fabric.Send(e.dataMessage(dst, blk))
 		return
@@ -516,7 +461,7 @@ func (e *Endpoint) SendData(dst interconnect.NodeID, kind interconnect.Kind, req
 	// one joins the open batch of its class.
 	class, id := convClass, msg.Sec.MsgCTR
 	var closed *core.ClosedBatch
-	if e.opts.Batching {
+	if e.batching {
 		class = batchClass(kind)
 		var tag core.BlockTag
 		tag, closed = e.batchers[class][peer].Add(sendAt, mac)
@@ -527,7 +472,7 @@ func (e *Endpoint) SendData(dst interconnect.NodeID, kind interconnect.Kind, req
 			// The batch closed full: its flush timer (none for a
 			// single-block batch) dies here.
 			e.batchTimers[class][peer].timer.Cancel()
-		} else if tag.First && e.opts.BatchTimeout > 0 {
+		} else if tag.First && e.cfg.BatchFlushTimeout > 0 {
 			e.scheduleBatchTimeout(class, peer, id, sendAt)
 		}
 		e.placeBlock(msg, class, id, tag.Index, batchLen)
@@ -588,12 +533,12 @@ func (e *Endpoint) sealBlock(dst interconnect.NodeID, peer int, blk txBlock,
 	env := msg.AttachSec()
 	env.MsgCTR, env.SenderID = use.Ctr, e.node
 	mac := e.seal(msg, env, dst, payload)
-	if e.opts.MetadataTraffic {
+	if e.cfg.MetadataTraffic {
 		msg.MetaBytes = InlineMetaConv
-		if e.opts.Batching {
+		if e.batching {
 			msg.MetaBytes = InlineMetaBatch
 		}
-		if blk.homed && e.opts.CPUMemProtection {
+		if blk.homed && e.cfg.CPUMemProtection {
 			msg.MemProtBytes = MemProtBytes
 		}
 	}
@@ -606,7 +551,7 @@ func (e *Endpoint) sealBlock(dst interconnect.NodeID, peer int, blk txBlock,
 func (e *Endpoint) placeBlock(msg *interconnect.Message, class int, id uint64, index, batchLen int) {
 	env := msg.Sec
 	env.BatchClass, env.BatchID, env.BatchIndex, env.BatchLen = class, id, index, batchLen
-	if index == 0 && e.opts.MetadataTraffic {
+	if index == 0 && e.cfg.MetadataTraffic {
 		msg.MetaBytes += BatchLenByte
 	}
 }
@@ -649,7 +594,7 @@ func batchClass(kind interconnect.Kind) int {
 func (e *Endpoint) scheduleBatchTimeout(class, peer int, batchID uint64, openedAt sim.Cycle) {
 	bt := &e.batchTimers[class][peer]
 	bt.class, bt.peer, bt.id = class, peer, batchID
-	bt.timer = e.engine.ScheduleTimer(openedAt+e.opts.BatchTimeout, e.btoH, bt)
+	bt.timer = e.engine.ScheduleTimer(openedAt+sim.Cycle(e.cfg.BatchFlushTimeout), e.btoH, bt)
 }
 
 // onBatchTimeout flushes a batch still open when its timer expires, and
@@ -674,7 +619,7 @@ func (e *Endpoint) sendBatchMAC(dst interconnect.NodeID, class int, cb *core.Clo
 	// In latency-only mode (MetadataTraffic off) the receiver still needs
 	// the verification event, so the message travels with zero bytes.
 	size := 0
-	if e.opts.MetadataTraffic {
+	if e.cfg.MetadataTraffic {
 		size = BatchMACBytes
 	}
 	msg := e.fabric.AcquireMessage()
@@ -716,7 +661,7 @@ func (e *Endpoint) Deliver(now sim.Cycle, msg *interconnect.Message) {
 		// A malformed Batched_MsgMAC (no envelope, or one for a stream
 		// this endpoint does not run) is dropped, not dereferenced: an
 		// adversary must not be able to panic a node.
-		if msg.Sec == nil || !e.opts.Secure || !e.opts.Batching ||
+		if msg.Sec == nil || !e.batching ||
 			msg.Sec.BatchClass < 0 || msg.Sec.BatchClass >= len(e.macStores) {
 			e.stats.MalformedDropped++
 			return
@@ -743,7 +688,7 @@ func (e *Endpoint) Deliver(now sim.Cycle, msg *interconnect.Message) {
 
 func (e *Endpoint) deliverData(now sim.Cycle, msg *interconnect.Message) {
 	e.stats.DataReceived++
-	if !e.opts.Secure || msg.Sec == nil {
+	if !e.cfg.Secure || msg.Sec == nil {
 		e.handler.HandleData(now, msg)
 		return
 	}
@@ -768,12 +713,12 @@ func (e *Endpoint) deliverData(now sim.Cycle, msg *interconnect.Message) {
 		// into a scratch block and dropped.
 		crypto.Encrypt(e.plainScratch[:], msg.Sec.Ciphertext, &pad)
 		mac = e.gen.MAC(msg.Sec.Ciphertext, &pad)
-		if !e.opts.Batching && mac != msg.Sec.MAC {
+		if !e.batching && mac != msg.Sec.MAC {
 			corrupt = true
 		}
 	}
 
-	if e.opts.Batching {
+	if e.batching {
 		// Lazy verification (Section IV-C): the block is delivered as
 		// soon as it is decrypted; the MsgMAC storage verifies the
 		// batch when complete and only then ACKs.
@@ -840,7 +785,7 @@ func (e *Endpoint) sendACK(dst interconnect.NodeID, class int, id uint64) {
 // identifies the batch instead of the MAC).
 func (e *Endpoint) sendFeedback(dst interconnect.NodeID, kind interconnect.Kind, class int, id uint64) {
 	size := 0
-	if e.opts.MetadataTraffic {
+	if e.cfg.MetadataTraffic {
 		size = ACKBytes
 	}
 	msg := e.fabric.AcquireMessage()

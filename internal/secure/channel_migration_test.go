@@ -12,7 +12,7 @@ import (
 // ACK (Section IV-C: "MsgMAC for each page and only a single ACK per
 // page"), independent of the direct-access batch size.
 func TestMigrationChunksBatchPerPage(t *testing.T) {
-	p := newPair(t, secureOpts()) // direct-access batch size 4
+	p := newPair(t, secureConfig()) // direct-access batch size 4
 	p.engine.Schedule(1000, sim.HandlerFunc(func(sim.Event) {
 		for i := 0; i < PageBlocks; i++ {
 			p.a.SendData(2, interconnect.KindMigrChunk, uint64(i), uint64(i*64), payload(byte(i)), false)
@@ -39,7 +39,7 @@ func TestMigrationChunksBatchPerPage(t *testing.T) {
 // chunks and direct data blocks keep separate batch streams and both
 // verify.
 func TestMigrationAndDirectStreamsDoNotMix(t *testing.T) {
-	p := newPair(t, secureOpts()) // direct batch size 4
+	p := newPair(t, secureConfig()) // direct batch size 4
 	p.engine.Schedule(1000, sim.HandlerFunc(func(sim.Event) {
 		for i := 0; i < 8; i++ {
 			p.a.SendData(2, interconnect.KindMigrChunk, uint64(i), uint64(i*64), payload(byte(i)), false)
@@ -62,7 +62,7 @@ func TestMigrationAndDirectStreamsDoNotMix(t *testing.T) {
 // TestFIFOInjectionPerPeer verifies that a later block whose pad was ready
 // sooner cannot overtake earlier blocks of the same channel.
 func TestFIFOInjectionPerPeer(t *testing.T) {
-	p := newPair(t, secureOpts())
+	p := newPair(t, secureConfig())
 	var order []uint64
 	p.cb.onData = func(msg *interconnect.Message) { order = append(order, msg.ReqID) }
 	p.engine.Schedule(1000, sim.HandlerFunc(func(sim.Event) {

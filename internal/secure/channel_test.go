@@ -3,6 +3,7 @@ package secure
 import (
 	"testing"
 
+	"secmgpu/internal/config"
 	"secmgpu/internal/crypto"
 	"secmgpu/internal/interconnect"
 	"secmgpu/internal/otp"
@@ -31,35 +32,36 @@ func (c *capture) HandleControl(now sim.Cycle, msg *interconnect.Message) {
 }
 
 type pair struct {
+	cfg    config.Config
 	engine *sim.Engine
 	fabric *interconnect.Fabric
 	a, b   *Endpoint
 	ca, cb *capture
 }
 
-func newPair(t *testing.T, opts Options) *pair {
+// newPair joins GPUs 1 and 2 of the 2-GPU system cfg. A secure pair runs
+// functional crypto.
+func newPair(t *testing.T, cfg config.Config) *pair {
 	t.Helper()
 	e := sim.NewEngine()
-	f := interconnect.NewFabric(e, interconnect.FabricConfig{
-		NumGPUs:         2,
-		PCIeBandwidth:   32,
-		NVLinkBandwidth: 50,
-		GPUNICBandwidth: 150,
-		PCIeLatency:     400,
-		NVLinkLatency:   100,
-	})
+	f := interconnect.NewFabric(e, cfg)
 	var ma, mb otp.Manager
-	if opts.Secure {
+	if cfg.Secure {
 		ma = otp.NewPrivate(2, 4, crypto.NewEngine(40))
 		mb = otp.NewPrivate(2, 4, crypto.NewEngine(40))
 	}
 	ca, cb := &capture{}, &capture{}
-	p := &pair{engine: e, fabric: f, ca: ca, cb: cb}
-	p.a = New(e, f, 1, opts, ma, ca)
-	p.b = New(e, f, 2, opts, mb, cb)
+	p := &pair{cfg: cfg, engine: e, fabric: f, ca: ca, cb: cb}
+	p.a = New(e, f, 1, &p.cfg, cfg.Secure, ma, ca)
+	p.b = New(e, f, 2, &p.cfg, cfg.Secure, mb, cb)
 	// The CPU node must have a deliverer too.
-	New(e, f, interconnect.CPUNode, Options{}, nil, &capture{})
+	newUnsecure(e, f, interconnect.CPUNode, &capture{})
 	return p
+}
+
+// newUnsecure builds an endpoint that sends and delivers in the clear.
+func newUnsecure(e *sim.Engine, f *interconnect.Fabric, node interconnect.NodeID, h Handler) *Endpoint {
+	return New(e, f, node, &config.Config{}, false, nil, h)
 }
 
 func payload(b byte) []byte {
@@ -70,16 +72,17 @@ func payload(b byte) []byte {
 	return p
 }
 
-func secureOpts() Options {
-	return Options{
-		Secure:           true,
-		Batching:         true,
-		MetadataTraffic:  true,
-		CPUMemProtection: true,
-		BatchSize:        4,
-		BatchTimeout:     200,
-		Functional:       true,
-	}
+// secureConfig is the 2-GPU system of the channel tests: secure and
+// batched with n = 4, metadata and CPU-memory-protection traffic on, the
+// recovery protocol's default timers, resync and rekeying off, and no
+// per-message fabric overhead.
+func secureConfig() config.Config {
+	c := config.Default(2)
+	c.Secure, c.Batching = true, true
+	c.BatchSize = 4
+	c.ResyncThreshold, c.RekeyEpoch = 0, 0
+	c.MsgOverheadCycles = 0
+	return c
 }
 
 func TestPeerIndexRoundTrip(t *testing.T) {
@@ -114,7 +117,9 @@ func TestPeerIndexSelfPanics(t *testing.T) {
 }
 
 func TestUnsecureDataPassesThrough(t *testing.T) {
-	p := newPair(t, Options{})
+	cfg := secureConfig()
+	cfg.Secure = false
+	p := newPair(t, cfg)
 	p.engine.Schedule(0, sim.HandlerFunc(func(sim.Event) {
 		p.a.SendData(2, interconnect.KindDataResp, 1, 0x40, payload(1), false)
 	}), nil)
@@ -133,7 +138,7 @@ func TestUnsecureDataPassesThrough(t *testing.T) {
 }
 
 func TestSecureDataDecryptsAndACKs(t *testing.T) {
-	p := newPair(t, secureOpts())
+	p := newPair(t, secureConfig())
 	p.engine.Schedule(1000, sim.HandlerFunc(func(sim.Event) {
 		p.a.SendData(2, interconnect.KindDataResp, 1, 0x40, payload(7), false)
 	}), nil)
@@ -168,9 +173,9 @@ func TestSecureDataDecryptsAndACKs(t *testing.T) {
 }
 
 func TestConventionalPerMessageACK(t *testing.T) {
-	opts := secureOpts()
-	opts.Batching = false
-	p := newPair(t, opts)
+	cfg := secureConfig()
+	cfg.Batching = false
+	p := newPair(t, cfg)
 	p.engine.Schedule(1000, sim.HandlerFunc(func(sim.Event) {
 		for i := 0; i < 3; i++ {
 			p.a.SendData(2, interconnect.KindDataResp, uint64(i), 0x40, payload(byte(i)), false)
@@ -195,10 +200,10 @@ func TestConventionalPerMessageACK(t *testing.T) {
 
 func TestBatchingReducesMetadataTraffic(t *testing.T) {
 	run := func(batching bool) uint64 {
-		opts := secureOpts()
-		opts.Batching = batching
-		opts.BatchSize = 16 // the paper's n
-		p := newPair(t, opts)
+		cfg := secureConfig()
+		cfg.Batching = batching
+		cfg.BatchSize = 16 // the paper's n
+		p := newPair(t, cfg)
 		p.engine.Schedule(1000, sim.HandlerFunc(func(sim.Event) {
 			for i := 0; i < 16; i++ {
 				p.a.SendData(2, interconnect.KindDataResp, uint64(i), uint64(i*64), payload(byte(i)), false)
@@ -218,7 +223,7 @@ func TestBatchingReducesMetadataTraffic(t *testing.T) {
 }
 
 func TestBatchCompletionVerifiesWithoutTimeout(t *testing.T) {
-	p := newPair(t, secureOpts()) // batch size 4
+	p := newPair(t, secureConfig()) // batch size 4
 	p.engine.Schedule(1000, sim.HandlerFunc(func(sim.Event) {
 		for i := 0; i < 4; i++ {
 			p.a.SendData(2, interconnect.KindDataResp, uint64(i), uint64(i*64), payload(byte(i)), false)
@@ -241,7 +246,7 @@ func TestBatchCompletionVerifiesWithoutTimeout(t *testing.T) {
 func TestOTPStallDelaysDelivery(t *testing.T) {
 	// A same-cycle burst larger than the pad allocation forces send-side
 	// stalls: later blocks must be injected later.
-	p := newPair(t, secureOpts())
+	p := newPair(t, secureConfig())
 	p.engine.Schedule(1000, sim.HandlerFunc(func(sim.Event) {
 		for i := 0; i < 8; i++ {
 			p.a.SendData(2, interconnect.KindDataResp, uint64(i), uint64(i*64), payload(byte(i)), false)
@@ -280,19 +285,13 @@ func (r *retainCounter) Deliver(now sim.Cycle, msg *interconnect.Message) {
 // call and must hand the message back to the fabric once the node has
 // consumed it: after the drain nothing is outstanding.
 func TestRetainedDeliveryIsFreed(t *testing.T) {
+	cfg := secureConfig()
 	e := sim.NewEngine()
-	f := interconnect.NewFabric(e, interconnect.FabricConfig{
-		NumGPUs:         2,
-		PCIeBandwidth:   32,
-		NVLinkBandwidth: 50,
-		GPUNICBandwidth: 150,
-		PCIeLatency:     400,
-		NVLinkLatency:   100,
-	})
+	f := interconnect.NewFabric(e, cfg)
 	cb := &capture{}
-	a := New(e, f, 1, secureOpts(), otp.NewPrivate(2, 16, crypto.NewEngine(40)), &capture{})
-	b := New(e, f, 2, secureOpts(), otp.NewPrivate(2, 1, crypto.NewEngine(40)), cb)
-	New(e, f, interconnect.CPUNode, Options{}, nil, &capture{})
+	a := New(e, f, 1, &cfg, true, otp.NewPrivate(2, 16, crypto.NewEngine(40)), &capture{})
+	b := New(e, f, 2, &cfg, true, otp.NewPrivate(2, 1, crypto.NewEngine(40)), cb)
+	newUnsecure(e, f, interconnect.CPUNode, &capture{})
 	rc := &retainCounter{ep: b}
 	f.Register(2, rc)
 	e.Schedule(1000, sim.HandlerFunc(func(sim.Event) {
@@ -312,7 +311,7 @@ func TestRetainedDeliveryIsFreed(t *testing.T) {
 }
 
 func TestMemProtBytesOnlyWhenFlagged(t *testing.T) {
-	p := newPair(t, secureOpts())
+	p := newPair(t, secureConfig())
 	p.engine.Schedule(1000, sim.HandlerFunc(func(sim.Event) {
 		p.a.SendData(2, interconnect.KindDataResp, 1, 0x40, payload(1), true)
 		p.a.SendData(2, interconnect.KindDataResp, 2, 0x80, payload(2), false)
@@ -326,9 +325,9 @@ func TestMemProtBytesOnlyWhenFlagged(t *testing.T) {
 }
 
 func TestLatencyOnlyModeAddsNoBytes(t *testing.T) {
-	opts := secureOpts()
-	opts.MetadataTraffic = false
-	p := newPair(t, opts)
+	cfg := secureConfig()
+	cfg.MetadataTraffic = false
+	p := newPair(t, cfg)
 	p.engine.Schedule(1000, sim.HandlerFunc(func(sim.Event) {
 		for i := 0; i < 8; i++ {
 			p.a.SendData(2, interconnect.KindDataResp, uint64(i), uint64(i*64), payload(byte(i)), true)
@@ -348,7 +347,7 @@ func TestLatencyOnlyModeAddsNoBytes(t *testing.T) {
 }
 
 func TestControlMessagesBypassSecurity(t *testing.T) {
-	p := newPair(t, secureOpts())
+	p := newPair(t, secureConfig())
 	p.engine.Schedule(0, sim.HandlerFunc(func(sim.Event) {
 		p.a.SendControl(2, interconnect.KindReadReq, 9, 0x1000, ReadReqBytes)
 	}), nil)
@@ -364,14 +363,14 @@ func TestControlMessagesBypassSecurity(t *testing.T) {
 }
 
 func TestSecureEndpointRequiresManager(t *testing.T) {
+	cfg := secureConfig()
+	cfg.PCIeLatency, cfg.NVLinkLatency = 0, 0
 	e := sim.NewEngine()
-	f := interconnect.NewFabric(e, interconnect.FabricConfig{
-		NumGPUs: 2, PCIeBandwidth: 32, NVLinkBandwidth: 50, GPUNICBandwidth: 150,
-	})
+	f := interconnect.NewFabric(e, cfg)
 	defer func() {
 		if recover() == nil {
 			t.Error("secure endpoint without manager did not panic")
 		}
 	}()
-	New(e, f, 1, Options{Secure: true}, nil, &capture{})
+	New(e, f, 1, &cfg, false, nil, &capture{})
 }

@@ -224,7 +224,7 @@ func (e *Endpoint) unitBlocks(class int) int {
 	case 1:
 		return PageBlocks
 	default:
-		return e.opts.BatchSize
+		return e.cfg.BatchSize
 	}
 }
 
@@ -269,7 +269,7 @@ func (e *Endpoint) onNACK(key unitKey) {
 func (e *Endpoint) armUnitTimer(u *txUnit, sentAt sim.Cycle) {
 	shift := uint(min(u.attempt, 6))
 	u.timer.Cancel()
-	u.timer = e.engine.ScheduleTimer(sentAt+(e.opts.RetransTimeout<<shift), e.unitH, u)
+	u.timer = e.engine.ScheduleTimer(sentAt+(sim.Cycle(e.cfg.RetransTimeout)<<shift), e.unitH, u)
 }
 
 // onUnitTimeout fires when a unit's ACK never arrived. The timer is
@@ -288,7 +288,7 @@ func (e *Endpoint) retry(u *txUnit) {
 	switch {
 	case e.bumpFailure(u.peer):
 		// Parked by the resync launch; the handshake re-sends it.
-	case u.attempt >= e.opts.RetransMaxRetries:
+	case u.attempt >= e.cfg.RetransMaxRetries:
 		e.poison(u)
 	default:
 		e.retransmit(u)
@@ -366,7 +366,7 @@ func (e *Endpoint) armStaleScan() {
 		return
 	}
 	e.scanArmed = true
-	e.engine.Schedule(e.engine.Now()+e.opts.StaleBatchTimeout, e.scanH, nil)
+	e.engine.Schedule(e.engine.Now()+sim.Cycle(e.cfg.StaleBatchTimeout), e.scanH, nil)
 }
 
 // scanStale NACKs and abandons every incomplete batch older than the stale
@@ -383,7 +383,7 @@ func (e *Endpoint) scanStale(sim.Event) {
 			if store == nil {
 				continue
 			}
-			for _, ex := range store.Expire(now, e.opts.StaleBatchTimeout) {
+			for _, ex := range store.Expire(now, sim.Cycle(e.cfg.StaleBatchTimeout)) {
 				e.stats.Quarantined += uint64(ex.Received)
 				e.sendNACK(PeerID(e.node, peer), class, ex.BatchID)
 			}

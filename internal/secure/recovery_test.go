@@ -3,6 +3,7 @@ package secure
 import (
 	"testing"
 
+	"secmgpu/internal/config"
 	"secmgpu/internal/crypto"
 	"secmgpu/internal/interconnect"
 	"secmgpu/internal/otp"
@@ -35,12 +36,15 @@ func (p *poisonRecorder) HandlePoisoned(now sim.Cycle, dst interconnect.NodeID, 
 	p.poisoned = append(p.poisoned, reqID)
 }
 
-func recoveryOpts() Options {
-	o := secureOpts()
-	o.RetransTimeout = 3000
-	o.RetransMaxRetries = 4
-	o.StaleBatchTimeout = 1500
-	return o
+// recoveryConfig is secureConfig with recovery timers short enough for a
+// test to drive: a 3,000-cycle ACK timeout, four retries, and a
+// 1,500-cycle stale-batch timeout.
+func recoveryConfig() config.Config {
+	c := secureConfig()
+	c.RetransTimeout = 3000
+	c.RetransMaxRetries = 4
+	c.StaleBatchTimeout = 1500
+	return c
 }
 
 // assertDrained checks the invariant every recovery run must end in: no
@@ -64,7 +68,7 @@ func assertDrained(t *testing.T, eps ...*Endpoint) {
 // scan NACKs it and the sender retransmits the whole unit under a fresh
 // batch ID and fresh counters, after which it verifies.
 func TestDroppedBlockNACKedAndRetransmitted(t *testing.T) {
-	p := newPair(t, recoveryOpts())
+	p := newPair(t, recoveryConfig())
 	dropped := false
 	p.fabric.Register(2, &interposer{inner: p.b, intercept: func(msg *interconnect.Message) bool {
 		if msg.Kind == interconnect.KindDataResp && !dropped {
@@ -112,7 +116,7 @@ func TestDroppedBlockNACKedAndRetransmitted(t *testing.T) {
 // A lost ACK does not lose the batch: the sender's per-unit timer expires
 // and retransmits, and the second ACK resolves the unit.
 func TestLostACKRetransmitsOnTimer(t *testing.T) {
-	p := newPair(t, recoveryOpts())
+	p := newPair(t, recoveryConfig())
 	dropped := false
 	p.fabric.Register(1, &interposer{inner: p.a, intercept: func(msg *interconnect.Message) bool {
 		if msg.Kind == interconnect.KindSecACK && !dropped {
@@ -151,19 +155,16 @@ func TestLostACKRetransmitsOnTimer(t *testing.T) {
 // budget, repays the pending-ACK debt, and reports the poisoned blocks to
 // the node logic; nothing hangs.
 func TestPersistentLossPoisons(t *testing.T) {
-	opts := recoveryOpts()
-	opts.Batching = false
-	opts.RetransMaxRetries = 2
+	cfg := recoveryConfig()
+	cfg.Batching = false
+	cfg.RetransMaxRetries = 2
 
 	e := sim.NewEngine()
-	f := interconnect.NewFabric(e, interconnect.FabricConfig{
-		NumGPUs: 2, PCIeBandwidth: 32, NVLinkBandwidth: 50,
-		GPUNICBandwidth: 150, PCIeLatency: 400, NVLinkLatency: 100,
-	})
+	f := interconnect.NewFabric(e, cfg)
 	pr := &poisonRecorder{}
-	a := New(e, f, 1, opts, otp.NewPrivate(2, 4, crypto.NewEngine(40)), pr)
-	b := New(e, f, 2, opts, otp.NewPrivate(2, 4, crypto.NewEngine(40)), &capture{})
-	New(e, f, interconnect.CPUNode, Options{}, nil, &capture{})
+	a := New(e, f, 1, &cfg, true, otp.NewPrivate(2, 4, crypto.NewEngine(40)), pr)
+	b := New(e, f, 2, &cfg, true, otp.NewPrivate(2, 4, crypto.NewEngine(40)), &capture{})
+	newUnsecure(e, f, interconnect.CPUNode, &capture{})
 	f.Register(2, &interposer{inner: b, intercept: func(msg *interconnect.Message) bool {
 		return msg.Kind == interconnect.KindDataResp
 	}})
@@ -194,9 +195,9 @@ func TestPersistentLossPoisons(t *testing.T) {
 // A corrupted conventional block is never delivered to the node: the
 // receiver NACKs it and only the clean retransmitted copy goes up.
 func TestCorruptedConventionalBlockRecovered(t *testing.T) {
-	opts := recoveryOpts()
-	opts.Batching = false
-	p := newPair(t, opts)
+	cfg := recoveryConfig()
+	cfg.Batching = false
+	p := newPair(t, cfg)
 	corrupted := false
 	p.fabric.Register(2, &interposer{inner: p.b, intercept: func(msg *interconnect.Message) bool {
 		if msg.Kind == interconnect.KindDataResp && !corrupted {
@@ -237,7 +238,7 @@ func TestCorruptedConventionalBlockRecovered(t *testing.T) {
 // class the endpoint does not run — must be dropped and counted, never
 // dereferenced (an adversary cannot panic a node).
 func TestMalformedBatchMACDropped(t *testing.T) {
-	p := newPair(t, recoveryOpts())
+	p := newPair(t, recoveryConfig())
 	p.b.Deliver(0, &interconnect.Message{
 		Kind: interconnect.KindBatchMAC, Category: interconnect.CatBatchMAC, Src: 1, Dst: 2,
 	})
@@ -259,9 +260,9 @@ func TestMalformedBatchMACDropped(t *testing.T) {
 // block is seen once as sent first and once as re-sent.
 func TestRetransmitSizedLikeOriginal(t *testing.T) {
 	for _, batching := range []bool{false, true} {
-		opts := recoveryOpts() // MetadataTraffic and CPUMemProtection on
-		opts.Batching = batching
-		p := newPair(t, opts)
+		cfg := recoveryConfig() // MetadataTraffic and CPUMemProtection on
+		cfg.Batching = batching
+		p := newPair(t, cfg)
 		var sent []*interconnect.Message
 		firstSend := map[uint64]*interconnect.Message{}
 		p.fabric.Register(2, &interposer{inner: p.b, intercept: func(msg *interconnect.Message) bool {
@@ -275,7 +276,7 @@ func TestRetransmitSizedLikeOriginal(t *testing.T) {
 			}
 			return false
 		}})
-		n := opts.BatchSize
+		n := cfg.BatchSize
 		p.engine.Schedule(0, sim.HandlerFunc(func(sim.Event) {
 			for i := 0; i < n; i++ {
 				p.a.SendData(2, interconnect.KindDataResp, uint64(i), uint64(i*64), payload(byte(i)), i%2 == 0)

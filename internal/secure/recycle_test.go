@@ -22,7 +22,7 @@ func mustPanic(t *testing.T, name string, fn func()) {
 // TestReleasedEndpointPanics checks that a released endpoint fails loudly
 // instead of driving units another endpoint now owns.
 func TestReleasedEndpointPanics(t *testing.T) {
-	p := newPair(t, recoveryOpts())
+	p := newPair(t, recoveryConfig())
 	p.a.SendData(2, interconnect.KindDataResp, 1, 64, payload(1), false)
 	p.a.Release()
 	p.a.Release() // a second release is a no-op
@@ -52,17 +52,17 @@ func TestReleasedEndpointPanics(t *testing.T) {
 // maxPooledDeferreds deferreds, all zeroed, the map empty and nothing left
 // referenced by the endpoint.
 func TestReleasedUnitsRespectCaps(t *testing.T) {
-	opts := recoveryOpts()
-	opts.BatchSize = 8
-	p := newPair(t, opts)
+	cfg := recoveryConfig()
+	cfg.BatchSize = 8
+	p := newPair(t, cfg)
 	e := p.a
-	for i := 0; i < 100*opts.BatchSize; i++ {
+	for i := 0; i < 100*cfg.BatchSize; i++ {
 		e.SendData(0, interconnect.KindDataResp, uint64(i), uint64(i*64), payload(byte(i)), false)
 	}
 	for i := 0; i < 3*PageBlocks; i++ {
 		e.SendData(0, interconnect.KindMigrChunk, uint64(i), uint64(i*64), payload(byte(i)), false)
 	}
-	for i := 0; i < 60*opts.BatchSize; i++ {
+	for i := 0; i < 60*cfg.BatchSize; i++ {
 		e.SendData(2, interconnect.KindDataResp, uint64(i), uint64(i*64), payload(byte(i)), false)
 	}
 	// Resolve a few CPU-bound units onto the free list, then park every
@@ -129,8 +129,8 @@ func TestReleasedUnitsRespectCaps(t *testing.T) {
 		if c := cap(u.blocks); c > 1 {
 			keptCap += c
 		}
-		if c := cap(u.blocks); c > opts.BatchSize {
-			t.Errorf("pooled unit keeps %d blocks capacity, above the batch size %d", c, opts.BatchSize)
+		if c := cap(u.blocks); c > cfg.BatchSize {
+			t.Errorf("pooled unit keeps %d blocks capacity, above the batch size %d", c, cfg.BatchSize)
 		}
 		if len(u.blocks) != 0 || u.payloads != nil {
 			t.Errorf("pooled unit keeps %d blocks and %d plaintexts", len(u.blocks), cap(u.payloads))

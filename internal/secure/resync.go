@@ -169,7 +169,7 @@ func (e *Endpoint) noteSendCtr(peer int, ctr uint64) {
 	if ctr > rs.lastSentCtr {
 		rs.lastSentCtr = ctr
 	}
-	if e.opts.RekeyEpoch > 0 && ctr >= rs.epochBase+e.opts.RekeyEpoch && !rs.blocked() {
+	if e.cfg.RekeyEpoch > 0 && ctr >= rs.epochBase+e.cfg.RekeyEpoch && !rs.blocked() {
 		// The block drawing this counter crossed the epoch boundary. It
 		// still ships (and is tracked as a unit right after this call), so
 		// the drain always has at least one unit whose resolution triggers
@@ -183,7 +183,7 @@ func (e *Endpoint) noteSendCtr(peer int, ctr uint64) {
 // launches a resync. It reports true when the caller's unit was parked by
 // the launch and must not be retransmitted or poisoned directly.
 func (e *Endpoint) bumpFailure(peer int) bool {
-	if e.opts.ResyncThreshold <= 0 {
+	if e.cfg.ResyncThreshold <= 0 {
 		return false
 	}
 	rs := &e.recov[peer]
@@ -193,7 +193,7 @@ func (e *Endpoint) bumpFailure(peer int) bool {
 		return false
 	}
 	rs.failStreak++
-	if rs.failStreak < e.opts.ResyncThreshold {
+	if rs.failStreak < e.cfg.ResyncThreshold {
 		return false
 	}
 	// Crossing the threshold mid-drain means the drain itself is wedged on
@@ -223,7 +223,7 @@ func (e *Endpoint) unitResolved(peer int, clean bool) {
 // identity, so flushing the abandoned remainder later would emit a
 // Batched_MsgMAC for a batch the receiver must never complete.
 func (e *Endpoint) discardOpenBatch(u *txUnit) {
-	if !e.opts.Batching || u.class == convClass {
+	if !e.batching || u.class == convClass {
 		return
 	}
 	b := e.batchers[u.class][u.peer]
@@ -240,7 +240,7 @@ func (e *Endpoint) discardOpenBatch(u *txUnit) {
 func (e *Endpoint) beginResync(peer int, rekey bool) {
 	rs := &e.recov[peer]
 	now := e.engine.Now()
-	if e.opts.Batching {
+	if e.batching {
 		for class := range e.batchers {
 			if _, open := e.batchers[class][peer].OpenID(); open {
 				e.batchers[class][peer].Flush()
@@ -269,7 +269,7 @@ func (e *Endpoint) beginResync(peer int, rekey bool) {
 
 	base := rs.lastSentCtr + 1
 	if rekey {
-		base = (rs.lastSentCtr/e.opts.RekeyEpoch + 1) * e.opts.RekeyEpoch
+		base = (rs.lastSentCtr/e.cfg.RekeyEpoch + 1) * e.cfg.RekeyEpoch
 	} else if !rs.draining {
 		rs.stallStart = now
 	}
@@ -296,7 +296,7 @@ func (e *Endpoint) sendResyncFrame(kind interconnect.Kind, dst interconnect.Node
 	msg.Kind = kind
 	msg.Category = interconnect.CatResync
 	msg.Src, msg.Dst = e.node, dst
-	if e.opts.MetadataTraffic {
+	if e.cfg.MetadataTraffic {
 		msg.MetaBytes = ResyncBytes
 	}
 	env := msg.AttachSec()
@@ -317,7 +317,7 @@ func (e *Endpoint) armResyncTimer(rs *peerRecovery) {
 		shift = 6
 	}
 	rs.timer.Cancel()
-	rs.timer = e.engine.ScheduleTimerAfter(e.opts.RetransTimeout<<shift, e.resyncH, rs)
+	rs.timer = e.engine.ScheduleTimerAfter(sim.Cycle(e.cfg.RetransTimeout)<<shift, e.resyncH, rs)
 }
 
 // onResyncTimeout re-proposes an unacknowledged handshake.
@@ -338,7 +338,7 @@ func (e *Endpoint) onResyncTimeout(ev sim.Event) {
 // reinstalling; stale proposals (the stream already moved past the base)
 // are dropped so an old wire copy can never rewind the replay guard.
 func (e *Endpoint) onResyncRequest(now sim.Cycle, msg *interconnect.Message) {
-	if !e.opts.Secure || msg.Sec == nil || msg.Corrupted {
+	if !e.cfg.Secure || msg.Sec == nil || msg.Corrupted {
 		e.stats.MalformedDropped++
 		return
 	}
@@ -360,7 +360,7 @@ func (e *Endpoint) onResyncRequest(now sim.Cycle, msg *interconnect.Message) {
 		if e.mgr != nil {
 			e.mgr.ResyncRecv(now, peer, f.Base)
 		}
-		if e.opts.Batching {
+		if e.batching {
 			// Blocks of the abandoned stream can never complete a batch:
 			// their retransmissions arrive under fresh batch identities.
 			for class := range e.macStores {
@@ -377,7 +377,7 @@ func (e *Endpoint) onResyncRequest(now sim.Cycle, msg *interconnect.Message) {
 // onResyncAck completes the sender side of the handshake when the echo
 // matches the live proposal; anything else is a stale duplicate.
 func (e *Endpoint) onResyncAck(now sim.Cycle, msg *interconnect.Message) {
-	if !e.opts.Secure || msg.Sec == nil || msg.Corrupted {
+	if !e.cfg.Secure || msg.Sec == nil || msg.Corrupted {
 		e.stats.MalformedDropped++
 		return
 	}

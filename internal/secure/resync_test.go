@@ -4,14 +4,17 @@ import (
 	"bytes"
 	"testing"
 
+	"secmgpu/internal/config"
 	"secmgpu/internal/interconnect"
 	"secmgpu/internal/sim"
 )
 
-func resyncOpts() Options {
-	o := recoveryOpts()
-	o.ResyncThreshold = 3
-	return o
+// resyncConfig is recoveryConfig with a resync after three failures in a
+// row.
+func resyncConfig() config.Config {
+	c := recoveryConfig()
+	c.ResyncThreshold = 3
+	return c
 }
 
 // The handshake frame survives a round trip for every type, and every
@@ -49,7 +52,7 @@ func TestResyncFrameRoundTrip(t *testing.T) {
 // parked block — no poisoning, everything verified, every pooled message
 // returned.
 func TestOutageTriggersResyncAndRecovers(t *testing.T) {
-	p := newPair(t, resyncOpts())
+	p := newPair(t, resyncConfig())
 	p.fabric.ForceLinkOutage(1, 2, 0, 50_000)
 
 	p.engine.Schedule(1000, sim.HandlerFunc(func(sim.Event) {
@@ -93,7 +96,7 @@ func TestOutageTriggersResyncAndRecovers(t *testing.T) {
 // the data path's retry budget still ends with a completed resync and zero
 // poisoned blocks once it answers.
 func TestResyncRetriesOutliveRetransBudget(t *testing.T) {
-	p := newPair(t, resyncOpts()) // RetransMaxRetries = 4
+	p := newPair(t, resyncConfig()) // RetransMaxRetries = 4
 	const suppressed = 6
 	swallowedResyncs, passData := 0, false
 	p.fabric.Register(2, &interposer{inner: p.b, intercept: func(msg *interconnect.Message) bool {
@@ -125,7 +128,7 @@ func TestResyncRetriesOutliveRetransBudget(t *testing.T) {
 	}
 	if sa.ResyncRetries < suppressed {
 		t.Errorf("retries=%d, want >= %d (retries must outlive RetransMaxRetries=%d)",
-			sa.ResyncRetries, suppressed, p.a.opts.RetransMaxRetries)
+			sa.ResyncRetries, suppressed, p.a.cfg.RetransMaxRetries)
 	}
 	if sa.ResyncsCompleted != 1 {
 		t.Errorf("completed=%d, want 1", sa.ResyncsCompleted)
@@ -142,7 +145,7 @@ func TestResyncRetriesOutliveRetransBudget(t *testing.T) {
 // A duplicated RESYNC request is re-acknowledged but installed only once,
 // and the duplicate ACK coming back is recognized as stale.
 func TestDuplicateResyncRequestIdempotent(t *testing.T) {
-	p := newPair(t, resyncOpts())
+	p := newPair(t, resyncConfig())
 	passData := false
 	p.fabric.Register(2, &interposer{inner: p.b, intercept: func(msg *interconnect.Message) bool {
 		switch msg.Kind {
@@ -185,7 +188,7 @@ func TestDuplicateResyncRequestIdempotent(t *testing.T) {
 // Corrupted or structurally invalid handshake messages are dropped without
 // effect: no panic, no counter install, just accounting.
 func TestMalformedResyncDropped(t *testing.T) {
-	p := newPair(t, resyncOpts())
+	p := newPair(t, resyncConfig())
 
 	// Corrupted flag set: dropped before decode.
 	msg := p.fabric.AcquireMessage()
@@ -226,10 +229,10 @@ func TestMalformedResyncDropped(t *testing.T) {
 // open remainder and cancel its flush timer — no Batched_MsgMAC for the
 // dead identity may escape later.
 func TestNoBatchMACForSupersededOpenBatch(t *testing.T) {
-	o := resyncOpts()
-	o.BatchTimeout = 10_000     // sender holds the partial batch open a long time
-	o.StaleBatchTimeout = 1_500 // receiver gives up on it quickly
-	p := newPair(t, o)
+	c := resyncConfig()
+	c.BatchFlushTimeout = 10_000 // sender holds the partial batch open a long time
+	c.StaleBatchTimeout = 1_500  // receiver gives up on it quickly
+	p := newPair(t, c)
 
 	// Two blocks of a 4-block batch: the batch stays open on the sender.
 	p.engine.Schedule(0, sim.HandlerFunc(func(sim.Event) {
@@ -264,9 +267,9 @@ func TestNoBatchMACForSupersededOpenBatch(t *testing.T) {
 // rekey: the pair stalls, rotates to the aligned base, and every payload
 // still arrives intact.
 func TestRekeyRotatesEpochOnce(t *testing.T) {
-	o := resyncOpts()
-	o.RekeyEpoch = 16
-	p := newPair(t, o)
+	c := resyncConfig()
+	c.RekeyEpoch = 16
+	p := newPair(t, c)
 
 	const blocks = 20
 	p.engine.Schedule(0, sim.HandlerFunc(func(sim.Event) {
@@ -307,7 +310,7 @@ func TestRekeyRotatesEpochOnce(t *testing.T) {
 // behaviour is preserved: an unreachable peer poisons instead of
 // handshaking forever.
 func TestThresholdZeroKeepsLegacyPoisoning(t *testing.T) {
-	p := newPair(t, recoveryOpts()) // ResyncThreshold = 0
+	p := newPair(t, recoveryConfig()) // ResyncThreshold = 0
 	p.fabric.Register(2, &interposer{inner: p.b, intercept: func(msg *interconnect.Message) bool {
 		return msg.Kind == interconnect.KindDataResp
 	}})
@@ -328,7 +331,7 @@ func TestThresholdZeroKeepsLegacyPoisoning(t *testing.T) {
 
 // The endpoint's watchdog diagnosis names the stuck peer's handshake state.
 func TestDiagReportsStuckHandshake(t *testing.T) {
-	p := newPair(t, resyncOpts())
+	p := newPair(t, resyncConfig())
 	p.fabric.ForceLinkOutage(1, 2, 0, sim.MaxCycle)
 	p.engine.Schedule(0, sim.HandlerFunc(func(sim.Event) {
 		p.a.SendData(2, interconnect.KindDataResp, 1, 0x40, payload(1), false)

@@ -238,7 +238,7 @@ func TestKeyDigestStability(t *testing.T) {
 		t.Error("different configs collide")
 	}
 	d := tinyCell(t, true)
-	d.Opt = machine.RunOptions{TraceInterval: 10000, EventLimit: 400_000_000}
+	d.Opt = machine.RunOptions{TraceInterval: 10000}
 	if a.Key().Digest() != d.Key().Digest() {
 		t.Error("canonically equal options digest differently")
 	}

@@ -80,7 +80,7 @@ func TestCacheServesIdenticalCells(t *testing.T) {
 func TestKeyCanonicalizesRunOptions(t *testing.T) {
 	c := tinyCell(t, false)
 	explicit := c
-	explicit.Opt = machine.RunOptions{TraceInterval: 10000, EventLimit: 400_000_000}
+	explicit.Opt = machine.RunOptions{TraceInterval: 10000}
 	if c.Key() != explicit.Key() {
 		t.Error("default and explicitly-defaulted options produced different keys")
 	}

@@ -36,8 +36,8 @@ const (
 	Write
 )
 
-// Op is one remote memory operation in a GPU's trace. Its 12 bytes mirror
-// the 11-byte record of the trace file format (traceio.go).
+// Op is one remote memory operation in a GPU's trace, in 12 bytes: the
+// trace cache budgets by its size.
 type Op struct {
 	// Gap is the compute delay in cycles between this op becoming
 	// eligible and the previous op's issue.

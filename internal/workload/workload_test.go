@@ -8,6 +8,8 @@ import (
 	"testing"
 	"testing/quick"
 	"unsafe"
+
+	"secmgpu/internal/config"
 )
 
 func TestRegistryMatchesTableIV(t *testing.T) {
@@ -186,14 +188,27 @@ func TestValidateRejectsBadSpecs(t *testing.T) {
 	}
 }
 
+// TestTraceBadGPUPanics checks that a trace is refused for the CPU (GPU 0)
+// and for a system of more than config.MaxGPUs GPUs, whose homes would not
+// fit Op.Home's byte, while one for exactly that many builds.
 func TestTraceBadGPUPanics(t *testing.T) {
 	s, _ := ByAbbr("mm")
-	defer func() {
-		if recover() == nil {
-			t.Error("gpu 0 did not panic")
-		}
-	}()
-	s.Trace(0, 4, 0.1, 1)
+	for name, gpus := range map[string][2]int{
+		"gpu 0":                                  {0, 4},
+		fmt.Sprintf("%d gpus", config.MaxGPUs+1): {config.MaxGPUs + 1, config.MaxGPUs + 1},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s did not panic", name)
+				}
+			}()
+			s.Trace(gpus[0], gpus[1], 0.01, 1)
+		}()
+	}
+	if ops := s.Trace(1, config.MaxGPUs, 0.2, 1); len(ops) == 0 {
+		t.Errorf("no trace for %d GPUs", config.MaxGPUs)
+	}
 }
 
 // Property: traces are valid for any (gpu, numGPUs >= 2, seed).
