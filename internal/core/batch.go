@@ -53,10 +53,22 @@ type Batcher struct {
 // NewBatcher creates a sender-side batcher with batch size n. gen may be
 // nil for timing-only simulation, in which case Batched_MsgMACs are zero.
 func NewBatcher(n int, timeout sim.Cycle, gen *crypto.PadGenerator) *Batcher {
+	b := &Batcher{}
+	b.Reset(n, timeout, gen)
+	return b
+}
+
+// Reset returns b to the state NewBatcher(n, timeout, gen) builds,
+// keeping its MAC buffer when large enough.
+func (b *Batcher) Reset(n int, timeout sim.Cycle, gen *crypto.PadGenerator) {
 	if n < 1 {
 		panic("core: batch size must be positive")
 	}
-	return &Batcher{n: n, timeout: timeout, gen: gen, macs: make([]byte, 0, n*crypto.MACBytes)}
+	macs := b.macs[:0]
+	if cap(macs) < n*crypto.MACBytes {
+		macs = make([]byte, 0, n*crypto.MACBytes)
+	}
+	*b = Batcher{n: n, timeout: timeout, gen: gen, macs: macs}
 }
 
 // Add appends one block's MsgMAC to the open batch (opening one if needed)
@@ -214,10 +226,23 @@ type ExpiredBatch struct {
 // NewMACStore creates a receiver-side store holding up to capacity per-block
 // MACs (the paper's max(16,64) x 8B per peer).
 func NewMACStore(capacity int, gen *crypto.PadGenerator) *MACStore {
+	s := &MACStore{}
+	s.Reset(capacity, gen)
+	return s
+}
+
+// Reset returns s to the state NewMACStore(capacity, gen) builds, keeping
+// its cleared batch map.
+func (s *MACStore) Reset(capacity int, gen *crypto.PadGenerator) {
 	if capacity < 1 {
 		panic("core: MAC store capacity must be positive")
 	}
-	return &MACStore{capacity: capacity, gen: gen, filling: make(map[uint64]*fillingBatch)}
+	filling := s.filling
+	if filling == nil {
+		filling = make(map[uint64]*fillingBatch)
+	}
+	clear(filling)
+	*s = MACStore{capacity: capacity, gen: gen, filling: filling}
 }
 
 // batch returns the filling batch for id, creating it if needed.

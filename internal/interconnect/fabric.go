@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
+	"slices"
 
 	"secmgpu/internal/config"
 	"secmgpu/internal/sim"
@@ -60,13 +60,19 @@ type Fabric struct {
 	engine *sim.Engine
 	nodes  int
 
-	// nicIn/nicOut are per-node aggregate injection/ejection stages.
+	// st lent the arrays, generators and message list; nil once released.
+	st *Storage
+
+	// nicOut/nicIn are per-node aggregate injection/ejection stages.
+	// nicOut heads the fabric's one stage array, which nicIn, wires and
+	// the switch links share.
 	nicOut []stage
 	nicIn  []stage
-	// wires[src][dst] is the directed wire stage from src to dst.
-	wires [][]stage
-	// latency[src][dst] is the propagation latency of the src->dst path.
-	latency [][]sim.Cycle
+	// wires[src*nodes+dst] is the directed wire stage from src to dst.
+	wires []stage
+	// latency[src*nodes+dst] is the propagation latency of the src->dst
+	// path.
+	latency []sim.Cycle
 
 	deliverers []Deliverer
 
@@ -79,6 +85,8 @@ type Fabric struct {
 	// Fault injection state (nil when the profile is inactive).
 	faults   config.FaultProfile
 	faultRNG [][]*rand.Rand
+	// rngs are spare generators for faultRNG and the outage schedules.
+	rngs []*rand.Rand
 
 	// Outage state (nil until a profile is configured or a scripted
 	// outage is forced).
@@ -89,10 +97,9 @@ type Fabric struct {
 	// scheduling a delivery allocates nothing.
 	deliverH sim.Handler
 
-	// msgs is the fabric's message free list, taken from parkedMsgs at
-	// NewFabric and parked there again by Release, which nils it. The
-	// fabric runs on one goroutine, so it is a plain intrusive list.
-	msgs *msgList
+	// msgs is the fabric's message free list. The fabric runs on one
+	// goroutine, so it is a plain intrusive list.
+	msgs msgList
 	// acquired and freed count AcquireMessage and FreeMessage calls on
 	// pooled messages; see Outstanding.
 	acquired, freed int
@@ -100,8 +107,7 @@ type Fabric struct {
 	stats Stats
 }
 
-// msgList is a free list of zeroed messages: a fabric's while it runs, a
-// parkedMsgs entry between cells.
+// msgList is a free list of zeroed messages.
 type msgList struct {
 	head *Message
 	n    int
@@ -124,59 +130,28 @@ func (l *msgList) trim(keep int) {
 	l.n = keep
 }
 
-// msgShelf holds released fabrics' message free lists for the next
-// NewFabric, under one budget for all of them: maxParkedMsgs messages.
-// A mutex rather than a sync.Pool because sweep workers build cells on
-// parallel goroutines and a pool has no total bound: each cell's list
-// holds its peak in-flight count, and a pool kept several of them, one
-// per concurrent cell, ratcheting up to the largest cell each served.
-type msgShelf struct {
-	mu    sync.Mutex
-	lists []*msgList
-	n     int
+// Storage keeps a released fabric's arrays, generators and message free
+// list for the next fabric built on it. The zero value is empty storage.
+// A generator is reseeded when reused, and Seed gives exactly the state
+// NewSource gives, so it draws the same sequence.
+type Storage struct {
+	stages     []stage
+	latency    []sim.Cycle
+	deliverers []Deliverer
+	rngs       []*rand.Rand
+	msgs       msgList
 }
 
-// parkedMsgs is the shelf every fabric takes its list from.
-var parkedMsgs msgShelf
-
-// maxParkedMsgBytes bounds the messages parked on the shelf, in bytes of
-// Message. One cell's list holds up to ~4,100 messages (a 16-GPU
+// maxParkedMsgBytes bounds, in bytes of Message, the free list a Storage
+// keeps. One cell's list holds up to ~4,100 messages (a 16-GPU
 // page-migration cell); the median cell of a `secbench -exp all` pass
-// needs 895. A 1 MiB budget ran perfbench `figures` ~5% faster, but
-// `campaign` then peaked ~1% higher in resident memory than with the
-// global message sync.Pool this shelf replaced.
-const maxParkedMsgBytes = 1 << 19
+// needs 895. The machine package parks at most GOMAXPROCS Storages, so
+// at two their lists hold at most 512 KiB; a 1 MiB budget ran perfbench
+// `figures` ~5% faster but `campaign` ~1% higher in resident memory.
+const maxParkedMsgBytes = 1 << 18
 
 // maxParkedMsgs is maxParkedMsgBytes in messages.
 const maxParkedMsgs = maxParkedMsgBytes / messageBytes
-
-// take pops the most recently parked list, or returns a new empty one.
-func (s *msgShelf) take() *msgList {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	k := len(s.lists) - 1
-	if k < 0 {
-		return &msgList{}
-	}
-	l := s.lists[k]
-	s.lists[k] = nil
-	s.lists = s.lists[:k]
-	s.n -= l.n
-	return l
-}
-
-// park adds l, trimmed so the shelf holds at most maxParkedMsgs messages;
-// a list trimmed to nothing is dropped.
-func (s *msgShelf) park(l *msgList) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	l.trim(maxParkedMsgs - s.n)
-	if l.n == 0 {
-		return
-	}
-	s.lists = append(s.lists, l)
-	s.n += l.n
-}
 
 // The switch topology (config.Config.SwitchTopology, DGX-2 / NVSwitch
 // style) routes all GPU-GPU traffic through a central switch: each GPU has
@@ -203,18 +178,36 @@ const duplicateDelay = 7
 // assumes reliable links. Faults are drawn from per-link generators seeded
 // by (Seed, src, dst), for deterministic, link-independent sequences.
 func NewFabric(engine *sim.Engine, cfg config.Config) *Fabric {
+	return new(Storage).NewFabric(engine, cfg)
+}
+
+// NewFabric is the package-level NewFabric on st's storage, lent until
+// the fabric's Release.
+func (st *Storage) NewFabric(engine *sim.Engine, cfg config.Config) *Fabric {
 	n := cfg.NumProcessors()
+	links := 2 * n
+	if cfg.SwitchTopology {
+		links = 4 * n
+	}
+	// Every stage and latency is assigned below and the deliverer table
+	// was cleared at release, so the recycled arrays need no clearing.
+	stages := grow(st.stages, links+n*n)
 	f := &Fabric{
 		engine:     engine,
 		nodes:      n,
-		nicOut:     make([]stage, n),
-		nicIn:      make([]stage, n),
-		deliverers: make([]Deliverer, n),
+		st:         st,
+		nicOut:     stages[:n],
+		nicIn:      stages[n : 2*n],
+		wires:      stages[links:],
+		latency:    grow(st.latency, n*n),
+		deliverers: grow(st.deliverers, n),
+		rngs:       st.rngs,
+		msgs:       st.msgs,
 		switched:   cfg.SwitchTopology,
 		faults:     cfg.Faults,
 		stats:      newStats(n),
 	}
-	f.msgs = parkedMsgs.take()
+	*st = Storage{}
 	f.deliverH = sim.HandlerFunc(f.deliverEvent)
 	if cfg.Faults.Active() {
 		f.faultRNG = make([][]*rand.Rand, n)
@@ -226,17 +219,17 @@ func NewFabric(engine *sim.Engine, cfg config.Config) *Fabric {
 				}
 				// A distinct deterministic stream per directed link: a
 				// fault on one link never perturbs another's sequence.
-				f.faultRNG[s][d] = seededRNG(cfg.Faults.Seed ^ int64(s*n+d+1)*0x5851f42d4c957f2d)
+				f.faultRNG[s][d] = f.rng(cfg.Faults.Seed ^ int64(s*n+d+1)*0x5851f42d4c957f2d)
 			}
 		}
 	}
 	if cfg.Outages.Active() {
-		f.outages = newOutageModel(n, cfg.Outages, &f.stats)
+		f.outages = newOutageModel(f, cfg.Outages)
 	}
 	if cfg.SwitchTopology {
 		f.crossbar = stage{bandwidth: switchBandwidthLinks * cfg.NVLinkBandwidth}
-		f.uplinks = make([]stage, n)
-		f.downlinks = make([]stage, n)
+		f.uplinks = stages[2*n : 3*n]
+		f.downlinks = stages[3*n : 4*n]
 		for i := range f.uplinks {
 			f.uplinks[i] = stage{bandwidth: cfg.NVLinkBandwidth}
 			f.downlinks[i] = stage{bandwidth: cfg.NVLinkBandwidth}
@@ -251,79 +244,93 @@ func NewFabric(engine *sim.Engine, cfg config.Config) *Fabric {
 		f.nicOut[i] = stage{bandwidth: bw, overhead: overhead}
 		f.nicIn[i] = stage{bandwidth: bw, overhead: overhead}
 	}
-	f.wires = make([][]stage, n)
-	f.latency = make([][]sim.Cycle, n)
 	for s := 0; s < n; s++ {
-		f.wires[s] = make([]stage, n)
-		f.latency[s] = make([]sim.Cycle, n)
 		for d := 0; d < n; d++ {
-			if s == d {
-				continue
-			}
-			if NodeID(s).IsCPU() || NodeID(d).IsCPU() {
-				f.wires[s][d] = stage{bandwidth: cfg.PCIeBandwidth}
-				f.latency[s][d] = sim.Cycle(cfg.PCIeLatency)
-			} else {
-				f.wires[s][d] = stage{bandwidth: cfg.NVLinkBandwidth}
-				f.latency[s][d] = sim.Cycle(cfg.NVLinkLatency)
+			switch {
+			case s == d:
+				f.wires[s*n+d], f.latency[s*n+d] = stage{}, 0
+			case NodeID(s).IsCPU() || NodeID(d).IsCPU():
+				f.wires[s*n+d] = stage{bandwidth: cfg.PCIeBandwidth}
+				f.latency[s*n+d] = sim.Cycle(cfg.PCIeLatency)
+			default:
+				f.wires[s*n+d] = stage{bandwidth: cfg.NVLinkBandwidth}
+				f.latency[s*n+d] = sim.Cycle(cfg.NVLinkLatency)
 			}
 		}
 	}
 	return f
 }
 
-// rngPool recycles the fault and outage generators: a math/rand source is
-// ~4.9 KiB, and an active profile gives every directed link (faults) and
-// every undirected link and node (outages) of every cell its own. Seed
-// resets a generator to exactly the state NewSource gives, so a reused one
-// draws the same sequence. A sync.Pool because sweep workers build cells
-// on parallel goroutines.
-var rngPool = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
+// grow returns s resliced to length n, reallocating only when its
+// capacity is short.
+func grow[T any](s []T, n int) []T { return slices.Grow(s[:0], n)[:n] }
 
-// seededRNG takes a generator from the pool, seeded with seed.
-func seededRNG(seed int64) *rand.Rand {
-	r := rngPool.Get().(*rand.Rand)
+// rng returns a generator seeded with seed: a spare one when the fabric
+// has some, else a new one.
+func (f *Fabric) rng(seed int64) *rand.Rand {
+	k := len(f.rngs) - 1
+	if k < 0 {
+		return rand.New(rand.NewSource(seed))
+	}
+	r := f.rngs[k]
+	f.rngs = f.rngs[:k]
 	r.Seed(seed)
 	return r
 }
 
-// Release ends the fabric's life: it parks the message free list for the
-// next fabric, within the shelf's budget, and returns the fault and
-// outage generators to the pool. machine.System calls it when a cell ends, after
-// releasing the engine. Afterwards AcquireMessage and Send panic, and
-// FreeMessage drops what it is handed, so a message still out at the end
-// of the cell never enters another fabric's list; Stats and Outstanding
-// keep reporting the final state. Releasing twice is a no-op.
+// Release ends the fabric's life: it hands its storage back, the message
+// list trimmed to maxParkedMsgs. machine.System calls it when a cell
+// ends, after releasing the engine.
+// Afterwards AcquireMessage and Send panic, and FreeMessage drops what it
+// is handed, so a message still out at the end of the cell never enters
+// another fabric's list; Stats and Outstanding keep reporting the final
+// state. Releasing twice is a no-op.
 func (f *Fabric) Release() {
-	if l := f.msgs; l != nil {
-		f.msgs = nil
-		parkedMsgs.park(l)
+	st := f.st
+	if st == nil {
+		return
 	}
+	f.st = nil
+	// Only the generators this fabric drew go back: spares an earlier,
+	// larger profile left are dropped.
+	rngs := f.rngs[:0]
 	for _, row := range f.faultRNG {
 		for _, r := range row {
 			if r != nil {
-				rngPool.Put(r)
+				rngs = append(rngs, r)
 			}
 		}
 	}
-	f.faultRNG = nil
 	if m := f.outages; m != nil {
 		for _, row := range m.links {
 			for _, s := range row {
-				if s != nil {
-					s.release()
+				if s != nil && s.rng != nil {
+					rngs = append(rngs, s.rng)
 				}
 			}
 		}
 		for _, s := range m.nodes {
-			s.release()
+			if s.rng != nil {
+				rngs = append(rngs, s.rng)
+			}
 		}
 	}
+	clear(rngs[len(rngs):cap(rngs)])
+	clear(f.deliverers)
+	f.msgs.trim(maxParkedMsgs)
+	*st = Storage{
+		stages:     f.nicOut[:0],
+		latency:    f.latency[:0],
+		deliverers: f.deliverers[:0],
+		rngs:       rngs,
+		msgs:       f.msgs,
+	}
+	f.faultRNG, f.outages, f.rngs, f.msgs = nil, nil, nil, msgList{}
 }
 
 // mustLive panics when the fabric has been released.
 func (f *Fabric) mustLive() {
-	if f.msgs == nil {
+	if f.st == nil {
 		panic("interconnect: fabric used after Release")
 	}
 }
@@ -340,7 +347,7 @@ func (f *Fabric) mustLive() {
 // are not pooled: FreeMessage ignores them.
 func (f *Fabric) AcquireMessage() *Message {
 	f.mustLive()
-	l := f.msgs
+	l := &f.msgs
 	m := l.head
 	if m == nil {
 		m = new(Message)
@@ -365,11 +372,11 @@ func (f *Fabric) FreeMessage(m *Message) {
 		return
 	}
 	f.freed++
-	l := f.msgs
-	if l == nil {
+	if f.st == nil {
 		*m = Message{}
 		return
 	}
+	l := &f.msgs
 	*m = Message{next: l.head, cipher: m.cipher}
 	l.head = m
 	l.n++
@@ -413,11 +420,12 @@ func (f *Fabric) Send(msg *Message) {
 		// crossbar, and exits on the destination's downlink.
 		t = f.uplinks[msg.Src].pass(t, size)
 		t = f.crossbar.pass(t, size)
-		t += switchHop + f.latency[msg.Src][msg.Dst]
+		t += switchHop + f.latency[int(msg.Src)*f.nodes+int(msg.Dst)]
 		t = f.downlinks[msg.Dst].pass(t, size)
 	} else {
-		t = f.wires[msg.Src][msg.Dst].pass(t, size)
-		t += f.latency[msg.Src][msg.Dst]
+		link := int(msg.Src)*f.nodes + int(msg.Dst)
+		t = f.wires[link].pass(t, size)
+		t += f.latency[link]
 	}
 	t = f.nicIn[msg.Dst].pass(t, size)
 

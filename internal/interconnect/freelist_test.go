@@ -1,7 +1,6 @@
 package interconnect
 
 import (
-	"sync"
 	"testing"
 
 	"secmgpu/internal/sim"
@@ -42,8 +41,8 @@ func TestFreeListReusesMessages(t *testing.T) {
 	if _, err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if f.Outstanding() != 0 || !onList(f.msgs, m) {
-		t.Fatalf("delivered message: outstanding=%d, on list=%t; want 0, true", f.Outstanding(), onList(f.msgs, m))
+	if f.Outstanding() != 0 || !onList(&f.msgs, m) {
+		t.Fatalf("delivered message: outstanding=%d, on list=%t; want 0, true", f.Outstanding(), onList(&f.msgs, m))
 	}
 	if again := f.AcquireMessage(); again != m || again.ReqID != 0 || again.Sec != nil || again.next != nil {
 		t.Fatalf("reacquired %p (ReqID %d, Sec %v), want the freed %p zeroed", again, again.ReqID, again.Sec, m)
@@ -55,8 +54,8 @@ func TestFreeListReusesMessages(t *testing.T) {
 	if _, err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if len(r.msgs) != 1 || r.msgs[0] != kept || onList(f.msgs, kept) || f.Outstanding() != 1 {
-		t.Fatalf("retained message: on list=%t, outstanding=%d; want false, 1", onList(f.msgs, kept), f.Outstanding())
+	if len(r.msgs) != 1 || r.msgs[0] != kept || onList(&f.msgs, kept) || f.Outstanding() != 1 {
+		t.Fatalf("retained message: on list=%t, outstanding=%d; want false, 1", onList(&f.msgs, kept), f.Outstanding())
 	}
 	n := f.msgs.n
 	f.FreeMessage(kept)
@@ -69,7 +68,7 @@ func TestFreeListReusesMessages(t *testing.T) {
 	clone := f.AcquireMessage().Clone()
 	f.FreeMessage(lit)
 	f.FreeMessage(clone)
-	if onList(f.msgs, lit) || onList(f.msgs, clone) || lit.Kind != KindReadReq {
+	if onList(&f.msgs, lit) || onList(&f.msgs, clone) || lit.Kind != KindReadReq {
 		t.Error("a literal or cloned message entered the free list")
 	}
 }
@@ -104,34 +103,37 @@ func TestReleasedFabricPanics(t *testing.T) {
 
 // TestFreeAfterReleaseStaysOut checks that a message still out when its
 // fabric is released (in flight, or retained by a receiver) and freed
-// afterwards is dropped: it never enters the list the fabric parked, which
-// the next fabric takes.
+// afterwards is dropped: it never enters the list the fabric handed back
+// to its Storage, which the next fabric takes.
 func TestFreeAfterReleaseStaysOut(t *testing.T) {
-	e, a := testFabric(t, 2)
+	var st Storage
+	e := sim.NewEngine()
+	a := st.NewFabric(e, testConfig(2))
 	r := &retainer{}
 	a.Register(1, nopDeliverer{})
 	a.Register(2, r)
-	for i := 0; i < 8; i++ {
-		a.FreeMessage(a.AcquireMessage())
+	spare := make([]*Message, 8)
+	for i := range spare {
+		spare[i] = a.AcquireMessage()
+	}
+	for _, m := range spare {
+		a.FreeMessage(m)
 	}
 	held := secMsg(a, 1, 2)
 	a.Send(held)
 	if _, err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	parked := a.msgs
 	a.Release()
 	a.FreeMessage(held)
-	if onList(parked, held) {
-		t.Fatal("a message freed after Release entered the parked list")
+	if st.msgs.n == 0 || onList(&st.msgs, held) {
+		t.Fatalf("released fabric handed back %d messages, the late free among them: %t; want some, false",
+			st.msgs.n, onList(&st.msgs, held))
 	}
 	if a.Outstanding() != 0 {
 		t.Errorf("outstanding=%d after the late free, want 0", a.Outstanding())
 	}
-	_, b := testFabric(t, 2)
-	if onList(b.msgs, held) {
-		t.Fatal("a message freed after its fabric's Release entered the next fabric's list")
-	}
+	b := st.NewFabric(sim.NewEngine(), testConfig(2))
 	for i := 0; i < 64; i++ {
 		if b.AcquireMessage() == held {
 			t.Fatal("the next fabric handed out a message freed after its owner's Release")
@@ -139,11 +141,17 @@ func TestFreeAfterReleaseStaysOut(t *testing.T) {
 	}
 }
 
-// freedList returns a list of exactly n zeroed messages, acquired from f
-// on an empty list and freed back, detached from f.
-func freedList(f *Fabric, n int) *msgList {
-	f.msgs = &msgList{}
-	out := make([]*Message, n)
+// TestReleaseTrimsMessageList frees more messages than a Storage keeps
+// and checks that Release hands back exactly maxParkedMsgs of them,
+// zeroed and linked, with a deliverer table that pins no deliverer, and
+// that the next fabric on the Storage hands those messages out before
+// allocating.
+func TestReleaseTrimsMessageList(t *testing.T) {
+	var st Storage
+	f := st.NewFabric(sim.NewEngine(), testConfig(2))
+	f.Register(1, nopDeliverer{})
+	f.Register(2, &retainer{})
+	out := make([]*Message, maxParkedMsgs+100)
 	for i := range out {
 		out[i] = f.AcquireMessage()
 		out[i].ReqID = uint64(i + 1)
@@ -151,84 +159,29 @@ func freedList(f *Fabric, n int) *msgList {
 	for _, m := range out {
 		f.FreeMessage(m)
 	}
-	l := f.msgs
-	f.msgs = &msgList{}
-	return l
-}
-
-// TestShelfRespectsBudget parks lists on a shelf past its budget and
-// checks that it holds at most maxParkedMsgs zeroed messages in all,
-// trimming the list that overflows and dropping one with no room left,
-// and that take hands the lists back with the count kept right.
-func TestShelfRespectsBudget(t *testing.T) {
-	_, f := testFabric(t, 2)
-	var s msgShelf
-	s.park(freedList(f, 100))
-	big := freedList(f, maxParkedMsgs)
-	s.park(big)
-	if s.n != maxParkedMsgs || len(s.lists) != 2 || big.n != maxParkedMsgs-100 {
-		t.Fatalf("shelf holds %d messages in %d lists (second list %d); want %d in 2 (%d)",
-			s.n, len(s.lists), big.n, maxParkedMsgs, maxParkedMsgs-100)
-	}
+	f.Release()
 	n := 0
-	for m := big.head; m != nil; m = m.next {
+	parked := map[*Message]bool{}
+	for m := st.msgs.head; m != nil; m = m.next {
 		if m.ReqID != 0 || m.pooled {
 			t.Fatalf("parked message %d not zeroed", n)
 		}
+		parked[m] = true
 		n++
 	}
-	if n != big.n {
-		t.Errorf("trimmed list links %d messages, counts %d", n, big.n)
+	if n != maxParkedMsgs || st.msgs.n != maxParkedMsgs {
+		t.Fatalf("storage links %d messages and counts %d; want %d", n, st.msgs.n, maxParkedMsgs)
 	}
-	s.park(freedList(f, 10))
-	if s.n != maxParkedMsgs || len(s.lists) != 2 {
-		t.Errorf("a full shelf took a list: %d messages in %d lists", s.n, len(s.lists))
+	for i, d := range st.deliverers[:cap(st.deliverers)] {
+		if d != nil {
+			t.Errorf("storage still holds node %d's deliverer", i)
+		}
 	}
-	if l := s.take(); l != big || s.n != 100 {
-		t.Errorf("take returned a list of %d, shelf left with %d; want the last parked, 100", l.n, s.n)
-	}
-	s.take()
-	if l := s.take(); l.n != 0 || l.head != nil || s.n != 0 {
-		t.Errorf("an empty shelf handed out %d messages", l.n)
-	}
-}
-
-// TestShelfParallel builds, drives and releases fabrics on several
-// goroutines at once, as sweep workers do, so lists move between
-// goroutines through the shelf; run under -race it checks the hand-over.
-// Every fabric must balance, and the shelf must stay within its budget.
-func TestShelfParallel(t *testing.T) {
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 50; i++ {
-				cfg := testConfig(2)
-				cfg.PCIeLatency, cfg.NVLinkLatency = 0, 0
-				e := sim.NewEngine()
-				f := NewFabric(e, cfg)
-				f.Register(1, nopDeliverer{})
-				f.Register(2, nopDeliverer{})
-				for k := 0; k < 10*(w+i%7); k++ {
-					f.Send(secMsg(f, 1, 2))
-				}
-				if _, err := e.Run(); err != nil {
-					t.Error(err)
-				}
-				if f.Outstanding() != 0 {
-					t.Errorf("worker %d fabric %d: %d outstanding after drain", w, i, f.Outstanding())
-				}
-				e.Release()
-				f.Release()
-			}
-		}(w)
-	}
-	wg.Wait()
-	parkedMsgs.mu.Lock()
-	defer parkedMsgs.mu.Unlock()
-	if parkedMsgs.n > maxParkedMsgs {
-		t.Errorf("shelf holds %d messages, budget %d", parkedMsgs.n, maxParkedMsgs)
+	g := st.NewFabric(sim.NewEngine(), testConfig(2))
+	for i := 0; i < maxParkedMsgs; i++ {
+		if m := g.AcquireMessage(); !parked[m] {
+			t.Fatalf("message %d: the next fabric allocated while %d parked ones were left", i, maxParkedMsgs-i)
+		}
 	}
 }
 

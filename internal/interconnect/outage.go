@@ -31,24 +31,15 @@ type outageState struct {
 	count     *uint64 // outage windows entered, for Stats
 }
 
-func newOutageState(seed int64, meanUp, meanDown uint64, count *uint64) *outageState {
+func (f *Fabric) newOutageState(seed int64, meanUp, meanDown uint64, count *uint64) *outageState {
 	s := &outageState{count: count}
 	if meanUp > 0 && meanDown > 0 {
-		s.rng = seededRNG(seed)
+		s.rng = f.rng(seed)
 		s.meanUp = float64(meanUp)
 		s.meanDown = float64(meanDown)
 		s.nextDown = s.sample(s.meanUp)
 	}
 	return s
-}
-
-// release hands the schedule's generator back to the pool; a released
-// schedule keeps only its scripted windows.
-func (s *outageState) release() {
-	if s.rng != nil {
-		rngPool.Put(s.rng)
-		s.rng = nil
-	}
 }
 
 // sample draws an exponential duration with the given mean, at least one
@@ -82,9 +73,10 @@ type outageModel struct {
 	nodes []*outageState
 }
 
-// newOutageModel builds the schedules for an n-node fabric. A zero config
-// yields an all-up model that only scripted windows can darken.
-func newOutageModel(n int, cfg config.OutageProfile, stats *Stats) *outageModel {
+// newOutageModel builds the schedules for fabric f. A zero config yields
+// an all-up model that only scripted windows can darken.
+func newOutageModel(f *Fabric, cfg config.OutageProfile) *outageModel {
+	n, stats := f.nodes, &f.stats
 	m := &outageModel{
 		links: make([][]*outageState, n),
 		nodes: make([]*outageState, n),
@@ -95,12 +87,12 @@ func newOutageModel(n int, cfg config.OutageProfile, stats *Stats) *outageModel 
 			// One schedule per undirected pair: a downed link kills both
 			// directions, as a real dark fiber would.
 			seed := cfg.Seed ^ int64(lo*n+hi+1)*0x6a09e667f3bcc909
-			m.links[lo][hi] = newOutageState(seed, cfg.LinkMTBF, cfg.LinkOutage, &stats.LinkOutages)
+			m.links[lo][hi] = f.newOutageState(seed, cfg.LinkMTBF, cfg.LinkOutage, &stats.LinkOutages)
 		}
 	}
 	for i := 0; i < n; i++ {
 		seed := cfg.Seed ^ int64(n*n+i+1)*0x6a09e667f3bcc909
-		m.nodes[i] = newOutageState(seed, cfg.NodeMTBF, cfg.NodeOutage, &stats.NodeOutages)
+		m.nodes[i] = f.newOutageState(seed, cfg.NodeMTBF, cfg.NodeOutage, &stats.NodeOutages)
 	}
 	return m
 }
@@ -124,7 +116,7 @@ func (m *outageModel) blocked(now sim.Cycle, src, dst NodeID) bool {
 // first use so scripted outages work without a random profile.
 func (f *Fabric) outage() *outageModel {
 	if f.outages == nil {
-		f.outages = newOutageModel(f.nodes, config.OutageProfile{}, &f.stats)
+		f.outages = newOutageModel(f, config.OutageProfile{})
 	}
 	return f.outages
 }

@@ -29,10 +29,22 @@ func oursCell(tb testing.TB, gpus int, scale float64) (config.Config, [][]worklo
 // sysSink keeps the benchmarked constructor's result live.
 var sysSink *System
 
+// cancelled is a context cancelled before any run starts: RunContext on
+// it returns at once, having released the system into the cell store.
+var cancelled = func() context.Context {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	return ctx
+}()
+
 // BenchmarkNew times building one secure system under Ours (Dynamic OTP
 // with batching) for the mm workload: nodes, memory paths, fabric and
-// secure endpoints. Traces are generated outside the timer. The systems
-// are never run, so nothing is released and every build is a cold one.
+// secure endpoints. Traces are generated outside the timer. The cold
+// subcases never run their systems, so nothing is released and every
+// build starts from an empty store entry. The warm ones release each
+// system through a pre-cancelled RunContext, so every build after the
+// first draws on the storage the previous one left, as a sweep worker's
+// do.
 func BenchmarkNew(b *testing.B) {
 	for _, tc := range []struct {
 		name  string
@@ -42,10 +54,9 @@ func BenchmarkNew(b *testing.B) {
 		{"4GPU", 4, 0.1},
 		{"16GPU", 16, 0.05},
 	} {
+		cfg, traces := oursCell(b, tc.gpus, tc.scale)
 		b.Run(tc.name, func(b *testing.B) {
-			cfg, traces := oursCell(b, tc.gpus, tc.scale)
 			b.ReportAllocs()
-			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				sys, err := New(cfg, traces, RunOptions{})
 				if err != nil {
@@ -54,14 +65,26 @@ func BenchmarkNew(b *testing.B) {
 				sysSink = sys
 			}
 		})
+		b.Run(tc.name+"-warm", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sys, err := New(cfg, traces, RunOptions{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := sys.RunContext(cancelled); err == nil {
+					b.Fatal("a cancelled run succeeded")
+				}
+			}
+		})
 	}
 }
 
 // BenchmarkCell times one figures-sized cell end to end: New plus
 // RunContext of a secure mm cell under Ours at scale 0.01, as a sweep
-// worker runs thousands of them. Each run releases its engine slabs and
-// cache tag stores, so from the second op on a cell builds on the
-// previous one's arrays. Traces are generated outside the timer.
+// worker runs thousands of them. Each run releases its storage into the
+// cell store, so from the second op on a cell builds on the previous
+// one's. Traces are generated outside the timer.
 func BenchmarkCell(b *testing.B) {
 	for _, tc := range []struct {
 		name string

@@ -3,7 +3,6 @@ package machine
 import (
 	"encoding/binary"
 	"fmt"
-	"sync"
 
 	"secmgpu/internal/core"
 	"secmgpu/internal/gpu"
@@ -57,56 +56,28 @@ type pendingOp struct {
 	migrating bool
 }
 
-// requestMaps are a node's per-request maps and its event free list,
-// recycled from one cell to the next through requestPool: a cell's churn
-// of inserts and deletes grows each map's groups well past its live size,
-// and a cleared map keeps them. None of the three needs a retention cap:
-// pending holds at most the outstanding-request window, migrating at most
-// maxConcurrentMigrations, and the free list the node's peak count of
-// queued events — wakes, TLB-deferred issues and local completions within
-// its window, plus the replies it serves as a home (at most 217 on any
-// node of a `secbench -exp all` pass). Neither map is iterated, and an
-// event is zeroed when taken, so a recycled entry cannot change a result.
-type requestMaps struct {
-	pending   map[uint64]pendingOp
-	migrating map[migration.PageID]bool
-	evFree    *nodeEvent
+// takeRequests installs a node's request maps and event free list from
+// its cell store part, making maps the part lacks. The CPU takes them too:
+// it serves reads and migrations, so it schedules events; it issues no
+// requests, so its maps only ever serve lookups.
+func (n *node) takeRequests(ns *nodeStore) {
+	n.pending, n.migrating, n.evFree = ns.pending, ns.migrating, ns.evFree
+	if n.pending == nil {
+		n.pending = make(map[uint64]pendingOp)
+		n.migrating = make(map[migration.PageID]bool)
+	}
 }
 
-// requestPool holds released nodes' cleared requestMaps. A sync.Pool
-// because sweep workers run cells on parallel goroutines.
-var requestPool sync.Pool
-
-// takeRequests installs a node's request maps and event free list,
-// recycled when the pool has some. The CPU takes them too: it serves
-// reads and migrations, so it schedules events; it issues no requests, so
-// its maps only ever serve lookups.
-func (n *node) takeRequests() {
-	rm, ok := requestPool.Get().(*requestMaps)
-	if !ok {
-		rm = &requestMaps{
-			pending:   make(map[uint64]pendingOp),
-			migrating: make(map[migration.PageID]bool),
-		}
-	}
-	n.pending, n.migrating, n.evFree = rm.pending, rm.migrating, rm.evFree
-	*rm = requestMaps{}
-	n.pooled = rm
-}
-
-// releaseRequests clears the request maps and returns them, with the
-// event free list, to the pool. The node's fields are nilled, so a stale
-// insert panics instead of writing into maps another cell now owns.
-func (n *node) releaseRequests() {
-	rm := n.pooled
-	if rm == nil {
-		return
-	}
+// releaseRequests clears the request maps and hands them, with the event
+// free list, back to ns. Neither map is iterated, and an event is zeroed
+// when taken, so recycling cannot change a result. The node's fields are
+// nilled, so a stale insert panics instead of writing into maps another
+// cell now owns.
+func (n *node) releaseRequests(ns *nodeStore) {
 	clear(n.pending)
 	clear(n.migrating)
-	*rm = requestMaps{n.pending, n.migrating, n.evFree}
-	requestPool.Put(rm)
-	n.pooled, n.pending, n.migrating, n.evFree = nil, nil, nil, nil
+	ns.pending, ns.migrating, ns.evFree = n.pending, n.migrating, n.evFree
+	n.pending, n.migrating, n.evFree = nil, nil, nil
 }
 
 // node is one processor: the CPU (passive home) or a GPU (trace-driven
@@ -150,10 +121,6 @@ type node struct {
 	// single-goroutine, so a plain intrusive list suffices).
 	evH    sim.Handler
 	evFree *nodeEvent
-
-	// pooled is the requestPool entry the maps and free list came in,
-	// handed back by releaseRequests; nil once released.
-	pooled *requestMaps
 }
 
 // nodeEvent is the pooled typed payload behind every event a node

@@ -201,8 +201,8 @@ func duplicatingCell() func() error {
 	}
 }
 
-// freshCells are compared with a run in a fresh process, where no pool
-// holds anything: an 8-GPU conventional cell that migrates pages, whose
+// freshCells are compared with a run in a fresh process, where the cell
+// store is empty: an 8-GPU conventional cell that migrates pages, whose
 // configuration no other recycling test runs, and a 4-GPU cell on a
 // lossy fabric.
 func freshCells() map[string]recycleCell {
@@ -221,7 +221,7 @@ func freshCells() map[string]recycleCell {
 
 // TestFreshCellDigests logs each fresh cell's Result. Run alone for one
 // cell in a new process of this test binary, it gives
-// TestRecycledStorageIsInvisible that cell's result on empty pools.
+// TestRecycledStorageIsInvisible that cell's result on fresh storage.
 func TestFreshCellDigests(t *testing.T) {
 	for name, c := range freshCells() {
 		t.Run(name, func(t *testing.T) {
@@ -414,40 +414,90 @@ func (c *pendingCtx) Err() error {
 }
 
 // TestReleasedNodesHandOverEvents checks that every node, the CPU
-// included, takes a request entry at New and hands it back at release
-// with its event free list and emptied maps, keeping nothing itself. The
-// cell is cancelled with requests pending, so the maps are in use when
-// it is released.
+// included, takes its request maps from its cell store entry at New and
+// hands them back at release with its event free list and emptied maps,
+// keeping nothing itself. The cell is cancelled with requests pending, so
+// the maps are in use when it is released.
 func TestReleasedNodesHandOverEvents(t *testing.T) {
 	cfg, traces := oursCell(t, 8, 0.05)
 	sys, err := New(cfg, traces, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cpu := sys.nodes[0]
-	if cpu.pooled == nil || cpu.pending == nil {
-		t.Fatal("the CPU took no request entry")
+	if sys.nodes[0].pending == nil {
+		t.Fatal("the CPU took no request maps")
 	}
-	entries := make([]*requestMaps, len(sys.nodes))
-	for i, n := range sys.nodes {
-		entries[i] = n.pooled
-	}
+	st := sys.store
 	ctx := &pendingCtx{Context: context.Background(), sys: sys}
 	if _, err := sys.RunContext(ctx); !errors.Is(err, context.Canceled) || !ctx.reached {
 		t.Fatalf("err = %v, pending reached = %t; want a run cancelled with requests pending", err, ctx.reached)
 	}
 	for i, n := range sys.nodes {
-		if n.pooled != nil || n.evFree != nil || n.pending != nil || n.migrating != nil {
-			t.Errorf("released %v still holds its entry, events or maps", n.id)
+		if n.evFree != nil || n.pending != nil || n.migrating != nil {
+			t.Errorf("released %v still holds its events or maps", n.id)
 		}
-		rm := entries[i]
+		rm := &st.nodes[i]
 		events := 0
 		for ev := rm.evFree; ev != nil; ev = ev.next {
 			events++
 		}
-		if events == 0 || len(rm.pending) != 0 || len(rm.migrating) != 0 {
+		if events == 0 || rm.pending == nil || rm.migrating == nil || len(rm.pending) != 0 || len(rm.migrating) != 0 {
 			t.Errorf("%v handed back %d events and maps of %d and %d entries; want events and empty maps",
 				n.id, events, len(rm.pending), len(rm.migrating))
 		}
+	}
+}
+
+// TestStaleHandlesPanic runs a cell, then a cell of a configuration built
+// on the first one's cell store entry. Every handle the first System gave
+// out (its engine, fabric, endpoints and caches) must still panic when
+// driven, although the second cell now owns their storage, and the
+// second cell's Result must equal its run in a fresh process.
+func TestStaleHandlesPanic(t *testing.T) {
+	name := "faulty"
+	second := freshCells()[name]
+	fresh := freshProcessDigest(t, name)
+	cfg, traces := oursCell(t, 16, 0.01)
+	first, err := New(cfg, traces, RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := first.store
+	if _, err := first.Run(); err != nil {
+		t.Fatal(err)
+	}
+	next, err := New(second.cfg, second.traces, RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if next.store != st {
+		t.Fatal("the second cell was not built on the store entry the first one parked")
+	}
+	h := sim.HandlerFunc(func(sim.Event) {})
+	for what, use := range map[string]func(){
+		"engine":   func() { first.engine.Schedule(first.engine.Now()+1, h, nil) },
+		"fabric":   func() { first.Fabric().AcquireMessage() },
+		"endpoint": func() { first.Endpoint(1).SendControl(2, interconnect.KindReadReq, 1, 0, 16) },
+		"cache":    func() { first.nodes[1].memory.ServiceLatency(0) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("the released cell's %s did not panic", what)
+				}
+			}()
+			use()
+		}()
+	}
+	res, err := next.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(b) != fresh {
+		t.Errorf("%s cell on the stale handles' storage differs from its fresh-process run\nhere:  %.300s\nfresh: %.300s", name, b, fresh)
 	}
 }

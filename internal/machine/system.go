@@ -9,6 +9,7 @@ package machine
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 
 	"secmgpu/internal/config"
@@ -16,7 +17,6 @@ import (
 	"secmgpu/internal/crypto"
 	"secmgpu/internal/gpu"
 	"secmgpu/internal/interconnect"
-	"secmgpu/internal/mem"
 	"secmgpu/internal/metrics"
 	"secmgpu/internal/migration"
 	"secmgpu/internal/otp"
@@ -89,17 +89,15 @@ type Result struct {
 }
 
 // System is one runnable simulated machine. Build with New, run once with
-// Run or RunContext. The run ends the system's life: on return, whatever
-// the outcome, the event engine's slabs, the fabric's message free list
-// and fault and outage generators, the migration policy's page map, and
-// each node's cache tag store, request maps, event free list and
-// retransmission bookkeeping go back to their pools for the next cell, and
-// only the returned Result stays valid. The system's engine, fabric,
-// endpoints and caches must not be driven afterwards; they panic if they
-// are.
+// Run or RunContext. New builds the system on storage a released cell
+// left in the cell store (see cellStore); the run ends the system's life,
+// handing that storage back whatever the outcome, and only the returned
+// Result stays valid. The engine, fabric, endpoints and caches are new
+// objects each cell; they panic if driven after the run.
 type System struct {
 	cfg    config.Config
 	opt    RunOptions
+	store  *cellStore
 	engine *sim.Engine
 	fabric *interconnect.Fabric
 	policy *migration.Policy
@@ -123,20 +121,22 @@ func New(cfg config.Config, traces [][]workload.Op, opt RunOptions) (*System, er
 	}
 	opt = opt.Canonical()
 
-	engine := sim.NewEngine()
-	engine.EventLimit = eventLimit
-	fabric := interconnect.NewFabric(engine, cfg)
-
 	nNodes := cfg.NumProcessors()
+	st := takeStore(nNodes)
+	engine := st.engine.NewEngine()
+	engine.EventLimit = eventLimit
+	fabric := st.fabric.NewFabric(engine, cfg)
+
 	s := &System{
 		cfg:       cfg,
 		opt:       opt,
+		store:     st,
 		engine:    engine,
 		fabric:    fabric,
-		policy:    migration.NewPolicy(cfg.MigrationThreshold),
+		policy:    st.pages.NewPolicy(cfg.MigrationThreshold),
 		remaining: cfg.NumGPUs,
-		burst16:   newBurstTracker(16, nNodes),
-		burst32:   newBurstTracker(32, nNodes),
+		burst16:   newBurstTracker(16, nNodes, st.bursts[0]),
+		burst32:   newBurstTracker(32, nNodes, st.bursts[1]),
 	}
 
 	for id := 0; id < nNodes; id++ {
@@ -145,11 +145,11 @@ func New(cfg config.Config, traces [][]workload.Op, opt RunOptions) (*System, er
 			id:  interconnect.NodeID(id),
 		}
 		n.evH = sim.HandlerFunc(n.onEvent)
-		n.takeRequests()
+		n.takeRequests(&st.nodes[id])
 		if n.id.IsCPU() {
-			n.memory = mem.HostDRAM(cfg.BlockSize)
+			n.memory = st.caches.HostDRAM(cfg.BlockSize)
 		} else {
-			n.memory = mem.HBM(cfg.BlockSize)
+			n.memory = st.caches.HBM(cfg.BlockSize)
 			n.ops = traces[id-1]
 			n.window = cfg.OutstandingRequests
 			if cfg.ModelTLB {
@@ -165,7 +165,7 @@ func New(cfg config.Config, traces [][]workload.Op, opt RunOptions) (*System, er
 		}
 		mgr, dyn := buildOTPManager(cfg)
 		n.dyn = dyn
-		n.ep = secure.New(engine, fabric, n.id, &s.cfg, opt.Functional, mgr, n)
+		n.ep = st.nodes[id].ep.New(engine, fabric, n.id, &s.cfg, opt.Functional, mgr, n)
 		if dyn != nil {
 			d := dyn
 			tk := sim.NewTicker(engine, sim.Cycle(cfg.IntervalT), func(now sim.Cycle) {
@@ -323,20 +323,21 @@ func (s *System) RunContext(ctx context.Context) (*Result, error) {
 	return res, nil
 }
 
-// release hands the engine's slabs, the fabric's message list and
-// generators, the page map and every node's cache tag store, request
-// maps, event list and retransmission bookkeeping back to their pools;
-// RunContext defers it, since a system runs once. The engine goes first,
-// so no queued event still names a pooled object.
+// release hands every part's storage back to the system's cell store
+// entry and parks it; RunContext defers it, since a system runs once. The
+// engine goes first, so no queued event still names recycled storage.
 func (s *System) release() {
+	st := s.store
 	s.engine.Release()
 	s.fabric.Release()
 	s.policy.Release()
-	for _, n := range s.nodes {
+	for i, n := range s.nodes {
 		n.memory.Release()
 		n.ep.Release()
-		n.releaseRequests()
+		n.releaseRequests(&st.nodes[i])
 	}
+	st.bursts = [2][]burstPair{s.burst16.pairs, s.burst32.pairs}
+	parkStore(st)
 }
 
 // progress is the watchdog's monotonic useful-work counter: operations
@@ -403,27 +404,32 @@ func (s *System) noteDataBlock(src, dst interconnect.NodeID, now sim.Cycle) {
 type burstTracker struct {
 	n     int
 	hist  *metrics.Histogram
-	count []int
-	start []sim.Cycle
+	pairs []burstPair
 }
 
-func newBurstTracker(n, nodes int) *burstTracker {
-	pairs := nodes * nodes
-	return &burstTracker{
-		n:     n,
-		hist:  metrics.NewHistogram(40, 160, 640),
-		count: make([]int, pairs),
-		start: make([]sim.Cycle, pairs),
-	}
+// burstPair is one pair's gathering burst: its blocks so far and the
+// cycle the first arrived.
+type burstPair struct {
+	count int
+	start sim.Cycle
+}
+
+// newBurstTracker builds a tracker among nodes nodes on the recycled
+// pairs array.
+func newBurstTracker(n, nodes int, pairs []burstPair) *burstTracker {
+	pairs = slices.Grow(pairs[:0], nodes*nodes)[:nodes*nodes]
+	clear(pairs)
+	return &burstTracker{n: n, hist: metrics.NewHistogram(40, 160, 640), pairs: pairs}
 }
 
 func (t *burstTracker) note(pair int, now sim.Cycle) {
-	if t.count[pair] == 0 {
-		t.start[pair] = now
+	p := &t.pairs[pair]
+	if p.count == 0 {
+		p.start = now
 	}
-	t.count[pair]++
-	if t.count[pair] == t.n {
-		t.hist.Observe(uint64(now - t.start[pair]))
-		t.count[pair] = 0
+	p.count++
+	if p.count == t.n {
+		t.hist.Observe(uint64(now - p.start))
+		p.count = 0
 	}
 }

@@ -32,8 +32,9 @@ var memSink *Memory
 // BenchmarkNewHBM times building a GPU's home-node memory path, which
 // every simulated node pays once per cell.
 func BenchmarkNewHBM(b *testing.B) {
+	var st Storage
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		memSink = HBM(64)
+		memSink = st.HBM(64)
 	}
 }

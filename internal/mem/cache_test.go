@@ -118,8 +118,8 @@ func TestMemoryNilL2(t *testing.T) {
 }
 
 func TestHBMAndHostPresets(t *testing.T) {
-	h := HBM(64)
-	d := HostDRAM(64)
+	h := new(Storage).HBM(64)
+	d := new(Storage).HostDRAM(64)
 	if h.ServiceLatency(0) != 200 {
 		t.Errorf("HBM cold=%d, want 200", h.ServiceLatency(0))
 	}
@@ -228,7 +228,7 @@ func TestCacheMatchesReference(t *testing.T) {
 // its arrays may already serve another cache, while its counters stay
 // readable.
 func TestReleasedCachePanics(t *testing.T) {
-	m := HBM(64)
+	m := new(Storage).HBM(64)
 	m.ServiceLatency(0)
 	m.ServiceLatency(0)
 	m.Release()
@@ -245,9 +245,9 @@ func TestReleasedCachePanics(t *testing.T) {
 }
 
 // TestRecycledCacheMatchesFresh dirties caches, releases them, and builds
-// new ones, which draw the released slot arrays and chunks from the pools.
-// A cache on recycled arrays must answer the same hit/miss sequence as one
-// on fresh arrays.
+// new ones on the same Storage, which hands them the released slot arrays
+// and chunks. A cache on recycled arrays must answer the same hit/miss
+// sequence as one on fresh arrays.
 func TestRecycledCacheMatchesFresh(t *testing.T) {
 	stream := func(seed int64, c *Cache, hits []bool) []bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -261,32 +261,30 @@ func TestRecycledCacheMatchesFresh(t *testing.T) {
 		return hits
 	}
 	want := stream(2, NewCache(8<<20, 16, 64), nil)
-	reusedSlot, reusedChunk := false, false
-	// sync.Pool may drop an entry (the race detector drops some on
-	// purpose), so retry until both kinds of array were seen reused.
-	for attempt := 0; attempt < 20 && !(reusedSlot && reusedChunk); attempt++ {
-		old := NewCache(8<<20, 16, 64)
-		stream(int64(attempt+10), old, nil)
+	var st Storage
+	for round := 0; round < 3; round++ {
+		old := st.NewCache(8<<20, 16, 64)
+		stream(int64(round+10), old, nil)
 		slot := &old.slot[0]
 		chunks := map[*line]bool{}
 		for _, ch := range old.chunks {
 			chunks[&ch[0]] = true
 		}
 		old.Release()
-		c := NewCache(8<<20, 16, 64)
-		reusedSlot = reusedSlot || &c.slot[0] == slot
+		c := st.NewCache(8<<20, 16, 64)
 		got := stream(2, c, nil)
+		reusedChunk := false
 		for _, ch := range c.chunks {
 			reusedChunk = reusedChunk || chunks[&ch[0]]
 		}
+		if &c.slot[0] != slot || !reusedChunk {
+			t.Fatalf("round %d: slot reused %v, chunk reused %v; want both", round, &c.slot[0] == slot, reusedChunk)
+		}
 		for i := range want {
 			if got[i] != want[i] {
-				t.Fatalf("attempt %d: access %d hit=%v on recycled arrays, %v on fresh ones", attempt, i, got[i], want[i])
+				t.Fatalf("round %d: access %d hit=%v on recycled arrays, %v on fresh ones", round, i, got[i], want[i])
 			}
 		}
 		c.Release()
-	}
-	if !reusedSlot || !reusedChunk {
-		t.Fatalf("no cache drew recycled arrays (slot %v, chunk %v)", reusedSlot, reusedChunk)
 	}
 }

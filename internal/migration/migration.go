@@ -5,10 +5,7 @@
 // access and page migration (Section II-A).
 package migration
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // PageID identifies a 4KB page in the unified address space.
 type PageID uint64
@@ -20,6 +17,8 @@ type Node int32
 // Policy tracks page ownership and per-(page, accessor) counters.
 type Policy struct {
 	threshold int
+	// st lends the page map; nil once Release handed it back.
+	st *Storage
 	// pages holds the migration state of every page touched remotely or
 	// migrated, by value so a touched page costs no object of its own;
 	// absent pages live at their home node (encoded in the address) with
@@ -39,44 +38,50 @@ type pageState struct {
 	hasOwner bool
 }
 
-// pagesPool holds released policies' cleared page maps for the next
-// NewPolicy: a cleared map keeps its groups, so a cell does not regrow
-// one from empty. A map value is a pointer, so pooling one allocates
-// nothing. A sync.Pool because sweep workers run cells on parallel
-// goroutines.
-var pagesPool sync.Pool
+// Storage keeps a released policy's cleared page map for the next policy
+// built on it: a cleared map keeps its groups, so a cell does not regrow
+// one from empty. The zero value is empty storage.
+type Storage struct {
+	pages map[PageID]pageState
+}
 
-// maxPooledPages caps the pages of a map that Release pools. Pages are
-// never deleted, so a map's size is its peak. A `secbench -exp all`
+// maxParkedPages caps the pages of a map that Release hands back. Pages
+// are never deleted, so a map's size is its peak. A `secbench -exp all`
 // pass at scale 0.01 touches at most 1,625 pages in one cell; larger
 // cells (3,703 pages in a 4-GPU `mm` cell at scale 0.25) are few and
 // long, and their maps go to the collector instead of pinning their
 // groups between cells.
-const maxPooledPages = 2048
+const maxParkedPages = 2048
 
-// NewPolicy builds an access-counter migration policy. threshold <= 0
-// disables migration entirely (pure direct block access).
-func NewPolicy(threshold int) *Policy {
-	pages, _ := pagesPool.Get().(map[PageID]pageState)
+// NewPolicy builds an access-counter migration policy on fresh storage.
+// threshold <= 0 disables migration entirely (pure direct block access).
+func NewPolicy(threshold int) *Policy { return new(Storage).NewPolicy(threshold) }
+
+// NewPolicy is the package-level NewPolicy on st's page map, lent until
+// the policy's Release.
+func (st *Storage) NewPolicy(threshold int) *Policy {
+	pages := st.pages
 	if pages == nil {
 		pages = make(map[PageID]pageState)
 	}
-	return &Policy{threshold: threshold, pages: pages}
+	st.pages = nil
+	return &Policy{threshold: threshold, st: st, pages: pages}
 }
 
-// Release hands the page map, cleared, to the next NewPolicy;
-// machine.System calls it when a cell ends. Afterwards Owner reports
-// every page at its home and RecordAccess and Migrate panic; Migrations
-// keeps reporting the final count. Releasing twice is a no-op.
+// Release hands the page map, cleared, back to the policy's Storage, or
+// drops it past maxParkedPages; machine.System calls it when a cell ends.
+// Afterwards Owner reports every page at its home and RecordAccess and
+// Migrate panic; Migrations keeps reporting the final count. Releasing
+// twice is a no-op.
 func (p *Policy) Release() {
-	if p.pages == nil {
+	if p.st == nil {
 		return
 	}
-	if len(p.pages) <= maxPooledPages {
+	if len(p.pages) <= maxParkedPages {
 		clear(p.pages)
-		pagesPool.Put(p.pages)
+		p.st.pages = p.pages
 	}
-	p.pages = nil
+	p.st, p.pages = nil, nil
 }
 
 // Owner returns the page's current owner given its home node.

@@ -95,7 +95,8 @@ func TestOwnershipProperty(t *testing.T) {
 // instead of touching a map the next policy may own, and a policy built
 // after it starts from an empty map whatever the released one held.
 func TestReleasedPolicy(t *testing.T) {
-	p := NewPolicy(2)
+	var st Storage
+	p := st.NewPolicy(2)
 	for page := PageID(0); page < 100; page++ {
 		p.RecordAccess(page, 1, 2)
 		p.RecordAccess(page, 3, 2) // a second accessor overflows
@@ -115,22 +116,27 @@ func TestReleasedPolicy(t *testing.T) {
 		}()
 		p.RecordAccess(9, 1, 2)
 	}()
-	q := NewPolicy(2)
+	q := st.NewPolicy(2)
 	if q.RecordAccess(5, 1, 2) || q.Owner(5, 2) != 2 || len(q.pages) != 1 {
 		t.Errorf("a new policy saw the released one's pages: %d entries", len(q.pages))
 	}
 }
 
 // TestOversizedPageMapNotPooled checks that Release drops, rather than
-// pools, a map past maxPooledPages.
+// hands back to its Storage, a map past maxParkedPages, and hands back a
+// cleared one within it.
 func TestOversizedPageMapNotPooled(t *testing.T) {
-	p := NewPolicy(2)
-	for page := PageID(0); page <= maxPooledPages; page++ {
-		p.RecordAccess(page, 1, 2)
-	}
-	big := p.pages
-	p.Release()
-	if len(big) != maxPooledPages+1 {
-		t.Errorf("Release cleared a map it does not pool: %d entries left", len(big))
+	var st Storage
+	for _, pages := range []int{maxParkedPages + 1, maxParkedPages} {
+		p := st.NewPolicy(2)
+		for page := PageID(0); page < PageID(pages); page++ {
+			p.RecordAccess(page, 1, 2)
+		}
+		m := p.pages
+		p.Release()
+		parked := st.pages != nil
+		if want := pages <= maxParkedPages; parked != want || (parked && len(m) != 0) || (!parked && len(m) != pages) {
+			t.Errorf("%d pages: handed back %t with %d entries left; want %t", pages, parked, len(m), want)
+		}
 	}
 }

@@ -10,8 +10,8 @@
 // messages of their own.
 //
 // The endpoint sits on the simulation hot path, so it is written for zero
-// steady-state allocations: wire messages come from the interconnect pool
-// and carry their envelope and ciphertext inline, scheduled actions are
+// steady-state allocations: wire messages come from the fabric's free
+// list and carry their envelope and ciphertext inline, scheduled actions are
 // pooled typed payloads (deferred) instead of closures, and the ACK/batch
 // timers are engine-level cancellable timers instead of epoch-revalidated
 // no-op events.
@@ -19,6 +19,7 @@ package secure
 
 import (
 	"fmt"
+	"slices"
 
 	"secmgpu/internal/config"
 	"secmgpu/internal/core"
@@ -200,22 +201,15 @@ type batchTimer struct {
 	id    uint64
 }
 
-// Endpoint is one processor's secure channel termination.
-type Endpoint struct {
-	engine  *sim.Engine
-	fabric  *interconnect.Fabric
-	node    interconnect.NodeID
-	handler Handler
-
-	// cfg is the system's configuration, shared by every endpoint. A
-	// secure endpoint runs the NACK/retransmission protocol (see
-	// recovery.go) on its timers. batching is cfg.Secure && cfg.Batching.
-	cfg      *config.Config
-	batching bool
-
-	mgr otp.Manager
-	gen *crypto.PadGenerator
-
+// Storage is an endpoint's recyclable state, kept for the next endpoint
+// built on it: the per-peer tables, which the endpoint uses in place, with
+// their batchers and MAC stores, and the retransmission bookkeeping it
+// lends the endpoint: the cleared units map (which keeps its groups) and
+// zeroed free units and deferreds, under the caps in recovery.go. The zero
+// value is empty storage.
+type Storage struct {
+	// The per-peer tables, indexed by peer.
+	//
 	// Batching state, indexed [class][peer]: class 0 is direct block
 	// access (n = BatchSize), class 1 is page migration (n = page blocks).
 	batchers  [2][]*core.Batcher
@@ -235,6 +229,41 @@ type Endpoint struct {
 	lastCtr []uint64
 	ctrSeen []bool
 
+	// recov is the per-peer resync/rekey state (see resync.go); empty
+	// unless cfg.Secure.
+	recov []peerRecovery
+
+	units     map[unitKey]*txUnit
+	free      *txUnit
+	deferreds *deferred
+
+	// scratch holds functional crypto's scratch blocks: seal() pads short
+	// payloads in scratch[0], deliverData decrypts into scratch[1]. Both
+	// are dead once the call returns.
+	scratch [2][crypto.BlockBytes]byte
+}
+
+// Endpoint is one processor's secure channel termination.
+type Endpoint struct {
+	engine  *sim.Engine
+	fabric  *interconnect.Fabric
+	node    interconnect.NodeID
+	handler Handler
+
+	// cfg is the system's configuration, shared by every endpoint. A
+	// secure endpoint runs the NACK/retransmission protocol (see
+	// recovery.go) on its timers. batching is cfg.Secure && cfg.Batching.
+	cfg      *config.Config
+	batching bool
+
+	mgr otp.Manager
+	gen *crypto.PadGenerator
+
+	// st holds the per-peer tables (st.batchers, st.lastSendAt, ...),
+	// which the endpoint uses in place, and lent it the retransmission
+	// bookkeeping; nil once released.
+	st *Storage
+
 	pendingACK int
 	stats      Stats
 
@@ -251,12 +280,6 @@ type Endpoint struct {
 	defFree  *deferred
 	unitFree *txUnit
 
-	// Scratch blocks for functional crypto: seal() pads short payloads in
-	// sealScratch, deliverData decrypts into plainScratch. Both are dead
-	// once the call returns.
-	sealScratch  [crypto.BlockBytes]byte
-	plainScratch [crypto.BlockBytes]byte
-
 	// Recovery state (nil unless cfg.Secure).
 	//
 	// units tracks every unACKed send unit — one batch, or one
@@ -267,21 +290,22 @@ type Endpoint struct {
 	poisonH PoisonHandler
 	// scanArmed guards the self-quenching receiver-side stale-batch scan.
 	scanArmed bool
-	// recov is the per-peer resync/rekey state (see resync.go).
-	recov   []peerRecovery
-	resyncH sim.Handler
-
-	// released marks an endpoint whose retransmission bookkeeping went
-	// back to unitPool.
-	released bool
+	resyncH   sim.Handler
 }
 
-// New creates an endpoint for the system cfg describes, which
-// config.Validate accepts; the endpoint reads cfg for its whole life, so
-// cfg must not change. functional enables real encryption and MAC
-// verification. mgr may be nil when cfg.Secure is false. The endpoint
+// New creates an endpoint on fresh storage for the system cfg describes,
+// which config.Validate accepts; the endpoint reads cfg for its whole
+// life, so cfg must not change. functional enables real encryption and
+// MAC verification. mgr may be nil when cfg.Secure is false. The endpoint
 // registers itself as the node's fabric deliverer.
 func New(engine *sim.Engine, fabric *interconnect.Fabric, node interconnect.NodeID,
+	cfg *config.Config, functional bool, mgr otp.Manager, handler Handler) *Endpoint {
+	return new(Storage).New(engine, fabric, node, cfg, functional, mgr, handler)
+}
+
+// New is the package-level New on st's storage, which the endpoint uses
+// until its Release.
+func (st *Storage) New(engine *sim.Engine, fabric *interconnect.Fabric, node interconnect.NodeID,
 	cfg *config.Config, functional bool, mgr otp.Manager, handler Handler) *Endpoint {
 	if cfg.Secure && mgr == nil {
 		panic("secure: secure endpoint needs an OTP manager")
@@ -294,28 +318,12 @@ func New(engine *sim.Engine, fabric *interconnect.Fabric, node interconnect.Node
 		cfg:      cfg,
 		batching: cfg.Secure && cfg.Batching,
 		mgr:      mgr,
+		st:       st,
 	}
 	e.defH = sim.HandlerFunc(e.onDeferred)
 	e.btoH = sim.HandlerFunc(e.onBatchTimeout)
 	e.unitH = sim.HandlerFunc(e.onUnitTimeout)
 	e.scanH = sim.HandlerFunc(e.scanStale)
-	peers := fabric.NumNodes() - 1
-	e.lastSendAt = make([]sim.Cycle, peers)
-	e.lastCtr = make([]uint64, peers)
-	e.ctrSeen = make([]bool, peers)
-	if cfg.Secure {
-		if st, ok := unitPool.Get().(*unitStore); ok {
-			e.units, e.unitFree, e.defFree = st.units, st.free, st.deferreds
-		} else {
-			e.units = make(map[unitKey]*txUnit)
-		}
-		e.poisonH, _ = handler.(PoisonHandler)
-		e.recov = make([]peerRecovery, peers)
-		for i := range e.recov {
-			e.recov[i].peer = i
-		}
-		e.resyncH = sim.HandlerFunc(e.onResyncTimeout)
-	}
 	if functional {
 		gen, err := crypto.NewPadGenerator(SessionKey)
 		if err != nil {
@@ -323,24 +331,68 @@ func New(engine *sim.Engine, fabric *interconnect.Fabric, node interconnect.Node
 		}
 		e.gen = gen
 	}
-	if e.batching {
-		for class, n := range [2]int{cfg.BatchSize, PageBlocks} {
-			e.batchers[class] = make([]*core.Batcher, peers)
-			e.macStores[class] = make([]*core.MACStore, peers)
-			e.batchTimers[class] = make([]batchTimer, peers)
-			for i := 0; i < peers; i++ {
-				e.batchers[class][i] = core.NewBatcher(n, sim.Cycle(cfg.BatchFlushTimeout), e.gen)
-				e.macStores[class][i] = core.NewMACStore(PageBlocks, e.gen)
+	peers := fabric.NumNodes() - 1
+	st.lastSendAt = zeroed(st.lastSendAt, peers)
+	st.lastCtr = zeroed(st.lastCtr, peers)
+	st.ctrSeen = zeroed(st.ctrSeen, peers)
+	st.recov = st.recov[:0]
+	if cfg.Secure {
+		e.units, e.unitFree, e.defFree = st.units, st.free, st.deferreds
+		st.units, st.free, st.deferreds = nil, nil, nil
+		if e.units == nil {
+			e.units = make(map[unitKey]*txUnit)
+		}
+		e.poisonH, _ = handler.(PoisonHandler)
+		st.recov = zeroed(st.recov, peers)
+		for i := range st.recov {
+			st.recov[i].peer = i
+		}
+		e.resyncH = sim.HandlerFunc(e.onResyncTimeout)
+	}
+	for class, n := range [2]int{cfg.BatchSize, PageBlocks} {
+		// Batchers and MAC stores are kept past the tables' length and
+		// reset in place.
+		st.batchers[class] = st.batchers[class][:0]
+		st.macStores[class] = st.macStores[class][:0]
+		st.batchTimers[class] = st.batchTimers[class][:0]
+		if !e.batching {
+			continue
+		}
+		st.batchers[class] = extend(st.batchers[class], peers)
+		st.macStores[class] = extend(st.macStores[class], peers)
+		st.batchTimers[class] = zeroed(st.batchTimers[class], peers)
+		for i := range peers {
+			if st.batchers[class][i] == nil {
+				st.batchers[class][i], st.macStores[class][i] = new(core.Batcher), new(core.MACStore)
 			}
+			st.batchers[class][i].Reset(n, sim.Cycle(cfg.BatchFlushTimeout), e.gen)
+			st.macStores[class][i].Reset(PageBlocks, e.gen)
 		}
 	}
 	fabric.Register(node, e)
 	return e
 }
 
+// zeroed returns s resliced to n zero values, reallocating only when its
+// capacity is short.
+func zeroed[T any](s []T, n int) []T {
+	s = slices.Grow(s[:0], n)[:n]
+	clear(s)
+	return s
+}
+
+// extend returns s resliced to n, keeping the elements its capacity
+// already holds and appending zero values past it.
+func extend[T any](s []T, n int) []T {
+	if cap(s) < n {
+		s = append(s[:cap(s)], make([]T, n-cap(s))...)
+	}
+	return s[:n]
+}
+
 // mustLive panics when the endpoint has been released.
 func (e *Endpoint) mustLive() {
-	if e.released {
+	if e.st == nil {
 		panic("secure: endpoint used after Release")
 	}
 }
@@ -464,14 +516,14 @@ func (e *Endpoint) SendData(dst interconnect.NodeID, kind interconnect.Kind, req
 	if e.batching {
 		class = batchClass(kind)
 		var tag core.BlockTag
-		tag, closed = e.batchers[class][peer].Add(sendAt, mac)
+		tag, closed = e.st.batchers[class][peer].Add(sendAt, mac)
 		id = tag.BatchID
 		batchLen := 0
 		if closed != nil {
 			batchLen = closed.Len
 			// The batch closed full: its flush timer (none for a
 			// single-block batch) dies here.
-			e.batchTimers[class][peer].timer.Cancel()
+			e.st.batchTimers[class][peer].timer.Cancel()
 		} else if tag.First && e.cfg.BatchFlushTimeout > 0 {
 			e.scheduleBatchTimeout(class, peer, id, sendAt)
 		}
@@ -526,8 +578,8 @@ func (e *Endpoint) sealBlock(dst interconnect.NodeID, peer int, blk txBlock,
 	use := e.mgr.UseSend(now, peer)
 	e.noteSendCtr(peer, use.Ctr)
 	// +1: the XOR once the pad is ready; lastSendAt keeps the channel FIFO.
-	sendAt := max(now+use.Stall+1, e.lastSendAt[peer])
-	e.lastSendAt[peer] = sendAt
+	sendAt := max(now+use.Stall+1, e.st.lastSendAt[peer])
+	e.st.lastSendAt[peer] = sendAt
 
 	msg := e.dataMessage(dst, blk)
 	env := msg.AttachSec()
@@ -566,9 +618,9 @@ func (e *Endpoint) seal(msg *interconnect.Message, env *interconnect.SecEnvelope
 		pad := e.gen.Generate(env.MsgCTR, uint16(e.node), uint16(dst))
 		src := payload
 		if len(src) != crypto.BlockBytes {
-			e.sealScratch = [crypto.BlockBytes]byte{}
-			copy(e.sealScratch[:], payload)
-			src = e.sealScratch[:]
+			e.st.scratch[0] = [crypto.BlockBytes]byte{}
+			copy(e.st.scratch[0][:], payload)
+			src = e.st.scratch[0][:]
 		}
 		ct := msg.CipherBuf()
 		crypto.Encrypt(ct, src, &pad)
@@ -592,7 +644,7 @@ func batchClass(kind interconnect.Kind) int {
 // epoch-checked events a healthy stream leaves no dead timeouts churning
 // the queue.
 func (e *Endpoint) scheduleBatchTimeout(class, peer int, batchID uint64, openedAt sim.Cycle) {
-	bt := &e.batchTimers[class][peer]
+	bt := &e.st.batchTimers[class][peer]
 	bt.class, bt.peer, bt.id = class, peer, batchID
 	bt.timer = e.engine.ScheduleTimer(openedAt+sim.Cycle(e.cfg.BatchFlushTimeout), e.btoH, bt)
 }
@@ -602,13 +654,13 @@ func (e *Endpoint) scheduleBatchTimeout(class, peer int, batchID uint64, openedA
 // (cancellation already guarantees it for every close path).
 func (e *Endpoint) onBatchTimeout(ev sim.Event) {
 	bt := ev.Payload.(*batchTimer)
-	b := e.batchers[bt.class][bt.peer]
+	b := e.st.batchers[bt.class][bt.peer]
 	if id, open := b.OpenID(); open && id == bt.id {
 		if cb := b.Flush(); cb != nil {
 			e.stats.TimeoutFlushes++
 			e.sendBatchMAC(PeerID(e.node, bt.peer), bt.class, cb)
 			if u, ok := e.units[unitKey{peer: bt.peer, class: bt.class, id: bt.id}]; ok {
-				e.armUnitTimer(u, max(e.engine.Now(), e.lastSendAt[bt.peer]))
+				e.armUnitTimer(u, max(e.engine.Now(), e.st.lastSendAt[bt.peer]))
 			}
 		}
 	}
@@ -662,7 +714,7 @@ func (e *Endpoint) Deliver(now sim.Cycle, msg *interconnect.Message) {
 		// this endpoint does not run) is dropped, not dereferenced: an
 		// adversary must not be able to panic a node.
 		if msg.Sec == nil || !e.batching ||
-			msg.Sec.BatchClass < 0 || msg.Sec.BatchClass >= len(e.macStores) {
+			msg.Sec.BatchClass < 0 || msg.Sec.BatchClass >= len(e.st.macStores) {
 			e.stats.MalformedDropped++
 			return
 		}
@@ -673,7 +725,7 @@ func (e *Endpoint) Deliver(now sim.Cycle, msg *interconnect.Message) {
 			// must fail so the batch is NACKed and re-sent.
 			cb.MAC[0] ^= 0xff
 		}
-		if res := e.macStores[msg.Sec.BatchClass][peer].OnBatchMAC(now, cb); res != nil {
+		if res := e.st.macStores[msg.Sec.BatchClass][peer].OnBatchMAC(now, cb); res != nil {
 			e.finishBatch(msg.Src, msg.Sec.BatchClass, res)
 		}
 		e.armStaleScan()
@@ -693,15 +745,15 @@ func (e *Endpoint) deliverData(now sim.Cycle, msg *interconnect.Message) {
 		return
 	}
 	peer := e.PeerIndex(msg.Src)
-	if e.ctrSeen[peer] && msg.Sec.MsgCTR <= e.lastCtr[peer] {
+	if e.st.ctrSeen[peer] && msg.Sec.MsgCTR <= e.st.lastCtr[peer] {
 		// A counter at or below the last accepted one can only be a
 		// replayed or re-injected packet; it is dropped without
 		// consuming a pad or reaching the node.
 		e.stats.ReplaysDropped++
 		return
 	}
-	e.lastCtr[peer] = msg.Sec.MsgCTR
-	e.ctrSeen[peer] = true
+	e.st.lastCtr[peer] = msg.Sec.MsgCTR
+	e.st.ctrSeen[peer] = true
 	use := e.mgr.UseRecv(now, peer, msg.Sec.MsgCTR)
 	deliverAt := now + use.Stall + 1
 
@@ -711,7 +763,7 @@ func (e *Endpoint) deliverData(now sim.Cycle, msg *interconnect.Message) {
 		pad := e.gen.Generate(msg.Sec.MsgCTR, uint16(msg.Src), uint16(e.node))
 		// The plaintext only validates the decrypt path; it is computed
 		// into a scratch block and dropped.
-		crypto.Encrypt(e.plainScratch[:], msg.Sec.Ciphertext, &pad)
+		crypto.Encrypt(e.st.scratch[1][:], msg.Sec.Ciphertext, &pad)
 		mac = e.gen.MAC(msg.Sec.Ciphertext, &pad)
 		if !e.batching && mac != msg.Sec.MAC {
 			corrupt = true
@@ -728,7 +780,7 @@ func (e *Endpoint) deliverData(now sim.Cycle, msg *interconnect.Message) {
 			mac[0] ^= 0xff
 		}
 		tag := core.BlockTag{BatchID: msg.Sec.BatchID, Index: msg.Sec.BatchIndex, First: msg.Sec.BatchIndex == 0}
-		if res := e.macStores[msg.Sec.BatchClass][peer].OnBlock(now, tag, mac); res != nil {
+		if res := e.st.macStores[msg.Sec.BatchClass][peer].OnBlock(now, tag, mac); res != nil {
 			e.finishBatch(msg.Src, msg.Sec.BatchClass, res)
 		}
 		e.armStaleScan()
@@ -806,8 +858,8 @@ func (e *Endpoint) PendingACK() int { return e.pendingACK }
 // FillingBatches returns the incomplete batches across all MsgMAC stores.
 func (e *Endpoint) FillingBatches() int {
 	total := 0
-	for class := range e.macStores {
-		for _, store := range e.macStores[class] {
+	for class := range e.st.macStores {
+		for _, store := range e.st.macStores[class] {
 			if store != nil {
 				total += store.Filling()
 			}

@@ -1,8 +1,6 @@
 package secure
 
 import (
-	"sync"
-
 	"secmgpu/internal/core"
 	"secmgpu/internal/interconnect"
 	"secmgpu/internal/sim"
@@ -64,86 +62,65 @@ func (u *txUnit) payload(i int) []byte {
 
 func (u *txUnit) key() unitKey { return unitKey{peer: u.peer, class: u.class, id: u.id} }
 
-// Retention caps of one unitPool entry. Without them an entry ratchets up
-// to the largest cell it ever served and keeps that memory in circulation:
-// an uncapped pool raised a sweep's peak RSS by half.
+// Retention caps of one Storage: uncapped, it would keep what the largest
+// cell it served needed, which raised a sweep's peak RSS by half.
 const (
-	// maxPooledUnits caps the free units an entry carries.
-	maxPooledUnits = 128
-	// maxPooledBlocks caps the blocks capacity their slices add up to
+	// maxParkedUnits caps the free units a Storage keeps.
+	maxParkedUnits = 128
+	// maxParkedBlocks caps the blocks capacity their slices add up to
 	// (a unit's one inline block aside); units past it are kept without
 	// a slice.
-	maxPooledBlocks = 512
-	// maxPooledDeferreds caps the free deferreds an entry carries. Over
+	maxParkedBlocks = 512
+	// maxParkedDeferreds caps the free deferreds a Storage keeps. Over
 	// a secbench -exp all pass, 99% of endpoints end a cell with at most
 	// 136 on their free list; the largest list held 370.
-	maxPooledDeferreds = 128
+	maxParkedDeferreds = 128
 )
 
-// unitStore is one endpoint's retransmission bookkeeping parked between
-// cells: the cleared units map (a cleared map keeps its groups), a free
-// list of at most maxPooledUnits zeroed units whose blocks slices hold at
-// most maxPooledBlocks in all, none more than the releasing endpoint's
-// batch size, and a free list of at most maxPooledDeferreds zeroed
-// deferreds.
-type unitStore struct {
-	units     map[unitKey]*txUnit
-	free      *txUnit
-	n         int
-	blocks    int
-	deferreds *deferred
-}
-
-// unitPool holds released endpoints' unitStores. New draws from it for a
-// secure endpoint. A sync.Pool because sweep workers run cells on parallel
-// goroutines.
-var unitPool sync.Pool
-
-// Release ends the endpoint's life and returns its retransmission
-// bookkeeping to the pool for the next endpoint: every unit, whether live
-// in the units map, parked for a resync or already free, is zeroed and
-// kept or dropped under the retention caps, the units map is cleared, and
-// free deferred payloads go along under their own cap. machine.System
-// calls it when a cell ends, after releasing the engine, so no queued
-// timer still names a unit. Afterwards SendData, SendControl and Deliver
-// panic; Stats and OTPStats keep reporting the final state. Releasing
-// twice is a no-op.
+// Release ends the endpoint's life and hands its storage back. Every
+// unit, whether live, parked for a resync or already free, is zeroed and
+// kept or dropped under the caps. machine.System calls it after releasing
+// the engine, so no queued timer still names a unit. Afterwards SendData,
+// SendControl and Deliver panic; Stats and OTPStats keep reporting the
+// final state. Releasing twice is a no-op.
 func (e *Endpoint) Release() {
-	if st := e.detach(); st != nil {
-		unitPool.Put(st)
+	st := e.st
+	if st == nil {
+		return
 	}
+	e.st = nil
+	if e.units != nil {
+		e.parkUnits(st)
+	}
+	for class := range st.batchTimers {
+		clear(st.batchTimers[class])
+	}
+	clear(st.recov)
 }
 
-// detach marks the endpoint released and returns its bookkeeping as a pool
-// entry; nil if already released or unsecure.
-func (e *Endpoint) detach() *unitStore {
-	if e.released {
-		return nil
-	}
-	e.released = true
-	if e.units == nil {
-		return nil
-	}
-	st := &unitStore{units: e.units}
+// parkUnits moves the endpoint's units and deferreds into st under the
+// retention caps.
+func (e *Endpoint) parkUnits(st *Storage) {
+	n, blocksKept := 0, 0
 	maxBlocks := e.unitBlocks(0)
 	keep := func(u *txUnit) {
-		if st.n == maxPooledUnits {
+		if n == maxParkedUnits {
 			return
 		}
 		blocks := u.blocks
 		switch c := cap(blocks); {
 		case c <= 1:
 			// Empty, or backed by the unit's own one.
-		case c > maxBlocks || st.blocks+c > maxPooledBlocks:
+		case c > maxBlocks || blocksKept+c > maxParkedBlocks:
 			blocks = nil
 		default:
-			st.blocks += c
+			blocksKept += c
 		}
 		// Blocks hold no pointers and a unit reads only those it appended,
 		// so they need no clearing; plaintexts are dropped.
 		*u = txUnit{blocks: blocks[:0], next: st.free}
 		st.free = u
-		st.n++
+		n++
 	}
 	for u := e.unitFree; u != nil; {
 		next := u.next
@@ -153,23 +130,22 @@ func (e *Endpoint) detach() *unitStore {
 	for _, u := range e.units {
 		keep(u)
 	}
-	for i := range e.recov {
-		for _, u := range e.recov[i].parked {
+	for i := range st.recov {
+		for _, u := range st.recov[i].parked {
 			keep(u)
 		}
-		e.recov[i].parked = nil
 	}
 	// Free deferreds are zeroed as they are freed; deferreds still queued
 	// in the released engine are dropped with it.
-	for d, n := e.defFree, 0; d != nil && n < maxPooledDeferreds; n++ {
+	for d, k := e.defFree, 0; d != nil && k < maxParkedDeferreds; k++ {
 		next := d.next
 		d.next = st.deferreds
 		st.deferreds = d
 		d = next
 	}
-	clear(st.units)
+	clear(e.units)
+	st.units = e.units
 	e.units, e.unitFree, e.defFree = nil, nil, nil
-	return st
 }
 
 // newUnit takes a txUnit from the free list, retaining its blocks slice
@@ -207,7 +183,7 @@ func (e *Endpoint) trackBlock(key unitKey, dst interconnect.NodeID, blk txBlock,
 		}
 		u.dst, u.peer, u.class, u.id = dst, key.peer, key.class, key.id
 		e.units[key] = u
-		e.recov[key.peer].openUnits++
+		e.st.recov[key.peer].openUnits++
 	}
 	u.blocks = append(u.blocks, blk)
 	if e.gen != nil {
@@ -313,7 +289,7 @@ func (e *Endpoint) retransmit(u *txUnit) {
 
 	n := len(u.blocks)
 	if u.class != convClass {
-		u.id = e.batchers[u.class][u.peer].AllocID()
+		u.id = e.st.batchers[u.class][u.peer].AllocID()
 	}
 	var macs []byte
 	var sendAt sim.Cycle
@@ -378,8 +354,8 @@ func (e *Endpoint) scanStale(sim.Event) {
 	e.scanArmed = false
 	now := e.engine.Now()
 	rearm := false
-	for class := range e.macStores {
-		for peer, store := range e.macStores[class] {
+	for class := range e.st.macStores {
+		for peer, store := range e.st.macStores[class] {
 			if store == nil {
 				continue
 			}

@@ -43,14 +43,15 @@ func TestReleasedEndpointPanics(t *testing.T) {
 }
 
 // TestReleasedUnitsRespectCaps fills an endpoint with more units and more
-// blocks capacity than one pool entry may keep — live units toward the
-// CPU, units parked by a resync toward GPU 2, page-sized migration units
-// and already-freed units — and with more free deferreds than the entry may
-// keep, and checks the entry it releases: at most maxPooledUnits units, at
-// most maxPooledBlocks blocks capacity in all, none above the batch size,
+// blocks capacity than one Storage may keep — live units toward the CPU,
+// units parked by a resync toward GPU 2, page-sized migration units and
+// already-freed units — and with more free deferreds than the Storage may
+// keep, and checks what it releases: at most maxParkedUnits units, at
+// most maxParkedBlocks blocks capacity in all, none above the batch size,
 // every unit emptied and zeroed with no plaintext kept, at most
-// maxPooledDeferreds deferreds, all zeroed, the map empty and nothing left
-// referenced by the endpoint.
+// maxParkedDeferreds deferreds, all zeroed, the map empty, the per-peer
+// timers and resync state cleared, and nothing left referenced by the
+// endpoint.
 func TestReleasedUnitsRespectCaps(t *testing.T) {
 	cfg := recoveryConfig()
 	cfg.BatchSize = 8
@@ -74,7 +75,7 @@ func TestReleasedUnitsRespectCaps(t *testing.T) {
 	e.beginResync(gpu2, false)
 	// Free more deferreds than the cap, each having carried a send, a
 	// closed batch and a delivery.
-	taken := make([]*deferred, 2*maxPooledDeferreds)
+	taken := make([]*deferred, 2*maxParkedDeferreds)
 	for i := range taken {
 		d := e.newDeferred()
 		d.send, d.deliver = &interconnect.Message{}, &interconnect.Message{}
@@ -93,35 +94,40 @@ func TestReleasedUnitsRespectCaps(t *testing.T) {
 	for _, u := range e.units {
 		count(u)
 	}
-	for _, u := range e.recov[gpu2].parked {
+	for _, u := range e.st.recov[gpu2].parked {
 		count(u)
 	}
 	for u := e.unitFree; u != nil; u = u.next {
 		count(u)
 	}
-	if len(e.recov[gpu2].parked) == 0 || e.unitFree == nil || len(e.units) == 0 {
+	if len(e.st.recov[gpu2].parked) == 0 || e.unitFree == nil || len(e.units) == 0 {
 		t.Fatalf("setup: %d live, %d parked, free list empty=%t; want all three non-empty",
-			len(e.units), len(e.recov[gpu2].parked), e.unitFree == nil)
+			len(e.units), len(e.st.recov[gpu2].parked), e.unitFree == nil)
 	}
-	if units <= maxPooledUnits || capacity <= maxPooledBlocks {
+	if units <= maxParkedUnits || capacity <= maxParkedBlocks {
 		t.Fatalf("setup: %d units with %d blocks capacity do not exceed the caps (%d, %d)",
-			units, capacity, maxPooledUnits, maxPooledBlocks)
+			units, capacity, maxParkedUnits, maxParkedBlocks)
 	}
 
-	st := e.detach()
-	if st == nil {
-		t.Fatal("a secure endpoint released no pool entry")
+	st := e.st
+	e.Release()
+	if e.units != nil || e.unitFree != nil || e.defFree != nil || e.st != nil {
+		t.Error("released endpoint still references its units map, a free list or its storage")
 	}
-	if e.units != nil || e.unitFree != nil || e.defFree != nil {
-		t.Error("released endpoint still references its units map or a free list")
-	}
-	for i := range e.recov {
-		if e.recov[i].parked != nil {
-			t.Errorf("peer %d still references %d parked units", i, len(e.recov[i].parked))
+	for i := range st.recov[:cap(st.recov)] {
+		if rs := st.recov[i]; rs.parked != nil || rs.timer != (sim.Timer{}) || rs.active {
+			t.Errorf("peer %d resync state kept across the release: %+v", i, rs)
 		}
 	}
-	if len(st.units) != 0 {
-		t.Errorf("pool entry's units map holds %d entries, want a cleared map", len(st.units))
+	for class := range st.batchTimers {
+		for i, bt := range st.batchTimers[class] {
+			if bt != (batchTimer{}) {
+				t.Errorf("class %d peer %d flush timer kept across the release", class, i)
+			}
+		}
+	}
+	if st.units == nil || len(st.units) != 0 {
+		t.Errorf("storage's units map is nil or holds %d entries, want a cleared map", len(st.units))
 	}
 	kept, keptCap := 0, 0
 	for u := st.free; u != nil; u = u.next {
@@ -130,29 +136,29 @@ func TestReleasedUnitsRespectCaps(t *testing.T) {
 			keptCap += c
 		}
 		if c := cap(u.blocks); c > cfg.BatchSize {
-			t.Errorf("pooled unit keeps %d blocks capacity, above the batch size %d", c, cfg.BatchSize)
+			t.Errorf("parked unit keeps %d blocks capacity, above the batch size %d", c, cfg.BatchSize)
 		}
 		if len(u.blocks) != 0 || u.payloads != nil {
-			t.Errorf("pooled unit keeps %d blocks and %d plaintexts", len(u.blocks), cap(u.payloads))
+			t.Errorf("parked unit keeps %d blocks and %d plaintexts", len(u.blocks), cap(u.payloads))
 		}
 		if u.dst != 0 || u.peer != 0 || u.class != 0 || u.id != 0 || u.attempt != 0 || u.timer != (sim.Timer{}) {
-			t.Fatalf("pooled unit is not zeroed: %+v", *u)
+			t.Fatalf("parked unit is not zeroed: %+v", *u)
 		}
 	}
-	if kept != st.n || kept > maxPooledUnits {
-		t.Errorf("pool entry keeps %d units (counted %d), cap %d", kept, st.n, maxPooledUnits)
+	if kept == 0 || kept > maxParkedUnits {
+		t.Errorf("storage keeps %d units, want 1..%d", kept, maxParkedUnits)
 	}
-	if keptCap != st.blocks || keptCap > maxPooledBlocks {
-		t.Errorf("pool entry keeps %d blocks capacity (counted %d), cap %d", keptCap, st.blocks, maxPooledBlocks)
+	if keptCap > maxParkedBlocks {
+		t.Errorf("storage keeps %d blocks capacity, cap %d", keptCap, maxParkedBlocks)
 	}
 	keptDeferreds := 0
 	for d := st.deferreds; d != nil; d = d.next {
 		keptDeferreds++
 		if *d != (deferred{next: d.next}) {
-			t.Fatalf("pooled deferred is not zeroed: %+v", *d)
+			t.Fatalf("parked deferred is not zeroed: %+v", *d)
 		}
 	}
-	if keptDeferreds == 0 || keptDeferreds > maxPooledDeferreds {
-		t.Errorf("pool entry keeps %d deferreds, want 1..%d", keptDeferreds, maxPooledDeferreds)
+	if keptDeferreds == 0 || keptDeferreds > maxParkedDeferreds {
+		t.Errorf("storage keeps %d deferreds, want 1..%d", keptDeferreds, maxParkedDeferreds)
 	}
 }

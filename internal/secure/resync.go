@@ -153,7 +153,7 @@ func (rs *peerRecovery) blocked() bool { return rs.active || rs.draining }
 // resyncBlocked reports whether a send to dst must be parked in the peer's
 // held queue, recording it if so.
 func (e *Endpoint) resyncBlocked(dst interconnect.NodeID, blk txBlock, payload []byte) bool {
-	rs := &e.recov[e.PeerIndex(dst)]
+	rs := &e.st.recov[e.PeerIndex(dst)]
 	if !rs.blocked() {
 		return false
 	}
@@ -165,7 +165,7 @@ func (e *Endpoint) resyncBlocked(dst interconnect.NodeID, blk txBlock, payload [
 // noteSendCtr records a consumed send counter and arms the epoch-rekey
 // drain when the counter crosses the epoch boundary.
 func (e *Endpoint) noteSendCtr(peer int, ctr uint64) {
-	rs := &e.recov[peer]
+	rs := &e.st.recov[peer]
 	if ctr > rs.lastSentCtr {
 		rs.lastSentCtr = ctr
 	}
@@ -186,7 +186,7 @@ func (e *Endpoint) bumpFailure(peer int) bool {
 	if e.cfg.ResyncThreshold <= 0 {
 		return false
 	}
-	rs := &e.recov[peer]
+	rs := &e.st.recov[peer]
 	if rs.active {
 		// No unit timers exist during an active handshake; a straggling
 		// failure cannot start another.
@@ -208,7 +208,7 @@ func (e *Endpoint) bumpFailure(peer int) bool {
 // retransmission map (ACKed or poisoned). clean marks an ACK, which resets
 // the failure streak.
 func (e *Endpoint) unitResolved(peer int, clean bool) {
-	rs := &e.recov[peer]
+	rs := &e.st.recov[peer]
 	if clean {
 		rs.failStreak = 0
 	}
@@ -226,10 +226,10 @@ func (e *Endpoint) discardOpenBatch(u *txUnit) {
 	if !e.batching || u.class == convClass {
 		return
 	}
-	b := e.batchers[u.class][u.peer]
+	b := e.st.batchers[u.class][u.peer]
 	if id, open := b.OpenID(); open && id == u.id {
 		b.Flush()
-		e.batchTimers[u.class][u.peer].timer.Cancel()
+		e.st.batchTimers[u.class][u.peer].timer.Cancel()
 	}
 }
 
@@ -238,13 +238,13 @@ func (e *Endpoint) discardOpenBatch(u *txUnit) {
 // with its timer cancelled, and a base strictly above every consumed
 // counter is proposed. rekey rotates to the next epoch boundary instead.
 func (e *Endpoint) beginResync(peer int, rekey bool) {
-	rs := &e.recov[peer]
+	rs := &e.st.recov[peer]
 	now := e.engine.Now()
 	if e.batching {
-		for class := range e.batchers {
-			if _, open := e.batchers[class][peer].OpenID(); open {
-				e.batchers[class][peer].Flush()
-				e.batchTimers[class][peer].timer.Cancel()
+		for class := range e.st.batchers {
+			if _, open := e.st.batchers[class][peer].OpenID(); open {
+				e.st.batchers[class][peer].Flush()
+				e.st.batchTimers[class][peer].timer.Cancel()
 			}
 		}
 	}
@@ -349,22 +349,22 @@ func (e *Endpoint) onResyncRequest(now sim.Cycle, msg *interconnect.Message) {
 	}
 	peer := e.PeerIndex(msg.Src)
 	switch {
-	case e.ctrSeen[peer] && f.Base-1 < e.lastCtr[peer]:
+	case e.st.ctrSeen[peer] && f.Base-1 < e.st.lastCtr[peer]:
 		e.stats.StaleResyncs++
 		return
-	case e.ctrSeen[peer] && f.Base-1 == e.lastCtr[peer]:
+	case e.st.ctrSeen[peer] && f.Base-1 == e.st.lastCtr[peer]:
 		// Duplicate of an already-installed proposal: just re-acknowledge.
 	default:
-		e.lastCtr[peer] = f.Base - 1
-		e.ctrSeen[peer] = true
+		e.st.lastCtr[peer] = f.Base - 1
+		e.st.ctrSeen[peer] = true
 		if e.mgr != nil {
 			e.mgr.ResyncRecv(now, peer, f.Base)
 		}
 		if e.batching {
 			// Blocks of the abandoned stream can never complete a batch:
 			// their retransmissions arrive under fresh batch identities.
-			for class := range e.macStores {
-				for _, ex := range e.macStores[class][peer].Expire(now, 0) {
+			for class := range e.st.macStores {
+				for _, ex := range e.st.macStores[class][peer].Expire(now, 0) {
 					e.stats.Quarantined += uint64(ex.Received)
 				}
 			}
@@ -387,7 +387,7 @@ func (e *Endpoint) onResyncAck(now sim.Cycle, msg *interconnect.Message) {
 		return
 	}
 	peer := e.PeerIndex(msg.Src)
-	rs := &e.recov[peer]
+	rs := &e.st.recov[peer]
 	if !rs.active || f.Seq != rs.seq || f.Base != rs.base {
 		e.stats.StaleResyncs++
 		return
@@ -432,8 +432,8 @@ func (e *Endpoint) completeResync(now sim.Cycle, rs *peerRecovery) {
 // Resyncing reports whether any peer's stream is mid-handshake or
 // mid-drain (test and diagnostic hook).
 func (e *Endpoint) Resyncing() bool {
-	for i := range e.recov {
-		if e.recov[i].blocked() {
+	for i := range e.st.recov {
+		if e.st.recov[i].blocked() {
 			return true
 		}
 	}
@@ -447,8 +447,8 @@ func (e *Endpoint) Diag() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, `{"node":%d,"pendingACK":%d,"openUnits":%d,"fillingBatches":%d`,
 		int(e.node), e.pendingACK, len(e.units), e.FillingBatches())
-	for i := range e.recov {
-		rs := &e.recov[i]
+	for i := range e.st.recov {
+		rs := &e.st.recov[i]
 		if !rs.blocked() && rs.failStreak == 0 && len(rs.held) == 0 {
 			continue
 		}

@@ -31,24 +31,20 @@
 // pins nothing. The ring, the meta slab and the overflow heap hold no
 // pointers, so moving events through them needs no GC write barriers.
 //
-// An engine's slabs outlive it. Release, called when a simulation ends,
-// zeroes the body slab, truncates every slab to length zero and parks
-// them in a package-level sync.Pool; NewEngine always draws from that
-// pool. A sweep runs thousands of short cells, so each new engine starts
-// with the capacity an earlier cell grew and the steady-state hot path
-// (Schedule/Run) performs zero allocations from the first event. The
-// Engine itself is never reused: a released one panics on Schedule,
-// Cancel and Run, so a stale handle fails loudly instead of touching
-// slabs that another cell now owns. Event order depends only on
-// (cycle, push order), never on slab indices, so recycling cannot change
-// a result.
+// An engine's ring and slabs outlive it: Storage.NewEngine lends them to
+// a new engine and Release hands them back, body slab zeroed and every
+// slab truncated, so an engine on recycled storage schedules and runs
+// with zero allocations from its first event. The Engine itself is never
+// reused: a released one panics on Schedule, Cancel and Run. A recycled
+// ring needs only its busy bitmap cleared, since a bucket means something
+// only under a set bit, and event order never depends on slab indices, so
+// recycling cannot change a result.
 package sim
 
 import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sync"
 )
 
 // Cycle is a point in simulated time, in GPU clock cycles.
@@ -105,7 +101,7 @@ type body struct {
 // pushes land inside a 2,048-cycle window (92% inside 1,024, which halves
 // the memory but doubles the overflow traffic); the far ones are mostly
 // retransmit timers, which the ACK cancels long before they come due. The
-// ring and its bitmap take 16.25 KiB per engine.
+// ring and its bitmap take 16.25 KiB per Storage.
 const (
 	ringBits = 11
 	ringSize = 1 << ringBits
@@ -117,9 +113,8 @@ const (
 // busy bit for it is set.
 type bucket struct{ head, tail int32 }
 
-// calendar is the ring, pointer-free and held by value in the Engine: the
-// buckets and a bitmap of the non-empty ones, so finding the next busy
-// cycle scans 64 cycles per word.
+// calendar is the ring, pointer-free: the buckets and a bitmap of the
+// non-empty ones, so finding the next busy cycle scans 64 cycles per word.
 type calendar struct {
 	busy    [ringSize / 64]uint64
 	buckets [ringSize]bucket
@@ -146,15 +141,15 @@ type Engine struct {
 	// near counts them, and over is the overflow heap of later events.
 	// base never passes now. nextSeq stamps overflow events in push order.
 	base    Cycle
-	cal     calendar
+	cal     *calendar
 	near    int
 	nextSeq uint64
 
 	// slabs holds the growable arrays: the event body and meta slabs,
-	// the overflow heap and the timer slab. released marks an engine
-	// whose slabs went back to the pool.
+	// the overflow heap and the timer slab. st is the Storage that lent
+	// them and the ring; nil once Release handed them back.
 	slabs
-	released bool
+	st *Storage
 
 	// EventLimit bounds the number of events processed by Run as a runaway
 	// guard; zero means no limit.
@@ -171,9 +166,8 @@ type Engine struct {
 	dead int
 }
 
-// slabs are an engine's growable arrays, recycled from one engine to the
-// next through slabPool. Pooled slabs have length zero and a zeroed body
-// slab, so they pin no Handler or Payload.
+// slabs are an engine's growable arrays. A Storage keeps them with length
+// zero and a zeroed body slab, so they pin no Handler or Payload.
 type slabs struct {
 	// bodies[i] and meta[i] are the two halves of queued event i;
 	// bodyFree lists the zeroed entries ready for reuse.
@@ -189,40 +183,43 @@ type slabs struct {
 	timerFree []int32
 }
 
-// slabPool holds released engines' slabs as *slabs. It is a sync.Pool
-// because a sweep runs cells on parallel goroutines.
-var slabPool sync.Pool
+// Storage is the recyclable backing of one engine at a time: the calendar
+// ring and the slabs. The zero value is empty storage.
+type Storage struct {
+	cal *calendar
+	slabs
+}
 
-// NewEngine returns an empty engine at cycle 0, with the slabs of a
-// released engine when the pool has some.
-func NewEngine() *Engine {
-	e := &Engine{}
-	if s, ok := slabPool.Get().(*slabs); ok {
-		e.slabs = *s
+// NewEngine returns an empty engine at cycle 0 on fresh storage.
+func NewEngine() *Engine { return new(Storage).NewEngine() }
+
+// NewEngine returns an empty engine at cycle 0 on st's ring and slabs,
+// lent until the engine's Release.
+func (st *Storage) NewEngine() *Engine {
+	e := &Engine{cal: st.cal, slabs: st.slabs, st: st}
+	if e.cal == nil {
+		e.cal = new(calendar)
+	} else {
+		e.cal.busy = [ringSize / 64]uint64{}
 	}
+	*st = Storage{}
 	return e
 }
 
-// Release ends the engine's life and returns its slabs to the pool for
-// the next NewEngine. Queued events are dropped unrun. Afterwards
+// Release ends the engine's life and hands its ring and slabs back to the
+// Storage it was built on. Queued events are dropped unrun. Afterwards
 // Schedule, ScheduleTimer, Run, RunUntil and Timer.Cancel/Active panic;
 // Now and Processed keep reporting the final state. Releasing twice is a
 // no-op.
 func (e *Engine) Release() {
-	if box := e.detach(); box != nil {
-		slabPool.Put(box)
+	st := e.st
+	if st == nil {
+		return
 	}
-}
-
-// detach marks the engine released and returns its slabs, emptied and
-// with the body slab zeroed, as a pool entry; nil if already released.
-func (e *Engine) detach() *slabs {
-	if e.released {
-		return nil
-	}
-	e.released = true
+	e.st = nil
 	clear(e.bodies)
-	s := &slabs{
+	st.cal = e.cal
+	st.slabs = slabs{
 		bodies:    e.bodies[:0],
 		meta:      e.meta[:0],
 		bodyFree:  e.bodyFree[:0],
@@ -230,13 +227,12 @@ func (e *Engine) detach() *slabs {
 		timerGen:  e.timerGen[:0],
 		timerFree: e.timerFree[:0],
 	}
-	e.slabs = slabs{}
-	return s
+	e.cal, e.slabs = nil, slabs{}
 }
 
 // mustLive panics when the engine has been released.
 func (e *Engine) mustLive() {
-	if e.released {
+	if e.st == nil {
 		panic("sim: engine used after Release")
 	}
 }
@@ -473,7 +469,7 @@ func (e *Engine) advance(to Cycle) {
 
 // enqueue appends event idx to the tail of cycle at's bucket.
 func (e *Engine) enqueue(at Cycle, idx int32) {
-	c := &e.cal
+	c := e.cal
 	i := int(at & ringMask)
 	w, bit := i>>6, uint64(1)<<(i&63)
 	if c.busy[w]&bit == 0 {
@@ -488,7 +484,7 @@ func (e *Engine) enqueue(at Cycle, idx int32) {
 
 // unlink removes and returns the head of bucket i, which must be busy.
 func (e *Engine) unlink(i int) int32 {
-	c := &e.cal
+	c := e.cal
 	b := &c.buckets[i]
 	idx := b.head
 	if idx == b.tail {

@@ -597,7 +597,8 @@ func (*finalProbe) Handle(Event) {}
 // nothing once drained: the payloads and handler of fired and cancelled
 // events are collectable while the engine itself is still reachable. A
 // released engine that still held events must pin nothing either, and
-// neither may the slabs it hands to the pool: those outlive the engine.
+// neither may the slabs it hands back to its Storage: those outlive the
+// engine.
 func TestDrainedEngineRetainsNoBodies(t *testing.T) {
 	for _, release := range []bool{false, true} {
 		name := "drained"
@@ -605,7 +606,8 @@ func TestDrainedEngineRetainsNoBodies(t *testing.T) {
 			name = "released"
 		}
 		t.Run(name, func(t *testing.T) {
-			e := NewEngine()
+			st := new(Storage)
+			e := st.NewEngine()
 			var finalized atomic.Int32
 			func() {
 				fin := func(*finalProbe) { finalized.Add(1) }
@@ -623,15 +625,14 @@ func TestDrainedEngineRetainsNoBodies(t *testing.T) {
 				e.Schedule(3*ringSize, h, farPlain)
 				e.ScheduleTimer(3*ringSize+1, HandlerFunc(func(Event) {}), farTimed).Cancel()
 			}()
-			var box *slabs
 			if release {
-				box = e.detach()
-				if cap(box.bodies) == 0 {
+				e.Release()
+				if cap(st.bodies) == 0 {
 					t.Fatal("released engine handed back no body slab")
 				}
-				for i, b := range box.bodies[:cap(box.bodies)] {
+				for i, b := range st.bodies[:cap(st.bodies)] {
 					if b != (body{}) {
-						t.Fatalf("pooled body %d not zeroed", i)
+						t.Fatalf("recycled body %d not zeroed", i)
 					}
 				}
 			} else if _, err := e.Run(); err != nil {
@@ -645,7 +646,7 @@ func TestDrainedEngineRetainsNoBodies(t *testing.T) {
 				t.Fatalf("%d of 5 probes collected; the engine or its slabs still pin the rest", got)
 			}
 			runtime.KeepAlive(e)
-			runtime.KeepAlive(box)
+			runtime.KeepAlive(st)
 		})
 	}
 }
@@ -684,10 +685,11 @@ func TestReleasedEnginePanics(t *testing.T) {
 }
 
 // TestRecycledSlabsKeepOrder runs one random schedule on engines built
-// after other engines were released in various states (drained, holding
-// near and far events, holding live and cancelled timers), so their slabs
-// come back with stale free lists and capacities. Every run must fire the
-// events in the order a fresh engine does.
+// on the Storage of engines released in various states (drained, holding
+// near and far events, holding live and cancelled timers), so the ring
+// comes back with stale buckets and the slabs with stale free lists and
+// capacities. Every run must fire the events in the order a fresh engine
+// does.
 func TestRecycledSlabsKeepOrder(t *testing.T) {
 	order := func(e *Engine) []int {
 		rng := rand.New(rand.NewSource(5))
@@ -711,11 +713,12 @@ func TestRecycledSlabsKeepOrder(t *testing.T) {
 		}
 		return got
 	}
-	fresh := order(&Engine{})
+	fresh := order(NewEngine())
+	st := new(Storage)
 	for round := 0; round < 4; round++ {
 		// Leave an engine in a different state each round, release it,
-		// then build the next from the pool.
-		old := NewEngine()
+		// then build the next on its storage.
+		old := st.NewEngine()
 		rng := rand.New(rand.NewSource(int64(round)))
 		for i := 0; i < 500*(round+1); i++ {
 			at := Cycle(rng.Intn(4 * ringSize))
@@ -731,8 +734,10 @@ func TestRecycledSlabsKeepOrder(t *testing.T) {
 			}
 		}
 		old.Release()
-		if got := order(NewEngine()); fmt.Sprint(got) != fmt.Sprint(fresh) {
+		e := st.NewEngine()
+		if got := order(e); fmt.Sprint(got) != fmt.Sprint(fresh) {
 			t.Fatalf("round %d: an engine built after a release fired events in a different order", round)
 		}
+		e.Release()
 	}
 }

@@ -33,4 +33,4 @@ sb() { "$tmp/secbench" -quiet "$@"; }
 	sb -exp resilience,degradation -scale 0.1 -workloads mm,syr2k,pr
 } >"$out/full_eval.txt"
 
-sb -exp ablation-tlb,ablation-topology -scale 0.25 -workloads mm,syr2k,mt,pr,aes,km >"$out/extra_ablations.txt"
+sb -exp ablation-tlb,ablation-topology,ablation-cu-frontend -scale 0.25 -workloads mm,syr2k,mt,pr,aes,km >"$out/extra_ablations.txt"
