@@ -85,8 +85,10 @@ type Fabric struct {
 	// Fault injection state (nil when the profile is inactive).
 	faults   config.FaultProfile
 	faultRNG [][]*rand.Rand
-	// rngs are spare generators for faultRNG and the outage schedules.
-	rngs []*rand.Rand
+	// rngs holds the generators of faultRNG and the outage schedules,
+	// the first drawn of them in use and the rest spare.
+	rngs  []linkRand
+	drawn int
 
 	// Outage state (nil until a profile is configured or a scripted
 	// outage is forced).
@@ -132,13 +134,13 @@ func (l *msgList) trim(keep int) {
 
 // Storage keeps a released fabric's arrays, generators and message free
 // list for the next fabric built on it. The zero value is empty storage.
-// A generator is reseeded when reused, and Seed gives exactly the state
-// NewSource gives, so it draws the same sequence.
+// A reused generator's source is overwritten with a freshly seeded
+// source's state (see rng), so it draws the same sequence as a new one.
 type Storage struct {
 	stages     []stage
 	latency    []sim.Cycle
 	deliverers []Deliverer
-	rngs       []*rand.Rand
+	rngs       []linkRand
 	msgs       msgList
 }
 
@@ -265,19 +267,6 @@ func (st *Storage) NewFabric(engine *sim.Engine, cfg config.Config) *Fabric {
 // capacity is short.
 func grow[T any](s []T, n int) []T { return slices.Grow(s[:0], n)[:n] }
 
-// rng returns a generator seeded with seed: a spare one when the fabric
-// has some, else a new one.
-func (f *Fabric) rng(seed int64) *rand.Rand {
-	k := len(f.rngs) - 1
-	if k < 0 {
-		return rand.New(rand.NewSource(seed))
-	}
-	r := f.rngs[k]
-	f.rngs = f.rngs[:k]
-	r.Seed(seed)
-	return r
-}
-
 // Release ends the fabric's life: it hands its storage back, the message
 // list trimmed to maxParkedMsgs. machine.System calls it when a cell
 // ends, after releasing the engine.
@@ -293,28 +282,7 @@ func (f *Fabric) Release() {
 	f.st = nil
 	// Only the generators this fabric drew go back: spares an earlier,
 	// larger profile left are dropped.
-	rngs := f.rngs[:0]
-	for _, row := range f.faultRNG {
-		for _, r := range row {
-			if r != nil {
-				rngs = append(rngs, r)
-			}
-		}
-	}
-	if m := f.outages; m != nil {
-		for _, row := range m.links {
-			for _, s := range row {
-				if s != nil && s.rng != nil {
-					rngs = append(rngs, s.rng)
-				}
-			}
-		}
-		for _, s := range m.nodes {
-			if s.rng != nil {
-				rngs = append(rngs, s.rng)
-			}
-		}
-	}
+	rngs := f.rngs[:f.drawn]
 	clear(rngs[len(rngs):cap(rngs)])
 	clear(f.deliverers)
 	f.msgs.trim(maxParkedMsgs)
@@ -325,7 +293,7 @@ func (f *Fabric) Release() {
 		rngs:       rngs,
 		msgs:       f.msgs,
 	}
-	f.faultRNG, f.outages, f.rngs, f.msgs = nil, nil, nil, msgList{}
+	f.faultRNG, f.outages, f.rngs, f.drawn, f.msgs = nil, nil, nil, 0, msgList{}
 }
 
 // mustLive panics when the fabric has been released.

@@ -8,21 +8,27 @@ import (
 	"secmgpu/internal/workload"
 )
 
-// oursCell returns the configuration and mm traces of one secure cell
-// under Ours (Dynamic OTP with batching), as the evaluation sweeps build
-// them.
+// oursConfig returns the configuration of one secure cell under Ours
+// (Dynamic OTP with batching), as the evaluation sweeps build it.
+func oursConfig(gpus int) config.Config {
+	cfg := config.Default(gpus)
+	cfg.Secure = true
+	cfg.Scheme = config.OTPDynamic
+	cfg.OTPMultiplier = 4
+	cfg.Batching = true
+	return cfg
+}
+
+// oursCell returns the configuration and mm traces of one Ours cell at
+// scale.
 func oursCell(tb testing.TB, gpus int, scale float64) (config.Config, [][]workload.Op) {
 	tb.Helper()
 	spec, err := workload.ByAbbr("mm")
 	if err != nil {
 		tb.Fatal(err)
 	}
-	cfg := config.Default(gpus)
+	cfg := oursConfig(gpus)
 	cfg.Scale = scale
-	cfg.Secure = true
-	cfg.Scheme = config.OTPDynamic
-	cfg.OTPMultiplier = 4
-	cfg.Batching = true
 	return cfg, workload.Traces(spec, cfg.NumGPUs, cfg.Scale, cfg.Seed)
 }
 
@@ -44,7 +50,9 @@ var cancelled = func() context.Context {
 // build starts from an empty store entry. The warm ones release each
 // system through a pre-cancelled RunContext, so every build after the
 // first draws on the storage the previous one left, as a sweep worker's
-// do.
+// do. The warm "faults" and "outages" rows build the resilience
+// experiment's 1% fault fabric and the degradation experiment's heavy
+// outage fabric, whose link generators copy the seed store's states.
 func BenchmarkNew(b *testing.B) {
 	for _, tc := range []struct {
 		name  string
@@ -65,18 +73,27 @@ func BenchmarkNew(b *testing.B) {
 				sysSink = sys
 			}
 		})
-		b.Run(tc.name+"-warm", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				sys, err := New(cfg, traces, RunOptions{})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := sys.RunContext(cancelled); err == nil {
-					b.Fatal("a cancelled run succeeded")
-				}
-			}
-		})
+		b.Run(tc.name+"-warm", func(b *testing.B) { benchWarmNew(b, cfg, traces) })
+	}
+	cfg, traces := oursCell(b, 4, 0.1)
+	faults := cfg
+	faults.Faults = faultyConfig(4, cfg.Seed).Faults
+	b.Run("4GPU-faults-warm", func(b *testing.B) { benchWarmNew(b, faults, traces) })
+	b.Run("4GPU-outages-warm", func(b *testing.B) { benchWarmNew(b, heavyOutages(cfg, cfg.Seed), traces) })
+}
+
+// benchWarmNew times New of one cell whose every build is released
+// through a pre-cancelled RunContext.
+func benchWarmNew(b *testing.B, cfg config.Config, traces [][]workload.Op) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sys, err := New(cfg, traces, RunOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := sys.RunContext(cancelled); err == nil {
+			b.Fatal("a cancelled run succeeded")
+		}
 	}
 }
 

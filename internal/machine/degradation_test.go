@@ -22,6 +22,21 @@ func outageConfig(gpus int) config.Config {
 	return cfg
 }
 
+// heavyOutages returns cfg at the degradation experiment's "heavy" outage
+// level, seeded with seed: its link and node outage profile, the recovery
+// timers outageConfig shrinks, and its short rekey epoch.
+func heavyOutages(cfg config.Config, seed int64) config.Config {
+	cfg.Outages = config.OutageProfile{
+		LinkMTBF: 30_000, LinkOutage: 6_000,
+		NodeMTBF: 100_000, NodeOutage: 6_000,
+		Seed: seed,
+	}
+	cfg.RetransTimeout = 5_000
+	cfg.StaleBatchTimeout = 2_500
+	cfg.RekeyEpoch = 128
+	return cfg
+}
+
 // A link that goes dark in the middle of a page-migration workload must not
 // lose or poison anything: the sender's failure streak escalates to a
 // counter-resync handshake, the handshake itself survives the outage through

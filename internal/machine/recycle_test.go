@@ -202,9 +202,11 @@ func duplicatingCell() func() error {
 }
 
 // freshCells are compared with a run in a fresh process, where the cell
-// store is empty: an 8-GPU conventional cell that migrates pages, whose
-// configuration no other recycling test runs, and a 4-GPU cell on a
-// lossy fabric.
+// store and the fabric's seed store are empty: an 8-GPU conventional cell
+// that migrates pages, whose configuration no other recycling test runs,
+// a 4-GPU cell on a lossy fabric, and a 4-GPU cell under Ours on a fabric
+// with the degradation experiment's "heavy" outage profile and its shrunk
+// recovery timers.
 func freshCells() map[string]recycleCell {
 	fresh := config.Default(8)
 	fresh.Secure = true
@@ -216,6 +218,7 @@ func freshCells() map[string]recycleCell {
 	return map[string]recycleCell{
 		"fresh-config": {fresh, allTraces(8, 600, 6, 3)},
 		"faulty":       {faulty, allTraces(4, 300, 8, 3)},
+		"outages":      {heavyOutages(oursConfig(4), 31), allTraces(4, 300, 8, 3)},
 	}
 }
 
@@ -256,12 +259,14 @@ func freshProcessDigest(t *testing.T, name string) string {
 // TestRecycledStorageIsInvisible checks that a cell's result does not
 // depend on what ran before it on recycled engine slabs, cache tag
 // stores, request maps, node events, page maps, message free lists,
-// retransmission units, deferred payloads and fault generators. A
-// small cell B runs, then a disturbing cell that leaves its storage in a
-// different state, then B again; both B results must be equal field for
-// field. Last, a cell of a configuration not run before and a cell on a
-// lossy fabric must each match a run in a fresh process, after each of
-// four cells that end with storage still in use: a recovering cell
+// retransmission units, deferred payloads and fault and outage
+// generators, nor on the seeded generator states the fabric caches for
+// the process. A small cell B runs, then a disturbing cell that leaves
+// its storage in a different state, then B again; both B results must be
+// equal field for field. Last, a cell of a configuration not run before,
+// a cell on a lossy fabric and a cell on a fabric with outages must each
+// match a run in a fresh process, after each of four cells that end with
+// storage still in use: a recovering cell
 // cancelled with units open, units parked, and requests and migrations
 // pending; a cell cancelled with messages in flight; a cell stopped with
 // a retained OTP-stalled delivery pending; and a cell on a fabric that
