@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/binary"
+	"slices"
 	"sort"
 
 	"secmgpu/internal/crypto"
@@ -72,9 +73,9 @@ func (b *Batcher) Reset(n int, timeout sim.Cycle, gen *crypto.PadGenerator) {
 }
 
 // Add appends one block's MsgMAC to the open batch (opening one if needed)
-// and returns the block's tag plus, when this block completes the batch,
-// the closed batch to transmit.
-func (b *Batcher) Add(now sim.Cycle, mac [crypto.MACBytes]byte) (BlockTag, *ClosedBatch) {
+// and returns the block's tag plus, when this block completes the batch
+// (closed reports it), the closed batch to transmit.
+func (b *Batcher) Add(now sim.Cycle, mac [crypto.MACBytes]byte) (tag BlockTag, cb ClosedBatch, closed bool) {
 	if !b.open {
 		b.open = true
 		b.id = b.nextID
@@ -83,22 +84,22 @@ func (b *Batcher) Add(now sim.Cycle, mac [crypto.MACBytes]byte) (BlockTag, *Clos
 		b.macs = b.macs[:0]
 		b.openedAt = now
 	}
-	tag := BlockTag{BatchID: b.id, Index: b.count, First: b.count == 0}
+	tag = BlockTag{BatchID: b.id, Index: b.count, First: b.count == 0}
 	b.count++
 	b.macs = append(b.macs, mac[:]...)
 	if b.count == b.n {
-		return tag, b.close()
+		return tag, b.close(), true
 	}
-	return tag, nil
+	return tag, ClosedBatch{}, false
 }
 
-// Flush closes the open batch if any, returning it. Used on timeout and at
-// page-migration boundaries.
-func (b *Batcher) Flush() *ClosedBatch {
+// Flush closes the open batch if any, returning it; ok is false when no
+// batch was open. Used on timeout and at page-migration boundaries.
+func (b *Batcher) Flush() (cb ClosedBatch, ok bool) {
 	if !b.open {
-		return nil
+		return ClosedBatch{}, false
 	}
-	return b.close()
+	return b.close(), true
 }
 
 // TimedOut reports whether an open batch has exceeded the flush timeout.
@@ -134,10 +135,9 @@ func (b *Batcher) AllocID() uint64 {
 	return id
 }
 
-func (b *Batcher) close() *ClosedBatch {
-	cb := &ClosedBatch{BatchID: b.id, Len: b.count, MAC: BatchMAC(b.gen, b.macs)}
+func (b *Batcher) close() ClosedBatch {
 	b.open = false
-	return cb
+	return ClosedBatch{BatchID: b.id, Len: b.count, MAC: BatchMAC(b.gen, b.macs)}
 }
 
 // BatchMAC computes the Batched_MsgMAC over concatenated per-block MsgMACs
@@ -170,12 +170,15 @@ func BatchMAC(gen *crypto.PadGenerator, concatenated []byte) [crypto.MACBytes]by
 // and a Batched_MsgMAC may arrive before, after, or instead of its blocks.
 // The store therefore holds multiple index-addressed filling batches keyed
 // by batch ID, and exposes an expiry scan so stale incomplete batches are
-// reported (for NACKing) instead of hoarded.
+// reported (for NACKing) instead of hoarded. Batch IDs are one sender's
+// sequence numbers, so the filling batches sit in an ID-indexed table
+// whose slots keep their buffers from batch to batch.
 type MACStore struct {
 	capacity int
+	batchLen int
 	gen      *crypto.PadGenerator
 
-	filling map[uint64]*fillingBatch
+	filling sim.IDTable[fillingBatch]
 	used    int // MAC slots held across all filling batches
 
 	verified    uint64
@@ -191,8 +194,20 @@ type fillingBatch struct {
 	count    int  // distinct blocks stored
 	overflow bool // a block found the store full; the batch cannot verify
 	openedAt sim.Cycle
-	// pending holds a Batched_MsgMAC that arrived ahead of its blocks.
-	pending *ClosedBatch
+	// pending holds a Batched_MsgMAC that arrived ahead of its blocks,
+	// when hasPending is set.
+	pending    ClosedBatch
+	hasPending bool
+}
+
+// reset starts a batch opened at now in b's slot, keeping its buffers:
+// have is sized to the batch length and cleared, and macs only sized,
+// since a MAC is read only where have is set.
+func (b *fillingBatch) reset(now sim.Cycle, batchLen int) {
+	have := slices.Grow(b.have[:0], batchLen)[:batchLen]
+	clear(have)
+	macs := slices.Grow(b.macs[:0], batchLen*crypto.MACBytes)[:batchLen*crypto.MACBytes]
+	*b = fillingBatch{macs: macs, have: have, openedAt: now}
 }
 
 // completeFor reports whether every block index in [0, n) is stored.
@@ -223,53 +238,62 @@ type ExpiredBatch struct {
 	Received int
 }
 
+// maxParkedFilling caps the slots of a filling-batch table that Reset
+// keeps. A healthy channel fills one or two batches at a time; a lossy
+// one keeps stale batches until the expiry scan, which stretches the
+// span of live batch IDs (to 32 in a secbench -exp all pass at scale
+// 0.01). Each slot keeps its batch's buffers, so larger tables go to the
+// collector.
+const maxParkedFilling = 8
+
 // NewMACStore creates a receiver-side store holding up to capacity per-block
-// MACs (the paper's max(16,64) x 8B per peer).
-func NewMACStore(capacity int, gen *crypto.PadGenerator) *MACStore {
+// MACs (the paper's max(16,64) x 8B per peer) for batches of batchLen
+// blocks.
+func NewMACStore(capacity, batchLen int, gen *crypto.PadGenerator) *MACStore {
 	s := &MACStore{}
-	s.Reset(capacity, gen)
+	s.Reset(capacity, batchLen, gen)
 	return s
 }
 
-// Reset returns s to the state NewMACStore(capacity, gen) builds, keeping
-// its cleared batch map.
-func (s *MACStore) Reset(capacity int, gen *crypto.PadGenerator) {
-	if capacity < 1 {
-		panic("core: MAC store capacity must be positive")
+// Reset returns s to the state NewMACStore(capacity, batchLen, gen)
+// builds, keeping its emptied batch table unless it grew past
+// maxParkedFilling slots.
+func (s *MACStore) Reset(capacity, batchLen int, gen *crypto.PadGenerator) {
+	if capacity < 1 || batchLen < 1 {
+		panic("core: MAC store capacity and batch length must be positive")
 	}
 	filling := s.filling
-	if filling == nil {
-		filling = make(map[uint64]*fillingBatch)
+	if filling.Slots() > maxParkedFilling {
+		filling = sim.IDTable[fillingBatch]{}
 	}
-	clear(filling)
-	*s = MACStore{capacity: capacity, gen: gen, filling: filling}
+	filling.Reset()
+	*s = MACStore{capacity: capacity, batchLen: batchLen, gen: gen, filling: filling}
 }
 
-// batch returns the filling batch for id, creating it if needed.
+// batch returns the filling batch for id, opening it at now if needed.
 func (s *MACStore) batch(now sim.Cycle, id uint64) *fillingBatch {
-	b, ok := s.filling[id]
-	if !ok {
-		b = &fillingBatch{openedAt: now}
-		s.filling[id] = b
+	b, added := s.filling.Put(id)
+	if added {
+		b.reset(now, s.batchLen)
 	}
 	return b
 }
 
 // OnBlock records the locally computed MsgMAC for a received block. If the
 // batch's Batched_MsgMAC already arrived and this block completes it, the
-// verification result is returned.
-func (s *MACStore) OnBlock(now sim.Cycle, tag BlockTag, mac [crypto.MACBytes]byte) *VerifyResult {
+// verification result is returned, with done set.
+func (s *MACStore) OnBlock(now sim.Cycle, tag BlockTag, mac [crypto.MACBytes]byte) (res VerifyResult, done bool) {
 	b := s.batch(now, tag.BatchID)
 	if tag.Index < len(b.have) && b.have[tag.Index] {
 		// A duplicated block; the slot is already filled.
-		return nil
+		return VerifyResult{}, false
 	}
 	if s.used >= s.capacity {
 		// Storage exhausted: verification for this batch is abandoned (it
 		// will be NACKed or expired, never completed).
 		s.dropped++
 		b.overflow = true
-		return nil
+		return VerifyResult{}, false
 	}
 	for len(b.have) <= tag.Index {
 		b.have = append(b.have, false)
@@ -279,29 +303,29 @@ func (s *MACStore) OnBlock(now sim.Cycle, tag BlockTag, mac [crypto.MACBytes]byt
 	copy(b.macs[tag.Index*crypto.MACBytes:], mac[:])
 	b.count++
 	s.used++
-	if b.pending != nil && !b.overflow && b.completeFor(b.pending.Len) {
-		return s.finish(tag.BatchID, b, b.pending)
+	if b.hasPending && !b.overflow && b.completeFor(b.pending.Len) {
+		return s.finish(tag.BatchID, b, b.pending), true
 	}
-	return nil
+	return VerifyResult{}, false
 }
 
 // OnBatchMAC receives the Batched_MsgMAC. If all covered blocks are already
-// stored the verification result is returned; otherwise it is held until
-// the final block arrives. A duplicate for a batch whose Batched_MsgMAC is
-// already held is ignored.
-func (s *MACStore) OnBatchMAC(now sim.Cycle, cb *ClosedBatch) *VerifyResult {
+// stored the verification result is returned, with done set; otherwise it
+// is held until the final block arrives. A duplicate for a batch whose
+// Batched_MsgMAC is already held is ignored.
+func (s *MACStore) OnBatchMAC(now sim.Cycle, cb ClosedBatch) (res VerifyResult, done bool) {
 	b := s.batch(now, cb.BatchID)
-	if b.pending != nil {
-		return nil
+	if b.hasPending {
+		return VerifyResult{}, false
 	}
 	if !b.overflow && b.completeFor(cb.Len) {
-		return s.finish(cb.BatchID, b, cb)
+		return s.finish(cb.BatchID, b, cb), true
 	}
-	b.pending = cb
-	return nil
+	b.pending, b.hasPending = cb, true
+	return VerifyResult{}, false
 }
 
-func (s *MACStore) finish(id uint64, b *fillingBatch, cb *ClosedBatch) *VerifyResult {
+func (s *MACStore) finish(id uint64, b *fillingBatch, cb ClosedBatch) VerifyResult {
 	ok := BatchMAC(s.gen, b.macs[:cb.Len*crypto.MACBytes]) == cb.MAC
 	if ok {
 		s.verified++
@@ -311,8 +335,8 @@ func (s *MACStore) finish(id uint64, b *fillingBatch, cb *ClosedBatch) *VerifyRe
 		s.quarantined += uint64(cb.Len)
 	}
 	s.used -= b.count
-	delete(s.filling, id)
-	return &VerifyResult{BatchID: cb.BatchID, Len: cb.Len, OK: ok}
+	s.filling.Delete(id)
+	return VerifyResult{BatchID: cb.BatchID, Len: cb.Len, OK: ok}
 }
 
 // Expire abandons every incomplete batch older than maxAge, returning them
@@ -321,33 +345,22 @@ func (s *MACStore) finish(id uint64, b *fillingBatch, cb *ClosedBatch) *VerifyRe
 // them to the node before the batch could be checked.
 func (s *MACStore) Expire(now sim.Cycle, maxAge sim.Cycle) []ExpiredBatch {
 	var out []ExpiredBatch
-	for id, b := range s.filling {
+	s.filling.Range(func(id uint64, b *fillingBatch) {
 		if b.openedAt+maxAge > now {
-			continue
+			return
 		}
 		out = append(out, ExpiredBatch{BatchID: id, Received: b.count})
 		s.dropped++
 		s.quarantined += uint64(b.count)
 		s.used -= b.count
-		delete(s.filling, id)
-	}
+		s.filling.Delete(id)
+	})
 	sort.Slice(out, func(i, j int) bool { return out[i].BatchID < out[j].BatchID })
 	return out
 }
 
 // Filling returns the number of incomplete batches currently held.
-func (s *MACStore) Filling() int { return len(s.filling) }
-
-// OldestOpenedAt returns the open time of the oldest filling batch, or
-// ok=false when none is filling.
-func (s *MACStore) OldestOpenedAt() (oldest sim.Cycle, ok bool) {
-	for _, b := range s.filling {
-		if !ok || b.openedAt < oldest {
-			oldest, ok = b.openedAt, true
-		}
-	}
-	return oldest, ok
-}
+func (s *MACStore) Filling() int { return s.filling.Len() }
 
 // Verified returns the count of successfully verified batches.
 func (s *MACStore) Verified() uint64 { return s.verified }

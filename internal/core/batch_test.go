@@ -27,23 +27,23 @@ func mac(i int) [crypto.MACBytes]byte {
 func TestBatcherClosesAtN(t *testing.T) {
 	b := NewBatcher(4, 200, nil)
 	for i := 0; i < 3; i++ {
-		tag, closed := b.Add(100, mac(i))
-		if closed != nil {
+		tag, _, closed := b.Add(100, mac(i))
+		if closed {
 			t.Fatalf("batch closed early at block %d", i)
 		}
 		if tag.Index != i || tag.BatchID != 0 || tag.First != (i == 0) {
 			t.Fatalf("tag %d = %+v", i, tag)
 		}
 	}
-	tag, closed := b.Add(100, mac(3))
-	if closed == nil {
+	tag, closed, ok := b.Add(100, mac(3))
+	if !ok {
 		t.Fatal("batch did not close at n=4")
 	}
 	if tag.Index != 3 || closed.Len != 4 || closed.BatchID != 0 {
 		t.Fatalf("tag=%+v closed=%+v", tag, closed)
 	}
 	// Next block opens batch 1.
-	tag, _ = b.Add(200, mac(4))
+	tag, _, _ = b.Add(200, mac(4))
 	if tag.BatchID != 1 || !tag.First {
 		t.Fatalf("next tag=%+v, want start of batch 1", tag)
 	}
@@ -51,7 +51,7 @@ func TestBatcherClosesAtN(t *testing.T) {
 
 func TestBatcherFlushPartial(t *testing.T) {
 	b := NewBatcher(16, 200, nil)
-	if b.Flush() != nil {
+	if _, ok := b.Flush(); ok {
 		t.Fatal("flush of empty batcher returned a batch")
 	}
 	b.Add(100, mac(0))
@@ -59,8 +59,8 @@ func TestBatcherFlushPartial(t *testing.T) {
 	if b.OpenCount() != 2 {
 		t.Fatalf("open count=%d, want 2", b.OpenCount())
 	}
-	closed := b.Flush()
-	if closed == nil || closed.Len != 2 {
+	closed, ok := b.Flush()
+	if !ok || closed.Len != 2 {
 		t.Fatalf("flushed=%+v, want partial batch of 2", closed)
 	}
 	if b.OpenCount() != 0 {
@@ -86,28 +86,28 @@ func TestBatcherTimeout(t *testing.T) {
 func TestBatchMACRoundTrip(t *testing.T) {
 	gen := newGen(t)
 	b := NewBatcher(3, 0, gen)
-	s := NewMACStore(64, gen)
+	s := NewMACStore(64, 3, gen)
 
-	var closed *ClosedBatch
+	var closed ClosedBatch
 	var tags []BlockTag
 	for i := 0; i < 3; i++ {
-		tag, c := b.Add(100, mac(i))
+		tag, c, ok := b.Add(100, mac(i))
 		tags = append(tags, tag)
-		if c != nil {
+		if ok {
 			closed = c
 		}
 	}
-	if closed == nil {
+	if closed.Len == 0 {
 		t.Fatal("no closed batch")
 	}
 	// Blocks arrive in order, then the batch MAC.
 	for i, tag := range tags {
-		if res := s.OnBlock(100, tag, mac(i)); res != nil {
+		if res, done := s.OnBlock(100, tag, mac(i)); done {
 			t.Fatalf("verification fired before batch MAC arrived: %+v", res)
 		}
 	}
-	res := s.OnBatchMAC(100, closed)
-	if res == nil || !res.OK || res.Len != 3 {
+	res, done := s.OnBatchMAC(100, closed)
+	if !done || !res.OK || res.Len != 3 {
 		t.Fatalf("verification=%+v, want OK over 3 blocks", res)
 	}
 	if s.Verified() != 1 || s.Failed() != 0 {
@@ -118,23 +118,23 @@ func TestBatchMACRoundTrip(t *testing.T) {
 func TestBatchMACArrivesBeforeLastBlock(t *testing.T) {
 	gen := newGen(t)
 	b := NewBatcher(3, 0, gen)
-	s := NewMACStore(64, gen)
-	var closed *ClosedBatch
+	s := NewMACStore(64, 3, gen)
+	var closed ClosedBatch
 	var tags []BlockTag
 	for i := 0; i < 3; i++ {
-		tag, c := b.Add(100, mac(i))
+		tag, c, ok := b.Add(100, mac(i))
 		tags = append(tags, tag)
-		if c != nil {
+		if ok {
 			closed = c
 		}
 	}
 	s.OnBlock(100, tags[0], mac(0))
-	if res := s.OnBatchMAC(100, closed); res != nil {
+	if res, done := s.OnBatchMAC(100, closed); done {
 		t.Fatalf("verified with only 1/3 blocks: %+v", res)
 	}
 	s.OnBlock(100, tags[1], mac(1))
-	res := s.OnBlock(100, tags[2], mac(2))
-	if res == nil || !res.OK {
+	res, done := s.OnBlock(100, tags[2], mac(2))
+	if !done || !res.OK {
 		t.Fatalf("final block did not trigger verification: %+v", res)
 	}
 }
@@ -142,13 +142,13 @@ func TestBatchMACArrivesBeforeLastBlock(t *testing.T) {
 func TestBatchMACDetectsTampering(t *testing.T) {
 	gen := newGen(t)
 	b := NewBatcher(2, 0, gen)
-	s := NewMACStore(64, gen)
-	tag0, _ := b.Add(100, mac(0))
-	tag1, closed := b.Add(100, mac(1))
+	s := NewMACStore(64, 2, gen)
+	tag0, _, _ := b.Add(100, mac(0))
+	tag1, closed, _ := b.Add(100, mac(1))
 	s.OnBlock(100, tag0, mac(0))
 	s.OnBlock(100, tag1, mac(99)) // receiver computes a different MAC for block 1
-	res := s.OnBatchMAC(100, closed)
-	if res == nil || res.OK {
+	res, done := s.OnBatchMAC(100, closed)
+	if !done || res.OK {
 		t.Fatalf("tampered batch verified: %+v", res)
 	}
 	if s.Failed() != 1 {
@@ -157,7 +157,7 @@ func TestBatchMACDetectsTampering(t *testing.T) {
 }
 
 func TestMACStoreCapacityDrops(t *testing.T) {
-	s := NewMACStore(2, nil)
+	s := NewMACStore(2, 4, nil)
 	for i := 0; i < 4; i++ {
 		s.OnBlock(100, BlockTag{BatchID: 0, Index: i}, mac(i))
 	}
@@ -168,7 +168,7 @@ func TestMACStoreCapacityDrops(t *testing.T) {
 
 func TestMACStoreExpireAbandonsStale(t *testing.T) {
 	gen := newGen(t)
-	s := NewMACStore(64, gen)
+	s := NewMACStore(64, 16, gen)
 	s.OnBlock(100, BlockTag{BatchID: 0, Index: 0}, mac(0))
 	// Batch 1 opens later and fills concurrently; the store tolerates both.
 	s.OnBlock(400, BlockTag{BatchID: 1, Index: 0, First: true}, mac(1))
@@ -188,13 +188,13 @@ func TestMACStoreExpireAbandonsStale(t *testing.T) {
 func TestMACStoreToleratesHolesAndDuplicates(t *testing.T) {
 	gen := newGen(t)
 	b := NewBatcher(3, 0, gen)
-	s := NewMACStore(64, gen)
-	var closed *ClosedBatch
+	s := NewMACStore(64, 3, gen)
+	var closed ClosedBatch
 	var tags []BlockTag
 	for i := 0; i < 3; i++ {
-		tag, c := b.Add(100, mac(i))
+		tag, c, ok := b.Add(100, mac(i))
 		tags = append(tags, tag)
-		if c != nil {
+		if ok {
 			closed = c
 		}
 	}
@@ -202,12 +202,12 @@ func TestMACStoreToleratesHolesAndDuplicates(t *testing.T) {
 	s.OnBlock(100, tags[2], mac(2))
 	s.OnBlock(100, tags[0], mac(0))
 	s.OnBlock(100, tags[0], mac(0))
-	if res := s.OnBatchMAC(100, closed); res != nil {
+	if res, done := s.OnBatchMAC(100, closed); done {
 		t.Fatalf("verified with a hole at index 1: %+v", res)
 	}
 	// The retransmitted middle block completes the batch.
-	res := s.OnBlock(100, tags[1], mac(1))
-	if res == nil || !res.OK || res.Len != 3 {
+	res, done := s.OnBlock(100, tags[1], mac(1))
+	if !done || !res.OK || res.Len != 3 {
 		t.Fatalf("hole fill did not verify: %+v", res)
 	}
 }
@@ -227,7 +227,7 @@ func TestMACStoreValidation(t *testing.T) {
 			t.Error("zero capacity did not panic")
 		}
 	}()
-	NewMACStore(0, nil)
+	NewMACStore(0, 16, nil)
 }
 
 // Property: for any sequence of blocks split into batches of any size and
@@ -239,13 +239,13 @@ func TestBatchingEndToEndProperty(t *testing.T) {
 		n := int(nRaw%16) + 1
 		fe := int(flushEvery%7) + 3
 		b := NewBatcher(n, 0, gen)
-		s := NewMACStore(64, gen)
+		s := NewMACStore(64, n, gen)
 		verified := 0
 		wantVerified := 0
 		var lastID uint64
 		first := true
-		handleClosed := func(cb *ClosedBatch) bool {
-			if cb == nil {
+		handleClosed := func(cb ClosedBatch, closed bool) bool {
+			if !closed {
 				return true
 			}
 			wantVerified++
@@ -254,8 +254,8 @@ func TestBatchingEndToEndProperty(t *testing.T) {
 			}
 			first = false
 			lastID = cb.BatchID
-			res := s.OnBatchMAC(0, cb)
-			if res == nil || !res.OK {
+			res, done := s.OnBatchMAC(0, cb)
+			if !done || !res.OK {
 				return false
 			}
 			verified++
@@ -263,9 +263,9 @@ func TestBatchingEndToEndProperty(t *testing.T) {
 		}
 		for i, blk := range blocks {
 			m := mac(int(blk))
-			tag, closed := b.Add(0, m)
+			tag, cb, closed := b.Add(0, m)
 			s.OnBlock(0, tag, m)
-			if !handleClosed(closed) {
+			if !handleClosed(cb, closed) {
 				return false
 			}
 			if i%fe == fe-1 {

@@ -55,7 +55,7 @@ func BenchmarkBatchOpenClose(b *testing.B) {
 // OnBlock calls and the verification OnBatchMAC runs.
 func BenchmarkMACStoreOnBlock(b *testing.B) {
 	const n = 16
-	s := NewMACStore(64, nil)
+	s := NewMACStore(64, n, nil)
 	var mac [crypto.MACBytes]byte
 	macs := make([]byte, 0, n*crypto.MACBytes)
 	for k := 0; k < n; k++ {
@@ -71,7 +71,7 @@ func BenchmarkMACStoreOnBlock(b *testing.B) {
 			s.OnBlock(sim.Cycle(i), BlockTag{BatchID: id, Index: k, First: k == 0}, mac)
 		}
 		cb.BatchID = id
-		if res := s.OnBatchMAC(sim.Cycle(i), &cb); res == nil || !res.OK {
+		if res, done := s.OnBatchMAC(sim.Cycle(i), cb); !done || !res.OK {
 			b.Fatal("batch did not verify")
 		}
 	}

@@ -16,25 +16,16 @@ import (
 	"secmgpu/internal/workload"
 )
 
-// Address layout: | home (12b) | requester (8b) | page (24b) | offset (12b) |
-// Each (requester, home) pair owns a private page pool, which keeps page
-// identities globally unique and encodes the home node in the address.
-const (
-	offsetBits = 12 // 4KB pages
-	pageBits   = 24
-	reqBits    = 8
-)
+// Address layout: | page ID (44b, see migration.PageID) | offset (12b) |.
+const offsetBits = 12 // 4KB pages
 
 // pageIDOf builds the global page identifier.
 func pageIDOf(home, requester int, page uint32) migration.PageID {
-	return migration.PageID(uint64(home)<<(reqBits+pageBits) |
-		uint64(requester)<<pageBits | uint64(page))
+	return migration.PageOf(migration.Node(home), migration.Node(requester), page)
 }
 
 // homeOf recovers the home node encoded in a page ID.
-func homeOf(p migration.PageID) interconnect.NodeID {
-	return interconnect.NodeID(uint64(p) >> (reqBits + pageBits))
-}
+func homeOf(p migration.PageID) interconnect.NodeID { return interconnect.NodeID(p.Home()) }
 
 // addrOf builds a block address from a page and block index.
 func addrOf(p migration.PageID, block uint8) uint64 {
@@ -47,8 +38,8 @@ func pageOf(addr uint64) migration.PageID {
 }
 
 // pendingOp is the requester-side context of one in-flight operation,
-// packed into 16 bytes: the pending map holds one per outstanding request
-// and its groups are recycled from cell to cell.
+// packed into 16 bytes: the pending table holds one per outstanding
+// request, in the slot its request ID's sequence number selects.
 type pendingOp struct {
 	page migration.PageID
 	// cu is the issuing compute unit in CU-sharded mode, -1 otherwise.
@@ -56,28 +47,68 @@ type pendingOp struct {
 	migrating bool
 }
 
-// takeRequests installs a node's request maps and event free list from
-// its cell store part, making maps the part lacks. The CPU takes them too:
-// it serves reads and migrations, so it schedules events; it issues no
-// requests, so its maps only ever serve lookups.
+// maxParkedPending caps the slots of a pending table that a release
+// hands back. A table grows to the span of its live request IDs: the
+// outstanding-request window, stretched by requests that wait out
+// retransmissions while newer ones retire (512 slots at most in a
+// secbench -exp all pass at scale 0.01, 1,024 in a 16-GPU cell at scale
+// 0.5, 8,192 in a 4-GPU cell losing 1% of its messages).
+const maxParkedPending = 1024
+
+// takeRequests installs a node's pending table, which it uses in place,
+// and its event free list from its cell store part. The CPU takes them
+// too: it serves reads and migrations, so it schedules events; it issues
+// no requests, so its table only ever serves lookups.
 func (n *node) takeRequests(ns *nodeStore) {
-	n.pending, n.migrating, n.evFree = ns.pending, ns.migrating, ns.evFree
-	if n.pending == nil {
-		n.pending = make(map[uint64]pendingOp)
-		n.migrating = make(map[migration.PageID]bool)
-	}
+	n.pending, n.evFree = &ns.pending, ns.evFree
+	ns.evFree = nil
 }
 
-// releaseRequests clears the request maps and hands them, with the event
-// free list, back to ns. Neither map is iterated, and an event is zeroed
-// when taken, so recycling cannot change a result. The node's fields are
-// nilled, so a stale insert panics instead of writing into maps another
-// cell now owns.
+// releaseRequests empties the pending table, or drops it past
+// maxParkedPending, and hands the event free list back to ns. The table
+// is iterated nowhere, and an event is zeroed when taken, so recycling
+// cannot change a result. The node's fields are nilled, so a stale
+// lookup or insert panics instead of reaching a table another cell now
+// owns.
 func (n *node) releaseRequests(ns *nodeStore) {
-	clear(n.pending)
-	clear(n.migrating)
-	ns.pending, ns.migrating, ns.evFree = n.pending, n.migrating, n.evFree
-	n.pending, n.migrating, n.evFree = nil, nil, nil
+	if n.pending.Slots() > maxParkedPending {
+		*n.pending = sim.IDTable[pendingOp]{}
+	}
+	n.pending.Reset()
+	ns.evFree = n.evFree
+	n.pending, n.evFree = nil, nil
+}
+
+// migrationSet holds the pages a GPU is migrating in: at most
+// maxConcurrentMigrations, so a short array beats a map.
+type migrationSet struct {
+	pages [maxConcurrentMigrations]migration.PageID
+	n     int
+}
+
+func (m *migrationSet) has(page migration.PageID) bool {
+	for _, p := range m.pages[:m.n] {
+		if p == page {
+			return true
+		}
+	}
+	return false
+}
+
+// add inserts a page that is not yet in the set, which has room for it.
+func (m *migrationSet) add(page migration.PageID) {
+	m.pages[m.n] = page
+	m.n++
+}
+
+func (m *migrationSet) remove(page migration.PageID) {
+	for i, p := range m.pages[:m.n] {
+		if p == page {
+			m.n--
+			m.pages[i] = m.pages[m.n]
+			return
+		}
+	}
 }
 
 // node is one processor: the CPU (passive home) or a GPU (trace-driven
@@ -102,9 +133,11 @@ type node struct {
 	wakeAt     sim.Cycle
 	hasWake    bool
 	reqSeq     uint64
-	pending    map[uint64]pendingOp
-	migrating  map[migration.PageID]bool
-	done       bool
+	// pending is keyed by request ID, node<<48 | reqSeq; it lives in the
+	// node's cell store part.
+	pending   *sim.IDTable[pendingOp]
+	migrating migrationSet
+	done      bool
 
 	// Recovery accounting: operations fail-completed after their data was
 	// poisoned, and completions tolerated as stale (duplicate deliveries or
@@ -315,13 +348,13 @@ func (n *node) issueTranslated(now sim.Cycle, op workload.Op, page migration.Pag
 	}
 
 	if n.sys.policy.RecordAccess(page, migration.Node(n.id), migration.Node(owner)) &&
-		!n.migrating[page] && len(n.migrating) < maxConcurrentMigrations {
-		n.migrating[page] = true
+		n.migrating.n < maxConcurrentMigrations && !n.migrating.has(page) {
+		n.migrating.add(page)
 		if cu < 0 {
 			n.inFlight++
 		}
 		id := n.nextReqID()
-		n.pending[id] = pendingOp{page: page, migrating: true, cu: int32(cu)}
+		n.track(id, pendingOp{page: page, migrating: true, cu: int32(cu)})
 		n.ep.SendControl(owner, interconnect.KindMigrReq, id, addr, secure.ReadReqBytes)
 		return
 	}
@@ -330,7 +363,7 @@ func (n *node) issueTranslated(now sim.Cycle, op workload.Op, page migration.Pag
 		n.inFlight++
 	}
 	id := n.nextReqID()
-	n.pending[id] = pendingOp{page: page, cu: int32(cu)}
+	n.track(id, pendingOp{page: page, cu: int32(cu)})
 	switch op.Kind {
 	case workload.Read:
 		n.ep.SendControl(owner, interconnect.KindReadReq, id, addr, secure.ReadReqBytes)
@@ -345,6 +378,24 @@ func (n *node) issueTranslated(now sim.Cycle, op workload.Op, page migration.Pag
 func (n *node) nextReqID() uint64 {
 	n.reqSeq++
 	return uint64(n.id)<<48 | n.reqSeq
+}
+
+// track records a newly issued request as pending.
+func (n *node) track(id uint64, op pendingOp) {
+	p, _ := n.pending.Put(id)
+	*p = op
+}
+
+// retire takes request id out of the pending table, returning its
+// context, or ok=false when it is not pending.
+func (n *node) retire(id uint64) (op pendingOp, ok bool) {
+	p := n.pending.Get(id)
+	if p == nil {
+		return pendingOp{}, false
+	}
+	op = *p
+	n.pending.Delete(id)
+	return op, true
 }
 
 // complete retires one in-flight op and checks for trace completion.
@@ -381,7 +432,7 @@ func (n *node) HandleData(now sim.Cycle, msg *interconnect.Message) {
 	switch msg.Kind {
 	case interconnect.KindDataResp:
 		// A read we issued has returned.
-		ctx, ok := n.pending[msg.ReqID]
+		ctx, ok := n.retire(msg.ReqID)
 		if !ok {
 			// On a lossy fabric a retransmitted response can land after the
 			// original (or after the operation was poison-failed).
@@ -391,7 +442,6 @@ func (n *node) HandleData(now sim.Cycle, msg *interconnect.Message) {
 			}
 			panic(fmt.Sprintf("machine: %v got unknown data response %d", n.id, msg.ReqID))
 		}
-		delete(n.pending, msg.ReqID)
 		n.complete(int(ctx.cu))
 
 	case interconnect.KindWriteReq:
@@ -426,7 +476,7 @@ func (n *node) HandleControl(now sim.Cycle, msg *interconnect.Message) {
 		n.engine().Schedule(now+svc, n.evH, ev)
 
 	case interconnect.KindWriteAck:
-		ctx, ok := n.pending[msg.ReqID]
+		ctx, ok := n.retire(msg.ReqID)
 		if !ok {
 			// A retransmitted write commits twice at the home, so its second
 			// ack finds the operation already retired.
@@ -436,7 +486,6 @@ func (n *node) HandleControl(now sim.Cycle, msg *interconnect.Message) {
 			}
 			panic(fmt.Sprintf("machine: %v got unknown write ack %d", n.id, msg.ReqID))
 		}
-		delete(n.pending, msg.ReqID)
 		n.complete(int(ctx.cu))
 
 	case interconnect.KindMigrReq:
@@ -445,22 +494,21 @@ func (n *node) HandleControl(now sim.Cycle, msg *interconnect.Message) {
 	case interconnect.KindPoisoned:
 		// A peer gave up on data addressed to us: fail the operation so the
 		// simulation drains instead of waiting forever.
-		ctx, ok := n.pending[msg.ReqID]
+		ctx, ok := n.retire(msg.ReqID)
 		if !ok {
 			// Already completed (a copy got through before the sender gave
 			// up) or already failed by an earlier poison for the same op.
 			n.staleCompletions++
 			return
 		}
-		delete(n.pending, msg.ReqID)
 		if ctx.migrating {
-			delete(n.migrating, ctx.page)
+			n.migrating.remove(ctx.page)
 		}
 		n.failedOps++
 		n.complete(int(ctx.cu))
 
 	case interconnect.KindMigrDone:
-		ctx, ok := n.pending[msg.ReqID]
+		ctx, ok := n.retire(msg.ReqID)
 		if !ok || !ctx.migrating {
 			// The migration may have been poison-failed while its (lossless)
 			// completion signal was in flight.
@@ -470,8 +518,7 @@ func (n *node) HandleControl(now sim.Cycle, msg *interconnect.Message) {
 			}
 			panic(fmt.Sprintf("machine: %v got stray migration done %d", n.id, msg.ReqID))
 		}
-		delete(n.pending, msg.ReqID)
-		delete(n.migrating, ctx.page)
+		n.migrating.remove(ctx.page)
 		n.sys.policy.Migrate(ctx.page, migration.Node(n.id), migration.Node(homeOf(ctx.page)))
 		if n.tlbH != nil {
 			n.tlbH.Shootdown(uint64(ctx.page))
@@ -492,10 +539,9 @@ func (n *node) HandleControl(now sim.Cycle, msg *interconnect.Message) {
 // pending locally (a write we issued) it fails here; otherwise the victim is
 // the remote requester, who is told over the lossless control plane.
 func (n *node) HandlePoisoned(now sim.Cycle, dst interconnect.NodeID, kind interconnect.Kind, reqID uint64) {
-	if ctx, ok := n.pending[reqID]; ok {
-		delete(n.pending, reqID)
+	if ctx, ok := n.retire(reqID); ok {
 		if ctx.migrating {
-			delete(n.migrating, ctx.page)
+			n.migrating.remove(ctx.page)
 		}
 		n.failedOps++
 		n.complete(int(ctx.cu))

@@ -77,8 +77,8 @@ func (c *liveStateCtx) Err() error {
 	for _, n := range c.sys.nodes {
 		c.units += n.ep.OpenUnits()
 		c.parks += len(parkedRE.FindAllString(n.ep.Diag(), -1))
-		c.pending += len(n.pending)
-		c.migrating += len(n.migrating)
+		c.pending += n.pending.Len()
+		c.migrating += n.migrating.n
 	}
 	if c.units > 0 && c.parks > 0 && c.pending > 0 && c.migrating > 0 {
 		c.reached = true
@@ -258,7 +258,7 @@ func freshProcessDigest(t *testing.T, name string) string {
 
 // TestRecycledStorageIsInvisible checks that a cell's result does not
 // depend on what ran before it on recycled engine slabs, cache tag
-// stores, request maps, node events, page maps, message free lists,
+// stores, pending tables, node events, page pools, message free lists,
 // retransmission units, deferred payloads and fault and outage
 // generators, nor on the seeded generator states the fabric caches for
 // the process. A small cell B runs, then a disturbing cell that leaves
@@ -400,7 +400,7 @@ func TestRecycledStorageParallel(t *testing.T) {
 }
 
 // pendingCtx cancels a run at the first engine poll that finds requests
-// pending, so the system is released with its request maps in use.
+// pending, so the system is released with its pending tables in use.
 type pendingCtx struct {
 	context.Context
 	sys     *System
@@ -410,7 +410,7 @@ type pendingCtx struct {
 func (c *pendingCtx) Done() <-chan struct{} { return make(chan struct{}) }
 func (c *pendingCtx) Err() error {
 	for _, n := range c.sys.nodes {
-		if len(n.pending) > 0 {
+		if n.pending.Len() > 0 {
 			c.reached = true
 			return context.Canceled
 		}
@@ -419,37 +419,46 @@ func (c *pendingCtx) Err() error {
 }
 
 // TestReleasedNodesHandOverEvents checks that every node, the CPU
-// included, takes its request maps from its cell store entry at New and
-// hands them back at release with its event free list and emptied maps,
-// keeping nothing itself. The cell is cancelled with requests pending, so
-// the maps are in use when it is released.
+// included, uses the pending table of its cell store entry and hands its
+// event free list back at release with the table emptied, keeping
+// neither itself. The cell is cancelled with requests pending, so the
+// tables are in use when it is released.
 func TestReleasedNodesHandOverEvents(t *testing.T) {
 	cfg, traces := oursCell(t, 8, 0.05)
 	sys, err := New(cfg, traces, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sys.nodes[0].pending == nil {
-		t.Fatal("the CPU took no request maps")
-	}
 	st := sys.store
+	for i, n := range sys.nodes {
+		if n.pending != &st.nodes[i].pending {
+			t.Fatalf("%v does not use its cell store part's pending table", n.id)
+		}
+	}
 	ctx := &pendingCtx{Context: context.Background(), sys: sys}
 	if _, err := sys.RunContext(ctx); !errors.Is(err, context.Canceled) || !ctx.reached {
 		t.Fatalf("err = %v, pending reached = %t; want a run cancelled with requests pending", err, ctx.reached)
 	}
+	grown := 0
 	for i, n := range sys.nodes {
-		if n.evFree != nil || n.pending != nil || n.migrating != nil {
-			t.Errorf("released %v still holds its events or maps", n.id)
+		if n.evFree != nil || n.pending != nil {
+			t.Errorf("released %v still holds its events or pending table", n.id)
 		}
 		rm := &st.nodes[i]
 		events := 0
 		for ev := rm.evFree; ev != nil; ev = ev.next {
 			events++
 		}
-		if events == 0 || rm.pending == nil || rm.migrating == nil || len(rm.pending) != 0 || len(rm.migrating) != 0 {
-			t.Errorf("%v handed back %d events and maps of %d and %d entries; want events and empty maps",
-				n.id, events, len(rm.pending), len(rm.migrating))
+		if events == 0 || rm.pending.Len() != 0 {
+			t.Errorf("%v handed back %d events and a pending table of %d entries; want events and an empty table",
+				n.id, events, rm.pending.Len())
 		}
+		if rm.pending.Slots() > 0 {
+			grown++
+		}
+	}
+	if grown == 0 {
+		t.Error("no pending table kept its slots across the release")
 	}
 }
 

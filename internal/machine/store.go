@@ -24,16 +24,15 @@ type cellStore struct {
 	bursts [2][]burstPair
 }
 
-// nodeStore is one node's part: its endpoint's storage, its request maps
-// and its event free list. These need no cap: pending holds at most the
-// outstanding-request window, migrating at most maxConcurrentMigrations,
-// and the free list the node's peak count of queued events (at most 217
-// on any node of a `secbench -exp all` pass).
+// nodeStore is one node's part: its endpoint's storage, its pending
+// table, which the node uses in place, and its event free list. The table
+// is capped by maxParkedPending; the free list needs no cap, as it holds
+// the node's peak count of queued events (at most 217 on any node of a
+// `secbench -exp all` pass).
 type nodeStore struct {
-	ep        secure.Storage
-	pending   map[uint64]pendingOp
-	migrating map[migration.PageID]bool
-	evFree    *nodeEvent
+	ep      secure.Storage
+	pending sim.IDTable[pendingOp]
+	evFree  *nodeEvent
 }
 
 // maxParkedNodes is the largest cell, in nodes, whose entry is parked: a

@@ -133,7 +133,7 @@ func New(cfg config.Config, traces [][]workload.Op, opt RunOptions) (*System, er
 		store:     st,
 		engine:    engine,
 		fabric:    fabric,
-		policy:    st.pages.NewPolicy(cfg.MigrationThreshold),
+		policy:    st.pages.NewPolicy(nNodes, cfg.MigrationThreshold),
 		remaining: cfg.NumGPUs,
 		burst16:   newBurstTracker(16, nNodes, st.bursts[0]),
 		burst32:   newBurstTracker(32, nNodes, st.bursts[1]),

@@ -179,10 +179,12 @@ const convClass = -1
 type deferred struct {
 	// send, when set, is handed to the fabric.
 	send *interconnect.Message
-	// closed, when set, emits a Batched_MsgMAC for (dst, class).
-	closed *core.ClosedBatch
-	dst    interconnect.NodeID
-	class  int
+	// closed, when hasClosed is set, is emitted as a Batched_MsgMAC for
+	// (dst, class).
+	closed    core.ClosedBatch
+	hasClosed bool
+	dst       interconnect.NodeID
+	class     int
 	// deliver, when set, is a retained message to hand to the node logic
 	// and then free back to the fabric.
 	deliver *interconnect.Message
@@ -203,10 +205,9 @@ type batchTimer struct {
 
 // Storage is an endpoint's recyclable state, kept for the next endpoint
 // built on it: the per-peer tables, which the endpoint uses in place, with
-// their batchers and MAC stores, and the retransmission bookkeeping it
-// lends the endpoint: the cleared units map (which keeps its groups) and
-// zeroed free units and deferreds, under the caps in recovery.go. The zero
-// value is empty storage.
+// their batchers, MAC stores and units tables, and the free units and
+// deferreds it lends the endpoint, zeroed, under the caps in recovery.go.
+// The zero value is empty storage.
 type Storage struct {
 	// The per-peer tables, indexed by peer.
 	//
@@ -233,7 +234,13 @@ type Storage struct {
 	// unless cfg.Secure.
 	recov []peerRecovery
 
-	units     map[unitKey]*txUnit
+	// units[class-convClass][peer] tracks every unACKed send unit of
+	// (peer, class) — one batch, or one conventional block — by its ID:
+	// the BatchID its batcher allocated, or a conventional block's MsgCTR.
+	// Each unit owns a cancellable ACK timer; resolving, poisoning, or
+	// re-keying the unit cancels it. Empty unless cfg.Secure.
+	units [3][]sim.IDTable[*txUnit]
+
 	free      *txUnit
 	deferreds *deferred
 
@@ -281,12 +288,6 @@ type Endpoint struct {
 	unitFree *txUnit
 
 	// Recovery state (nil unless cfg.Secure).
-	//
-	// units tracks every unACKed send unit — one batch, or one
-	// conventional block — for retransmission. Each unit owns a
-	// cancellable ACK timer; resolving, poisoning, or re-keying the unit
-	// cancels it.
-	units   map[unitKey]*txUnit
 	poisonH PoisonHandler
 	// scanArmed guards the self-quenching receiver-side stale-batch scan.
 	scanArmed bool
@@ -336,12 +337,14 @@ func (st *Storage) New(engine *sim.Engine, fabric *interconnect.Fabric, node int
 	st.lastCtr = zeroed(st.lastCtr, peers)
 	st.ctrSeen = zeroed(st.ctrSeen, peers)
 	st.recov = st.recov[:0]
+	for class := range st.units {
+		// Units tables are kept past the table's length and emptied at
+		// Release; an unsecure endpoint's stay empty.
+		st.units[class] = extend(st.units[class], peers)
+	}
 	if cfg.Secure {
-		e.units, e.unitFree, e.defFree = st.units, st.free, st.deferreds
-		st.units, st.free, st.deferreds = nil, nil, nil
-		if e.units == nil {
-			e.units = make(map[unitKey]*txUnit)
-		}
+		e.unitFree, e.defFree = st.free, st.deferreds
+		st.free, st.deferreds = nil, nil
 		e.poisonH, _ = handler.(PoisonHandler)
 		st.recov = zeroed(st.recov, peers)
 		for i := range st.recov {
@@ -366,7 +369,7 @@ func (st *Storage) New(engine *sim.Engine, fabric *interconnect.Fabric, node int
 				st.batchers[class][i], st.macStores[class][i] = new(core.Batcher), new(core.MACStore)
 			}
 			st.batchers[class][i].Reset(n, sim.Cycle(cfg.BatchFlushTimeout), e.gen)
-			st.macStores[class][i].Reset(PageBlocks, e.gen)
+			st.macStores[class][i].Reset(PageBlocks, n, e.gen)
 		}
 	}
 	fabric.Register(node, e)
@@ -453,7 +456,7 @@ func (e *Endpoint) onDeferred(ev sim.Event) {
 	if d.send != nil {
 		e.fabric.Send(d.send)
 	}
-	if d.closed != nil {
+	if d.hasClosed {
 		e.sendBatchMAC(d.dst, d.class, d.closed)
 	}
 	if m := d.deliver; m != nil {
@@ -512,14 +515,15 @@ func (e *Endpoint) SendData(dst interconnect.NodeID, kind interconnect.Kind, req
 	// A conventional block is its own unit, named by its counter; a batched
 	// one joins the open batch of its class.
 	class, id := convClass, msg.Sec.MsgCTR
-	var closed *core.ClosedBatch
+	var closed core.ClosedBatch
+	var hasClosed bool
 	if e.batching {
 		class = batchClass(kind)
 		var tag core.BlockTag
-		tag, closed = e.st.batchers[class][peer].Add(sendAt, mac)
+		tag, closed, hasClosed = e.st.batchers[class][peer].Add(sendAt, mac)
 		id = tag.BatchID
 		batchLen := 0
-		if closed != nil {
+		if hasClosed {
 			batchLen = closed.Len
 			// The batch closed full: its flush timer (none for a
 			// single-block batch) dies here.
@@ -530,7 +534,7 @@ func (e *Endpoint) SendData(dst interconnect.NodeID, kind interconnect.Kind, req
 		e.placeBlock(msg, class, id, tag.Index, batchLen)
 	}
 	u := e.trackBlock(unitKey{peer: peer, class: class, id: id}, dst, blk, payload)
-	if class == convClass || closed != nil {
+	if class == convClass || hasClosed {
 		// The unit is complete: its ACK is now due.
 		e.armUnitTimer(u, sendAt)
 	}
@@ -538,8 +542,8 @@ func (e *Endpoint) SendData(dst interconnect.NodeID, kind interconnect.Kind, req
 
 	d := e.newDeferred()
 	d.send = msg
-	if closed != nil {
-		d.closed, d.dst, d.class = closed, dst, class
+	if hasClosed {
+		d.closed, d.hasClosed, d.dst, d.class = closed, true, dst, class
 	}
 	e.engine.Schedule(sendAt, e.defH, d)
 }
@@ -656,17 +660,17 @@ func (e *Endpoint) onBatchTimeout(ev sim.Event) {
 	bt := ev.Payload.(*batchTimer)
 	b := e.st.batchers[bt.class][bt.peer]
 	if id, open := b.OpenID(); open && id == bt.id {
-		if cb := b.Flush(); cb != nil {
+		if cb, ok := b.Flush(); ok {
 			e.stats.TimeoutFlushes++
 			e.sendBatchMAC(PeerID(e.node, bt.peer), bt.class, cb)
-			if u, ok := e.units[unitKey{peer: bt.peer, class: bt.class, id: bt.id}]; ok {
+			if u := e.unit(unitKey{peer: bt.peer, class: bt.class, id: bt.id}); u != nil {
 				e.armUnitTimer(u, max(e.engine.Now(), e.st.lastSendAt[bt.peer]))
 			}
 		}
 	}
 }
 
-func (e *Endpoint) sendBatchMAC(dst interconnect.NodeID, class int, cb *core.ClosedBatch) {
+func (e *Endpoint) sendBatchMAC(dst interconnect.NodeID, class int, cb core.ClosedBatch) {
 	e.stats.BatchMACsSent++
 	// In latency-only mode (MetadataTraffic off) the receiver still needs
 	// the verification event, so the message travels with zero bytes.
@@ -719,13 +723,13 @@ func (e *Endpoint) Deliver(now sim.Cycle, msg *interconnect.Message) {
 			return
 		}
 		peer := e.PeerIndex(msg.Src)
-		cb := &core.ClosedBatch{BatchID: msg.Sec.BatchID, Len: msg.Sec.BatchLen, MAC: msg.Sec.MAC}
+		cb := core.ClosedBatch{BatchID: msg.Sec.BatchID, Len: msg.Sec.BatchLen, MAC: msg.Sec.MAC}
 		if msg.Corrupted {
 			// The fault damaged the Batched_MsgMAC itself; verification
 			// must fail so the batch is NACKed and re-sent.
 			cb.MAC[0] ^= 0xff
 		}
-		if res := e.st.macStores[msg.Sec.BatchClass][peer].OnBatchMAC(now, cb); res != nil {
+		if res, done := e.st.macStores[msg.Sec.BatchClass][peer].OnBatchMAC(now, cb); done {
 			e.finishBatch(msg.Src, msg.Sec.BatchClass, res)
 		}
 		e.armStaleScan()
@@ -780,7 +784,7 @@ func (e *Endpoint) deliverData(now sim.Cycle, msg *interconnect.Message) {
 			mac[0] ^= 0xff
 		}
 		tag := core.BlockTag{BatchID: msg.Sec.BatchID, Index: msg.Sec.BatchIndex, First: msg.Sec.BatchIndex == 0}
-		if res := e.st.macStores[msg.Sec.BatchClass][peer].OnBlock(now, tag, mac); res != nil {
+		if res, done := e.st.macStores[msg.Sec.BatchClass][peer].OnBlock(now, tag, mac); done {
 			e.finishBatch(msg.Src, msg.Sec.BatchClass, res)
 		}
 		e.armStaleScan()
@@ -812,7 +816,7 @@ func (e *Endpoint) deliverData(now sim.Cycle, msg *interconnect.Message) {
 	e.engine.Schedule(deliverAt, e.defH, d)
 }
 
-func (e *Endpoint) finishBatch(src interconnect.NodeID, class int, res *core.VerifyResult) {
+func (e *Endpoint) finishBatch(src interconnect.NodeID, class int, res core.VerifyResult) {
 	if res.OK {
 		e.stats.BatchesVerified++
 		e.stats.DecryptOK += uint64(res.Len)

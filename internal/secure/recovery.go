@@ -60,11 +60,16 @@ func (u *txUnit) payload(i int) []byte {
 	return nil
 }
 
-func (u *txUnit) key() unitKey { return unitKey{peer: u.peer, class: u.class, id: u.id} }
-
 // Retention caps of one Storage: uncapped, it would keep what the largest
 // cell it served needed, which raised a sweep's peak RSS by half.
 const (
+	// maxParkedUnitSlots caps the slots a Storage's units tables add up
+	// to; tables past it are dropped. A table grows to the span of its
+	// (peer, class)'s live unit IDs: up to 512 slots in a secbench -exp
+	// all pass at scale 0.01, 4,096 in a 4-GPU cell losing 1% of its
+	// messages. Keeping every table a 16-GPU cell grew (up to 650 KiB per
+	// cell store entry) raised perfbench figures' peak RSS by ~2 MiB.
+	maxParkedUnitSlots = 128
 	// maxParkedUnits caps the free units a Storage keeps.
 	maxParkedUnits = 128
 	// maxParkedBlocks caps the blocks capacity their slices add up to
@@ -89,7 +94,7 @@ func (e *Endpoint) Release() {
 		return
 	}
 	e.st = nil
-	if e.units != nil {
+	if e.cfg.Secure {
 		e.parkUnits(st)
 	}
 	for class := range st.batchTimers {
@@ -127,8 +132,19 @@ func (e *Endpoint) parkUnits(st *Storage) {
 		keep(u)
 		u = next
 	}
-	for _, u := range e.units {
-		keep(u)
+	slots := 0
+	for class := range st.units {
+		// Tables past the length, kept from a larger cell, count too.
+		tabs := st.units[class][:cap(st.units[class])]
+		for peer := range tabs {
+			tab := &tabs[peer]
+			tab.Range(func(_ uint64, u **txUnit) { keep(*u) })
+			if slots+tab.Slots() > maxParkedUnitSlots {
+				*tab = sim.IDTable[*txUnit]{}
+			}
+			slots += tab.Slots()
+			tab.Clear()
+		}
 	}
 	for i := range st.recov {
 		for _, u := range st.recov[i].parked {
@@ -143,9 +159,7 @@ func (e *Endpoint) parkUnits(st *Storage) {
 		st.deferreds = d
 		d = next
 	}
-	clear(e.units)
-	st.units = e.units
-	e.units, e.unitFree, e.defFree = nil, nil, nil
+	e.unitFree, e.defFree = nil, nil
 }
 
 // newUnit takes a txUnit from the free list, retaining its blocks slice
@@ -170,11 +184,32 @@ func (e *Endpoint) freeUnit(u *txUnit) {
 	e.unitFree = u
 }
 
+// unitTable returns the units table of (peer, class).
+func (e *Endpoint) unitTable(peer, class int) *sim.IDTable[*txUnit] {
+	return &e.st.units[class-convClass][peer]
+}
+
+// unit returns the unit key names, or nil when none is tracked; key may
+// come off the wire, naming a class no unit has.
+func (e *Endpoint) unit(key unitKey) *txUnit {
+	if key.class < convClass || key.class > 1 {
+		return nil
+	}
+	if u := e.unitTable(key.peer, key.class).Get(key.id); u != nil {
+		return *u
+	}
+	return nil
+}
+
+// untrack takes u out of its units table.
+func (e *Endpoint) untrack(u *txUnit) { e.unitTable(u.peer, u.class).Delete(u.id) }
+
 // trackBlock appends one block to its retransmission unit, creating the
 // unit on first use. A functional run also keeps the block's plaintext.
 func (e *Endpoint) trackBlock(key unitKey, dst interconnect.NodeID, blk txBlock, payload []byte) *txUnit {
-	u, ok := e.units[key]
-	if !ok {
+	slot, added := e.unitTable(key.peer, key.class).Put(key.id)
+	u := *slot
+	if added {
 		u = e.newUnit()
 		if n := e.unitBlocks(key.class); n == 1 && cap(u.blocks) == 0 {
 			u.blocks = u.one[:0]
@@ -182,7 +217,7 @@ func (e *Endpoint) trackBlock(key unitKey, dst interconnect.NodeID, blk txBlock,
 			u.blocks = make([]txBlock, 0, n)
 		}
 		u.dst, u.peer, u.class, u.id = dst, key.peer, key.class, key.id
-		e.units[key] = u
+		*slot = u
 		e.st.recov[key.peer].openUnits++
 	}
 	u.blocks = append(u.blocks, blk)
@@ -208,7 +243,7 @@ func (e *Endpoint) unitBlocks(class int) int {
 // and its pending-ACK debt is repaid. clean marks an ACK.
 func (e *Endpoint) retire(u *txUnit, clean bool) {
 	u.timer.Cancel()
-	delete(e.units, u.key())
+	e.untrack(u)
 	e.pendingACK = max(e.pendingACK-len(u.blocks), 0)
 	e.unitResolved(u.peer, clean)
 }
@@ -216,8 +251,8 @@ func (e *Endpoint) retire(u *txUnit, clean bool) {
 // resolveUnit retires a unit on ACK: its blocks are confirmed received and
 // verified.
 func (e *Endpoint) resolveUnit(key unitKey) {
-	u, ok := e.units[key]
-	if !ok {
+	u := e.unit(key)
+	if u == nil {
 		e.stats.StaleACKs++
 		return
 	}
@@ -233,7 +268,7 @@ func (e *Endpoint) sendNACK(dst interconnect.NodeID, class int, id uint64) {
 // onNACK retries the named unit at once. A NACK for an unknown unit —
 // already resolved, or already re-keyed by a timer — is stale and ignored.
 func (e *Endpoint) onNACK(key unitKey) {
-	if u, ok := e.units[key]; ok {
+	if u := e.unit(key); u != nil {
 		e.retry(u)
 		return
 	}
@@ -285,7 +320,7 @@ func (e *Endpoint) retransmit(u *txUnit) {
 	// no Batched_MsgMAC for the dead identity escapes later.
 	e.discardOpenBatch(u)
 	e.stats.Retransmits += uint64(len(u.blocks))
-	delete(e.units, u.key())
+	e.untrack(u)
 
 	n := len(u.blocks)
 	if u.class != convClass {
@@ -306,14 +341,15 @@ func (e *Endpoint) retransmit(u *txUnit) {
 			batchLen := 0
 			if i == n-1 {
 				batchLen = n
-				d.closed = &core.ClosedBatch{BatchID: u.id, Len: n, MAC: core.BatchMAC(e.gen, macs)}
+				d.closed, d.hasClosed = core.ClosedBatch{BatchID: u.id, Len: n, MAC: core.BatchMAC(e.gen, macs)}, true
 				d.dst, d.class = u.dst, u.class
 			}
 			e.placeBlock(msg, u.class, u.id, i, batchLen)
 		}
 		e.engine.Schedule(sendAt, e.defH, d)
 	}
-	e.units[u.key()] = u
+	slot, _ := e.unitTable(u.peer, u.class).Put(u.id)
+	*slot = u
 	e.armUnitTimer(u, sendAt)
 }
 
@@ -374,5 +410,17 @@ func (e *Endpoint) scanStale(sim.Event) {
 }
 
 // OpenUnits returns the retransmission units still awaiting resolution
-// (always zero on an unsecure endpoint or after a drained run).
-func (e *Endpoint) OpenUnits() int { return len(e.units) }
+// (always zero on an unsecure endpoint, after a drained run or after
+// Release).
+func (e *Endpoint) OpenUnits() int {
+	if e.st == nil {
+		return 0
+	}
+	n := 0
+	for class := range e.st.units {
+		for peer := range e.st.units[class] {
+			n += e.st.units[class][peer].Len()
+		}
+	}
+	return n
+}

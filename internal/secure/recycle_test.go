@@ -49,7 +49,8 @@ func TestReleasedEndpointPanics(t *testing.T) {
 // keep, and checks what it releases: at most maxParkedUnits units, at
 // most maxParkedBlocks blocks capacity in all, none above the batch size,
 // every unit emptied and zeroed with no plaintext kept, at most
-// maxParkedDeferreds deferreds, all zeroed, the map empty, the per-peer
+// maxParkedDeferreds deferreds, all zeroed, every units table empty and
+// naming no unit, at most maxParkedUnitSlots slots in all, the per-peer
 // timers and resync state cleared, and nothing left referenced by the
 // endpoint.
 func TestReleasedUnitsRespectCaps(t *testing.T) {
@@ -79,7 +80,7 @@ func TestReleasedUnitsRespectCaps(t *testing.T) {
 	for i := range taken {
 		d := e.newDeferred()
 		d.send, d.deliver = &interconnect.Message{}, &interconnect.Message{}
-		d.closed, d.dst, d.class = &core.ClosedBatch{}, 2, 1
+		d.closed, d.hasClosed, d.dst, d.class = core.ClosedBatch{Len: 1}, true, 2, 1
 		taken[i] = d
 	}
 	for _, d := range taken {
@@ -91,18 +92,29 @@ func TestReleasedUnitsRespectCaps(t *testing.T) {
 		units++
 		capacity += cap(u.blocks)
 	}
-	for _, u := range e.units {
-		count(u)
+	for class := range e.st.units {
+		for peer := range e.st.units[class] {
+			e.st.units[class][peer].Range(func(_ uint64, u **txUnit) { count(*u) })
+		}
 	}
+	live := units
 	for _, u := range e.st.recov[gpu2].parked {
 		count(u)
 	}
 	for u := e.unitFree; u != nil; u = u.next {
 		count(u)
 	}
-	if len(e.st.recov[gpu2].parked) == 0 || e.unitFree == nil || len(e.units) == 0 {
+	if len(e.st.recov[gpu2].parked) == 0 || e.unitFree == nil || live == 0 {
 		t.Fatalf("setup: %d live, %d parked, free list empty=%t; want all three non-empty",
-			len(e.units), len(e.st.recov[gpu2].parked), e.unitFree == nil)
+			live, len(e.st.recov[gpu2].parked), e.unitFree == nil)
+	}
+	// The CPU's batch table grows past the slot budget, as when the
+	// oldest batches stay unACKed while retransmits allocate newer IDs.
+	cpu := e.PeerIndex(0)
+	big := &e.st.units[0-convClass][cpu]
+	for big.Slots() <= maxParkedUnitSlots {
+		slot, _ := big.Put(e.st.batchers[0][cpu].AllocID())
+		*slot = e.newUnit()
 	}
 	if units <= maxParkedUnits || capacity <= maxParkedBlocks {
 		t.Fatalf("setup: %d units with %d blocks capacity do not exceed the caps (%d, %d)",
@@ -111,8 +123,8 @@ func TestReleasedUnitsRespectCaps(t *testing.T) {
 
 	st := e.st
 	e.Release()
-	if e.units != nil || e.unitFree != nil || e.defFree != nil || e.st != nil {
-		t.Error("released endpoint still references its units map, a free list or its storage")
+	if e.unitFree != nil || e.defFree != nil || e.st != nil {
+		t.Error("released endpoint still references a free list or its storage")
 	}
 	for i := range st.recov[:cap(st.recov)] {
 		if rs := st.recov[i]; rs.parked != nil || rs.timer != (sim.Timer{}) || rs.active {
@@ -126,8 +138,28 @@ func TestReleasedUnitsRespectCaps(t *testing.T) {
 			}
 		}
 	}
-	if st.units == nil || len(st.units) != 0 {
-		t.Errorf("storage's units map is nil or holds %d entries, want a cleared map", len(st.units))
+	keptTables, keptSlots := 0, 0
+	for class := range st.units {
+		tabs := st.units[class][:cap(st.units[class])]
+		for peer := range tabs {
+			tab := &tabs[peer]
+			if tab.Slots() > 0 {
+				keptTables++
+			}
+			keptSlots += tab.Slots()
+			if tab.Len() != 0 {
+				t.Errorf("class %d peer %d: units table kept with %d entries, want it empty",
+					class+convClass, peer, tab.Len())
+			}
+			for id := uint64(0); id < uint64(tab.Slots()); id++ {
+				if slot, _ := tab.Put(id); *slot != nil {
+					t.Fatalf("class %d peer %d: a kept units table still names a unit", class+convClass, peer)
+				}
+			}
+		}
+	}
+	if keptTables == 0 || keptSlots > maxParkedUnitSlots {
+		t.Errorf("storage keeps %d units tables of %d slots in all, want 1..%d slots", keptTables, keptSlots, maxParkedUnitSlots)
 	}
 	kept, keptCap := 0, 0
 	for u := st.free; u != nil; u = u.next {

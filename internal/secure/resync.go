@@ -127,7 +127,7 @@ type peerRecovery struct {
 	lastSentCtr uint64
 	// epochBase is the counter base of the current key epoch.
 	epochBase uint64
-	// openUnits counts this peer's units in the retransmission map; a rekey
+	// openUnits counts this peer's units in the units tables; a rekey
 	// drain completes when it reaches zero.
 	openUnits int
 
@@ -205,7 +205,7 @@ func (e *Endpoint) bumpFailure(peer int) bool {
 }
 
 // unitResolved updates per-peer recovery accounting when a unit leaves the
-// retransmission map (ACKed or poisoned). clean marks an ACK, which resets
+// units tables (ACKed or poisoned). clean marks an ACK, which resets
 // the failure streak.
 func (e *Endpoint) unitResolved(peer int, clean bool) {
 	rs := &e.st.recov[peer]
@@ -248,12 +248,13 @@ func (e *Endpoint) beginResync(peer int, rekey bool) {
 			}
 		}
 	}
-	for key, u := range e.units {
-		if key.peer == peer {
-			rs.parked = append(rs.parked, u)
-		}
+	for class := range e.st.units {
+		e.st.units[class][peer].Range(func(_ uint64, u **txUnit) {
+			rs.parked = append(rs.parked, *u)
+		})
 	}
-	// Map iteration is unordered; sort so the replay is deterministic.
+	// Table iteration follows slots, not IDs; sort so the replay is
+	// deterministic.
 	sort.Slice(rs.parked, func(i, j int) bool {
 		a, b := rs.parked[i], rs.parked[j]
 		if a.class != b.class {
@@ -263,7 +264,7 @@ func (e *Endpoint) beginResync(peer int, rekey bool) {
 	})
 	for _, u := range rs.parked {
 		u.timer.Cancel()
-		delete(e.units, u.key())
+		e.untrack(u)
 	}
 	rs.openUnits = 0
 
@@ -446,7 +447,7 @@ func (e *Endpoint) Resyncing() bool {
 func (e *Endpoint) Diag() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, `{"node":%d,"pendingACK":%d,"openUnits":%d,"fillingBatches":%d`,
-		int(e.node), e.pendingACK, len(e.units), e.FillingBatches())
+		int(e.node), e.pendingACK, e.OpenUnits(), e.FillingBatches())
 	for i := range e.st.recov {
 		rs := &e.st.recov[i]
 		if !rs.blocked() && rs.failStreak == 0 && len(rs.held) == 0 {

@@ -26,13 +26,13 @@
 // Gate allocs/op alone:
 //
 //	{ go test -run '^$' -bench BenchmarkSimulatorThroughput -benchtime 1x -benchmem . ;
-//	  go test -run '^$' -bench . -benchmem ./internal/mem ./internal/sim ./internal/machine ./internal/interconnect ./internal/secure ./internal/campaign ./internal/store ./internal/crypto ./internal/workload ./internal/otp ./internal/core ; } \
+//	  go test -run '^$' -bench . -benchmem ./internal/mem ./internal/sim ./internal/machine ./internal/interconnect ./internal/secure ./internal/campaign ./internal/store ./internal/crypto ./internal/workload ./internal/otp ./internal/core ./internal/migration ; } \
 //	  | go run ./scripts/benchcheck
 //
 // Capture/update the baseline with the same benchmarks, repeated:
 //
 //	{ go test -run '^$' -bench BenchmarkSimulatorThroughput -benchtime 3x -benchmem -count 3 . ;
-//	  go test -run '^$' -bench . -benchmem -count 3 ./internal/mem ./internal/sim ./internal/machine ./internal/interconnect ./internal/secure ./internal/campaign ./internal/store ./internal/crypto ./internal/workload ./internal/otp ./internal/core ; } \
+//	  go test -run '^$' -bench . -benchmem -count 3 ./internal/mem ./internal/sim ./internal/machine ./internal/interconnect ./internal/secure ./internal/campaign ./internal/store ./internal/crypto ./internal/workload ./internal/otp ./internal/core ./internal/migration ; } \
 //	  | go run ./scripts/benchcheck -update
 package main
 

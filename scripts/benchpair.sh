@@ -30,5 +30,5 @@ for i in $(seq 1 "$pairs"); do
 done
 go test -run '^$' -bench . -benchmem ./internal/mem ./internal/sim ./internal/machine \
 	./internal/interconnect ./internal/secure ./internal/campaign ./internal/store ./internal/crypto ./internal/workload \
-	./internal/otp ./internal/core | tee -a "$work/head.txt"
+	./internal/otp ./internal/core ./internal/migration | tee -a "$work/head.txt"
 go run ./scripts/benchcheck -in "$work/head.txt" -base "$work/base.txt" -ops-tolerance 0.20
