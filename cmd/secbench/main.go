@@ -597,9 +597,11 @@ func runSubmit(ctx context.Context, coordinator string, spec campaign.Spec, outD
 	// Tables stream as the coordinator finishes them: each prints (and
 	// persists) exactly once, long before the campaign's slowest
 	// experiment lands. A finished table never changes, so the streamed
-	// bytes equal what a terminal-state fetch would return.
+	// bytes equal what a terminal-state fetch would return, and
+	// WaitTables' own terminal fetch flushes the rest. For a
+	// deadline-expired (failed) campaign that flush is the partial-tables
+	// answer: whatever finished before the budget ran out.
 	writeFailed := 0
-	streamed := make(map[string]bool)
 	emit := func(t campaign.TableResult) {
 		rendered := t.Text
 		if csv {
@@ -610,7 +612,6 @@ func runSubmit(ctx context.Context, coordinator string, spec campaign.Spec, outD
 		}
 		fmt.Print(rendered)
 		fmt.Println()
-		streamed[t.Name] = true
 		if outDir != "" {
 			if err := writeRendered(outDir, t.Name, csv, rendered); err != nil {
 				fmt.Fprintf(os.Stderr, "secbench: %v\n", err)
@@ -633,19 +634,6 @@ func runSubmit(ctx context.Context, coordinator string, spec campaign.Spec, outD
 		fatal(err)
 	}
 
-	// Authoritative flush: WaitTables' streaming is best-effort, so fetch
-	// the terminal tables and emit anything that slipped through. For a
-	// deadline-expired (failed) campaign this is the partial-tables
-	// answer: whatever finished before the budget ran out.
-	tables, err := client.Tables(ctx, st.ID)
-	if err != nil {
-		fatal(err)
-	}
-	for _, t := range tables {
-		if !streamed[t.Name] {
-			emit(t)
-		}
-	}
 	fmt.Fprintf(os.Stderr, "secbench: campaign %s %s: %d/%d experiments, %d cells delegated, %d completed, %d failed, %d cache hits, %d store hits\n",
 		final.ID, final.State, final.ExperimentsDone, final.ExperimentsTotal,
 		final.Cells.Delegated, final.Cells.Completed, final.Cells.Failed,

@@ -9,11 +9,6 @@ import (
 	"net/http"
 	"strconv"
 	"time"
-
-	"secmgpu/internal/config"
-	"secmgpu/internal/machine"
-	"secmgpu/internal/sweep"
-	"secmgpu/internal/workload"
 )
 
 // The versioned HTTP+JSON surface. Campaign endpoints serve clients;
@@ -25,12 +20,17 @@ import (
 //	GET    /v1/campaigns              list                     -> 200 []Status
 //	GET    /v1/campaigns/{id}         status                   -> 200 Status
 //	DELETE /v1/campaigns/{id}         cancel                   -> 200 Status
-//	GET    /v1/campaigns/{id}/tables  finished tables          -> 200 tablesResponse
-//	POST   /v1/lease                  lease a cell             -> 200 wireGrant | 204 | 403 (quarantined) | 503 (draining)
+//	GET    /v1/campaigns/{id}/tables  finished tables          -> 200 []TableResult
+//	POST   /v1/lease                  lease a cell             -> 200 Grant | 204 | 403 (quarantined) | 503 (draining)
 //	POST   /v1/lease/{id}/renew       heartbeat (fenced)       -> 204 | 410
-//	POST   /v1/lease/{id}/complete    publish a result         -> 204 (admitted/vote/duplicate) | 409 (rejected)
+//	POST   /v1/lease/{id}/complete    publish a Publish        -> 204 (admitted/vote/duplicate) | 409 (rejected)
 //	POST   /v1/lease/{id}/fail        report a failed attempt  -> 204 (idempotent; ignored unless fenced)
 //	GET    /v1/healthz                liveness + metrics       -> 200 Health (no auth)
+//
+// Each body is the Go type named above, shared by handler and client. A
+// Publish takes its lease from the path; the tables are what
+// Coordinator.Tables returns (on a running campaign, the experiments
+// finished so far).
 //
 // POST /v1/campaigns honours an Idempotency-Key header: re-submitting
 // the same key returns the original campaign instead of starting a
@@ -42,54 +42,9 @@ import (
 //
 // Errors are returned as {"error": "..."} with a 4xx/5xx status.
 
-// wireCell is a sweep cell on the wire: the workload travels by its
-// registered abbreviation (specs are code, not data), the config and
-// options as their canonical value structs.
-type wireCell struct {
-	Abbr  string             `json:"abbr"`
-	Label string             `json:"label,omitempty"`
-	Cfg   config.Config      `json:"cfg"`
-	Opt   machine.RunOptions `json:"opt"`
-}
-
-// toCell resolves the wire form against the workload registry.
-func (w wireCell) toCell() (sweep.Cell, error) {
-	spec, err := workload.ByAbbr(w.Abbr)
-	if err != nil {
-		return sweep.Cell{}, err
-	}
-	return sweep.Cell{Spec: spec, Cfg: w.Cfg, Opt: w.Opt, Label: w.Label}, nil
-}
-
-// wireGrant is a lease grant on the wire.
-type wireGrant struct {
-	Lease             string   `json:"lease"`
-	Fence             string   `json:"fence"`
-	Digest            string   `json:"digest"`
-	Cell              wireCell `json:"cell"`
-	Verify            bool     `json:"verify,omitempty"`
-	TTLMillis         int64    `json:"ttl_ms"`
-	CellTimeoutMillis int64    `json:"cell_timeout_ms,omitempty"`
-	// DeadlineUnixMS is the campaign deadline as Unix milliseconds (0 =
-	// none); the worker bounds its simulation context by it.
-	DeadlineUnixMS int64 `json:"deadline_unix_ms,omitempty"`
-	Attempt        int   `json:"attempt"`
-}
-
 // leaseRequest asks for work.
 type leaseRequest struct {
 	Worker string `json:"worker"`
-}
-
-// completeRequest publishes a cell's result. Fence is the grant's
-// fencing token; ResultDigest is the worker's attestation of the
-// canonical payload digest.
-type completeRequest struct {
-	Digest       string          `json:"digest"`
-	Fence        string          `json:"fence,omitempty"`
-	Label        string          `json:"label,omitempty"`
-	ResultDigest string          `json:"result_digest,omitempty"`
-	Result       *machine.Result `json:"result"`
 }
 
 // renewRequest heartbeats a lease; Fence is the grant's fencing token.
@@ -102,18 +57,6 @@ type failRequest struct {
 	Digest string `json:"digest"`
 	Fence  string `json:"fence"`
 	Error  string `json:"error"`
-}
-
-// tablesResponse carries a campaign's finished tables. On a running
-// campaign the set is the experiments finished so far (Partial true),
-// which is how clients stream tables before the campaign ends.
-type tablesResponse struct {
-	ID               string        `json:"id"`
-	State            State         `json:"state"`
-	Partial          bool          `json:"partial,omitempty"`
-	ExperimentsDone  int           `json:"experiments_done"`
-	ExperimentsTotal int           `json:"experiments_total"`
-	Tables           []TableResult `json:"tables"`
 }
 
 // CampaignProgress is one campaign's progress counters on the health
@@ -245,21 +188,12 @@ func (c *Coordinator) handleCancel(w http.ResponseWriter, r *http.Request) {
 }
 
 func (c *Coordinator) handleTables(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	st, ok := c.Campaign(id)
+	tables, ok := c.Tables(r.PathValue("id"))
 	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("campaign: unknown campaign %q", id))
+		writeError(w, http.StatusNotFound, fmt.Errorf("campaign: unknown campaign %q", r.PathValue("id")))
 		return
 	}
-	tables, _ := c.Tables(id)
-	writeJSON(w, http.StatusOK, tablesResponse{
-		ID:               id,
-		State:            st.State,
-		Partial:          !st.State.Terminal(),
-		ExperimentsDone:  st.ExperimentsDone,
-		ExperimentsTotal: st.ExperimentsTotal,
-		Tables:           tables,
-	})
+	writeJSON(w, http.StatusOK, tables)
 }
 
 func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
@@ -288,28 +222,7 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusNoContent)
 		return
 	}
-	writeJSON(w, http.StatusOK, wireGrant{
-		Lease:  g.Lease,
-		Fence:  g.Fence,
-		Digest: g.Digest,
-		Cell: wireCell{
-			Abbr: g.Cell.Spec.Abbr, Label: g.Cell.Label,
-			Cfg: g.Cell.Cfg, Opt: g.Cell.Opt,
-		},
-		Verify:            g.Verify,
-		TTLMillis:         g.TTL.Milliseconds(),
-		CellTimeoutMillis: g.CellTimeout.Milliseconds(),
-		DeadlineUnixMS:    deadlineUnixMS(g.Deadline),
-		Attempt:           g.Attempt,
-	})
-}
-
-// deadlineUnixMS renders an absolute deadline for the wire (0 = none).
-func deadlineUnixMS(t time.Time) int64 {
-	if t.IsZero() {
-		return 0
-	}
-	return t.UnixMilli()
+	writeJSON(w, http.StatusOK, g)
 }
 
 func (c *Coordinator) handleRenew(w http.ResponseWriter, r *http.Request) {
@@ -325,15 +238,16 @@ func (c *Coordinator) handleRenew(w http.ResponseWriter, r *http.Request) {
 }
 
 func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
-	var req completeRequest
-	if !decodeBody(w, r, &req) {
+	var pub Publish
+	if !decodeBody(w, r, &pub) {
 		return
 	}
-	if req.Digest == "" || req.Result == nil {
+	if pub.Digest == "" || pub.Result == nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("campaign: complete needs digest and result"))
 		return
 	}
-	out := c.Complete(r.PathValue("id"), req.Fence, req.Digest, req.Label, req.ResultDigest, req.Result)
+	pub.Lease = r.PathValue("id")
+	out := c.Complete(pub)
 	if out.Verdict.Rejected() {
 		writeError(w, http.StatusConflict, fmt.Errorf("campaign: publish rejected (%s): %s", out.Verdict, out.Reason))
 		return

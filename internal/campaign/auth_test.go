@@ -52,7 +52,7 @@ func TestAuthRejectsUnauthenticatedRequests(t *testing.T) {
 	_, url := newAuthedService(t, "hunter2")
 	ctx := context.Background()
 	anon := NewClient(url, nil)
-	anon.SetRetry(RetryPolicy{Attempts: 1})
+	anon.retry = RetryPolicy{Attempts: 1}
 
 	if _, err := anon.Submit(ctx, Spec{Experiments: []string{"table1"}}); !is401(err) {
 		t.Fatalf("unauthenticated submit: err = %v, want 401", err)
@@ -60,7 +60,7 @@ func TestAuthRejectsUnauthenticatedRequests(t *testing.T) {
 	if _, _, err := anon.Lease(ctx, "anon"); !is401(err) {
 		t.Fatalf("unauthenticated lease: err = %v, want 401", err)
 	}
-	if err := anon.Complete(ctx, "l000001", "", "deadbeef", "", "", nil); !is401(err) {
+	if err := anon.Complete(ctx, Publish{Lease: "l000001", Digest: "deadbeef"}); !is401(err) {
 		t.Fatalf("unauthenticated complete: err = %v, want 401", err)
 	}
 	if _, err := anon.Campaigns(ctx); !is401(err) {
@@ -69,7 +69,7 @@ func TestAuthRejectsUnauthenticatedRequests(t *testing.T) {
 
 	// A wrong token is just as rejected as a missing one.
 	wrong := NewClient(url, nil)
-	wrong.SetRetry(RetryPolicy{Attempts: 1})
+	wrong.retry = RetryPolicy{Attempts: 1}
 	wrong.SetToken("hunter3")
 	if _, err := wrong.Submit(ctx, Spec{Experiments: []string{"table1"}}); !is401(err) {
 		t.Fatalf("wrong-token submit: err = %v, want 401", err)
@@ -155,7 +155,7 @@ func TestServeTLS(t *testing.T) {
 
 	// Plain HTTP against the TLS listener must fail, not fall through.
 	plain := NewClient("http://"+ln.Addr().String(), nil)
-	plain.SetRetry(RetryPolicy{Attempts: 1})
+	plain.retry = RetryPolicy{Attempts: 1}
 	if _, err := plain.Health(ctx); err == nil {
 		t.Fatal("plain HTTP accepted by a TLS coordinator")
 	}

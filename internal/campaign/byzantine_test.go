@@ -5,6 +5,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -128,11 +129,25 @@ func TestLeaseFenceOverHTTP(t *testing.T) {
 	coord, cl, _ := newLimitedService(t, Options{})
 	q := coord.Queue()
 	ch := make(chan Outcome, 1)
-	digest, _ := q.Enqueue(testCell(t, 1), EnqueueOptions{MaxAttempts: 1}, ch)
+	cell := testCell(t, 1)
+	deadline := time.Now().Add(time.Hour)
+	digest, _ := q.Enqueue(cell, EnqueueOptions{MaxAttempts: 1, CellTimeout: 7 * time.Second, Deadline: deadline}, ch)
 	ctx := context.Background()
 	g, ok, err := cl.Lease(ctx, "w1")
 	if err != nil || !ok {
 		t.Fatalf("lease: ok=%v err=%v", ok, err)
+	}
+
+	// The decoded grant is the queue's grant, field for field: the lease
+	// body is Grant encoded as is. Lease and Fence are checked by the
+	// fenced calls below.
+	if !g.Deadline.Equal(deadline) {
+		t.Fatalf("grant deadline = %v, want %v", g.Deadline, deadline)
+	}
+	want := Grant{Lease: g.Lease, Fence: g.Fence, Digest: digest, Key: cell.Key(), Label: cell.Label,
+		TTL: q.TTL(), CellTimeout: 7 * time.Second, Deadline: g.Deadline, Attempt: 1}
+	if g != want {
+		t.Fatalf("grant over HTTP = %+v\nwant %+v", g, want)
 	}
 
 	if err := cl.Renew(ctx, g.Lease, g.Fence); err != nil {
@@ -158,6 +173,56 @@ func TestLeaseFenceOverHTTP(t *testing.T) {
 		}
 	default:
 		t.Fatal("fenced failure with no attempts left delivered no outcome")
+	}
+}
+
+// TestGrantUnknownWorkloadFailsAttempt: a grant naming a workload the
+// worker's registry does not know fails like any other execution error,
+// through the fenced Fail. Each such grant burns one attempt; with none
+// left, the waiter receives the error.
+func TestGrantUnknownWorkloadFailsAttempt(t *testing.T) {
+	coord, cl, _ := newLimitedService(t, Options{})
+	q := coord.Queue()
+	cell := testCell(t, 1)
+	cell.Spec.Abbr = "no-such-workload"
+	ch := make(chan Outcome, 1)
+	q.Enqueue(cell, EnqueueOptions{MaxAttempts: 2}, ch)
+	w := NewWorker(cl, WorkerOptions{Name: "w1", Logf: t.Logf})
+	ctx := context.Background()
+
+	for attempt := 1; attempt <= 2; attempt++ {
+		g, ok, err := cl.Lease(ctx, "w1")
+		if err != nil || !ok {
+			t.Fatalf("lease %d: ok=%v err=%v", attempt, ok, err)
+		}
+		if g.Attempt != attempt {
+			t.Fatalf("grant attempt = %d, want %d", g.Attempt, attempt)
+		}
+		w.runCell(ctx, g)
+		if attempt == 1 {
+			if pending, leased := q.Depth(); pending != 1 || leased != 0 {
+				t.Fatalf("after one failed attempt: pending=%d leased=%d, want the cell requeued", pending, leased)
+			}
+			select {
+			case o := <-ch:
+				t.Fatalf("outcome %+v delivered with an attempt left", o)
+			default:
+			}
+		}
+	}
+	select {
+	case o := <-ch:
+		if o.Err == nil || !strings.Contains(o.Err.Error(), "no-such-workload") {
+			t.Fatalf("exhausted attempts delivered %v, want the unknown-workload error", o.Err)
+		}
+	default:
+		t.Fatal("exhausted attempts delivered no outcome")
+	}
+	if st := w.Stats(); st.Leased != 2 || st.Failed != 2 || st.Completed != 0 {
+		t.Fatalf("worker stats = %+v, want 2 leased, 2 failed", st)
+	}
+	if qs := q.Stats(); qs.Failed != 1 {
+		t.Fatalf("queue Failed = %d, want 1", qs.Failed)
 	}
 }
 
@@ -410,6 +475,11 @@ func TestParseByzantineSpec(t *testing.T) {
 	if bs.Cells != 100 || bs.Injected() == 0 || bs.Injected() == 100 {
 		t.Fatalf("injector stats = %+v, want a mixed sequence over 100 cells", bs)
 	}
+	// The exact sequence at this seed is pinned: the Byzantine smoke
+	// relies on it staying put.
+	if want := (ByzantineStats{Cells: 100, Corrupted: 49, Lied: 20}); bs != want {
+		t.Fatalf("seed 7 stats = %+v, want %+v", bs, want)
+	}
 }
 
 // ---- worker / coordinator integration ----
@@ -453,7 +523,7 @@ func TestQuarantineSurvivesCoordinatorRestart(t *testing.T) {
 	}
 	// One lying attestation at limit 1: quarantined, and the quarantine
 	// is journaled through the coordinator's hook.
-	out := coord.Complete(g.Lease, g.Fence, digest, g.Cell.Label, lieDigest(attest), res)
+	out := coord.Complete(Publish{Lease: g.Lease, Fence: g.Fence, Digest: digest, ResultDigest: lieDigest(attest), Result: res})
 	if out.Verdict != VerdictDigestMismatch {
 		t.Fatalf("verdict = %s, want digest mismatch", out.Verdict)
 	}

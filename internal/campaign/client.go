@@ -15,34 +15,20 @@ import (
 	"strings"
 	"sync"
 	"time"
-
-	"secmgpu/internal/machine"
 )
 
 // RetryPolicy bounds the client's retry-with-jittered-backoff loop.
 // Attempt n waits in [base·2ⁿ⁻¹/2, base·2ⁿ⁻¹], capped at Cap — the
 // jitter decorrelates a fleet of workers hammering a coordinator that
-// just came back.
+// just came back. NewClient fixes the policy at 6 attempts, 100ms
+// doubling to 3s.
 type RetryPolicy struct {
-	// Attempts is the total number of tries (default 6).
+	// Attempts is the total number of tries.
 	Attempts int
-	// Base is the first backoff (default 100ms).
+	// Base is the first backoff.
 	Base time.Duration
-	// Cap bounds each backoff (default 3s).
+	// Cap bounds each backoff.
 	Cap time.Duration
-}
-
-func (p RetryPolicy) withDefaults() RetryPolicy {
-	if p.Attempts <= 0 {
-		p.Attempts = 6
-	}
-	if p.Base <= 0 {
-		p.Base = 100 * time.Millisecond
-	}
-	if p.Cap <= 0 {
-		p.Cap = 3 * time.Second
-	}
-	return p
 }
 
 // backoff returns the jittered wait before retry attempt i (0-based):
@@ -91,7 +77,7 @@ func NewClient(baseURL string, httpClient *http.Client) *Client {
 	return &Client{
 		base:    strings.TrimRight(baseURL, "/"),
 		http:    httpClient,
-		retry:   RetryPolicy{}.withDefaults(),
+		retry:   RetryPolicy{Attempts: 6, Base: 100 * time.Millisecond, Cap: 3 * time.Second},
 		breaker: breaker{threshold: 8, cooldown: 2 * time.Second},
 	}
 }
@@ -99,20 +85,6 @@ func NewClient(baseURL string, httpClient *http.Client) *Client {
 // SetToken attaches a shared bearer token to every request (matching
 // the coordinator's AuthToken).
 func (cl *Client) SetToken(token string) { cl.token = token }
-
-// SetRetry replaces the retry policy; zero fields select defaults.
-func (cl *Client) SetRetry(p RetryPolicy) { cl.retry = p.withDefaults() }
-
-// SetBreaker tunes the client's circuit breaker: after threshold
-// consecutive transport-level failures the breaker opens and requests
-// fail fast (ErrCircuitOpen) for cooldown before a half-open probe.
-// threshold <= 0 disables the breaker.
-func (cl *Client) SetBreaker(threshold int, cooldown time.Duration) {
-	cl.breaker.mu.Lock()
-	defer cl.breaker.mu.Unlock()
-	cl.breaker.threshold = threshold
-	cl.breaker.cooldown = cooldown
-}
 
 // APIError is a non-2xx coordinator response.
 type APIError struct {
@@ -151,9 +123,6 @@ type breaker struct {
 func (b *breaker) allow() bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.threshold <= 0 {
-		return true
-	}
 	return b.openUntil.IsZero() || !time.Now().Before(b.openUntil)
 }
 
@@ -161,9 +130,6 @@ func (b *breaker) allow() bool {
 func (b *breaker) record(err error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.threshold <= 0 {
-		return
-	}
 	var apiErr *APIError
 	isTransport := err != nil && !errors.As(err, &apiErr)
 	isGateway := apiErr != nil && (apiErr.Status == http.StatusBadGateway || apiErr.Status == http.StatusGatewayTimeout)
@@ -344,9 +310,9 @@ func (cl *Client) Cancel(ctx context.Context, id string) (Status, error) {
 // Tables fetches a campaign's finished tables: on a running campaign,
 // the experiments finished so far.
 func (cl *Client) Tables(ctx context.Context, id string) ([]TableResult, error) {
-	var resp tablesResponse
-	_, err := cl.do(ctx, http.MethodGet, "/v1/campaigns/"+id+"/tables", nil, &resp, "", "")
-	return resp.Tables, err
+	var tables []TableResult
+	_, err := cl.do(ctx, http.MethodGet, "/v1/campaigns/"+id+"/tables", nil, &tables, "", "")
+	return tables, err
 }
 
 // Wait polls the campaign until it reaches a terminal state (or ctx is
@@ -384,10 +350,11 @@ func (cl *Client) Wait(ctx context.Context, id string, poll time.Duration, progr
 
 // WaitTables is Wait plus result streaming: each table is delivered to
 // onTable exactly once, as soon as the coordinator has finished it,
-// rather than in one batch at the end. After the campaign reaches a
-// terminal state a final fetch flushes any tables that landed between
-// the last poll and termination. Partial-fetch errors are swallowed —
-// the stream is best-effort and the terminal fetch is authoritative.
+// rather than in one batch at the end. Fetches while the campaign runs
+// are best-effort and their errors swallowed. After the campaign reaches
+// a terminal state a final fetch flushes any tables that landed between
+// the last poll and termination; that fetch is authoritative, so its
+// error is returned.
 func (cl *Client) WaitTables(ctx context.Context, id string, poll time.Duration, progress func(Status), onTable func(TableResult)) (Status, error) {
 	seen := make(map[string]bool)
 	emit := func(tables []TableResult) {
@@ -408,11 +375,11 @@ func (cl *Client) WaitTables(ctx context.Context, id string, poll time.Duration,
 			}
 		}
 	})
-	if err == nil && onTable != nil {
-		if tables, terr := cl.Tables(ctx, id); terr == nil {
-			emit(tables)
-		}
+	if err != nil || onTable == nil {
+		return st, err
 	}
+	tables, err := cl.Tables(ctx, id)
+	emit(tables)
 	return st, err
 }
 
@@ -437,8 +404,8 @@ func (cl *Client) Health(ctx context.Context) (Health, error) {
 // worker — is surfaced as ErrWorkerQuarantined (errors.Is-able) and
 // should be treated as terminal.
 func (cl *Client) Lease(ctx context.Context, worker string) (Grant, bool, error) {
-	var wg wireGrant
-	ok, err := cl.do(ctx, http.MethodPost, "/v1/lease", leaseRequest{Worker: worker}, &wg, "", "")
+	var g Grant
+	ok, err := cl.do(ctx, http.MethodPost, "/v1/lease", leaseRequest{Worker: worker}, &g, "", "")
 	if err != nil {
 		var apiErr *APIError
 		if errors.As(err, &apiErr) && apiErr.Status == http.StatusForbidden {
@@ -446,31 +413,7 @@ func (cl *Client) Lease(ctx context.Context, worker string) (Grant, bool, error)
 		}
 		return Grant{}, false, err
 	}
-	if !ok {
-		return Grant{}, false, nil
-	}
-	cell, err := wg.Cell.toCell()
-	if err != nil {
-		// The coordinator granted a workload this binary does not know;
-		// hand the lease back as a failure so another (newer) worker can
-		// take it.
-		cl.Fail(ctx, wg.Lease, wg.Fence, wg.Digest, err.Error())
-		return Grant{}, false, err
-	}
-	g := Grant{
-		Lease:       wg.Lease,
-		Fence:       wg.Fence,
-		Digest:      wg.Digest,
-		Cell:        cell,
-		Verify:      wg.Verify,
-		TTL:         time.Duration(wg.TTLMillis) * time.Millisecond,
-		CellTimeout: time.Duration(wg.CellTimeoutMillis) * time.Millisecond,
-		Attempt:     wg.Attempt,
-	}
-	if wg.DeadlineUnixMS > 0 {
-		g.Deadline = time.UnixMilli(wg.DeadlineUnixMS)
-	}
-	return g, true, nil
+	return g, ok, nil
 }
 
 // Renew heartbeats a lease, presenting the grant's fencing token. A lost
@@ -482,15 +425,15 @@ func (cl *Client) Renew(ctx context.Context, leaseID, fence string) error {
 	return err
 }
 
-// Complete publishes a finished cell's result, carrying the grant's
-// fencing token and the worker's attested canonical result digest.
+// Complete publishes a finished cell's result under pub.Lease, carrying
+// the grant's fencing token and the worker's attested canonical result
+// digest.
 // Retrying is safe: re-publishing the admitted answer is accepted as a
 // benign duplicate. A 409 means the coordinator rejected the publish
 // (zombie lease, fence or attestation mismatch, or divergence from the
 // admitted value) — final, not retried.
-func (cl *Client) Complete(ctx context.Context, leaseID, fence, digest, label, resultDigest string, res *machine.Result) error {
-	_, err := cl.do(ctx, http.MethodPost, "/v1/lease/"+leaseID+"/complete",
-		completeRequest{Digest: digest, Fence: fence, Label: label, ResultDigest: resultDigest, Result: res}, nil, "", "")
+func (cl *Client) Complete(ctx context.Context, pub Publish) error {
+	_, err := cl.do(ctx, http.MethodPost, "/v1/lease/"+pub.Lease+"/complete", pub, nil, "", "")
 	return err
 }
 

@@ -812,31 +812,27 @@ func ResultDigest(res *machine.Result) (string, error) {
 
 // Complete judges a worker's publish. The queue applies fencing,
 // attestation, and (for verified cells) quorum voting; only an admitted
-// result is persisted into the shared store. A tied quorum escalates to
-// local arbitration — the coordinator re-executes the cell itself as
-// ground truth — and divergence evidence against an already-admitted
-// value triggers quorum re-verification of the cell.
-func (c *Coordinator) Complete(leaseID, fence, digest, label, resultDigest string, res *machine.Result) CompleteResult {
-	canonical := ""
-	if res != nil {
+// result is persisted into the shared store, under the label of the
+// cell the coordinator queued. A tied quorum escalates to local
+// arbitration — the coordinator re-executes the cell itself as ground
+// truth — and divergence evidence against an already-admitted value
+// triggers quorum re-verification of the cell. pub.Canonical is
+// computed here from the payload; any value the caller set is ignored.
+func (c *Coordinator) Complete(pub Publish) CompleteResult {
+	pub.Canonical = ""
+	if pub.Result != nil {
 		var err error
-		if canonical, err = ResultDigest(res); err != nil {
-			c.logf("campaign: publish %s: result not canonicalizable: %v", short(digest), err)
+		if pub.Canonical, err = ResultDigest(pub.Result); err != nil {
+			c.logf("campaign: publish %s: result not canonicalizable: %v", short(pub.Digest), err)
 		}
 	}
-	out := c.queue.Complete(Publish{
-		Lease:        leaseID,
-		Fence:        fence,
-		Digest:       digest,
-		ResultDigest: resultDigest,
-		Canonical:    canonical,
-		Result:       res,
-	})
+	digest := pub.Digest
+	out := c.queue.Complete(pub)
 	switch out.Verdict {
 	case VerdictAdmitted:
-		c.persist(digest, label, out.ResDigest, out.Res)
+		c.persist(digest, out.Cell.Label, out.ResDigest, out.Res)
 	case VerdictNeedArbiter:
-		go c.arbitrate(digest, label, out.Cell)
+		go c.arbitrate(digest, out.Cell)
 	case VerdictDivergent:
 		c.logf("campaign: worker %q published a divergent result for %s (%s); re-verifying under quorum",
 			out.Worker, short(digest), out.Cell.Label)
@@ -876,7 +872,7 @@ func (c *Coordinator) persist(digest, label, resDigest string, res *machine.Resu
 // locally: the coordinator trusts its own binary over any worker's word.
 // The fresh engine has no store and no cache, so the arbitration is a
 // genuinely independent execution.
-func (c *Coordinator) arbitrate(digest, label string, cell sweep.Cell) {
+func (c *Coordinator) arbitrate(digest string, cell sweep.Cell) {
 	c.logf("campaign: quorum tied on %s (%s); arbitrating with a local re-execution", short(digest), cell.Label)
 	eng := sweep.New(1)
 	eng.SetSimulator(func(cl sweep.Cell) (*machine.Result, error) {
@@ -895,7 +891,7 @@ func (c *Coordinator) arbitrate(digest, label string, cell sweep.Cell) {
 		return
 	}
 	if out, ok := c.queue.ResolveArbiter(digest, resDigest, results[0]); ok {
-		c.persist(digest, label, out.ResDigest, out.Res)
+		c.persist(digest, out.Cell.Label, out.ResDigest, out.Res)
 		c.logf("campaign: arbitration admitted %s for %s", short(out.ResDigest), short(digest))
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -49,43 +50,87 @@ func (f FaultSpec) Enabled() bool {
 // Unknown keys are rejected so a typo disables nothing silently. An
 // empty string is a valid all-zero spec.
 func ParseFaultSpec(s string) (FaultSpec, error) {
-	var spec FaultSpec
+	var f FaultSpec
+	err := parseSpec("fault", s, &f.Seed, map[string]*float64{
+		"refuse": &f.Refuse, "timeout": &f.Timeout, "err": &f.Err5xx, "torn": &f.Torn, "dup": &f.Dup,
+	})
+	return f, err
+}
+
+// parseSpec parses a "seed=N,key=p,..." injector spec into seed and the
+// probabilities named by probs; kind prefixes the error messages.
+func parseSpec(kind, s string, seed *int64, probs map[string]*float64) error {
 	if strings.TrimSpace(s) == "" {
-		return spec, nil
+		return nil
 	}
 	for _, part := range strings.Split(s, ",") {
 		k, v, ok := strings.Cut(strings.TrimSpace(part), "=")
 		if !ok {
-			return spec, fmt.Errorf("campaign: fault spec term %q is not key=value", part)
+			return fmt.Errorf("campaign: %s spec term %q is not key=value", kind, part)
 		}
 		if k == "seed" {
 			n, err := strconv.ParseInt(v, 10, 64)
 			if err != nil {
-				return spec, fmt.Errorf("campaign: fault seed %q: %w", v, err)
+				return fmt.Errorf("campaign: %s seed %q: %w", kind, v, err)
 			}
-			spec.Seed = n
+			*seed = n
 			continue
 		}
 		p, err := strconv.ParseFloat(v, 64)
 		if err != nil || p < 0 || p > 1 {
-			return spec, fmt.Errorf("campaign: fault probability %s=%q out of [0,1]", k, v)
+			return fmt.Errorf("campaign: %s probability %s=%q out of [0,1]", kind, k, v)
 		}
-		switch k {
-		case "refuse":
-			spec.Refuse = p
-		case "timeout":
-			spec.Timeout = p
-		case "err":
-			spec.Err5xx = p
-		case "torn":
-			spec.Torn = p
-		case "dup":
-			spec.Dup = p
-		default:
-			return spec, fmt.Errorf("campaign: unknown fault key %q", k)
+		field, ok := probs[k]
+		if !ok {
+			return fmt.Errorf("campaign: unknown %s key %q", kind, k)
 		}
+		*field = p
 	}
-	return spec, nil
+	return nil
+}
+
+// lottery is the seeded draw both injectors share. Each event consumes
+// exactly one random number, so a sequence is independent of which
+// outcomes are enabled; the outcomes are tried in order and at most one
+// fires, so the total firing probability is the sum of probs.
+type lottery struct {
+	mu     sync.Mutex
+	rng    *rand.Rand
+	probs  []float64
+	events int
+	hits   []int // per outcome, indexed like probs
+}
+
+// newLottery returns a lottery over probs (seed 0 selects 1).
+func newLottery(seed int64, probs ...float64) *lottery {
+	if seed == 0 {
+		seed = 1
+	}
+	return &lottery{rng: rand.New(rand.NewSource(seed)), probs: probs, hits: make([]int, len(probs))}
+}
+
+// draw counts one event and returns the index of the outcome that
+// fired, or -1 for none.
+func (l *lottery) draw() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.events++
+	p := l.rng.Float64()
+	for i, prob := range l.probs {
+		if p < prob {
+			l.hits[i]++
+			return i
+		}
+		p -= prob
+	}
+	return -1
+}
+
+// counts returns the event count and a copy of the per-outcome hits.
+func (l *lottery) counts() (events int, hits []int) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.events, slices.Clone(l.hits)
 }
 
 // FaultStats counts injected faults since construction.
@@ -112,12 +157,17 @@ func (s FaultStats) Injected() int {
 // injector: the campaign protocol must converge under both.
 type FaultTransport struct {
 	next http.RoundTripper
-
-	mu    sync.Mutex
-	rng   *rand.Rand
-	spec  FaultSpec
-	stats FaultStats
+	lot  *lottery
 }
+
+// The fault outcomes, in FaultSpec field order.
+const (
+	faultRefuse = iota
+	faultTimeout
+	fault5xx
+	faultTorn
+	faultDup
+)
 
 // NewFaultTransport wraps next (nil selects http.DefaultTransport) with
 // fault injection per spec.
@@ -125,73 +175,19 @@ func NewFaultTransport(spec FaultSpec, next http.RoundTripper) *FaultTransport {
 	if next == nil {
 		next = http.DefaultTransport
 	}
-	seed := spec.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	return &FaultTransport{next: next, rng: rand.New(rand.NewSource(seed)), spec: spec}
+	return &FaultTransport{next: next, lot: newLottery(spec.Seed, spec.Refuse, spec.Timeout, spec.Err5xx, spec.Torn, spec.Dup)}
 }
 
 // Stats returns a snapshot of the injection counters.
 func (t *FaultTransport) Stats() FaultStats {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.stats
-}
-
-// faultKind is the per-request injection decision.
-type faultKind int
-
-const (
-	faultNone faultKind = iota
-	faultRefuse
-	faultTimeout
-	fault5xx
-	faultTorn
-	faultDup
-)
-
-// draw picks at most one fault for a request, consuming exactly one
-// random number so the sequence is independent of which faults are
-// enabled.
-func (t *FaultTransport) draw() faultKind {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.stats.Requests++
-	p := t.rng.Float64()
-	for _, f := range []struct {
-		prob float64
-		kind faultKind
-	}{
-		{t.spec.Refuse, faultRefuse},
-		{t.spec.Timeout, faultTimeout},
-		{t.spec.Err5xx, fault5xx},
-		{t.spec.Torn, faultTorn},
-		{t.spec.Dup, faultDup},
-	} {
-		if p < f.prob {
-			switch f.kind {
-			case faultRefuse:
-				t.stats.Refused++
-			case faultTimeout:
-				t.stats.TimedOut++
-			case fault5xx:
-				t.stats.Injected5++
-			case faultTorn:
-				t.stats.Torn++
-			case faultDup:
-				t.stats.Duplicated++
-			}
-			return f.kind
-		}
-		p -= f.prob
-	}
-	return faultNone
+	n, h := t.lot.counts()
+	return FaultStats{Requests: n, Refused: h[faultRefuse], TimedOut: h[faultTimeout],
+		Injected5: h[fault5xx], Torn: h[faultTorn], Duplicated: h[faultDup]}
 }
 
 // RoundTrip implements http.RoundTripper.
 func (t *FaultTransport) RoundTrip(req *http.Request) (*http.Response, error) {
-	switch t.draw() {
+	switch t.lot.draw() {
 	case faultRefuse:
 		drainAndClose(req.Body)
 		return nil, fmt.Errorf("campaign: injected fault: connection refused")
@@ -310,39 +306,11 @@ func (b ByzantineSpec) Enabled() bool {
 // a typo disables nothing silently. An empty string is a valid all-zero
 // spec.
 func ParseByzantineSpec(s string) (ByzantineSpec, error) {
-	var spec ByzantineSpec
-	if strings.TrimSpace(s) == "" {
-		return spec, nil
-	}
-	for _, part := range strings.Split(s, ",") {
-		k, v, ok := strings.Cut(strings.TrimSpace(part), "=")
-		if !ok {
-			return spec, fmt.Errorf("campaign: byzantine spec term %q is not key=value", part)
-		}
-		if k == "seed" {
-			n, err := strconv.ParseInt(v, 10, 64)
-			if err != nil {
-				return spec, fmt.Errorf("campaign: byzantine seed %q: %w", v, err)
-			}
-			spec.Seed = n
-			continue
-		}
-		p, err := strconv.ParseFloat(v, 64)
-		if err != nil || p < 0 || p > 1 {
-			return spec, fmt.Errorf("campaign: byzantine probability %s=%q out of [0,1]", k, v)
-		}
-		switch k {
-		case "corrupt":
-			spec.Corrupt = p
-		case "lie":
-			spec.Lie = p
-		case "zombie":
-			spec.Zombie = p
-		default:
-			return spec, fmt.Errorf("campaign: unknown byzantine key %q", k)
-		}
-	}
-	return spec, nil
+	var b ByzantineSpec
+	err := parseSpec("byzantine", s, &b.Seed, map[string]*float64{
+		"corrupt": &b.Corrupt, "lie": &b.Lie, "zombie": &b.Zombie,
+	})
+	return b, err
 }
 
 // ByzantineStats counts injected misbehaviors since construction.
@@ -356,73 +324,28 @@ type ByzantineStats struct {
 // Injected returns the total number of misbehaviors injected.
 func (s ByzantineStats) Injected() int { return s.Corrupted + s.Lied + s.Zombies }
 
-// byzKind is the per-cell misbehavior decision.
-type byzKind int
-
+// The Byzantine outcomes, in ByzantineSpec field order.
 const (
-	byzNone byzKind = iota
-	byzCorrupt
+	byzCorrupt = iota
 	byzLie
 	byzZombie
 )
 
 // byzantine is the worker-side injector.
-type byzantine struct {
-	mu    sync.Mutex
-	rng   *rand.Rand
-	spec  ByzantineSpec
-	stats ByzantineStats
-}
+type byzantine struct{ *lottery }
 
 // newByzantine returns an injector for spec (nil when disabled).
 func newByzantine(spec ByzantineSpec) *byzantine {
 	if !spec.Enabled() {
 		return nil
 	}
-	seed := spec.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	return &byzantine{rng: rand.New(rand.NewSource(seed)), spec: spec}
-}
-
-// draw picks at most one misbehavior for a finished cell, consuming
-// exactly one random number so the sequence is independent of which
-// behaviors are enabled.
-func (b *byzantine) draw() byzKind {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.stats.Cells++
-	p := b.rng.Float64()
-	for _, f := range []struct {
-		prob float64
-		kind byzKind
-	}{
-		{b.spec.Corrupt, byzCorrupt},
-		{b.spec.Lie, byzLie},
-		{b.spec.Zombie, byzZombie},
-	} {
-		if p < f.prob {
-			switch f.kind {
-			case byzCorrupt:
-				b.stats.Corrupted++
-			case byzLie:
-				b.stats.Lied++
-			case byzZombie:
-				b.stats.Zombies++
-			}
-			return f.kind
-		}
-		p -= f.prob
-	}
-	return byzNone
+	return &byzantine{newLottery(spec.Seed, spec.Corrupt, spec.Lie, spec.Zombie)}
 }
 
 // Stats returns a snapshot of the injection counters.
 func (b *byzantine) Stats() ByzantineStats {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.stats
+	n, h := b.counts()
+	return ByzantineStats{Cells: n, Corrupted: h[byzCorrupt], Lied: h[byzLie], Zombies: h[byzZombie]}
 }
 
 // corruptResult returns a copy of res with a deterministically wrong

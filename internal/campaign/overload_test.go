@@ -54,7 +54,7 @@ func TestAdmissionFloodSheds(t *testing.T) {
 	// A one-attempt client sees the shed directly instead of retrying it
 	// away.
 	fast := NewClient(strings.TrimRight(client.base, "/"), nil)
-	fast.SetRetry(RetryPolicy{Attempts: 1})
+	fast.retry = RetryPolicy{Attempts: 1}
 	shed := 0
 	for i := 0; i < 5; i++ {
 		_, err := fast.Submit(ctx, Spec{Experiments: []string{"table1"}})
@@ -438,7 +438,7 @@ func TestDrainRefusesLeases(t *testing.T) {
 		t.Fatalf("drain: %v", err)
 	}
 	fast := NewClient(client.base, nil)
-	fast.SetRetry(RetryPolicy{Attempts: 1})
+	fast.retry = RetryPolicy{Attempts: 1}
 	_, _, err := fast.Lease(ctx, "w1")
 	var apiErr *APIError
 	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusServiceUnavailable {
@@ -459,7 +459,7 @@ func TestClientParsesRetryAfter(t *testing.T) {
 	}))
 	defer srv.Close()
 	cl := NewClient(srv.URL, nil)
-	cl.SetRetry(RetryPolicy{Attempts: 1})
+	cl.retry = RetryPolicy{Attempts: 1}
 	_, err := cl.Submit(context.Background(), Spec{Experiments: []string{"table1"}})
 	var apiErr *APIError
 	if !errors.As(err, &apiErr) {
@@ -481,8 +481,8 @@ func TestClientCircuitBreaker(t *testing.T) {
 	srv.Close() // every dial now fails at the transport layer
 
 	cl := NewClient(url, nil)
-	cl.SetRetry(RetryPolicy{Attempts: 1})
-	cl.SetBreaker(2, 50*time.Millisecond)
+	cl.retry = RetryPolicy{Attempts: 1}
+	cl.breaker.threshold, cl.breaker.cooldown = 2, 50*time.Millisecond
 	ctx := context.Background()
 
 	for i := 0; i < 2; i++ {

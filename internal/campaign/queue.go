@@ -35,6 +35,7 @@ import (
 	"secmgpu/internal/machine"
 	"secmgpu/internal/metrics"
 	"secmgpu/internal/sweep"
+	"secmgpu/internal/workload"
 )
 
 // Outcome is the terminal state of one queued cell, delivered to every
@@ -145,32 +146,47 @@ type lease struct {
 // their publishes become unattributable zombies (still rejected).
 const maxLeaseTombs = 4096
 
-// Grant is what a worker receives from a successful lease call.
+// Grant is what a worker receives from a successful lease call; it is
+// also the lease response body, encoded as is.
 type Grant struct {
 	// Lease is the opaque lease ID used for renew/complete/fail.
-	Lease string
+	Lease string `json:"lease"`
 	// Fence is the lease's fencing token. A publish must present it;
 	// publishes without the live fence are rejected as zombies.
-	Fence string
+	Fence string `json:"fence"`
 	// Digest is the cell's content address (also the store key).
-	Digest string
-	// Cell is the work itself.
-	Cell sweep.Cell
+	Digest string `json:"digest"`
+	// Key is the work itself: the workload abbreviation, the config and
+	// the canonical run options the digest is computed from. Workload
+	// parameters never travel; the worker resolves the abbreviation
+	// against its own registry (cell).
+	Key sweep.Key `json:"key"`
+	// Label names the cell in logs and store entries.
+	Label string `json:"label,omitempty"`
 	// Verify marks a quorum-verification execution: the worker must
 	// compute the cell fresh (no store rehydration, no cache) so its
 	// vote is an independent re-execution.
-	Verify bool
+	Verify bool `json:"verify,omitempty"`
 	// TTL is the lease duration; the worker must renew within it.
-	TTL time.Duration
+	TTL time.Duration `json:"ttl"`
 	// CellTimeout bounds the cell's simulation wall time (0 = unbounded).
-	CellTimeout time.Duration
+	CellTimeout time.Duration `json:"cell_timeout,omitempty"`
 	// Deadline, when non-zero, is the absolute point past which no
 	// waiter wants the result; workers bound their simulation context by
 	// it so doomed work cancels instead of running to completion.
-	Deadline time.Time
+	Deadline time.Time `json:"deadline"`
 	// Attempt is 1 for the first execution of this cell, higher after
 	// failures or expiries.
-	Attempt int
+	Attempt int `json:"attempt"`
+}
+
+// cell resolves the grant against the workload registry.
+func (g Grant) cell() (sweep.Cell, error) {
+	spec, err := workload.ByAbbr(g.Key.Abbr)
+	if err != nil {
+		return sweep.Cell{}, err
+	}
+	return sweep.Cell{Spec: spec, Cfg: g.Key.Cfg, Opt: g.Key.Opt, Label: g.Label}, nil
 }
 
 // QueueStats counts queue activity since construction.
@@ -312,16 +328,17 @@ func (v Verdict) Rejected() bool {
 }
 
 // Publish is one worker's completed-cell submission as judged by the
-// queue. Canonical is computed by the coordinator from the payload it
-// actually received; ResultDigest is what the worker claims. The two
-// disagreeing is itself evidence of a fault.
+// queue, and the complete request body. Lease travels in the request
+// path. Canonical is computed by the coordinator from the payload it
+// actually received, never read off the wire; ResultDigest is what the
+// worker claims. The two disagreeing is itself evidence of a fault.
 type Publish struct {
-	Lease        string
-	Fence        string
-	Digest       string
-	ResultDigest string // worker's attestation ("" = unattested legacy publish)
-	Canonical    string // coordinator-computed canonical digest of Result
-	Result       *machine.Result
+	Lease        string          `json:"-"`
+	Fence        string          `json:"fence,omitempty"`
+	Digest       string          `json:"digest"`
+	ResultDigest string          `json:"result_digest,omitempty"` // worker's attestation ("" = unattested legacy publish)
+	Canonical    string          `json:"-"`
+	Result       *machine.Result `json:"result"`
 }
 
 // CompleteResult is the queue's decision on a publish.
@@ -331,7 +348,8 @@ type CompleteResult struct {
 	// Res and ResDigest carry the admitted result on VerdictAdmitted.
 	Res       *machine.Result
 	ResDigest string
-	// Cell is set on VerdictNeedArbiter (re-execute it) and
+	// Cell is the queued cell on VerdictAdmitted (its label names the
+	// store entry), VerdictNeedArbiter (re-execute it) and
 	// VerdictDivergent (re-verify it).
 	Cell sweep.Cell
 	// Worker is the attributed publisher ("" when unattributable).
@@ -810,7 +828,8 @@ func (q *Queue) Lease(worker string) (Grant, bool, error) {
 		Lease:       l.id,
 		Fence:       l.fence,
 		Digest:      t.digest,
-		Cell:        t.cell,
+		Key:         t.cell.Key(),
+		Label:       t.cell.Label,
 		Verify:      t.verify,
 		TTL:         q.ttl,
 		CellTimeout: t.cellTimeout,

@@ -251,7 +251,7 @@ func TestCoordinatorRestartRecovers(t *testing.T) {
 	defer cancel()
 
 	client := NewClient(srv.URL, nil)
-	client.SetRetry(fastRetry())
+	client.retry = fastRetry()
 
 	// Workers keep their own handle on the shared store, as separate
 	// processes would; they outlive the coordinator.

@@ -249,7 +249,11 @@ func TestStalledWorkerDoublePublish(t *testing.T) {
 
 	// Now the stalled worker wakes up, simulates its (long-lost) cell,
 	// and publishes under its expired lease.
-	res, err := sweep.Simulate(stalled.Cell)
+	cell, err := stalled.cell()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sweep.Simulate(cell)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +264,7 @@ func TestStalledWorkerDoublePublish(t *testing.T) {
 	// The payload is byte-identical to the admitted one (simulations are
 	// deterministic in the digest), so this is a benign duplicate — not a
 	// zombie strike, not a 409.
-	if err := client.Complete(ctx, stalled.Lease, stalled.Fence, stalled.Digest, stalled.Cell.Label, attest, res); err != nil {
+	if err := client.Complete(ctx, Publish{Lease: stalled.Lease, Fence: stalled.Fence, Digest: stalled.Digest, ResultDigest: attest, Result: res}); err != nil {
 		t.Fatalf("late publish rejected instead of no-op'd: %v", err)
 	}
 

@@ -189,7 +189,7 @@ func (w *Worker) runCell(ctx context.Context, g Grant) {
 	if g.Verify {
 		verifyTag = ", verify"
 	}
-	w.logf("worker %s: leased %s (%s, attempt %d%s)", w.name, g.Digest[:12], g.Cell.Label, g.Attempt, verifyTag)
+	w.logf("worker %s: leased %s (%s, attempt %d%s)", w.name, g.Digest[:12], g.Label, g.Attempt, verifyTag)
 
 	stopBeat := w.heartbeat(ctx, g)
 	res, err := w.execute(ctx, g)
@@ -246,7 +246,8 @@ func (w *Worker) runCell(ctx context.Context, g Grant) {
 	}
 	stopBeat()
 
-	if cerr := w.client.Complete(ctx, g.Lease, g.Fence, g.Digest, g.Cell.Label, attest, res); cerr != nil {
+	pub := Publish{Lease: g.Lease, Fence: g.Fence, Digest: g.Digest, ResultDigest: attest, Result: res}
+	if cerr := w.client.Complete(ctx, pub); cerr != nil {
 		var apiErr *APIError
 		if errors.As(cerr, &apiErr) && apiErr.Status == 409 {
 			w.mu.Lock()
@@ -261,19 +262,25 @@ func (w *Worker) runCell(ctx context.Context, g Grant) {
 	w.mu.Lock()
 	w.stats.Completed++
 	w.mu.Unlock()
-	w.logf("worker %s: completed %s (%s)", w.name, g.Digest[:12], g.Cell.Label)
+	w.logf("worker %s: completed %s (%s)", w.name, g.Digest[:12], g.Label)
 }
 
-// execute runs the cell through the worker's sweep engine: panic guard,
-// per-grant cell timeout, store persistence and rehydration all come
-// with it. A grant carrying a campaign deadline caps the simulation
-// context at that absolute instant, so a deadline-expired campaign
-// cancels its in-flight simulations instead of wasting worker time on
-// results nobody will wait for. A verification grant instead runs on a
-// fresh, storeless engine: the whole point of the quorum is an
-// independent re-execution, so serving the vote from the shared store
-// (or this worker's cache) would just echo the first answer back.
+// execute resolves the grant's workload (an abbreviation this binary
+// does not know fails the attempt like any other error) and runs the
+// cell through the worker's sweep engine: panic guard, per-grant cell
+// timeout, store persistence and rehydration all come with it. A grant
+// carrying a campaign deadline caps the simulation context at that
+// absolute instant, so a deadline-expired campaign cancels its
+// in-flight simulations instead of wasting worker time on results
+// nobody will wait for. A verification grant instead runs on a fresh,
+// storeless engine: the whole point of the quorum is an independent
+// re-execution, so serving the vote from the shared store (or this
+// worker's cache) would just echo the first answer back.
 func (w *Worker) execute(ctx context.Context, g Grant) (*machine.Result, error) {
+	cell, err := g.cell()
+	if err != nil {
+		return nil, err
+	}
 	if !g.Deadline.IsZero() {
 		dctx, cancel := context.WithDeadline(ctx, g.Deadline)
 		defer cancel()
@@ -287,7 +294,7 @@ func (w *Worker) execute(ctx context.Context, g Grant) (*machine.Result, error) 
 	eng.SetSimulator(func(c sweep.Cell) (*machine.Result, error) {
 		return sweep.SimulateContext(ctx, c)
 	})
-	results, err := eng.Run(ctx, []sweep.Cell{g.Cell}, 1)
+	results, err := eng.Run(ctx, []sweep.Cell{cell}, 1)
 	if err != nil {
 		return nil, err
 	}

@@ -29,9 +29,13 @@
 //	  go test -run '^$' -bench . -benchmem ./internal/mem ./internal/sim ./internal/machine ./internal/interconnect ./internal/secure ./internal/campaign ./internal/store ./internal/crypto ./internal/workload ./internal/otp ./internal/core ./internal/migration ; } \
 //	  | go run ./scripts/benchcheck
 //
-// Capture/update the baseline with the same benchmarks, repeated:
+// Capture/update the baseline with the same benchmarks, repeated. The
+// throughput benchmarks run as scripts/benchpair.sh gates them, one
+// -benchtime 1x process per run: the process-wide trace and link-seed
+// caches then start cold, and a warm, longer run would read fewer
+// allocs/op than the gate ever sees.
 //
-//	{ go test -run '^$' -bench BenchmarkSimulatorThroughput -benchtime 3x -benchmem -count 3 . ;
+//	{ for i in 1 2 3; do go test -run '^$' -bench BenchmarkSimulatorThroughput -benchtime 1x -benchmem . ; done ;
 //	  go test -run '^$' -bench . -benchmem -count 3 ./internal/mem ./internal/sim ./internal/machine ./internal/interconnect ./internal/secure ./internal/campaign ./internal/store ./internal/crypto ./internal/workload ./internal/otp ./internal/core ./internal/migration ; } \
 //	  | go run ./scripts/benchcheck -update
 package main
