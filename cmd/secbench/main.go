@@ -62,15 +62,14 @@
 // SIGINT kills the coordinator abruptly (crash semantics, journal
 // recovery); SIGTERM drains it gracefully and journals a clean shutdown.
 //
-// Workers are not trusted blindly: every publish attests the canonical
-// digest of its payload under a per-lease fencing token, -verify-fraction
-// sends a deterministic sample of cells to two independent workers and
-// quarantines whoever diverges, and -scrub-interval makes the
+// Workers holding the auth token are trusted, but their results are
+// still checked: every publish attests the canonical digest of its
+// payload under a per-lease fencing token, -verify-fraction sends a
+// deterministic sample of cells to two independent workers (a tied vote
+// is re-executed by the coordinator), and -scrub-interval makes the
 // coordinator periodically re-verify every object at rest. `secbench
 // -fsck -store DIR` runs that same scrub once, offline, and exits
-// non-zero if corruption was found. SECBENCH_BYZANTINE (or -byzantine)
-// turns a worker actively malicious — corrupt payloads, lying
-// attestations, zombie publishes — for chaos-testing the defenses.
+// non-zero if corruption was found.
 package main
 
 import (
@@ -156,9 +155,8 @@ func main() {
 	flag.StringVar(&serve.TLSCertFile, "tls-cert", "", "TLS certificate file for -serve (with -tls-key, the coordinator terminates TLS)")
 	flag.StringVar(&serve.TLSKeyFile, "tls-key", "", "TLS private key file for -serve")
 	faults := flag.String("faults", os.Getenv("SECBENCH_FAULTS"), "seeded RPC fault injection for -worker and -submit traffic, e.g. \"seed=7,refuse=0.05,timeout=0.02,err=0.05,torn=0.03,dup=0.05\" (default $SECBENCH_FAULTS; chaos testing only)")
-	flag.Float64Var(&serve.VerifyFraction, "verify-fraction", 0, "fraction of cells the coordinator re-executes on two independent workers to catch Byzantine results (-serve; 0 disables, 1 verifies everything)")
+	flag.Float64Var(&serve.VerifyFraction, "verify-fraction", 0, "fraction of cells the coordinator re-executes on two independent workers to catch faulty results (-serve; 0 disables, 1 verifies everything)")
 	flag.DurationVar(&serve.ScrubInterval, "scrub-interval", 0, "how often the coordinator re-verifies every stored object at rest and heals corruption (-serve; 0 disables)")
-	byzantine := flag.String("byzantine", os.Getenv("SECBENCH_BYZANTINE"), "seeded worker misbehavior, e.g. \"seed=3,corrupt=0.5,lie=0.2,zombie=0.1\" (-worker; default $SECBENCH_BYZANTINE; chaos testing only)")
 	priority := flag.String("priority", "", "campaign priority for weighted-fair scheduling: low, normal, or high (-submit; default normal)")
 	deadline := flag.Duration("deadline", 0, "campaign wall-time budget from submission (-submit; 0 = unbounded): past it the campaign fails and returns the tables finished so far")
 	fsck := flag.Bool("fsck", false, "verify every object in -store once (the coordinator's scrub pass, offline), quarantine corruption, and exit non-zero if any was found")
@@ -196,7 +194,7 @@ func main() {
 
 	switch {
 	case *workerMode:
-		runWorker(ctx, *coordinator, *storeDir, *workerName, *poll, *authToken, *faults, *byzantine, *quiet)
+		runWorker(ctx, *coordinator, *storeDir, *workerName, *poll, *authToken, *faults, *quiet)
 		return
 	case *submitMode:
 		// The sweep flags map onto the campaign options struct, the same
@@ -505,41 +503,19 @@ func newCampaignClient(coordinator, authToken, faults string, logf func(string, 
 	return cl
 }
 
-// runWorker leases and executes cells until interrupted. A quarantined
-// worker exits non-zero instead of retrying: the coordinator has stopped
-// trusting this identity, so polling on would only burn its CPU.
-func runWorker(ctx context.Context, coordinator, storeDir, name string, poll time.Duration, authToken, faults, byzantine string, quiet bool) {
+// runWorker leases and executes cells until interrupted.
+func runWorker(ctx context.Context, coordinator, storeDir, name string, poll time.Duration, authToken, faults string, quiet bool) {
 	if coordinator == "" {
 		fatal(errors.New("-worker requires -coordinator URL"))
 	}
 	logf := logger(quiet)
-	var byzSpec campaign.ByzantineSpec
-	if byzantine != "" {
-		var err error
-		byzSpec, err = campaign.ParseByzantineSpec(byzantine)
-		if err != nil {
-			fatal(err)
-		}
-		if byzSpec.Enabled() && logf != nil {
-			logf("BYZANTINE worker: misbehaving per %q (chaos testing only)", byzantine)
-		}
-	}
 	w := campaign.NewWorker(newCampaignClient(coordinator, authToken, faults, logf), campaign.WorkerOptions{
-		Name: name, Store: openStore(storeDir), Poll: poll, Byzantine: byzSpec, Logf: logf,
+		Name: name, Store: openStore(storeDir), Poll: poll, Logf: logf,
 	})
-	err := w.Run(ctx)
+	_ = w.Run(ctx) // returns ctx.Err(): the worker runs until interrupted
 	ws := w.Stats()
 	fmt.Fprintf(os.Stderr, "secbench: worker %s done: %d leased, %d completed, %d failed, %d rejected, %d renewals lost, %d lease errors\n",
 		w.Name(), ws.Leased, ws.Completed, ws.Failed, ws.Rejected, ws.RenewLost, ws.LeaseErrors)
-	if bs := w.ByzantineStats(); bs.Cells > 0 {
-		fmt.Fprintf(os.Stderr, "secbench: byzantine stats: %d cells drawn, %d corrupted, %d lied, %d zombies\n",
-			bs.Cells, bs.Corrupted, bs.Lied, bs.Zombies)
-	}
-	if errors.Is(err, campaign.ErrWorkerQuarantined) {
-		fmt.Fprintln(os.Stderr, "secbench: worker quarantined by the coordinator; not retrying")
-		stopProfiles()
-		os.Exit(3)
-	}
 }
 
 // runSubmit sends a campaign to the coordinator, streams each table as

@@ -21,7 +21,7 @@ import (
 //	GET    /v1/campaigns/{id}         status                   -> 200 Status
 //	DELETE /v1/campaigns/{id}         cancel                   -> 200 Status
 //	GET    /v1/campaigns/{id}/tables  finished tables          -> 200 []TableResult
-//	POST   /v1/lease                  lease a cell             -> 200 Grant | 204 | 403 (quarantined) | 503 (draining)
+//	POST   /v1/lease                  lease a cell             -> 200 Grant | 204 | 503 (draining)
 //	POST   /v1/lease/{id}/renew       heartbeat (fenced)       -> 204 | 410
 //	POST   /v1/lease/{id}/complete    publish a Publish        -> 204 (admitted/vote/duplicate) | 409 (rejected)
 //	POST   /v1/lease/{id}/fail        report a failed attempt  -> 204 (idempotent; ignored unless fenced)
@@ -86,13 +86,8 @@ type Health struct {
 	// Recovered counts running campaigns re-submitted from the control
 	// journal when this coordinator started.
 	Recovered int `json:"recovered"`
-	// Quarantined counts workers currently in reputation quarantine.
-	Quarantined int `json:"quarantined"`
 	// Queue is the full activity counter set.
 	Queue QueueStats `json:"queue"`
-	// Workers lists per-worker reputation (lease/complete counts,
-	// divergence and zombie strikes, quarantine state).
-	Workers []WorkerHealth `json:"workers,omitempty"`
 	// Scrub summarizes store-scrubber and self-healing activity.
 	Scrub ScrubHealth `json:"scrub"`
 	// Progress lists per-campaign progress, newest first.
@@ -211,13 +206,7 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, fmt.Errorf("campaign: coordinator is draining"))
 		return
 	}
-	g, ok, err := c.queue.Lease(req.Worker)
-	if err != nil {
-		// A quarantined worker gets a hard 403: its answers are no
-		// longer trusted, so it should stop burning leases.
-		writeError(w, http.StatusForbidden, err)
-		return
-	}
+	g, ok := c.queue.Lease(req.Worker)
 	if !ok {
 		w.WriteHeader(http.StatusNoContent)
 		return
@@ -276,13 +265,6 @@ func (c *Coordinator) handleHealth(w http.ResponseWriter, r *http.Request) {
 		})
 	}
 	qs := c.queue.Stats()
-	workers := c.queue.Workers()
-	quarantined := 0
-	for _, wk := range workers {
-		if wk.Quarantined {
-			quarantined++
-		}
-	}
 	writeJSON(w, http.StatusOK, Health{
 		OK:                  true,
 		Campaigns:           len(statuses),
@@ -290,9 +272,7 @@ func (c *Coordinator) handleHealth(w http.ResponseWriter, r *http.Request) {
 		Leased:              leased,
 		Expired:             qs.Expired,
 		Recovered:           c.Recovered(),
-		Quarantined:         quarantined,
 		Queue:               qs,
-		Workers:             workers,
 		Scrub:               c.ScrubStats(),
 		Progress:            progress,
 		Draining:            c.Draining(),

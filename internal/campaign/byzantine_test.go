@@ -1,8 +1,11 @@
 package campaign
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -14,19 +17,19 @@ import (
 	"secmgpu/internal/sweep"
 )
 
-// ---- queue-level units: attestation, fencing, quorum, reputation ----
+// ---- queue-level units: attestation, fencing, quorum ----
 
 func TestQueueAttestationMismatchRequeues(t *testing.T) {
 	q := NewQueue(time.Minute)
 	ch := make(chan Outcome, 1)
 	q.Enqueue(testCell(t, 1), EnqueueOptions{MaxAttempts: 1}, ch)
 
-	g, _ := mustLease(t, q, "liar")
+	g, _ := q.Lease("faulty")
 	pub := honestPublish(t, g, fakeResult(42))
-	pub.ResultDigest = lieDigest(pub.ResultDigest)
+	pub.ResultDigest = wrongDigest
 	out := q.Complete(pub)
 	if out.Verdict != VerdictDigestMismatch {
-		t.Fatalf("lying attestation verdict = %s, want digest mismatch", out.Verdict)
+		t.Fatalf("wrong attestation verdict = %s, want digest mismatch", out.Verdict)
 	}
 	select {
 	case <-ch:
@@ -35,8 +38,8 @@ func TestQueueAttestationMismatchRequeues(t *testing.T) {
 	}
 
 	// The cell requeues without burning an attempt — the work is fine,
-	// the publisher is not.
-	g2, ok := mustLease(t, q, "honest")
+	// the publish is not.
+	g2, ok := q.Lease("honest")
 	if !ok {
 		t.Fatal("mis-attested cell did not requeue")
 	}
@@ -50,11 +53,6 @@ func TestQueueAttestationMismatchRequeues(t *testing.T) {
 	if st.DigestMismatches != 1 || st.Completed != 1 {
 		t.Fatalf("DigestMismatches=%d Completed=%d, want 1/1", st.DigestMismatches, st.Completed)
 	}
-	for _, w := range q.Workers() {
-		if w.Name == "liar" && w.Divergent != 1 {
-			t.Fatalf("liar divergence strikes = %d, want 1", w.Divergent)
-		}
-	}
 }
 
 func TestQueueFenceForgeryDoesNotEvictHolder(t *testing.T) {
@@ -62,7 +60,7 @@ func TestQueueFenceForgeryDoesNotEvictHolder(t *testing.T) {
 	ch := make(chan Outcome, 1)
 	q.Enqueue(testCell(t, 1), EnqueueOptions{MaxAttempts: 1}, ch)
 
-	g, _ := mustLease(t, q, "holder")
+	g, _ := q.Lease("holder")
 	forged := honestPublish(t, g, fakeResult(99))
 	forged.Fence = "0123456789abcdef0123456789abcdef"
 	if out := q.Complete(forged); out.Verdict != VerdictFenceMismatch {
@@ -92,7 +90,7 @@ func TestQueueForgedFailAndRenewAreFenced(t *testing.T) {
 	q := withClock(NewQueue(time.Minute), clock)
 	ch := make(chan Outcome, 1)
 	digest, _ := q.Enqueue(testCell(t, 1), EnqueueOptions{MaxAttempts: 1}, ch)
-	g, _ := mustLease(t, q, "holder")
+	g, _ := q.Lease("holder")
 	deadline := clock.now().Add(time.Minute)
 
 	clock.advance(30 * time.Second)
@@ -232,7 +230,7 @@ func TestQueueQuorumAgreementAdmits(t *testing.T) {
 	ch := make(chan Outcome, 1)
 	q.Enqueue(testCell(t, 1), EnqueueOptions{MaxAttempts: 1}, ch)
 
-	g1, _ := mustLease(t, q, "w1")
+	g1, _ := q.Lease("w1")
 	if !g1.Verify {
 		t.Fatal("grant not marked for verification at fraction 1")
 	}
@@ -246,7 +244,7 @@ func TestQueueQuorumAgreementAdmits(t *testing.T) {
 	}
 
 	// The second, independent execution agrees: admitted.
-	g2, ok := mustLease(t, q, "w2")
+	g2, ok := q.Lease("w2")
 	if !ok {
 		t.Fatal("voted cell did not requeue for the second execution")
 	}
@@ -268,11 +266,11 @@ func TestQueueQuorumDivergenceEscalatesToArbiter(t *testing.T) {
 	ch := make(chan Outcome, 1)
 	digest, _ := q.Enqueue(testCell(t, 1), EnqueueOptions{MaxAttempts: 1}, ch)
 
-	g1, _ := mustLease(t, q, "honest")
+	g1, _ := q.Lease("honest")
 	honest := fakeResult(42)
 	q.Complete(honestPublish(t, g1, honest))
 
-	g2, _ := mustLease(t, q, "evil")
+	g2, _ := q.Lease("evil")
 	out := q.Complete(honestPublish(t, g2, fakeResult(666))) // self-consistent but wrong
 	if out.Verdict != VerdictNeedArbiter {
 		t.Fatalf("tied quorum verdict = %s, want arbiter escalation", out.Verdict)
@@ -282,7 +280,7 @@ func TestQueueQuorumDivergenceEscalatesToArbiter(t *testing.T) {
 	}
 
 	// While arbitrating, the cell is not leasable.
-	if _, ok := mustLease(t, q, "w3"); ok {
+	if _, ok := q.Lease("w3"); ok {
 		t.Fatal("arbitrating cell was leased out")
 	}
 
@@ -303,18 +301,6 @@ func TestQueueQuorumDivergenceEscalatesToArbiter(t *testing.T) {
 	if st.Arbitrations != 1 || st.DivergentVotes != 1 {
 		t.Fatalf("Arbitrations=%d DivergentVotes=%d, want 1/1", st.Arbitrations, st.DivergentVotes)
 	}
-	for _, w := range q.Workers() {
-		switch w.Name {
-		case "evil":
-			if w.Divergent != 1 {
-				t.Fatalf("evil divergence strikes = %d, want 1", w.Divergent)
-			}
-		case "honest":
-			if w.Divergent != 0 || w.Completed != 1 {
-				t.Fatalf("honest ledger = %+v, want credit and no strikes", w)
-			}
-		}
-	}
 }
 
 // A lone worker can never form a 2-agreeing majority with itself (latest
@@ -326,9 +312,9 @@ func TestQueueSingleWorkerQuorumConverges(t *testing.T) {
 	ch := make(chan Outcome, 1)
 	digest, _ := q.Enqueue(testCell(t, 1), EnqueueOptions{MaxAttempts: 1}, ch)
 
-	g1, _ := mustLease(t, q, "solo")
+	g1, _ := q.Lease("solo")
 	q.Complete(honestPublish(t, g1, fakeResult(42)))
-	g2, ok := mustLease(t, q, "solo") // fallback: own-voted cells still grantable
+	g2, ok := q.Lease("solo") // fallback: own-voted cells still grantable
 	if !ok {
 		t.Fatal("solo worker starved of its own voted cell")
 	}
@@ -349,7 +335,7 @@ func TestQueueRequeueForcesReverification(t *testing.T) {
 	q := NewQueue(time.Minute)
 	ch := make(chan Outcome, 1)
 	digest, _ := q.Enqueue(testCell(t, 1), EnqueueOptions{MaxAttempts: 1}, ch)
-	g, _ := mustLease(t, q, "w1")
+	g, _ := q.Lease("w1")
 	q.Complete(honestPublish(t, g, fakeResult(42)))
 	<-ch
 
@@ -363,14 +349,14 @@ func TestQueueRequeueForcesReverification(t *testing.T) {
 
 	// The requeued cell now demands a quorum even though the lottery
 	// never selected it.
-	g1, ok := mustLease(t, q, "w1")
+	g1, ok := q.Lease("w1")
 	if !ok || !g1.Verify {
 		t.Fatalf("requeued cell grant = (%+v, %v), want a verify grant", g1, ok)
 	}
 	if out := q.Complete(honestPublish(t, g1, fakeResult(42))); out.Verdict != VerdictVoteRecorded {
 		t.Fatalf("first re-vote verdict = %s", out.Verdict)
 	}
-	g2, _ := mustLease(t, q, "w2")
+	g2, _ := q.Lease("w2")
 	if out := q.Complete(honestPublish(t, g2, fakeResult(42))); out.Verdict != VerdictAdmitted {
 		t.Fatalf("second re-vote verdict = %s, want admitted", out.Verdict)
 	}
@@ -379,175 +365,43 @@ func TestQueueRequeueForcesReverification(t *testing.T) {
 	}
 }
 
-func TestQueueReputationQuarantinesDivergentWorker(t *testing.T) {
-	q := NewQueue(time.Minute)
-	q.ConfigureReputation(2, 0) // two divergence strikes
-	var hookWorker, hookReason string
-	q.OnQuarantine(func(w, r string) { hookWorker, hookReason = w, r })
+// corruptingTransport rewrites every publish it carries into a wrong
+// result with a self-consistent attestation: the payload's cycle count is
+// perturbed and ResultDigest recomputed, so only an independent
+// re-execution (the quorum or its arbiter) can tell it apart.
+type corruptingTransport struct{}
 
-	// Two cells, two lying attestations.
-	for seed := int64(1); seed <= 2; seed++ {
-		ch := make(chan Outcome, 1)
-		q.Enqueue(testCell(t, seed), EnqueueOptions{MaxAttempts: 1}, ch)
-		g, ok, err := q.Lease("liar")
-		if err != nil || !ok {
-			t.Fatalf("lease %d: ok=%v err=%v", seed, ok, err)
-		}
-		pub := honestPublish(t, g, fakeResult(uint64(seed)))
-		pub.ResultDigest = lieDigest(pub.ResultDigest)
-		if out := q.Complete(pub); out.Verdict != VerdictDigestMismatch {
-			t.Fatalf("lie %d verdict = %s", seed, out.Verdict)
-		}
+func (corruptingTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	if req.Method != http.MethodPost || !strings.HasSuffix(req.URL.Path, "/complete") {
+		return http.DefaultTransport.RoundTrip(req)
 	}
-
-	if hookWorker != "liar" || hookReason == "" {
-		t.Fatalf("quarantine hook saw (%q, %q)", hookWorker, hookReason)
-	}
-	if _, _, err := q.Lease("liar"); !errors.Is(err, ErrWorkerQuarantined) {
-		t.Fatalf("quarantined lease err = %v, want ErrWorkerQuarantined", err)
-	}
-	st := q.Stats()
-	if st.WorkersQuarantined != 1 {
-		t.Fatalf("WorkersQuarantined = %d, want 1", st.WorkersQuarantined)
-	}
-	// Honest workers still lease; the two lied-about cells are pending.
-	if _, ok := mustLease(t, q, "honest"); !ok {
-		t.Fatal("honest worker blocked by someone else's quarantine")
-	}
-}
-
-func TestQueueZombieLimitQuarantinesAndDrainsLeases(t *testing.T) {
-	clock := newFakeClock()
-	q := withClock(NewQueue(time.Second), clock)
-	q.ConfigureReputation(0, 1) // one zombie strike
-	chA := make(chan Outcome, 1)
-	chB := make(chan Outcome, 1)
-	q.Enqueue(testCell(t, 1), EnqueueOptions{MaxAttempts: 1}, chA)
-	q.Enqueue(testCell(t, 2), EnqueueOptions{MaxAttempts: 1}, chB)
-
-	gA, _ := mustLease(t, q, "zombie")
-	gB, _ := mustLease(t, q, "zombie") // second cell held concurrently
-	clock.advance(2 * time.Second)
-	q.ExpireLeases()
-	// Re-lease cell A elsewhere so the zombie's publish hits unfinished
-	// work under a dead lease.
-	if _, ok := mustLease(t, q, "healthy"); !ok {
-		t.Fatal("expired cell not re-leasable")
-	}
-	if out := q.Complete(honestPublish(t, gA, fakeResult(1))); out.Verdict != VerdictZombie {
-		t.Fatalf("zombie publish verdict = %s", out.Verdict)
-	}
-	if _, _, err := q.Lease("zombie"); !errors.Is(err, ErrWorkerQuarantined) {
-		t.Fatalf("zombie lease err = %v, want ErrWorkerQuarantined", err)
-	}
-	// Both of the zombie's leases are gone (B was already expired; either
-	// way a later publish under it is fenced).
-	if out := q.Complete(honestPublish(t, gB, fakeResult(2))); out.Verdict != VerdictZombie {
-		t.Fatalf("drained-lease publish verdict = %s, want zombie", out.Verdict)
-	}
-}
-
-func TestParseByzantineSpec(t *testing.T) {
-	spec, err := ParseByzantineSpec("seed=3,corrupt=0.6,lie=0.2,zombie=0.1")
+	var pub Publish
+	err := json.NewDecoder(req.Body).Decode(&pub)
+	req.Body.Close()
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
-	if spec.Seed != 3 || spec.Corrupt != 0.6 || spec.Lie != 0.2 || spec.Zombie != 0.1 {
-		t.Fatalf("spec = %+v", spec)
+	bad := *pub.Result
+	bad.Cycles = bad.Cycles*2 + 12345
+	pub.Result = &bad
+	if pub.ResultDigest, err = ResultDigest(&bad); err != nil {
+		return nil, err
 	}
-	if !spec.Enabled() {
-		t.Fatal("non-zero spec not enabled")
+	body, err := json.Marshal(pub)
+	if err != nil {
+		return nil, err
 	}
-	if empty, err := ParseByzantineSpec(""); err != nil || empty.Enabled() {
-		t.Fatalf("empty spec = (%+v, %v)", empty, err)
-	}
-	for _, bad := range []string{"corrupt=2", "corrupt=-0.1", "corupt=0.5", "corrupt", "seed=x"} {
-		if _, err := ParseByzantineSpec(bad); err == nil {
-			t.Fatalf("spec %q accepted", bad)
-		}
-	}
-	// The injector consumes one draw per cell regardless of outcome.
-	b := newByzantine(ByzantineSpec{Seed: 7, Corrupt: 0.5, Lie: 0.25})
-	for i := 0; i < 100; i++ {
-		b.draw()
-	}
-	bs := b.Stats()
-	if bs.Cells != 100 || bs.Injected() == 0 || bs.Injected() == 100 {
-		t.Fatalf("injector stats = %+v, want a mixed sequence over 100 cells", bs)
-	}
-	// The exact sequence at this seed is pinned: the Byzantine smoke
-	// relies on it staying put.
-	if want := (ByzantineStats{Cells: 100, Corrupted: 49, Lied: 20}); bs != want {
-		t.Fatalf("seed 7 stats = %+v, want %+v", bs, want)
-	}
+	req = req.Clone(req.Context())
+	req.Body = io.NopCloser(bytes.NewReader(body))
+	req.GetBody = func() (io.ReadCloser, error) { return io.NopCloser(bytes.NewReader(body)), nil }
+	req.ContentLength = int64(len(body))
+	return http.DefaultTransport.RoundTrip(req)
 }
 
-// ---- worker / coordinator integration ----
-
-func TestWorkerRunExitsOnQuarantine(t *testing.T) {
-	coord, client, _ := newService(t, time.Minute)
-	coord.Queue().QuarantineWorker("pariah", "operator action")
-
-	w := NewWorker(client, WorkerOptions{Name: "pariah", Poll: 5 * time.Millisecond, Logf: t.Logf})
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	err := w.Run(ctx)
-	if !errors.Is(err, ErrWorkerQuarantined) {
-		t.Fatalf("Run = %v, want ErrWorkerQuarantined", err)
-	}
-	if ctx.Err() != nil {
-		t.Fatal("worker polled until the deadline instead of treating the 403 as terminal")
-	}
-}
-
-func TestQuarantineSurvivesCoordinatorRestart(t *testing.T) {
-	dir := t.TempDir()
-	st, err := store.Open(dir, store.Options{SimDigest: "test-sim"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	coord := NewCoordinator(Options{Store: st, LeaseTTL: time.Minute, Logf: t.Logf})
-
-	ch := make(chan Outcome, 1)
-	q := coord.Queue()
-	q.ConfigureReputation(1, 16)
-	digest, _ := q.Enqueue(testCell(t, 1), EnqueueOptions{MaxAttempts: 1}, ch)
-	g, ok, err := q.Lease("evil")
-	if err != nil || !ok {
-		t.Fatalf("lease: ok=%v err=%v", ok, err)
-	}
-	res := fakeResult(9)
-	attest, err := ResultDigest(res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// One lying attestation at limit 1: quarantined, and the quarantine
-	// is journaled through the coordinator's hook.
-	out := coord.Complete(Publish{Lease: g.Lease, Fence: g.Fence, Digest: digest, ResultDigest: lieDigest(attest), Result: res})
-	if out.Verdict != VerdictDigestMismatch {
-		t.Fatalf("verdict = %s, want digest mismatch", out.Verdict)
-	}
-	if _, _, err := q.Lease("evil"); !errors.Is(err, ErrWorkerQuarantined) {
-		t.Fatalf("pre-restart lease err = %v", err)
-	}
-	coord.Close()
-
-	st2, err := store.Open(dir, store.Options{SimDigest: "test-sim"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	coord2 := NewCoordinator(Options{Store: st2, LeaseTTL: time.Minute, Logf: t.Logf})
-	defer coord2.Close()
-	if _, _, err := coord2.Queue().Lease("evil"); !errors.Is(err, ErrWorkerQuarantined) {
-		t.Fatalf("post-restart lease err = %v, want ErrWorkerQuarantined (quarantine lost across restart)", err)
-	}
-}
-
-// TestByzantineCampaignEndToEnd is the tentpole scenario: an actively
-// malicious worker (every result corrupted, attestations self-consistent)
-// shares the fleet with an honest one under full verification. The
-// campaign must converge to byte-identical tables, admit zero poisoned
-// objects, and quarantine the attacker if it ever got a vote in.
+// TestByzantineCampaignEndToEnd: a worker whose every publish is corrupt
+// (attestations self-consistent) shares the fleet with an honest one
+// under full verification. The campaign must converge to byte-identical
+// tables and admit zero corrupt objects.
 func TestByzantineCampaignEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs real simulations")
@@ -560,7 +414,6 @@ func TestByzantineCampaignEndToEnd(t *testing.T) {
 		Store: st, LeaseTTL: time.Minute, Logf: t.Logf,
 		VerifyFraction: 1,
 	})
-	coord.Queue().ConfigureReputation(1, 16)
 	srv := httptest.NewServer(coord.Handler())
 	t.Cleanup(func() { srv.Close(); coord.Close() })
 	client := NewClient(srv.URL, nil)
@@ -571,16 +424,12 @@ func TestByzantineCampaignEndToEnd(t *testing.T) {
 	defer wcancel()
 	honest := NewWorker(client, WorkerOptions{Name: "honest", Store: st, Poll: 25 * time.Millisecond, Logf: t.Logf})
 	go honest.Run(wctx)
-	// The byzantine worker gets NO store handle: a malicious process
-	// inside the store's trust boundary could poison objects directly —
-	// the defense boundary is the publish API.
-	evil := NewWorker(client, WorkerOptions{
-		Name: "evil", Poll: 5 * time.Millisecond,
-		Byzantine: ByzantineSpec{Seed: 3, Corrupt: 1},
-		Logf:      t.Logf,
+	// The corrupt worker gets NO store handle: its results reach the
+	// store only through the publish API, where the quorum checks them.
+	evil := NewWorker(NewClient(srv.URL, &http.Client{Transport: corruptingTransport{}}), WorkerOptions{
+		Name: "evil", Poll: 5 * time.Millisecond, Logf: t.Logf,
 	})
-	evilDone := make(chan error, 1)
-	go func() { evilDone <- evil.Run(wctx) }()
+	go evil.Run(wctx)
 
 	spec := Spec{Experiments: []string{"fig9"}, Workloads: []string{"mm"}, Scale: 0.02}
 	sub, err := client.Submit(ctx, spec)
@@ -595,8 +444,8 @@ func TestByzantineCampaignEndToEnd(t *testing.T) {
 		t.Fatalf("state = %s (errors: %v)", final.State, final.ExperimentErrors)
 	}
 
-	// Byte-identical to a single-process run: zero poison reached the
-	// tables.
+	// Byte-identical to a single-process run: no corrupt result reached
+	// the tables.
 	tables, err := client.Tables(ctx, sub.ID)
 	if err != nil || len(tables) != 1 {
 		t.Fatalf("tables = %d (err %v), want 1", len(tables), err)
@@ -608,11 +457,11 @@ func TestByzantineCampaignEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	if tables[0].Text != ref.String() {
-		t.Fatalf("byzantine-fleet table differs from single-process run:\n--- campaign ---\n%s--- reference ---\n%s",
+		t.Fatalf("corrupt-fleet table differs from single-process run:\n--- campaign ---\n%s--- reference ---\n%s",
 			tables[0].Text, ref.String())
 	}
 
-	// Zero poisoned objects at rest.
+	// Zero corrupt objects at rest.
 	rep, err := st.Scrub()
 	if err != nil {
 		t.Fatal(err)
@@ -625,28 +474,9 @@ func TestByzantineCampaignEndToEnd(t *testing.T) {
 	if qs.VerifiedCells == 0 || qs.Votes < qs.VerifiedCells {
 		t.Fatalf("verification did not run: %+v", qs)
 	}
-	if evil.Stats().Completed > 0 {
-		// The attacker got votes in; its divergence must have been caught
-		// and punished.
-		if qs.DivergentVotes+qs.DivergentPublishes+qs.Arbitrations == 0 {
-			t.Fatalf("evil published %d corrupt results but no divergence was recorded: %+v",
-				evil.Stats().Completed, qs)
-		}
-		health, err := client.Health(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if health.Quarantined == 0 {
-			t.Fatalf("evil voted but was not quarantined: workers = %+v", health.Workers)
-		}
-		wcancel()
-		select {
-		case err := <-evilDone:
-			if !errors.Is(err, ErrWorkerQuarantined) && !errors.Is(err, context.Canceled) {
-				t.Fatalf("evil worker Run = %v", err)
-			}
-		case <-time.After(30 * time.Second):
-			t.Fatal("evil worker did not exit")
-		}
+	if n := evil.Stats().Completed; n > 0 && qs.DivergentVotes+qs.DivergentPublishes+qs.Arbitrations == 0 {
+		// The corrupt worker got votes in; its divergence must have been
+		// caught.
+		t.Fatalf("evil published %d corrupt results but no divergence was recorded: %+v", n, qs)
 	}
 }

@@ -400,17 +400,11 @@ func (cl *Client) Health(ctx context.Context) (Health, error) {
 
 // Lease asks for one cell of work. ok=false means the queue is empty.
 // Retrying a lease request is safe: a grant whose response was lost is
-// reclaimed by lease expiry. A 403 — the coordinator quarantined this
-// worker — is surfaced as ErrWorkerQuarantined (errors.Is-able) and
-// should be treated as terminal.
+// reclaimed by lease expiry.
 func (cl *Client) Lease(ctx context.Context, worker string) (Grant, bool, error) {
 	var g Grant
 	ok, err := cl.do(ctx, http.MethodPost, "/v1/lease", leaseRequest{Worker: worker}, &g, "", "")
 	if err != nil {
-		var apiErr *APIError
-		if errors.As(err, &apiErr) && apiErr.Status == http.StatusForbidden {
-			return Grant{}, false, fmt.Errorf("%w: %s", ErrWorkerQuarantined, apiErr.Message)
-		}
 		return Grant{}, false, err
 	}
 	return g, ok, nil

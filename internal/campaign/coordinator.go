@@ -244,17 +244,6 @@ func NewCoordinator(opts Options) *Coordinator {
 		c.logf = func(string, ...any) {}
 	}
 	c.queue.ConfigureVerification(opts.VerifyFraction)
-	// A worker is quarantined at its 3rd divergent or mis-attested result
-	// or its 16th zombie publish.
-	c.queue.ConfigureReputation(3, 16)
-	c.queue.OnQuarantine(func(worker, reason string) {
-		c.logf("campaign: worker %q QUARANTINED: %s", worker, reason)
-		if err := c.ctl.Append(ctlQuarantine, ctlQuarantineRec{
-			Worker: worker, Reason: reason, At: time.Now().UTC(),
-		}); err != nil {
-			c.logf("campaign: control journal append failed (quarantine will not survive a restart): %v", err)
-		}
-	})
 	if c.store != nil {
 		c.recover()
 	}
@@ -318,13 +307,6 @@ func (c *Coordinator) recover() {
 			camp.err = "canceled"
 		}
 		c.campaigns[id] = camp
-	}
-
-	// Quarantines are durable: a worker caught lying does not get a
-	// clean slate because the coordinator restarted.
-	for _, qr := range rep.quarantines {
-		c.queue.QuarantineWorker(qr.Worker, qr.Reason)
-		c.logf("campaign: worker %q quarantine restored from journal: %s", qr.Worker, qr.Reason)
 	}
 
 	// Campaigns that were running are re-submitted under their original

@@ -6,12 +6,9 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
-	"slices"
 	"strconv"
 	"strings"
 	"sync"
-
-	"secmgpu/internal/machine"
 )
 
 // FaultSpec configures seeded RPC fault injection. Each probability is
@@ -51,86 +48,36 @@ func (f FaultSpec) Enabled() bool {
 // empty string is a valid all-zero spec.
 func ParseFaultSpec(s string) (FaultSpec, error) {
 	var f FaultSpec
-	err := parseSpec("fault", s, &f.Seed, map[string]*float64{
-		"refuse": &f.Refuse, "timeout": &f.Timeout, "err": &f.Err5xx, "torn": &f.Torn, "dup": &f.Dup,
-	})
-	return f, err
-}
-
-// parseSpec parses a "seed=N,key=p,..." injector spec into seed and the
-// probabilities named by probs; kind prefixes the error messages.
-func parseSpec(kind, s string, seed *int64, probs map[string]*float64) error {
 	if strings.TrimSpace(s) == "" {
-		return nil
+		return f, nil
+	}
+	probs := map[string]*float64{
+		"refuse": &f.Refuse, "timeout": &f.Timeout, "err": &f.Err5xx, "torn": &f.Torn, "dup": &f.Dup,
 	}
 	for _, part := range strings.Split(s, ",") {
 		k, v, ok := strings.Cut(strings.TrimSpace(part), "=")
 		if !ok {
-			return fmt.Errorf("campaign: %s spec term %q is not key=value", kind, part)
+			return f, fmt.Errorf("campaign: fault spec term %q is not key=value", part)
 		}
 		if k == "seed" {
 			n, err := strconv.ParseInt(v, 10, 64)
 			if err != nil {
-				return fmt.Errorf("campaign: %s seed %q: %w", kind, v, err)
+				return f, fmt.Errorf("campaign: fault seed %q: %w", v, err)
 			}
-			*seed = n
+			f.Seed = n
 			continue
 		}
 		p, err := strconv.ParseFloat(v, 64)
 		if err != nil || p < 0 || p > 1 {
-			return fmt.Errorf("campaign: %s probability %s=%q out of [0,1]", kind, k, v)
+			return f, fmt.Errorf("campaign: fault probability %s=%q out of [0,1]", k, v)
 		}
 		field, ok := probs[k]
 		if !ok {
-			return fmt.Errorf("campaign: unknown %s key %q", kind, k)
+			return f, fmt.Errorf("campaign: unknown fault key %q", k)
 		}
 		*field = p
 	}
-	return nil
-}
-
-// lottery is the seeded draw both injectors share. Each event consumes
-// exactly one random number, so a sequence is independent of which
-// outcomes are enabled; the outcomes are tried in order and at most one
-// fires, so the total firing probability is the sum of probs.
-type lottery struct {
-	mu     sync.Mutex
-	rng    *rand.Rand
-	probs  []float64
-	events int
-	hits   []int // per outcome, indexed like probs
-}
-
-// newLottery returns a lottery over probs (seed 0 selects 1).
-func newLottery(seed int64, probs ...float64) *lottery {
-	if seed == 0 {
-		seed = 1
-	}
-	return &lottery{rng: rand.New(rand.NewSource(seed)), probs: probs, hits: make([]int, len(probs))}
-}
-
-// draw counts one event and returns the index of the outcome that
-// fired, or -1 for none.
-func (l *lottery) draw() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.events++
-	p := l.rng.Float64()
-	for i, prob := range l.probs {
-		if p < prob {
-			l.hits[i]++
-			return i
-		}
-		p -= prob
-	}
-	return -1
-}
-
-// counts returns the event count and a copy of the per-outcome hits.
-func (l *lottery) counts() (events int, hits []int) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.events, slices.Clone(l.hits)
+	return f, nil
 }
 
 // FaultStats counts injected faults since construction.
@@ -157,7 +104,11 @@ func (s FaultStats) Injected() int {
 // injector: the campaign protocol must converge under both.
 type FaultTransport struct {
 	next http.RoundTripper
-	lot  *lottery
+	spec FaultSpec
+
+	mu    sync.Mutex
+	rng   *rand.Rand
+	stats FaultStats
 }
 
 // The fault outcomes, in FaultSpec field order.
@@ -175,19 +126,52 @@ func NewFaultTransport(spec FaultSpec, next http.RoundTripper) *FaultTransport {
 	if next == nil {
 		next = http.DefaultTransport
 	}
-	return &FaultTransport{next: next, lot: newLottery(spec.Seed, spec.Refuse, spec.Timeout, spec.Err5xx, spec.Torn, spec.Dup)}
+	seed := spec.Seed
+	if seed == 0 {
+		seed = 1
+	}
+	return &FaultTransport{next: next, spec: spec, rng: rand.New(rand.NewSource(seed))}
 }
 
 // Stats returns a snapshot of the injection counters.
 func (t *FaultTransport) Stats() FaultStats {
-	n, h := t.lot.counts()
-	return FaultStats{Requests: n, Refused: h[faultRefuse], TimedOut: h[faultTimeout],
-		Injected5: h[fault5xx], Torn: h[faultTorn], Duplicated: h[faultDup]}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.stats
+}
+
+// draw counts one request and returns the fault that fires, or -1 for
+// none. Each request consumes exactly one random number, so the sequence
+// is independent of which faults are enabled; the faults are tried in
+// FaultSpec order and at most one fires.
+func (t *FaultTransport) draw() int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.stats.Requests++
+	faults := [...]struct {
+		p    float64
+		hits *int
+	}{
+		faultRefuse:  {t.spec.Refuse, &t.stats.Refused},
+		faultTimeout: {t.spec.Timeout, &t.stats.TimedOut},
+		fault5xx:     {t.spec.Err5xx, &t.stats.Injected5},
+		faultTorn:    {t.spec.Torn, &t.stats.Torn},
+		faultDup:     {t.spec.Dup, &t.stats.Duplicated},
+	}
+	p := t.rng.Float64()
+	for i, f := range faults {
+		if p < f.p {
+			*f.hits++
+			return i
+		}
+		p -= f.p
+	}
+	return -1
 }
 
 // RoundTrip implements http.RoundTripper.
 func (t *FaultTransport) RoundTrip(req *http.Request) (*http.Response, error) {
-	switch t.lot.draw() {
+	switch t.draw() {
 	case faultRefuse:
 		drainAndClose(req.Body)
 		return nil, fmt.Errorf("campaign: injected fault: connection refused")
@@ -271,103 +255,4 @@ func drainAndClose(body io.ReadCloser) {
 	}
 	io.Copy(io.Discard, body)
 	body.Close()
-}
-
-// ByzantineSpec configures a seeded Byzantine worker: instead of losing
-// messages (the FaultTransport's crash/omission model), it computes and
-// then publishes wrong answers. Each probability is evaluated once per
-// finished cell, in declared order; at most one behavior fires per cell.
-// It exists to chaos-test the attestation/quorum/fencing defenses
-// reproducibly — the defended coordinator must admit zero poisoned
-// results with one of these in the fleet.
-type ByzantineSpec struct {
-	// Seed makes the misbehavior sequence reproducible (0 selects 1).
-	Seed int64
-	// Corrupt is the probability the worker publishes a deterministically
-	// wrong result with a self-consistent attestation — the hardest case,
-	// detectable only by independent re-execution (quorum or arbiter).
-	Corrupt float64
-	// Lie is the probability the worker publishes the correct result but
-	// attests a wrong digest — caught immediately by the attestation
-	// check.
-	Lie float64
-	// Zombie is the probability the worker silences its heartbeat, waits
-	// for the lease to expire, and publishes anyway — caught by fencing.
-	Zombie float64
-}
-
-// Enabled reports whether any behavior has a non-zero probability.
-func (b ByzantineSpec) Enabled() bool {
-	return b.Corrupt > 0 || b.Lie > 0 || b.Zombie > 0
-}
-
-// ParseByzantineSpec parses a comma-separated spec such as
-// "seed=3,corrupt=0.6,lie=0.2,zombie=0.1". Unknown keys are rejected so
-// a typo disables nothing silently. An empty string is a valid all-zero
-// spec.
-func ParseByzantineSpec(s string) (ByzantineSpec, error) {
-	var b ByzantineSpec
-	err := parseSpec("byzantine", s, &b.Seed, map[string]*float64{
-		"corrupt": &b.Corrupt, "lie": &b.Lie, "zombie": &b.Zombie,
-	})
-	return b, err
-}
-
-// ByzantineStats counts injected misbehaviors since construction.
-type ByzantineStats struct {
-	Cells     int
-	Corrupted int
-	Lied      int
-	Zombies   int
-}
-
-// Injected returns the total number of misbehaviors injected.
-func (s ByzantineStats) Injected() int { return s.Corrupted + s.Lied + s.Zombies }
-
-// The Byzantine outcomes, in ByzantineSpec field order.
-const (
-	byzCorrupt = iota
-	byzLie
-	byzZombie
-)
-
-// byzantine is the worker-side injector.
-type byzantine struct{ *lottery }
-
-// newByzantine returns an injector for spec (nil when disabled).
-func newByzantine(spec ByzantineSpec) *byzantine {
-	if !spec.Enabled() {
-		return nil
-	}
-	return &byzantine{newLottery(spec.Seed, spec.Corrupt, spec.Lie, spec.Zombie)}
-}
-
-// Stats returns a snapshot of the injection counters.
-func (b *byzantine) Stats() ByzantineStats {
-	n, h := b.counts()
-	return ByzantineStats{Cells: n, Corrupted: h[byzCorrupt], Lied: h[byzLie], Zombies: h[byzZombie]}
-}
-
-// corruptResult returns a copy of res with a deterministically wrong
-// cycle count — plausible data, confidently wrong, never mutating the
-// engine's cached original.
-func corruptResult(res *machine.Result) *machine.Result {
-	cp := *res
-	cp.Cycles = cp.Cycles*2 + 12345
-	return &cp
-}
-
-// lieDigest derives a well-formed but wrong attestation from the honest
-// one.
-func lieDigest(canonical string) string {
-	if canonical == "" {
-		return "00ff00ff00ff00ff"
-	}
-	b := []byte(canonical)
-	if b[0] == '0' {
-		b[0] = 'f'
-	} else {
-		b[0] = '0'
-	}
-	return string(b)
 }

@@ -25,15 +25,14 @@ import (
 //	submit     {id, key?, spec, created}  campaign accepted
 //	cancel     {id, at}                   explicit cancellation requested
 //	terminal   {id, state, error?, at}    campaign reached a final state
-//	quarantine {worker, reason, at}       worker reputation quarantine
 //	drain      {at}                       graceful shutdown completed
 //
 // A coordinator shutdown writes no terminal record for running
 // campaigns: a shutdown is not an outcome, so replay re-submits them.
 // Only an explicit Cancel (journaled immediately, in case the process
 // dies before the campaign unwinds) and genuine done/failed completions
-// are final. Quarantines are final too: a worker caught publishing
-// wrong answers stays quarantined across restarts.
+// are final. Replay skips record types it does not know, such as the
+// worker "quarantine" records older coordinators wrote.
 //
 // A drain record as the journal's final entry marks a clean shutdown: a
 // SIGTERM'd coordinator stopped granting leases, let in-flight leases
@@ -41,11 +40,10 @@ import (
 // drain from crash (Health.CleanShutdown) — the re-submission semantics
 // are unchanged either way, the record is evidence, not behavior.
 const (
-	ctlSubmit     = "submit"
-	ctlCancel     = "cancel"
-	ctlTerminal   = "terminal"
-	ctlQuarantine = "quarantine"
-	ctlDrain      = "drain"
+	ctlSubmit   = "submit"
+	ctlCancel   = "cancel"
+	ctlTerminal = "terminal"
+	ctlDrain    = "drain"
 )
 
 // ctlSubmitRec journals an accepted campaign with its assigned ID and,
@@ -71,13 +69,6 @@ type ctlTerminalRec struct {
 	At    time.Time `json:"at"`
 }
 
-// ctlQuarantineRec journals a worker entering reputation quarantine.
-type ctlQuarantineRec struct {
-	Worker string    `json:"worker"`
-	Reason string    `json:"reason,omitempty"`
-	At     time.Time `json:"at"`
-}
-
 // ctlDrainRec journals a completed graceful drain: the final record of a
 // cleanly shut-down coordinator.
 type ctlDrainRec struct {
@@ -101,9 +92,6 @@ type ctlReplay struct {
 	order []string
 	// byID maps campaign ID to its journaled history.
 	byID map[string]*ctlCampaign
-	// quarantines lists journaled worker quarantines in order (a worker
-	// may appear once per quarantine event; replay is idempotent).
-	quarantines []ctlQuarantineRec
 	// corrupt counts skipped torn/bit-flipped records.
 	corrupt int
 	// lastType is the type of the final intact record — a drain there
@@ -148,7 +136,8 @@ func (r *ctlReplay) maxSeq() int {
 
 // replayControlLog reads the control journal at path into a ctlReplay.
 // A missing file is a clean first boot. Records that decode but name no
-// campaign are skipped (forward compatibility over strictness).
+// campaign, and records of unknown type, are skipped (compatibility over
+// strictness).
 func replayControlLog(path string) (*ctlReplay, error) {
 	rep := &ctlReplay{byID: make(map[string]*ctlCampaign)}
 	_, corrupt, err := store.ReplayLog(path, func(typ string, data json.RawMessage) {
@@ -179,12 +168,6 @@ func replayControlLog(path string) (*ctlReplay, error) {
 			if c, ok := rep.byID[rec.ID]; ok {
 				c.terminal = &rec
 			}
-		case ctlQuarantine:
-			var rec ctlQuarantineRec
-			if json.Unmarshal(data, &rec) != nil || rec.Worker == "" {
-				return
-			}
-			rep.quarantines = append(rep.quarantines, rec)
 		}
 	})
 	if err != nil {

@@ -159,7 +159,7 @@ func TestWeightedFairGrantOrdering(t *testing.T) {
 
 	smallSeen := 0
 	for i := 0; i < 6; i++ {
-		g, ok := mustLease(t, q, "w1")
+		g, ok := q.Lease("w1")
 		if !ok {
 			t.Fatalf("grant %d: queue dry with work pending", i)
 		}
@@ -241,11 +241,11 @@ func TestBucketFIFOGrantOrder(t *testing.T) {
 		t.Run(r.name, func(t *testing.T) {
 			q := NewQueue(time.Minute)
 			for i, want := range r.setup(t, q) {
-				if g, ok := mustLease(t, q, "w1"); !ok || g.Digest != want {
+				if g, ok := q.Lease("w1"); !ok || g.Digest != want {
 					t.Fatalf("grant %d = %q (ok %v), want %s", i, short(g.Digest), ok, short(want))
 				}
 			}
-			if g, ok := mustLease(t, q, "w1"); ok {
+			if g, ok := q.Lease("w1"); ok {
 				t.Fatalf("extra grant %s", short(g.Digest))
 			}
 		})
@@ -259,7 +259,7 @@ func TestGrantCarriesDeadline(t *testing.T) {
 	ch := make(chan Outcome, 1)
 	dl := time.Now().Add(time.Hour).Truncate(time.Millisecond)
 	q.Enqueue(testCell(t, 1), EnqueueOptions{MaxAttempts: 1, Campaign: "c", Weight: weightNormal, Deadline: dl}, ch)
-	g, ok := mustLease(t, q, "w1")
+	g, ok := q.Lease("w1")
 	if !ok {
 		t.Fatal("no grant")
 	}
@@ -272,7 +272,7 @@ func TestGrantCarriesDeadline(t *testing.T) {
 	ch2 := make(chan Outcome, 1)
 	q.Enqueue(testCell(t, 2), EnqueueOptions{MaxAttempts: 1, Deadline: dl}, ch2)
 	q.Enqueue(testCell(t, 2), EnqueueOptions{MaxAttempts: 1}, ch2)
-	g2, ok := mustLease(t, q, "w1")
+	g2, ok := q.Lease("w1")
 	if !ok {
 		t.Fatal("no grant for shared cell")
 	}

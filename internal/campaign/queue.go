@@ -10,15 +10,15 @@
 // is valid no matter which worker produced it or how many times, and a
 // crashed worker is just an expired lease waiting to be re-issued.
 //
-// Determinism also powers the Byzantine layer: because a cell's correct
-// result is a pure function of its digest, two honest executions agree
-// byte-for-byte. Workers therefore attest a canonical result digest with
-// every publish, publishes are fenced to their lease (a token minted at
-// grant time, so a zombie publish from an expired lease is rejected
-// rather than silently accepted), a configurable fraction of cells is
-// executed by a quorum of independent workers whose digests must agree,
-// and workers whose answers diverge from the admitted value accumulate
-// reputation strikes until they are quarantined.
+// Determinism also powers the checks on worker input: because a cell's
+// correct result is a pure function of its digest, two correct
+// executions agree byte-for-byte. Workers therefore attest a canonical
+// result digest with every publish, publishes are fenced to their lease
+// (a token minted at grant time, so a zombie publish from an expired
+// lease is rejected rather than silently accepted), and a configurable
+// fraction of cells is executed by a quorum of independent workers whose
+// digests must agree. Workers holding the auth token are trusted; the
+// quorum guards against faulty executions and corruption in flight.
 package campaign
 
 import (
@@ -132,7 +132,7 @@ type task struct {
 // (completed, failed, or expired) moves as it is into the tombstone ring,
 // so a publish arriving under it can still be attributed to its worker
 // and judged: same answer as the admitted one → benign duplicate,
-// anything else → zombie or divergence strike.
+// anything else → zombie or divergence.
 type lease struct {
 	id       string
 	fence    string
@@ -242,20 +242,6 @@ type QueueStats struct {
 	// Reverifies counts done tasks requeued for quorum re-execution
 	// (after divergence evidence or scrubber damage reports).
 	Reverifies int
-	// WorkersQuarantined counts workers quarantined for bad reputation.
-	WorkersQuarantined int
-}
-
-// WorkerHealth is one worker's reputation ledger; Queue.Workers returns
-// snapshots of it for /v1/healthz.
-type WorkerHealth struct {
-	Name        string `json:"name"`
-	Leased      int    `json:"leased"`
-	Completed   int    `json:"completed"`
-	Divergent   int    `json:"divergent,omitempty"`
-	Zombies     int    `json:"zombies,omitempty"`
-	Quarantined bool   `json:"quarantined,omitempty"`
-	Reason      string `json:"reason,omitempty"`
 }
 
 // Verdict classifies the queue's judgment of one publish.
@@ -425,14 +411,6 @@ type Queue struct {
 	// their digest.
 	verifyFraction float64
 
-	// divergenceLimit / zombieLimit quarantine a worker once its strike
-	// counters reach them (0 disables that limit).
-	divergenceLimit int
-	zombieLimit     int
-	onQuarantine    func(worker, reason string)
-
-	workers map[string]*WorkerHealth
-
 	nextLease  int
 	nextWaiter int
 	stats      QueueStats
@@ -448,7 +426,6 @@ func NewQueue(ttl time.Duration) *Queue {
 		tasks:   make(map[string]*task),
 		leases:  make(map[string]*lease),
 		tombs:   make(map[string]*lease),
-		workers: make(map[string]*WorkerHealth),
 		buckets: make(map[string]*bucketState),
 		ttl:     ttl,
 		now:     time.Now,
@@ -467,24 +444,6 @@ func (q *Queue) ConfigureVerification(fraction float64) {
 	q.verifyFraction = min(max(fraction, 0), 1)
 }
 
-// ConfigureReputation sets the strike limits past which a worker is
-// quarantined (0 disables the respective limit).
-func (q *Queue) ConfigureReputation(divergenceLimit, zombieLimit int) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	q.divergenceLimit = divergenceLimit
-	q.zombieLimit = zombieLimit
-}
-
-// OnQuarantine registers a hook called when a worker transitions into
-// quarantine. The hook runs with the queue lock held and must not call
-// back into the queue.
-func (q *Queue) OnQuarantine(fn func(worker, reason string)) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	q.onQuarantine = fn
-}
-
 // TTL returns the lease duration.
 func (q *Queue) TTL() time.Duration { return q.ttl }
 
@@ -493,27 +452,6 @@ func (q *Queue) Stats() QueueStats {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	return q.stats
-}
-
-// Workers returns per-worker reputation snapshots, sorted by name.
-func (q *Queue) Workers() []WorkerHealth {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	out := make([]WorkerHealth, 0, len(q.workers))
-	for _, w := range q.workers {
-		out = append(out, *w)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
-// QuarantineWorker forces a worker into quarantine (used by control-log
-// replay and operators). Idempotent; does not fire the OnQuarantine hook,
-// since replayed quarantines are already journaled.
-func (q *Queue) QuarantineWorker(worker, reason string) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	q.quarantineLocked(q.workerLocked(worker), reason)
 }
 
 // Depth returns the number of pending and leased tasks.
@@ -770,14 +708,10 @@ func (q *Queue) Abandon(digest string, waiterID int) {
 	}
 }
 
-// ErrWorkerQuarantined is returned by Lease (and surfaced as HTTP 403 to
-// remote workers) when the worker's reputation put it in quarantine.
-var ErrWorkerQuarantined = fmt.Errorf("campaign: worker quarantined")
-
 // Lease grants a pending task to worker under a fresh lease, or reports
 // ok=false when nothing is grantable. Expired leases are collected
 // first, so a crashed worker's task is grantable as soon as its TTL
-// lapses. A quarantined worker gets ErrWorkerQuarantined.
+// lapses.
 //
 // Selection is weighted-fair across campaign buckets: the eligible
 // bucket with the lowest stride pass wins (ties break by creation
@@ -788,17 +722,13 @@ var ErrWorkerQuarantined = fmt.Errorf("campaign: worker quarantined")
 // independent workers when the fleet allows it; a lone worker still
 // makes progress (ties escalate to the coordinator-side arbiter instead
 // of deadlocking).
-func (q *Queue) Lease(worker string) (Grant, bool, error) {
+func (q *Queue) Lease(worker string) (Grant, bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	q.expireLocked()
-	w := q.workerLocked(worker)
-	if w.Quarantined {
-		return Grant{}, false, fmt.Errorf("%w: %s", ErrWorkerQuarantined, w.Reason)
-	}
 	t := q.pickLocked(worker)
 	if t == nil {
-		return Grant{}, false, nil
+		return Grant{}, false
 	}
 
 	b := t.bucket
@@ -823,7 +753,6 @@ func (q *Queue) Lease(worker string) (Grant, bool, error) {
 	q.setStateLocked(t, taskLeased)
 	t.lease = l
 	q.stats.Leased++
-	w.Leased++
 	return Grant{
 		Lease:       l.id,
 		Fence:       l.fence,
@@ -835,7 +764,7 @@ func (q *Queue) Lease(worker string) (Grant, bool, error) {
 		CellTimeout: t.cellTimeout,
 		Deadline:    t.deadline,
 		Attempt:     t.attempts + 1,
-	}, true, nil
+	}, true
 }
 
 // pickLocked chooses the pending task to grant worker (nil when none is
@@ -933,7 +862,7 @@ func (q *Queue) Renew(leaseID, fence string) error {
 //     fence; a wholly unknown lease is an unattributable zombie.
 //  2. Done tasks: a payload matching the admitted digest is a benign
 //     duplicate; anything else is divergence evidence that re-verifies
-//     the cell and strikes the publisher.
+//     the cell.
 //  3. Fencing: a dead lease (expired/superseded) is a zombie publish —
 //     unless it is a retried RPC re-shipping the worker's own recorded
 //     vote. A live lease with the wrong fence or wrong digest is
@@ -943,9 +872,6 @@ func (q *Queue) Renew(leaseID, fence string) error {
 //  5. Admission: unverified cells admit immediately; verified cells
 //     record a vote and requeue until the quorum agrees (majority of
 //     latest votes per worker), tying quorums escalate to the arbiter.
-//
-// Zombie and divergence rejections strike the attributed worker's
-// reputation; past the configured limits the worker is quarantined.
 func (q *Queue) Complete(pub Publish) CompleteResult {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -976,7 +902,6 @@ func (q *Queue) Complete(pub Publish) CompleteResult {
 			return CompleteResult{Verdict: VerdictDuplicate, Worker: worker}
 		}
 		q.stats.DivergentPublishes++
-		q.strikeLocked(worker, false, "published a result diverging from the admitted value for cell "+t.cell.Label)
 		if !t.verify {
 			t.verify = true
 			q.stats.VerifiedCells++
@@ -998,7 +923,6 @@ func (q *Queue) Complete(pub Publish) CompleteResult {
 			return CompleteResult{Verdict: VerdictDuplicate, Worker: worker}
 		}
 		q.stats.ZombiePublishes++
-		q.strikeLocked(worker, true, "published under a dead lease for cell "+t.cell.Label)
 		return CompleteResult{Verdict: VerdictZombie, Reason: "lease " + pub.Lease + " is not live", Worker: worker}
 	}
 
@@ -1012,11 +936,10 @@ func (q *Queue) Complete(pub Publish) CompleteResult {
 
 	if pub.ResultDigest != "" && pub.ResultDigest != pub.Canonical {
 		// The worker's attestation disagrees with the bytes it shipped:
-		// corruption in flight or a lying worker. Requeue without
+		// corruption in flight or a faulty worker. Requeue without
 		// burning an attempt — the cell itself is fine.
 		q.stats.DigestMismatches++
 		q.requeueLocked(t)
-		q.strikeLocked(worker, false, "attested digest does not match payload for cell "+t.cell.Label)
 		return CompleteResult{Verdict: VerdictDigestMismatch, Reason: "attested digest does not match payload", Worker: worker}
 	}
 
@@ -1029,8 +952,6 @@ func (q *Queue) Complete(pub Publish) CompleteResult {
 		q.stats.Votes++
 		return q.tallyLocked(t)
 	}
-
-	q.workerLocked(worker).Completed++
 	return q.admitLocked(t, pub.Canonical, pub.Result)
 }
 
@@ -1089,22 +1010,15 @@ func (q *Queue) ArbiterFailed(digest string) {
 }
 
 // admitLocked finalizes a task with the admitted result, delivers it to
-// every waiter, and strikes every worker whose recorded vote disagreed.
+// every waiter, and counts the recorded votes that disagreed.
 func (q *Queue) admitLocked(t *task, resDigest string, res *machine.Result) CompleteResult {
 	q.setStateLocked(t, taskDone)
 	t.res = res
 	t.resDigest = resDigest
-	blamed := make(map[string]bool)
 	for _, v := range t.votes {
-		if v.digest == resDigest {
-			if !blamed[v.worker] {
-				q.workerLocked(v.worker).Completed++
-				blamed[v.worker] = true
-			}
-			continue
+		if v.digest != resDigest {
+			q.stats.DivergentVotes++
 		}
-		q.stats.DivergentVotes++
-		q.strikeLocked(v.worker, false, "quorum rejected its result for cell "+t.cell.Label)
 	}
 	t.votes = nil
 	q.stats.Completed++
@@ -1160,53 +1074,6 @@ func (q *Queue) expireLocked() int {
 	}
 	q.stats.Expired += expired
 	return expired
-}
-
-// workerLocked returns (creating if needed) the reputation ledger.
-func (q *Queue) workerLocked(worker string) *WorkerHealth {
-	w, ok := q.workers[worker]
-	if !ok {
-		w = &WorkerHealth{Name: worker}
-		q.workers[worker] = w
-	}
-	return w
-}
-
-// strikeLocked records a strike against worker — a zombie publish when
-// zombie is set, a divergence otherwise — and quarantines the worker
-// once that strike count reaches its limit, firing the OnQuarantine
-// hook. Unattributable publishes strike nobody.
-func (q *Queue) strikeLocked(worker string, zombie bool, reason string) {
-	if worker == "" {
-		return
-	}
-	w := q.workerLocked(worker)
-	strikes, limit := &w.Divergent, q.divergenceLimit
-	if zombie {
-		strikes, limit = &w.Zombies, q.zombieLimit
-	}
-	*strikes++
-	if limit > 0 && *strikes >= limit && q.quarantineLocked(w, reason) && q.onQuarantine != nil {
-		q.onQuarantine(worker, reason)
-	}
-}
-
-// quarantineLocked marks a worker quarantined and drains its live leases
-// back to pending, burning no attempts. It reports whether the worker
-// was newly quarantined.
-func (q *Queue) quarantineLocked(w *WorkerHealth, reason string) bool {
-	if w.Quarantined {
-		return false
-	}
-	w.Quarantined = true
-	w.Reason = reason
-	q.stats.WorkersQuarantined++
-	for _, l := range q.leases {
-		if l.worker == w.Name {
-			q.requeueLocked(q.tasks[l.digest])
-		}
-	}
-	return true
 }
 
 // deliverLocked sends the outcome to every waiter and clears the set.

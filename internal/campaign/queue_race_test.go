@@ -20,7 +20,6 @@ func TestQueueConcurrentHammer(t *testing.T) {
 	)
 	q := NewQueue(40 * time.Millisecond) // short TTL: real expiries under load
 	q.ConfigureVerification(0.5)         // mixed verified/unverified population
-	q.ConfigureReputation(0, 0)          // hammer workers diverge on purpose; no quarantine
 
 	chans := make([]chan Outcome, cells)
 	for i := range chans {
@@ -78,11 +77,7 @@ func TestQueueConcurrentHammer(t *testing.T) {
 			name := fmt.Sprintf("w%d", w)
 			step := 0
 			for delivered.Load() < cells {
-				g, ok, err := q.Lease(name)
-				if err != nil {
-					t.Errorf("lease(%s): %v", name, err)
-					return
-				}
+				g, ok := q.Lease(name)
 				if !ok {
 					time.Sleep(time.Millisecond)
 					continue

@@ -75,6 +75,61 @@ func TestReplayMissingJournalIsCleanBoot(t *testing.T) {
 	}
 }
 
+// TestLegacyQuarantineRecordIgnored: a control journal from a coordinator
+// that still quarantined workers holds "quarantine" records. Replay skips
+// them as an unknown type, the boot is clean, and the named worker leases
+// and completes a cell like any other.
+func TestLegacyQuarantineRecordIgnored(t *testing.T) {
+	st, err := store.Open(t.TempDir(), store.Options{SimDigest: "test-sim"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctl, err := store.OpenLog(st.ControlLogPath())
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacy := map[string]any{"worker": "evil", "reason": "published a result diverging from the admitted value", "at": time.Now().UTC()}
+	if err := ctl.Append("quarantine", legacy); err != nil {
+		t.Fatal(err)
+	}
+	ctl.Close()
+
+	rep, err := replayControlLog(st.ControlLogPath())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.corrupt != 0 || len(rep.order) != 0 || len(rep.resubmit()) != 0 {
+		t.Fatalf("legacy journal replayed state: %+v", rep)
+	}
+
+	coord := NewCoordinator(Options{Store: st, LeaseTTL: time.Minute, Logf: t.Logf})
+	srv := httptest.NewServer(coord.Handler())
+	t.Cleanup(func() { srv.Close(); coord.Close() })
+	client := NewClient(srv.URL, nil)
+	if coord.Recovered() != 0 || len(coord.Campaigns()) != 0 {
+		t.Fatalf("legacy journal recovered %d campaign(s), %d on record", coord.Recovered(), len(coord.Campaigns()))
+	}
+
+	ch := make(chan Outcome, 1)
+	coord.Queue().Enqueue(testCell(t, 1), EnqueueOptions{MaxAttempts: 1}, ch)
+	ctx := context.Background()
+	g, ok, err := client.Lease(ctx, "evil")
+	if err != nil || !ok {
+		t.Fatalf("lease as evil: ok=%v err=%v", ok, err)
+	}
+	res := fakeResult(42)
+	attest, err := ResultDigest(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := client.Complete(ctx, Publish{Lease: g.Lease, Fence: g.Fence, Digest: g.Digest, ResultDigest: attest, Result: res}); err != nil {
+		t.Fatalf("complete as evil: %v", err)
+	}
+	if o := <-ch; o.Err != nil || o.Res == nil || o.Res.Cycles != res.Cycles {
+		t.Fatalf("evil's cell delivered (%+v, %v), want its result", o.Res, o.Err)
+	}
+}
+
 // TestRestartTombstonesFinishedCampaigns: terminal campaigns survive a
 // restart as queryable tombstones and are not re-executed.
 func TestRestartTombstonesFinishedCampaigns(t *testing.T) {

@@ -263,7 +263,7 @@ func TestStalledWorkerDoublePublish(t *testing.T) {
 	}
 	// The payload is byte-identical to the admitted one (simulations are
 	// deterministic in the digest), so this is a benign duplicate — not a
-	// zombie strike, not a 409.
+	// zombie publish, not a 409.
 	if err := client.Complete(ctx, Publish{Lease: stalled.Lease, Fence: stalled.Fence, Digest: stalled.Digest, ResultDigest: attest, Result: res}); err != nil {
 		t.Fatalf("late publish rejected instead of no-op'd: %v", err)
 	}

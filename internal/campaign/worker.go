@@ -29,10 +29,6 @@ type WorkerOptions struct {
 	// partition: jittered, doubling from Poll up to 10×Poll, reset on
 	// the first successful exchange.
 	Poll time.Duration
-	// Byzantine, when enabled, makes the worker misbehave per the seeded
-	// spec (corrupt results, lying attestations, zombie publishes) —
-	// chaos-testing the coordinator's defenses.
-	Byzantine ByzantineSpec
 	// Logf receives operational log lines (nil silences them).
 	Logf func(format string, args ...any)
 }
@@ -49,7 +45,6 @@ type Worker struct {
 	backoff RetryPolicy // lease-error backoff: Base Poll, Cap 10×Poll
 	logf    func(string, ...any)
 	engine  *sweep.Engine
-	byz     *byzantine
 
 	mu    sync.Mutex
 	stats WorkerStats
@@ -97,17 +92,8 @@ func NewWorker(client *Client, opts WorkerOptions) *Worker {
 	engine.SetStore(opts.Store)
 	return &Worker{
 		client: client, name: name, poll: poll, backoff: RetryPolicy{Base: poll, Cap: 10 * poll},
-		logf: logf, engine: engine, byz: newByzantine(opts.Byzantine),
+		logf: logf, engine: engine,
 	}
-}
-
-// ByzantineStats reports the injected-misbehavior counters (zero when
-// the worker is honest).
-func (w *Worker) ByzantineStats() ByzantineStats {
-	if w.byz == nil {
-		return ByzantineStats{}
-	}
-	return w.byz.Stats()
 }
 
 // Name returns the worker's lease identity.
@@ -125,10 +111,7 @@ func (w *Worker) Stats() WorkerStats {
 // off with jittered exponential delays up to 10×Poll, resetting on
 // the first successful exchange — the worker rides out a full
 // coordinator restart and re-leases without intervention. Run returns
-// ctx.Err(), or ErrWorkerQuarantined when the coordinator quarantined
-// this worker: that is terminal — the coordinator no longer trusts this
-// process's answers, so retrying under the same name is pointless and a
-// 403 must never be mistaken for a healthy exchange.
+// ctx.Err().
 func (w *Worker) Run(ctx context.Context) error {
 	w.logf("worker %s: polling for work", w.name)
 	fails := 0 // consecutive lease errors
@@ -140,10 +123,6 @@ func (w *Worker) Run(ctx context.Context) error {
 		if err != nil {
 			if ctx.Err() != nil {
 				return ctx.Err()
-			}
-			if errors.Is(err, ErrWorkerQuarantined) {
-				w.logf("worker %s: QUARANTINED by the coordinator; exiting: %v", w.name, err)
-				return err
 			}
 			w.mu.Lock()
 			w.stats.LeaseErrors++
@@ -193,9 +172,9 @@ func (w *Worker) runCell(ctx context.Context, g Grant) {
 
 	stopBeat := w.heartbeat(ctx, g)
 	res, err := w.execute(ctx, g)
+	stopBeat()
 
 	if err != nil {
-		stopBeat()
 		// A cancelled worker reports nothing: the lease will expire and
 		// the cell re-lease, exactly like a crash.
 		if ctx.Err() != nil {
@@ -217,34 +196,6 @@ func (w *Worker) runCell(ctx context.Context, g Grant) {
 		w.logf("worker %s: cell %s: attestation digest failed: %v", w.name, g.Digest[:12], derr)
 		attest = ""
 	}
-
-	// A Byzantine worker decides here how to misbehave with the finished
-	// cell: corrupt the payload (self-consistent attestation — only an
-	// independent re-execution catches it), lie in the attestation, or
-	// go silent and publish after the lease is dead.
-	if w.byz != nil {
-		switch w.byz.draw() {
-		case byzCorrupt:
-			res = corruptResult(res)
-			if attest != "" {
-				if d, err := ResultDigest(res); err == nil {
-					attest = d
-				}
-			}
-			w.logf("worker %s: byzantine: publishing corrupt result for %s", w.name, g.Digest[:12])
-		case byzLie:
-			attest = lieDigest(attest)
-			w.logf("worker %s: byzantine: attesting wrong digest for %s", w.name, g.Digest[:12])
-		case byzZombie:
-			stopBeat()
-			wait := g.TTL + g.TTL/2
-			w.logf("worker %s: byzantine: going silent %s to zombie-publish %s", w.name, wait, g.Digest[:12])
-			if !w.sleep(ctx, wait) {
-				return
-			}
-		}
-	}
-	stopBeat()
 
 	pub := Publish{Lease: g.Lease, Fence: g.Fence, Digest: g.Digest, ResultDigest: attest, Result: res}
 	if cerr := w.client.Complete(ctx, pub); cerr != nil {
