@@ -37,7 +37,7 @@
 //	secbench -serve :8123 -store results/store -tls-cert cert.pem -tls-key key.pem
 //	secbench -worker -coordinator http://coord:8123 -store results/store -auth-token $TOKEN
 //	secbench -submit -coordinator http://coord:8123 -exp fig21 -out tables -auth-token $TOKEN
-//	secbench -serve :8123 -store results/store -verify-fraction 0.1 -scrub-interval 10m
+//	secbench -serve :8123 -store results/store -verify-fraction 0.1
 //	secbench -serve :8123 -store results/store -max-campaigns 8 -max-queue-depth 10000
 //	secbench -submit -coordinator http://coord:8123 -exp all -priority low -deadline 2h -out tables
 //	secbench -fsck -store results/store
@@ -66,10 +66,10 @@
 // still checked: every publish attests the canonical digest of its
 // payload under a per-lease fencing token, -verify-fraction sends a
 // deterministic sample of cells to two independent workers (a tied vote
-// is re-executed by the coordinator), and -scrub-interval makes the
-// coordinator periodically re-verify every object at rest. `secbench
-// -fsck -store DIR` runs that same scrub once, offline, and exits
-// non-zero if corruption was found.
+// is re-executed by the coordinator). Results at rest are verified on
+// every read: a corrupt object is quarantined and its cell
+// re-simulated. `secbench -fsck -store DIR` verifies every object of a
+// store at once and exits non-zero if corruption was found.
 package main
 
 import (
@@ -136,9 +136,7 @@ func main() {
 	resume := flag.String("resume", "", "resume the journaled run with this ID from the store (requires -store)")
 	runID := flag.String("run-id", "", "run identifier for the journal (default: derived from the start time)")
 	outDir := flag.String("out", "", "also write each experiment's table to this directory (atomic writes, one stable filename per experiment)")
-	retries := flag.Int("retries", 0, "extra attempts for a failed cell before it is marked failed in the journal")
-	retryBackoff := flag.Duration("retry-backoff", 2*time.Second, "base wait between cell retry attempts (doubles each retry)")
-	heapMB := flag.Uint64("heap-watermark-mb", 0, "soft heap watermark in MiB: above it, results already persisted to the store are shed from memory (0 = off)")
+	retries := flag.Int("retries", 0, "extra attempts the coordinator grants a failed cell before the campaign sees the failure (-submit)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
 	memProfile := flag.String("memprofile", "", "write a heap profile at exit to this file (go tool pprof)")
 	serveAddr := flag.String("serve", "", "run a campaign coordinator on this address (e.g. :8123) instead of a local sweep; uses -store and -lease-ttl")
@@ -149,17 +147,16 @@ func main() {
 	flag.DurationVar(&serve.LeaseTTL, "lease-ttl", 30*time.Second, "how long a worker may hold a leased cell without renewing before it requeues (-serve)")
 	flag.IntVar(&serve.MaxCampaigns, "max-campaigns", 0, "admission limit: reject new submissions with 429 + Retry-After while this many campaigns are running (-serve; 0 = unlimited)")
 	flag.IntVar(&serve.MaxQueueDepth, "max-queue-depth", 0, "admission limit: reject new submissions while this many cells are pending on the work queue (-serve; 0 = unlimited)")
-	poll := flag.Duration("poll", 500*time.Millisecond, "idle wait between lease attempts when the queue is empty (-worker) and between status polls (-submit)")
+	poll := flag.Duration("poll", 500*time.Millisecond, "wait between lease attempts when the queue is empty or the coordinator unreachable (-worker) and between status polls (-submit)")
 	workerName := flag.String("worker-name", "", "worker identity in lease records (default hostname-pid)")
 	authToken := flag.String("auth-token", os.Getenv("SECBENCH_AUTH_TOKEN"), "shared bearer token: required by -serve on every endpoint except /v1/healthz, sent by -worker and -submit (default $SECBENCH_AUTH_TOKEN)")
 	flag.StringVar(&serve.TLSCertFile, "tls-cert", "", "TLS certificate file for -serve (with -tls-key, the coordinator terminates TLS)")
 	flag.StringVar(&serve.TLSKeyFile, "tls-key", "", "TLS private key file for -serve")
 	faults := flag.String("faults", os.Getenv("SECBENCH_FAULTS"), "seeded RPC fault injection for -worker and -submit traffic, e.g. \"seed=7,refuse=0.05,timeout=0.02,err=0.05,torn=0.03,dup=0.05\" (default $SECBENCH_FAULTS; chaos testing only)")
 	flag.Float64Var(&serve.VerifyFraction, "verify-fraction", 0, "fraction of cells the coordinator re-executes on two independent workers to catch faulty results (-serve; 0 disables, 1 verifies everything)")
-	flag.DurationVar(&serve.ScrubInterval, "scrub-interval", 0, "how often the coordinator re-verifies every stored object at rest and heals corruption (-serve; 0 disables)")
 	priority := flag.String("priority", "", "campaign priority for weighted-fair scheduling: low, normal, or high (-submit; default normal)")
 	deadline := flag.Duration("deadline", 0, "campaign wall-time budget from submission (-submit; 0 = unbounded): past it the campaign fails and returns the tables finished so far")
-	fsck := flag.Bool("fsck", false, "verify every object in -store once (the coordinator's scrub pass, offline), quarantine corruption, and exit non-zero if any was found")
+	fsck := flag.Bool("fsck", false, "verify every object in -store once, quarantine corruption, and exit non-zero if any was found")
 	flag.Parse()
 	serve.AuthToken = *authToken
 
@@ -215,8 +212,6 @@ func main() {
 
 	engine := sweep.New(*par)
 	engine.SetCellTimeout(*cellTimeout)
-	engine.SetRetry(*retries, *retryBackoff)
-	engine.SetHeapWatermark(*heapMB << 20)
 	rep := &reporter{}
 	if !*quiet {
 		engine.Observe(rep.observe)
@@ -294,8 +289,8 @@ func main() {
 	if st != nil {
 		ss := st.Stats()
 		fmt.Fprintf(os.Stderr,
-			"store summary: %d restored from store, %d persisted, %d quarantined, %d retries, %d shed; journal %s\n",
-			es.StoreHits, ss.Puts, ss.Quarantined, es.Retries, es.Shed, journal.Path())
+			"store summary: %d restored from store, %d persisted, %d quarantined; journal %s\n",
+			es.StoreHits, ss.Puts, ss.Quarantined, journal.Path())
 	}
 	if err := journal.Err(); err != nil {
 		fmt.Fprintf(os.Stderr, "secbench: journal writes failed (results are still persisted): %v\n", err)
@@ -396,8 +391,8 @@ func writeRendered(outDir, name string, csv bool, rendered string) error {
 }
 
 // runFsck opens the store, runs one scrub pass over every object, prints
-// the report, and exits non-zero when corruption was quarantined — the
-// offline twin of the coordinator's -scrub-interval loop.
+// the report, and exits non-zero when corruption was quarantined: the
+// check every read makes, applied to the whole store on demand.
 func runFsck(storeDir string) {
 	if storeDir == "" {
 		fatal(errors.New("-fsck requires -store"))
@@ -450,9 +445,9 @@ func logger(quiet bool) func(format string, args ...any) {
 func runServe(addr, storeDir string, opts campaign.Options, quiet bool) {
 	opts.Logf = logger(quiet)
 	if opts.Logf != nil {
-		opts.Logf("serving campaigns on %s (store %q, lease TTL %s, auth %v, tls %v, verify %.2f, scrub %s, max campaigns %d, max queue %d)",
+		opts.Logf("serving campaigns on %s (store %q, lease TTL %s, auth %v, tls %v, verify %.2f, max campaigns %d, max queue %d)",
 			addr, storeDir, opts.LeaseTTL, opts.AuthToken != "", opts.TLSCertFile != "",
-			opts.VerifyFraction, opts.ScrubInterval, opts.MaxCampaigns, opts.MaxQueueDepth)
+			opts.VerifyFraction, opts.MaxCampaigns, opts.MaxQueueDepth)
 	}
 	if (opts.TLSCertFile == "") != (opts.TLSKeyFile == "") {
 		fatal(errors.New("-tls-cert and -tls-key must be set together"))

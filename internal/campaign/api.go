@@ -88,7 +88,7 @@ type Health struct {
 	Recovered int `json:"recovered"`
 	// Queue is the full activity counter set.
 	Queue QueueStats `json:"queue"`
-	// Scrub summarizes store-scrubber and self-healing activity.
+	// Scrub counts re-verifications and replaced store objects.
 	Scrub ScrubHealth `json:"scrub"`
 	// Progress lists per-campaign progress, newest first.
 	Progress []CampaignProgress `json:"progress,omitempty"`

@@ -13,7 +13,6 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 )
 
@@ -60,11 +59,10 @@ func jitter(d time.Duration) time.Duration {
 // backoff on transport errors, torn responses, and 5xx answers, and a
 // coordinator restart or a flaky network is a delay, not a failure.
 type Client struct {
-	base    string
-	http    *http.Client
-	token   string
-	retry   RetryPolicy
-	breaker breaker
+	base  string
+	http  *http.Client
+	token string
+	retry RetryPolicy
 }
 
 // NewClient returns a client for the coordinator at baseURL (e.g.
@@ -75,10 +73,9 @@ func NewClient(baseURL string, httpClient *http.Client) *Client {
 		httpClient = &http.Client{Timeout: 60 * time.Second}
 	}
 	return &Client{
-		base:    strings.TrimRight(baseURL, "/"),
-		http:    httpClient,
-		retry:   RetryPolicy{Attempts: 6, Base: 100 * time.Millisecond, Cap: 3 * time.Second},
-		breaker: breaker{threshold: 8, cooldown: 2 * time.Second},
+		base:  strings.TrimRight(baseURL, "/"),
+		http:  httpClient,
+		retry: RetryPolicy{Attempts: 6, Base: 100 * time.Millisecond, Cap: 3 * time.Second},
 	}
 }
 
@@ -97,51 +94,6 @@ type APIError struct {
 
 func (e *APIError) Error() string {
 	return fmt.Sprintf("campaign: coordinator returned %d: %s", e.Status, e.Message)
-}
-
-// ErrCircuitOpen is returned (wrapped) while the client's circuit
-// breaker is open: recent requests all died at the transport layer, so
-// the client fails fast instead of hammering a dead coordinator. The
-// error is transient — polling loops ride it out and probe again after
-// the cooldown.
-var ErrCircuitOpen = errors.New("campaign: circuit breaker open")
-
-// breaker is a small consecutive-failure circuit breaker. Only
-// transport-level failures and gateway-class 5xx count: a 4xx, 429, or
-// 503 proves the coordinator is alive and resets the streak.
-type breaker struct {
-	mu        sync.Mutex
-	threshold int
-	cooldown  time.Duration
-	fails     int
-	openUntil time.Time
-}
-
-// allow reports whether a request may proceed (false while open). When
-// the cooldown has elapsed the breaker half-opens: the caller's request
-// is the probe.
-func (b *breaker) allow() bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.openUntil.IsZero() || !time.Now().Before(b.openUntil)
-}
-
-// record updates the breaker after one attempt's outcome.
-func (b *breaker) record(err error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	var apiErr *APIError
-	isTransport := err != nil && !errors.As(err, &apiErr)
-	isGateway := apiErr != nil && (apiErr.Status == http.StatusBadGateway || apiErr.Status == http.StatusGatewayTimeout)
-	if !isTransport && !isGateway {
-		b.fails = 0
-		b.openUntil = time.Time{}
-		return
-	}
-	b.fails++
-	if b.fails >= b.threshold {
-		b.openUntil = time.Now().Add(b.cooldown)
-	}
 }
 
 // transient reports whether err is worth retrying: transport-level
@@ -172,14 +124,9 @@ func (cl *Client) do(ctx context.Context, method, path string, in, out any, head
 		}
 	}
 	for i := 0; ; i++ {
-		if !cl.breaker.allow() {
-			err = fmt.Errorf("%w: cooling down before next probe", ErrCircuitOpen)
-		} else {
-			ok, err = cl.attempt(ctx, method, path, body, in != nil, out, headerK, headerV)
-			cl.breaker.record(err)
-			if err == nil {
-				return ok, nil
-			}
+		ok, err = cl.attempt(ctx, method, path, body, in != nil, out, headerK, headerV)
+		if err == nil {
+			return ok, nil
 		}
 		if ctx.Err() != nil || i >= cl.retry.Attempts-1 || !transient(err) {
 			return false, err

@@ -117,11 +117,6 @@ type Options struct {
 	// 0 disables the lottery; cells with divergence evidence are always
 	// verified.
 	VerifyFraction float64
-	// ScrubInterval runs the background store scrubber this often: every
-	// object is re-verified at rest, corruption is quarantined, and
-	// damaged cells still known to the queue are resubmitted for
-	// self-healing re-execution (0 disables; needs Store).
-	ScrubInterval time.Duration
 
 	// MaxCampaigns bounds concurrently running campaigns; over-limit
 	// submissions are refused with ErrOverloaded (HTTP 429 +
@@ -171,22 +166,17 @@ type Coordinator struct {
 	// on Close.
 	bg       context.Context
 	bgCancel context.CancelFunc
-
-	stop     chan struct{}
-	stopOnce sync.Once
 }
 
-// ScrubHealth summarizes the background scrubber's and the re-verifier's
-// work, surfaced on /v1/healthz.
+// ScrubHealth counts the coordinator's repairs of admitted results,
+// surfaced on /v1/healthz. Corruption at rest needs no counter here:
+// store.Get verifies every read and quarantines a bad object, so the
+// cell re-simulates in whichever process next needs it.
 type ScrubHealth struct {
-	// Runs counts completed scrub passes; Scanned and Quarantined total
-	// their object traffic.
-	Runs        int `json:"runs"`
-	Scanned     int `json:"scanned"`
-	Quarantined int `json:"quarantined"`
-	// Healed counts damaged cells resubmitted to the queue for
-	// re-execution; Replaced counts store objects overwritten because a
-	// quorum admitted a different value than the one at rest.
+	// Healed counts cells re-queued for quorum re-verification because a
+	// worker published a value divergent from the admitted one; Replaced
+	// counts store objects overwritten because a quorum admitted a
+	// different value than the one at rest.
 	Healed   int `json:"healed"`
 	Replaced int `json:"replaced"`
 }
@@ -226,7 +216,8 @@ type Campaign struct {
 // tombstones and campaigns that were running when the previous process
 // died are re-submitted under their original IDs (their persisted cells
 // rehydrate from the store, so no finished work re-executes). The
-// lease-expiry collector runs until Close.
+// coordinator runs no background loop: the queue collects lapsed leases
+// whenever it is asked for work or for its depth.
 func NewCoordinator(opts Options) *Coordinator {
 	c := &Coordinator{
 		queue:         NewQueue(opts.LeaseTTL),
@@ -237,7 +228,6 @@ func NewCoordinator(opts Options) *Coordinator {
 		maxQueueDepth: opts.MaxQueueDepth,
 		campaigns:     make(map[string]*Campaign),
 		idem:          make(map[string]string),
-		stop:          make(chan struct{}),
 	}
 	c.bg, c.bgCancel = context.WithCancel(context.Background())
 	if c.logf == nil {
@@ -246,10 +236,6 @@ func NewCoordinator(opts Options) *Coordinator {
 	c.queue.ConfigureVerification(opts.VerifyFraction)
 	if c.store != nil {
 		c.recover()
-	}
-	go c.expiryLoop()
-	if c.store != nil && opts.ScrubInterval > 0 {
-		go c.scrubLoop(opts.ScrubInterval)
 	}
 	return c
 }
@@ -355,7 +341,6 @@ func (c *Coordinator) Drain(ctx context.Context) error {
 	c.logf("campaign: draining: refusing new leases and submissions, waiting for %d in-flight lease(s)", leased)
 	var waitErr error
 	for {
-		c.queue.ExpireLeases()
 		if _, leased = c.queue.Depth(); leased == 0 {
 			break
 		}
@@ -385,11 +370,10 @@ func (c *Coordinator) Drain(ctx context.Context) error {
 	return waitErr
 }
 
-// Close cancels every running campaign and stops the expiry collector.
+// Close cancels every running campaign and any arbitration in flight.
 // Shutdown is not an outcome: no terminal records are journaled, so a
 // successor coordinator re-submits whatever was running.
 func (c *Coordinator) Close() {
-	c.stopOnce.Do(func() { close(c.stop) })
 	c.bgCancel()
 	c.mu.Lock()
 	campaigns := make([]*Campaign, 0, len(c.campaigns))
@@ -405,36 +389,6 @@ func (c *Coordinator) Close() {
 
 // Queue exposes the work queue (used by the API layer and tests).
 func (c *Coordinator) Queue() *Queue { return c.queue }
-
-// expiryLoop periodically requeues cells whose worker lease lapsed — the
-// mechanism that makes a SIGKILL'd worker just a delay, not a loss.
-func (c *Coordinator) expiryLoop() {
-	period := c.queue.TTL() / 2
-	if period > time.Second {
-		period = time.Second
-	}
-	if period < 10*time.Millisecond {
-		period = 10 * time.Millisecond
-	}
-	tick := time.NewTicker(period)
-	defer tick.Stop()
-	// Expiry also happens inline when a worker's Lease call scans the
-	// queue, so log from the stats counter rather than this loop's own
-	// harvest — every expiry is reported either way.
-	logged := 0
-	for {
-		select {
-		case <-c.stop:
-			return
-		case <-tick.C:
-			c.queue.ExpireLeases()
-			if total := c.queue.Stats().Expired; total > logged {
-				c.logf("campaign: %d lease(s) expired and requeued", total-logged)
-				logged = total
-			}
-		}
-	}
-}
 
 // ErrOverloaded is the sentinel for refused submissions: the coordinator
 // is at its admission limits (or draining) and the caller should retry
@@ -878,43 +832,6 @@ func (c *Coordinator) arbitrate(digest string, cell sweep.Cell) {
 	}
 }
 
-// scrubLoop periodically re-verifies every store object at rest:
-// corruption is quarantined, and damaged cells the queue still knows are
-// resubmitted for self-healing quorum re-execution.
-func (c *Coordinator) scrubLoop(interval time.Duration) {
-	tick := time.NewTicker(interval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-c.stop:
-			return
-		case <-tick.C:
-			rep, err := c.store.Scrub()
-			if err != nil {
-				c.logf("campaign: store scrub failed: %v", err)
-				continue
-			}
-			healed := 0
-			for _, bad := range rep.Bad {
-				c.logf("campaign: scrub quarantined %s: %s", short(bad.Digest), bad.Reason)
-				if _, ok := c.queue.Requeue(bad.Digest); ok {
-					healed++
-				}
-			}
-			c.addScrub(func(s *ScrubHealth) {
-				s.Runs++
-				s.Scanned += rep.Scanned
-				s.Quarantined += rep.Quarantined
-				s.Healed += healed
-			})
-			if rep.Quarantined > 0 {
-				c.logf("campaign: scrub pass: %d object(s) scanned, %d quarantined, %d resubmitted for healing",
-					rep.Scanned, rep.Quarantined, healed)
-			}
-		}
-	}
-}
-
 // addScrub mutates the scrub health counters under their lock.
 func (c *Coordinator) addScrub(fn func(*ScrubHealth)) {
 	c.scrubMu.Lock()
@@ -922,7 +839,7 @@ func (c *Coordinator) addScrub(fn func(*ScrubHealth)) {
 	c.scrubMu.Unlock()
 }
 
-// ScrubStats returns a snapshot of scrubber/re-verifier counters.
+// ScrubStats returns a snapshot of the repair counters.
 func (c *Coordinator) ScrubStats() ScrubHealth {
 	c.scrubMu.Lock()
 	defer c.scrubMu.Unlock()

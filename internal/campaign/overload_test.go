@@ -469,35 +469,3 @@ func TestClientParsesRetryAfter(t *testing.T) {
 		t.Fatalf("APIError = %+v, want 429 with 7s Retry-After", apiErr)
 	}
 }
-
-// TestClientCircuitBreaker: consecutive transport failures open the
-// breaker, which then fails fast with ErrCircuitOpen instead of dialing
-// a dead coordinator, and closes again after the cooldown.
-func TestClientCircuitBreaker(t *testing.T) {
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Write([]byte(`{"ok":true,"queue":{}}`))
-	}))
-	url := srv.URL
-	srv.Close() // every dial now fails at the transport layer
-
-	cl := NewClient(url, nil)
-	cl.retry = RetryPolicy{Attempts: 1}
-	cl.breaker.threshold, cl.breaker.cooldown = 2, 50*time.Millisecond
-	ctx := context.Background()
-
-	for i := 0; i < 2; i++ {
-		if _, err := cl.Campaigns(ctx); err == nil || errors.Is(err, ErrCircuitOpen) {
-			t.Fatalf("call %d: err = %v, want a raw transport error", i, err)
-		}
-	}
-	if _, err := cl.Campaigns(ctx); !errors.Is(err, ErrCircuitOpen) {
-		t.Fatalf("err = %v, want ErrCircuitOpen after %d transport failures", err, 2)
-	}
-
-	// After the cooldown the breaker half-opens and probes the network
-	// again — the probe's transport error proves a real dial happened.
-	time.Sleep(60 * time.Millisecond)
-	if _, err := cl.Campaigns(ctx); err == nil || errors.Is(err, ErrCircuitOpen) {
-		t.Fatalf("post-cooldown err = %v, want a raw transport error from the probe", err)
-	}
-}

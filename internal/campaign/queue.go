@@ -240,7 +240,7 @@ type QueueStats struct {
 	// escalated to coordinator re-execution.
 	Arbitrations int
 	// Reverifies counts done tasks requeued for quorum re-execution
-	// (after divergence evidence or scrubber damage reports).
+	// after divergence evidence.
 	Reverifies int
 }
 
@@ -454,10 +454,12 @@ func (q *Queue) Stats() QueueStats {
 	return q.stats
 }
 
-// Depth returns the number of pending and leased tasks.
+// Depth returns the number of pending and leased tasks. Lapsed leases
+// are collected first, so the counts are exact.
 func (q *Queue) Depth() (pending, leased int) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
+	q.expireLocked()
 	return q.count[taskPending], q.count[taskLeased]
 }
 
@@ -665,7 +667,7 @@ func digestFraction(digest string) float64 {
 }
 
 // Requeue sends a done task back for quorum re-execution — the response
-// to divergence evidence or a scrubber damage report. The task is
+// to divergence evidence against its admitted value. The task is
 // pending again, so a campaign enqueuing the cell meanwhile waits for the
 // fresh quorum's value instead of receiving the stale result. Reports
 // ok=false when the digest is unknown or the task is not done.
@@ -696,6 +698,7 @@ func (q *Queue) Requeue(digest string) (cell sweep.Cell, ok bool) {
 func (q *Queue) Abandon(digest string, waiterID int) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
+	q.expireLocked()
 	t, ok := q.tasks[digest]
 	if !ok {
 		return
@@ -1027,15 +1030,16 @@ func (q *Queue) admitLocked(t *task, resDigest string, res *machine.Result) Comp
 }
 
 // Fail reports a worker-side execution failure. It is fenced like a
-// publish: a failure under a dead lease (the task was already requeued
-// or completed), with a fencing token other than the live lease's, or
-// naming another cell than its lease's is ignored, so neither a late
-// report nor a forger disturbs the real holder. Within the attempt
-// budget the task requeues; exhausting it delivers the error to every
-// waiter.
+// publish: a failure under a dead lease (lapsed, or the task was already
+// requeued or completed), with a fencing token other than the live
+// lease's, or naming another cell than its lease's is ignored, so
+// neither a late report nor a forger disturbs the real holder. Within
+// the attempt budget the task requeues; exhausting it delivers the error
+// to every waiter.
 func (q *Queue) Fail(leaseID, fence, digest, msg string) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
+	q.expireLocked()
 	t, ok := q.tasks[digest]
 	if !ok || t.lease == nil || t.lease.id != leaseID || t.lease.fence != fence {
 		return
@@ -1051,29 +1055,21 @@ func (q *Queue) Fail(leaseID, fence, digest, msg string) {
 	q.requeueLocked(t)
 }
 
-// ExpireLeases requeues every task whose lease deadline passed and
-// returns how many expired. The coordinator calls it periodically; Lease
-// and Renew also collect lazily.
-func (q *Queue) ExpireLeases() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.expireLocked()
-}
-
-// expireLocked requeues tasks with lapsed leases. An expiry does not
-// consume an attempt: the worker may be slow rather than broken; its
-// eventual publish is judged by the fencing and attestation rules.
-func (q *Queue) expireLocked() int {
+// expireLocked requeues tasks with lapsed leases. It is the only expiry
+// path: every call that grants, renews, judges or counts leases (Lease,
+// Renew, Complete, Fail, Abandon, Depth) runs it first, so a crashed
+// worker's cell is grantable to the next worker that asks. An expiry
+// does not consume an attempt: the worker may be slow rather than
+// broken; its eventual publish is judged by the fencing and attestation
+// rules.
+func (q *Queue) expireLocked() {
 	now := q.now()
-	expired := 0
 	for _, l := range q.leases {
 		if !now.Before(l.deadline) {
 			q.requeueLocked(q.tasks[l.digest])
-			expired++
+			q.stats.Expired++
 		}
 	}
-	q.stats.Expired += expired
-	return expired
 }
 
 // deliverLocked sends the outcome to every waiter and clears the set.

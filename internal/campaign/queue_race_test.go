@@ -8,7 +8,7 @@ import (
 	"time"
 )
 
-// TestQueueConcurrentHammer drives Lease/Complete/Fail/Renew/ExpireLeases
+// TestQueueConcurrentHammer drives Lease/Complete/Fail/Renew/Depth
 // from many goroutines at once — with quorum verification on and an
 // occasional divergent vote mixed in — and checks the one invariant that
 // must hold under any interleaving: every waiter receives exactly one
@@ -51,18 +51,19 @@ func TestQueueConcurrentHammer(t *testing.T) {
 		}(i, ch)
 	}
 
-	// Expiry loop: requeues abandoned leases while the hammer runs.
-	stopExpiry := make(chan struct{})
-	var expiryWG sync.WaitGroup
-	expiryWG.Add(1)
+	// Depth poller, as healthz and admission read it: collects abandoned
+	// leases while the hammer runs.
+	stopPoll := make(chan struct{})
+	var pollWG sync.WaitGroup
+	pollWG.Add(1)
 	go func() {
-		defer expiryWG.Done()
+		defer pollWG.Done()
 		for {
 			select {
-			case <-stopExpiry:
+			case <-stopPoll:
 				return
 			case <-time.After(5 * time.Millisecond):
-				q.ExpireLeases()
+				q.Depth()
 			}
 		}
 	}()
@@ -118,7 +119,7 @@ func TestQueueConcurrentHammer(t *testing.T) {
 	}
 
 	// Wait for all outcomes, then release the collectors' double-delivery
-	// watch and the expiry loop.
+	// watch and the depth poller.
 	deadline := time.After(60 * time.Second)
 	for delivered.Load() < cells {
 		select {
@@ -129,9 +130,9 @@ func TestQueueConcurrentHammer(t *testing.T) {
 	}
 	time.Sleep(20 * time.Millisecond) // window for any spurious second delivery
 	close(done)
-	close(stopExpiry)
+	close(stopPoll)
 	wg.Wait()
-	expiryWG.Wait()
+	pollWG.Wait()
 
 	st := q.Stats()
 	if st.Completed+st.Failed != cells {

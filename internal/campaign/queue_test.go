@@ -107,8 +107,9 @@ func TestQueueLeaseExpiryRequeues(t *testing.T) {
 	}
 
 	clock.advance(2 * time.Second)
-	if n := q.ExpireLeases(); n != 1 {
-		t.Fatalf("expired %d leases, want 1", n)
+	// Depth collects the lapsed lease: its counts are exact.
+	if pending, leased := q.Depth(); pending != 1 || leased != 0 {
+		t.Fatalf("depth after expiry = %d pending, %d leased; want 1, 0", pending, leased)
 	}
 
 	g2, ok := q.Lease("w2")
@@ -255,10 +256,21 @@ func TestQueueStaleFailIgnored(t *testing.T) {
 
 	g1, _ := q.Lease("w1")
 	clock.advance(2 * time.Second)
+	// w1's failure report arrives under its lapsed lease before any other
+	// call collected it: ignored, no attempt burned.
+	q.Fail(g1.Lease, g1.Fence, digest, "late failure")
+	select {
+	case <-ch:
+		t.Fatal("failure under a lapsed lease delivered an outcome")
+	default:
+	}
 	g2, _ := q.Lease("w2")
+	if g2.Attempt != 1 {
+		t.Fatalf("attempt after a lapsed-lease failure = %d, want 1", g2.Attempt)
+	}
 
-	// w1's failure report arrives under its expired lease: ignored, no
-	// attempt burned, w2's lease untouched.
+	// Repeated once the cell is re-leased: still ignored, w2's lease
+	// untouched.
 	q.Fail(g1.Lease, g1.Fence, digest, "late failure")
 	// A failure naming another cell than its lease's is ignored too.
 	q.Fail(g2.Lease, g2.Fence, testCell(t, 2).Key().Digest(), "wrong cell")
@@ -346,7 +358,7 @@ func TestQueueRenewExtendsLease(t *testing.T) {
 		t.Fatalf("renew of a live lease failed: %v", err)
 	}
 	clock.advance(700 * time.Millisecond)
-	if n := q.ExpireLeases(); n != 0 {
+	if _, leased := q.Depth(); leased != 1 {
 		t.Fatal("renewed lease expired inside its extended window")
 	}
 	clock.advance(time.Second)
@@ -454,7 +466,6 @@ func TestQueueCompleteVerdicts(t *testing.T) {
 				lease(t, q, "w1")
 				depth(t, q, 0, 1)
 				clock.advance(ttl)
-				q.ExpireLeases()
 				depth(t, q, 1, 0)
 				return honestPublish(t, lease(t, q, "w2"), fakeResult(1))
 			},
@@ -493,7 +504,6 @@ func TestQueueCompleteVerdicts(t *testing.T) {
 				enqueue(t, q, 1)
 				slow := lease(t, q, "w2")
 				clock.advance(ttl)
-				q.ExpireLeases()
 				publish(t, q, lease(t, q, "w1"), fakeResult(1), VerdictAdmitted)
 				return honestPublish(t, slow, fakeResult(2))
 			},
@@ -511,7 +521,7 @@ func TestQueueCompleteVerdicts(t *testing.T) {
 				enqueue(t, q, 1)
 				g := lease(t, q, "w1")
 				clock.advance(ttl)
-				q.ExpireLeases()
+				depth(t, q, 1, 0)
 				return honestPublish(t, g, fakeResult(1))
 			},
 			want: VerdictZombie,

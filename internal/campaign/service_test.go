@@ -215,10 +215,15 @@ func TestStalledWorkerDoublePublish(t *testing.T) {
 		}
 	}
 
-	// Wait out the TTL so the coordinator's expiry loop requeues it.
+	// Wait out the TTL. The health probe's depth read collects the
+	// lapsed lease and requeues the cell.
 	time.Sleep(time.Second)
-	if exp := coord.Queue().Stats().Expired; exp == 0 {
-		t.Fatal("stalled lease did not expire")
+	h, err := client.Health(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h.Expired == 0 || h.Leased != 0 {
+		t.Fatalf("stalled lease did not expire: healthz expired=%d leased=%d", h.Expired, h.Leased)
 	}
 
 	// Healthy workers finish the whole campaign, including the re-leased
@@ -315,6 +320,90 @@ func TestCancelRunningCampaign(t *testing.T) {
 	}
 	if final.State != StateCanceled {
 		t.Fatalf("state after cancel = %s (was %s at cancel)", final.State, st.State)
+	}
+}
+
+// TestCorruptObjectAtRestReSimulates: an object corrupted at rest
+// between two coordinator lives is caught by the verified read of the
+// next campaign that needs it. The identical resubmission quarantines
+// it, delegates exactly that one cell to a worker, re-persists it, and
+// serves tables byte-identical to the first run.
+func TestCorruptObjectAtRestReSimulates(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs real simulations")
+	}
+	dir := t.TempDir()
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	spec := Spec{Experiments: []string{"fig9"}, Workloads: []string{"mm"}, Scale: 0.02}
+
+	// runOnce serves one coordinator and one worker on the store at dir
+	// until the spec's campaign is done, then shuts both down.
+	runOnce := func() (*store.Store, Status, []TableResult) {
+		t.Helper()
+		st, err := store.Open(dir, store.Options{SimDigest: "test-sim"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		coord := NewCoordinator(Options{Store: st, LeaseTTL: time.Minute, Logf: t.Logf})
+		srv := httptest.NewServer(coord.Handler())
+		defer func() { srv.Close(); coord.Close() }()
+		client := NewClient(srv.URL, nil)
+		wctx, wcancel := context.WithCancel(ctx)
+		defer wcancel()
+		w := NewWorker(client, WorkerOptions{Store: st, Poll: 10 * time.Millisecond, Logf: t.Logf})
+		go w.Run(wctx)
+		sub, err := client.Submit(ctx, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		final, err := client.Wait(ctx, sub.ID, 20*time.Millisecond, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if final.State != StateDone {
+			t.Fatalf("state = %s (errors: %v)", final.State, final.ExperimentErrors)
+		}
+		tables, err := client.Tables(ctx, sub.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st, final, tables
+	}
+
+	_, _, first := runOnce()
+
+	// Flip one byte inside one persisted object.
+	objs, err := filepath.Glob(filepath.Join(dir, "objects", "*", "*.json"))
+	if err != nil || len(objs) == 0 {
+		t.Fatalf("no persisted objects after the first campaign (err %v)", err)
+	}
+	victim := objs[0]
+	digest := strings.TrimSuffix(filepath.Base(victim), ".json")
+	data, err := os.ReadFile(victim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)/2] ^= 0x01
+	if err := os.WriteFile(victim, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	st, final, second := runOnce()
+	if len(second) != len(first) || len(second) != 1 || second[0].Text != first[0].Text || second[0].CSV != first[0].CSV {
+		t.Fatalf("tables after the corruption differ from the first run:\n--- first ---\n%v\n--- second ---\n%v", first, second)
+	}
+	if q := st.Stats().Quarantined; q != 1 {
+		t.Fatalf("store quarantined %d objects, want 1", q)
+	}
+	if final.Cells.Delegated != 1 {
+		t.Fatalf("resubmission delegated %d cells, want only the corrupted one", final.Cells.Delegated)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "quarantine", digest+".json")); err != nil {
+		t.Fatalf("corrupted object not in quarantine/: %v", err)
+	}
+	if _, ok := st.Get(digest); !ok {
+		t.Fatal("re-simulated cell was not re-persisted")
 	}
 }
 

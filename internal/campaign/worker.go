@@ -23,11 +23,9 @@ type WorkerOptions struct {
 	// repeated cells from disk without re-simulating; without it,
 	// results still reach the coordinator through the publish call.
 	Store *store.Store
-	// Poll is the idle wait between lease attempts when the queue is
-	// empty (default 500ms). It also sets the worker's backoff when
-	// lease attempts error — a coordinator restart or network
-	// partition: jittered, doubling from Poll up to 10×Poll, reset on
-	// the first successful exchange.
+	// Poll is the wait between lease attempts when the queue is empty
+	// or a lease attempt errored after the client's own retries
+	// (default 500ms).
 	Poll time.Duration
 	// Logf receives operational log lines (nil silences them).
 	Logf func(format string, args ...any)
@@ -39,12 +37,11 @@ type WorkerOptions struct {
 // re-leased; if it stalls and publishes late, the digest-keyed store
 // makes the publish a no-op.
 type Worker struct {
-	client  *Client
-	name    string
-	poll    time.Duration
-	backoff RetryPolicy // lease-error backoff: Base Poll, Cap 10×Poll
-	logf    func(string, ...any)
-	engine  *sweep.Engine
+	client *Client
+	name   string
+	poll   time.Duration
+	logf   func(string, ...any)
+	engine *sweep.Engine
 
 	mu    sync.Mutex
 	stats WorkerStats
@@ -63,7 +60,7 @@ type WorkerStats struct {
 	RenewLost int
 	// LeaseErrors counts lease attempts that failed even after the
 	// client's own retries — the coordinator was down long enough that
-	// the worker fell back to its outer backoff loop.
+	// the worker waited a poll interval and asked again.
 	LeaseErrors int
 	// Rejected counts publishes the coordinator refused with a 409:
 	// fenced zombies, attestation mismatches, divergent answers.
@@ -91,8 +88,7 @@ func NewWorker(client *Client, opts WorkerOptions) *Worker {
 	engine := sweep.New(1)
 	engine.SetStore(opts.Store)
 	return &Worker{
-		client: client, name: name, poll: poll, backoff: RetryPolicy{Base: poll, Cap: 10 * poll},
-		logf: logf, engine: engine,
+		client: client, name: name, poll: poll, logf: logf, engine: engine,
 	}
 }
 
@@ -106,15 +102,14 @@ func (w *Worker) Stats() WorkerStats {
 	return w.stats
 }
 
-// Run leases and executes cells until ctx is cancelled. Transient
-// coordinator errors (it restarted, the network is partitioned) back
-// off with jittered exponential delays up to 10×Poll, resetting on
-// the first successful exchange — the worker rides out a full
+// Run leases and executes cells until ctx is cancelled. A lease call
+// that still errors after the client's jittered retries (the
+// coordinator restarted, the network is partitioned) is followed by one
+// Poll wait, as an empty queue is, so the worker rides out a full
 // coordinator restart and re-leases without intervention. Run returns
 // ctx.Err().
 func (w *Worker) Run(ctx context.Context) error {
 	w.logf("worker %s: polling for work", w.name)
-	fails := 0 // consecutive lease errors
 	for {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -127,18 +122,9 @@ func (w *Worker) Run(ctx context.Context) error {
 			w.mu.Lock()
 			w.stats.LeaseErrors++
 			w.mu.Unlock()
-			wait := w.backoff.backoff(fails)
-			fails++
-			w.logf("worker %s: lease: %v (backing off %s)", w.name, err, wait)
-			if !w.sleep(ctx, wait) {
-				return ctx.Err()
-			}
-			continue
+			w.logf("worker %s: lease: %v (retrying in %s)", w.name, err, w.poll)
 		}
-		// Any answer from the coordinator — a grant or an empty queue —
-		// resets the backoff.
-		fails = 0
-		if !ok {
+		if !ok { // an error, or an empty queue
 			if !w.sleep(ctx, w.poll) {
 				return ctx.Err()
 			}

@@ -87,8 +87,6 @@ type Config struct {
 	// AESGCMLatency is the authenticated en/decryption pad-generation
 	// latency in cycles (40 in Table III; Figure 26 sweeps 10-40).
 	AESGCMLatency uint64
-	// XORLatency is the cost of applying a ready pad (1 cycle).
-	XORLatency uint64
 
 	// PCIeBandwidth is the CPU-GPU link bandwidth in bytes/cycle at 1 GHz
 	// (PCIe-v4, 32 GB/s -> 32 B/cycle).
@@ -303,7 +301,6 @@ func Default(numGPUs int) Config {
 		MetadataTraffic:     true,
 		CPUMemProtection:    true,
 		AESGCMLatency:       40,
-		XORLatency:          1,
 		PCIeBandwidth:       32,
 		NVLinkBandwidth:     50,
 		GPUNICBandwidth:     150,

@@ -34,34 +34,32 @@ type ClosedBatch struct {
 }
 
 // Batcher is the sender-side batching controller for one destination. Data
-// blocks join the open batch in order; when n blocks have joined (or the
-// flush timeout passes, or a page-migration boundary forces it) the batch
-// closes and a single Batched_MsgMAC + single ACK replace the per-block
-// metadata.
+// blocks join the open batch in order; when n blocks have joined (or a
+// Flush on the endpoint's flush timer or at a page-migration boundary
+// forces it) the batch closes and a single Batched_MsgMAC + single ACK
+// replace the per-block metadata.
 type Batcher struct {
-	n       int
-	timeout sim.Cycle
-	gen     *crypto.PadGenerator
+	n   int
+	gen *crypto.PadGenerator
 
-	nextID   uint64
-	open     bool
-	id       uint64
-	count    int
-	macs     []byte // concatenated per-block MsgMACs
-	openedAt sim.Cycle
+	nextID uint64
+	open   bool
+	id     uint64
+	count  int
+	macs   []byte // concatenated per-block MsgMACs
 }
 
 // NewBatcher creates a sender-side batcher with batch size n. gen may be
 // nil for timing-only simulation, in which case Batched_MsgMACs are zero.
-func NewBatcher(n int, timeout sim.Cycle, gen *crypto.PadGenerator) *Batcher {
+func NewBatcher(n int, gen *crypto.PadGenerator) *Batcher {
 	b := &Batcher{}
-	b.Reset(n, timeout, gen)
+	b.Reset(n, gen)
 	return b
 }
 
-// Reset returns b to the state NewBatcher(n, timeout, gen) builds,
-// keeping its MAC buffer when large enough.
-func (b *Batcher) Reset(n int, timeout sim.Cycle, gen *crypto.PadGenerator) {
+// Reset returns b to the state NewBatcher(n, gen) builds, keeping its MAC
+// buffer when large enough.
+func (b *Batcher) Reset(n int, gen *crypto.PadGenerator) {
 	if n < 1 {
 		panic("core: batch size must be positive")
 	}
@@ -69,20 +67,19 @@ func (b *Batcher) Reset(n int, timeout sim.Cycle, gen *crypto.PadGenerator) {
 	if cap(macs) < n*crypto.MACBytes {
 		macs = make([]byte, 0, n*crypto.MACBytes)
 	}
-	*b = Batcher{n: n, timeout: timeout, gen: gen, macs: macs}
+	*b = Batcher{n: n, gen: gen, macs: macs}
 }
 
 // Add appends one block's MsgMAC to the open batch (opening one if needed)
 // and returns the block's tag plus, when this block completes the batch
 // (closed reports it), the closed batch to transmit.
-func (b *Batcher) Add(now sim.Cycle, mac [crypto.MACBytes]byte) (tag BlockTag, cb ClosedBatch, closed bool) {
+func (b *Batcher) Add(mac [crypto.MACBytes]byte) (tag BlockTag, cb ClosedBatch, closed bool) {
 	if !b.open {
 		b.open = true
 		b.id = b.nextID
 		b.nextID++
 		b.count = 0
 		b.macs = b.macs[:0]
-		b.openedAt = now
 	}
 	tag = BlockTag{BatchID: b.id, Index: b.count, First: b.count == 0}
 	b.count++
@@ -102,11 +99,6 @@ func (b *Batcher) Flush() (cb ClosedBatch, ok bool) {
 	return b.close(), true
 }
 
-// TimedOut reports whether an open batch has exceeded the flush timeout.
-func (b *Batcher) TimedOut(now sim.Cycle) bool {
-	return b.open && b.timeout > 0 && now >= b.openedAt+b.timeout
-}
-
 // OpenID returns the identity of the open batch, or ok=false when no batch
 // is open. Timeout events use it to avoid flushing a successor batch.
 func (b *Batcher) OpenID() (id uint64, ok bool) {
@@ -120,10 +112,6 @@ func (b *Batcher) OpenCount() int {
 	}
 	return b.count
 }
-
-// OpenedAt returns when the current batch opened; meaningful only when
-// OpenCount() > 0.
-func (b *Batcher) OpenedAt() sim.Cycle { return b.openedAt }
 
 // AllocID reserves a fresh batch identity outside the open batch. The
 // retransmission path uses it to re-send a lost batch under a new ID (and

@@ -25,9 +25,9 @@ func mac(i int) [crypto.MACBytes]byte {
 }
 
 func TestBatcherClosesAtN(t *testing.T) {
-	b := NewBatcher(4, 200, nil)
+	b := NewBatcher(4, nil)
 	for i := 0; i < 3; i++ {
-		tag, _, closed := b.Add(100, mac(i))
+		tag, _, closed := b.Add(mac(i))
 		if closed {
 			t.Fatalf("batch closed early at block %d", i)
 		}
@@ -35,7 +35,7 @@ func TestBatcherClosesAtN(t *testing.T) {
 			t.Fatalf("tag %d = %+v", i, tag)
 		}
 	}
-	tag, closed, ok := b.Add(100, mac(3))
+	tag, closed, ok := b.Add(mac(3))
 	if !ok {
 		t.Fatal("batch did not close at n=4")
 	}
@@ -43,19 +43,19 @@ func TestBatcherClosesAtN(t *testing.T) {
 		t.Fatalf("tag=%+v closed=%+v", tag, closed)
 	}
 	// Next block opens batch 1.
-	tag, _, _ = b.Add(200, mac(4))
+	tag, _, _ = b.Add(mac(4))
 	if tag.BatchID != 1 || !tag.First {
 		t.Fatalf("next tag=%+v, want start of batch 1", tag)
 	}
 }
 
 func TestBatcherFlushPartial(t *testing.T) {
-	b := NewBatcher(16, 200, nil)
+	b := NewBatcher(16, nil)
 	if _, ok := b.Flush(); ok {
 		t.Fatal("flush of empty batcher returned a batch")
 	}
-	b.Add(100, mac(0))
-	b.Add(100, mac(1))
+	b.Add(mac(0))
+	b.Add(mac(1))
 	if b.OpenCount() != 2 {
 		t.Fatalf("open count=%d, want 2", b.OpenCount())
 	}
@@ -68,30 +68,46 @@ func TestBatcherFlushPartial(t *testing.T) {
 	}
 }
 
+// TestBatcherTimeout pins what the endpoint's flush timer relies on: the
+// timer is armed for the open batch's ID, and OpenID names that batch
+// only while it is open, so a timer that outlives its batch cannot flush
+// a successor.
 func TestBatcherTimeout(t *testing.T) {
-	b := NewBatcher(16, 200, nil)
-	b.Add(100, mac(0))
-	if b.TimedOut(250) {
-		t.Error("timed out too early (opened 100, timeout 200)")
+	b := NewBatcher(2, nil)
+	if _, open := b.OpenID(); open {
+		t.Fatal("fresh batcher reports an open batch")
 	}
-	if !b.TimedOut(300) {
-		t.Error("not timed out at 300")
+	tag, _, _ := b.Add(mac(0))
+	armed := tag.BatchID
+	if id, open := b.OpenID(); !open || id != armed {
+		t.Fatalf("OpenID = %d, %v; want the armed batch %d open", id, open, armed)
 	}
-	b.Flush()
-	if b.TimedOut(10000) {
-		t.Error("empty batcher reports timeout")
+	// The batch closes full; its successor opens under a new ID.
+	if _, _, closed := b.Add(mac(1)); !closed {
+		t.Fatal("batch did not close at n=2")
+	}
+	if _, open := b.OpenID(); open {
+		t.Fatal("closed batch still reported open")
+	}
+	b.Add(mac(2))
+	if id, open := b.OpenID(); !open || id == armed {
+		t.Fatalf("OpenID = %d, %v; want a successor distinct from %d", id, open, armed)
+	}
+	// A timeout flush closes the partial successor.
+	if cb, ok := b.Flush(); !ok || cb.Len != 1 {
+		t.Fatalf("flush = %+v, %v; want the one-block successor", cb, ok)
 	}
 }
 
 func TestBatchMACRoundTrip(t *testing.T) {
 	gen := newGen(t)
-	b := NewBatcher(3, 0, gen)
+	b := NewBatcher(3, gen)
 	s := NewMACStore(64, 3, gen)
 
 	var closed ClosedBatch
 	var tags []BlockTag
 	for i := 0; i < 3; i++ {
-		tag, c, ok := b.Add(100, mac(i))
+		tag, c, ok := b.Add(mac(i))
 		tags = append(tags, tag)
 		if ok {
 			closed = c
@@ -117,12 +133,12 @@ func TestBatchMACRoundTrip(t *testing.T) {
 
 func TestBatchMACArrivesBeforeLastBlock(t *testing.T) {
 	gen := newGen(t)
-	b := NewBatcher(3, 0, gen)
+	b := NewBatcher(3, gen)
 	s := NewMACStore(64, 3, gen)
 	var closed ClosedBatch
 	var tags []BlockTag
 	for i := 0; i < 3; i++ {
-		tag, c, ok := b.Add(100, mac(i))
+		tag, c, ok := b.Add(mac(i))
 		tags = append(tags, tag)
 		if ok {
 			closed = c
@@ -141,10 +157,10 @@ func TestBatchMACArrivesBeforeLastBlock(t *testing.T) {
 
 func TestBatchMACDetectsTampering(t *testing.T) {
 	gen := newGen(t)
-	b := NewBatcher(2, 0, gen)
+	b := NewBatcher(2, gen)
 	s := NewMACStore(64, 2, gen)
-	tag0, _, _ := b.Add(100, mac(0))
-	tag1, closed, _ := b.Add(100, mac(1))
+	tag0, _, _ := b.Add(mac(0))
+	tag1, closed, _ := b.Add(mac(1))
 	s.OnBlock(100, tag0, mac(0))
 	s.OnBlock(100, tag1, mac(99)) // receiver computes a different MAC for block 1
 	res, done := s.OnBatchMAC(100, closed)
@@ -187,12 +203,12 @@ func TestMACStoreExpireAbandonsStale(t *testing.T) {
 
 func TestMACStoreToleratesHolesAndDuplicates(t *testing.T) {
 	gen := newGen(t)
-	b := NewBatcher(3, 0, gen)
+	b := NewBatcher(3, gen)
 	s := NewMACStore(64, 3, gen)
 	var closed ClosedBatch
 	var tags []BlockTag
 	for i := 0; i < 3; i++ {
-		tag, c, ok := b.Add(100, mac(i))
+		tag, c, ok := b.Add(mac(i))
 		tags = append(tags, tag)
 		if ok {
 			closed = c
@@ -218,7 +234,7 @@ func TestBatcherValidation(t *testing.T) {
 			t.Error("zero batch size did not panic")
 		}
 	}()
-	NewBatcher(0, 0, nil)
+	NewBatcher(0, nil)
 }
 
 func TestMACStoreValidation(t *testing.T) {
@@ -238,7 +254,7 @@ func TestBatchingEndToEndProperty(t *testing.T) {
 	prop := func(blocks []byte, nRaw, flushEvery uint8) bool {
 		n := int(nRaw%16) + 1
 		fe := int(flushEvery%7) + 3
-		b := NewBatcher(n, 0, gen)
+		b := NewBatcher(n, gen)
 		s := NewMACStore(64, n, gen)
 		verified := 0
 		wantVerified := 0
@@ -263,7 +279,7 @@ func TestBatchingEndToEndProperty(t *testing.T) {
 		}
 		for i, blk := range blocks {
 			m := mac(int(blk))
-			tag, cb, closed := b.Add(0, m)
+			tag, cb, closed := b.Add(m)
 			s.OnBlock(0, tag, m)
 			if !handleClosed(cb, closed) {
 				return false

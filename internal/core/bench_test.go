@@ -38,13 +38,13 @@ func BenchmarkAdjustInterval(b *testing.B) {
 // closes it and computes the timing-only Batched_MsgMAC.
 func BenchmarkBatchOpenClose(b *testing.B) {
 	const n = 16
-	bt := NewBatcher(n, 1000, nil)
+	bt := NewBatcher(n, nil)
 	var mac [crypto.MACBytes]byte
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		for k := 0; k < n; k++ {
 			mac[0] = byte(k)
-			bt.Add(sim.Cycle(i), mac)
+			bt.Add(mac)
 		}
 	}
 }

@@ -175,9 +175,6 @@ func (p *Policy) Migrate(page PageID, to Node, home Node) {
 // Migrations returns the number of migrations performed.
 func (p *Policy) Migrations() uint64 { return p.migrations }
 
-// Threshold returns the configured access-count threshold.
-func (p *Policy) Threshold() int { return p.threshold }
-
 // String summarizes the policy state.
 func (p *Policy) String() string {
 	migrated := 0

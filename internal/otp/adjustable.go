@@ -32,9 +32,6 @@ func NewAdjustable(peers, initialDepth int, eng *crypto.Engine) *Adjustable {
 	return a
 }
 
-// Peers returns the peer count.
-func (a *Adjustable) Peers() int { return len(a.queues[Send]) }
-
 // Depth returns the current allocation of one stream.
 func (a *Adjustable) Depth(dir Direction, peer int) int {
 	return a.queues[dir][peer].depth

@@ -29,6 +29,10 @@ import (
 	"secmgpu/internal/sim"
 )
 
+// xorCycles is the cost of applying a ready pad to a block, on both the
+// seal and the decrypt side.
+const xorCycles = 1
+
 // A message's ciphertext block must hold exactly one crypto block; a
 // mismatch breaks seal() silently, so it is rejected at compile time.
 var _ = [1]struct{}{}[crypto.BlockBytes-interconnect.CipherBlockBytes]
@@ -368,7 +372,7 @@ func (st *Storage) New(engine *sim.Engine, fabric *interconnect.Fabric, node int
 			if st.batchers[class][i] == nil {
 				st.batchers[class][i], st.macStores[class][i] = new(core.Batcher), new(core.MACStore)
 			}
-			st.batchers[class][i].Reset(n, sim.Cycle(cfg.BatchFlushTimeout), e.gen)
+			st.batchers[class][i].Reset(n, e.gen)
 			st.macStores[class][i].Reset(PageBlocks, n, e.gen)
 		}
 	}
@@ -520,7 +524,7 @@ func (e *Endpoint) SendData(dst interconnect.NodeID, kind interconnect.Kind, req
 	if e.batching {
 		class = batchClass(kind)
 		var tag core.BlockTag
-		tag, closed, hasClosed = e.st.batchers[class][peer].Add(sendAt, mac)
+		tag, closed, hasClosed = e.st.batchers[class][peer].Add(mac)
 		id = tag.BatchID
 		batchLen := 0
 		if hasClosed {
@@ -581,8 +585,9 @@ func (e *Endpoint) sealBlock(dst interconnect.NodeID, peer int, blk txBlock,
 	now := e.engine.Now()
 	use := e.mgr.UseSend(now, peer)
 	e.noteSendCtr(peer, use.Ctr)
-	// +1: the XOR once the pad is ready; lastSendAt keeps the channel FIFO.
-	sendAt := max(now+use.Stall+1, e.st.lastSendAt[peer])
+	// The XOR follows once the pad is ready; lastSendAt keeps the channel
+	// FIFO.
+	sendAt := max(now+use.Stall+xorCycles, e.st.lastSendAt[peer])
 	e.st.lastSendAt[peer] = sendAt
 
 	msg := e.dataMessage(dst, blk)
@@ -759,7 +764,7 @@ func (e *Endpoint) deliverData(now sim.Cycle, msg *interconnect.Message) {
 	e.st.lastCtr[peer] = msg.Sec.MsgCTR
 	e.st.ctrSeen[peer] = true
 	use := e.mgr.UseRecv(now, peer, msg.Sec.MsgCTR)
-	deliverAt := now + use.Stall + 1
+	deliverAt := now + use.Stall + xorCycles
 
 	var mac [crypto.MACBytes]byte
 	corrupt := msg.Corrupted

@@ -175,7 +175,7 @@ func (s *Store) decode(keyDigest string, data []byte) (*machine.Result, string) 
 // reason is non-empty for intrinsic corruption; stale flags an entry
 // that is internally sound but produced by a different simulator binary
 // — wrong for this reader, not damaged (Get treats it as a failure so a
-// rebuilt binary re-simulates; the scrubber leaves it in place).
+// rebuilt binary re-simulates; Scrub leaves it in place).
 func (s *Store) verifyEntry(keyDigest string, data []byte) (res *machine.Result, reason string, stale bool) {
 	var ent entryFile
 	if err := json.Unmarshal(data, &ent); err != nil {

@@ -19,11 +19,10 @@
 //   - optional durability (SetStore/SetJournal): completed cells persist
 //     to an on-disk content-addressed store as they finish and a
 //     restarted engine rehydrates them instead of re-simulating, with a
-//     per-run append-only journal as the crash-forensics record;
-//   - optional per-cell retry with exponential backoff (SetRetry) for
-//     transient failures, and a soft heap watermark (SetHeapWatermark)
-//     that sheds already-persisted cache entries under memory pressure
-//     instead of dying.
+//     per-run append-only journal as the crash-forensics record.
+//
+// A cell runs once per engine: a failure is journaled and cached, and a
+// resumed run (a fresh engine on the same store) re-simulates it.
 //
 // Workers acquire a pool slot before building a cell's traces, so the
 // worker bound limits live goroutines and trace allocations, not just
@@ -119,8 +118,7 @@ type Observer func(Event)
 type Stats struct {
 	// Cells is the number of cell requests received.
 	Cells int
-	// Simulated is the number of simulation attempts actually executed
-	// (retries count each attempt).
+	// Simulated is the number of simulations actually executed.
 	Simulated int
 	// CacheHits counts cells served by in-memory deduplication instead
 	// of a new simulation.
@@ -128,15 +126,9 @@ type Stats struct {
 	// StoreHits counts cells rehydrated from the durable store instead
 	// of simulating (zero without an attached store).
 	StoreHits int
-	// Failed is the number of executed simulation attempts that
-	// returned an error (including recovered panics).
+	// Failed is the number of executed simulations that returned an
+	// error (including recovered panics).
 	Failed int
-	// Retries counts extra attempts granted to failing cells by the
-	// retry policy.
-	Retries int
-	// Shed counts in-memory cache entries dropped under the heap
-	// watermark; every shed entry was already persisted to the store.
-	Shed int
 	// SimTime is the summed wall time of executed simulations.
 	SimTime time.Duration
 }
@@ -146,16 +138,13 @@ type Stats struct {
 type Engine struct {
 	workers int
 
-	mu            sync.Mutex
-	obs           Observer
-	cache         map[Key]*entry
-	stats         Stats
-	timeout       time.Duration
-	store         *store.Store
-	journal       *store.Journal
-	retries       int
-	retryBackoff  time.Duration
-	heapWatermark uint64
+	mu      sync.Mutex
+	obs     Observer
+	cache   map[Key]*entry
+	stats   Stats
+	timeout time.Duration
+	store   *store.Store
+	journal *store.Journal
 
 	// simulate executes one cell; tests substitute it to inject
 	// failures, panics, and timing probes.
@@ -163,14 +152,11 @@ type Engine struct {
 }
 
 // entry is one cache slot. done is closed once res/err are final, so
-// identical in-flight requests coalesce by waiting on it. persisted
-// (guarded by Engine.mu) marks the result as durable in the store,
-// which makes the entry sheddable under memory pressure.
+// identical in-flight requests coalesce by waiting on it.
 type entry struct {
-	done      chan struct{}
-	res       *machine.Result
-	err       error
-	persisted bool
+	done chan struct{}
+	res  *machine.Result
+	err  error
 }
 
 // New returns an engine whose default per-sweep parallelism is workers
@@ -199,7 +185,7 @@ func (e *Engine) Observe(obs Observer) {
 // simulation (a livelocked recovery loop, a pathological config) cannot hang
 // an entire sweep. The abandoned simulation's goroutine is left to finish in
 // the background; its eventual result is discarded, and the cell's cache
-// entry holds the timeout error so retries are explicit.
+// entry holds the timeout error (a resumed run re-simulates the cell).
 func (e *Engine) SetCellTimeout(d time.Duration) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -224,33 +210,6 @@ func (e *Engine) SetJournal(j *store.Journal) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.journal = j
-}
-
-// SetRetry grants failing cells extra simulation attempts with
-// exponential backoff (base backoff doubles per retry; retries <= 0
-// disables, the default). Deterministic failures fail all attempts and
-// cost retries x the cell time, so the policy is aimed at transient
-// faults — OOM-adjacent panics, cell timeouts under load.
-func (e *Engine) SetRetry(retries int, backoff time.Duration) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if retries < 0 {
-		retries = 0
-	}
-	e.retries = retries
-	e.retryBackoff = backoff
-}
-
-// SetHeapWatermark sets a soft heap limit in bytes (0 disables, the
-// default). After each completed cell, if the live heap exceeds the
-// watermark the engine sheds cache entries already persisted to the
-// store — degrading to disk reads instead of dying under memory
-// pressure. Without a store attached nothing is sheddable and the
-// watermark is inert.
-func (e *Engine) SetHeapWatermark(bytes uint64) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.heapWatermark = bytes
 }
 
 // Stats returns a snapshot of the cumulative counters.
@@ -417,7 +376,7 @@ func (e *Engine) run(c Cell, timeout time.Duration) (*machine.Result, error) {
 
 // cell resolves one cell: serve it from the in-memory cache, wait on an
 // identical in-flight simulation, rehydrate it from the durable store,
-// or execute it (with retries) and publish — and persist — the outcome.
+// or execute it once and publish — and persist — the outcome.
 func (e *Engine) cell(ctx context.Context, c Cell) (*machine.Result, bool, error) {
 	k := c.Key()
 	e.mu.Lock()
@@ -438,7 +397,6 @@ func (e *Engine) cell(ctx context.Context, c Cell) (*machine.Result, bool, error
 	e.cache[k] = ent
 	st, j := e.store, e.journal
 	timeout := e.timeout
-	attempts, backoff := e.retries+1, e.retryBackoff
 	e.mu.Unlock()
 
 	var dig string
@@ -455,94 +413,35 @@ func (e *Engine) cell(ctx context.Context, c Cell) (*machine.Result, bool, error
 			close(ent.done)
 			e.mu.Lock()
 			e.stats.StoreHits++
-			ent.persisted = true
 			e.mu.Unlock()
 			j.Append(store.Record{T: store.RecRestored, Cell: dig, Label: c.label()})
-			e.maybeShed()
 			return res, true, nil
 		}
 	}
 
-	var res *machine.Result
-	var err error
-	var dur time.Duration
-	for a := 1; a <= attempts; a++ {
-		j.Append(store.Record{T: store.RecStart, Cell: dig, Label: c.label(), Attempt: a})
-		start := time.Now()
-		res, err = e.run(c, timeout)
-		dur = time.Since(start)
-		e.mu.Lock()
-		e.stats.Simulated++
-		e.stats.SimTime += dur
-		if err != nil {
-			e.stats.Failed++
-		}
-		e.mu.Unlock()
-		if err == nil {
-			break
-		}
-		j.Append(store.Record{T: store.RecFailed, Cell: dig, Label: c.label(), Attempt: a, Err: err.Error()})
-		if a == attempts || ctx.Err() != nil {
-			break
-		}
-		e.mu.Lock()
-		e.stats.Retries++
-		e.mu.Unlock()
-		if backoff > 0 {
-			select {
-			case <-time.After(backoff << min(a-1, 16)):
-			case <-ctx.Done():
-			}
-		}
+	j.Append(store.Record{T: store.RecStart, Cell: dig, Label: c.label(), Attempt: 1})
+	start := time.Now()
+	res, err := e.run(c, timeout)
+	dur := time.Since(start)
+	e.mu.Lock()
+	e.stats.Simulated++
+	e.stats.SimTime += dur
+	if err != nil {
+		e.stats.Failed++
 	}
+	e.mu.Unlock()
 
-	// Persist before journaling success, so a RecDone record always
-	// refers to an entry that is durable on disk.
-	persisted := false
-	if err == nil && res != nil && st != nil {
-		persisted = st.Put(dig, c.label(), res) == nil
-	}
-	if err == nil {
+	if err != nil {
+		j.Append(store.Record{T: store.RecFailed, Cell: dig, Label: c.label(), Attempt: 1, Err: err.Error()})
+	} else {
+		// Persist before journaling success, so a RecDone record always
+		// refers to an entry that is durable on disk.
+		if res != nil && st != nil {
+			st.Put(dig, c.label(), res)
+		}
 		j.Append(store.Record{T: store.RecDone, Cell: dig, Label: c.label(), Millis: dur.Milliseconds()})
 	}
 	ent.res, ent.err = res, err
 	close(ent.done)
-	if persisted {
-		e.mu.Lock()
-		ent.persisted = true
-		e.mu.Unlock()
-	}
-	e.maybeShed()
 	return res, false, err
-}
-
-// maybeShed enforces the soft heap watermark: when the live heap
-// exceeds it, cache entries whose results are safely on disk are
-// dropped (later requests re-read the store) and the memory returned to
-// the collector.
-func (e *Engine) maybeShed() {
-	e.mu.Lock()
-	wm := e.heapWatermark
-	e.mu.Unlock()
-	if wm == 0 {
-		return
-	}
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	if ms.HeapAlloc <= wm {
-		return
-	}
-	e.mu.Lock()
-	shed := 0
-	for k, ent := range e.cache {
-		if ent.persisted {
-			delete(e.cache, k)
-			shed++
-		}
-	}
-	e.stats.Shed += shed
-	e.mu.Unlock()
-	if shed > 0 {
-		runtime.GC()
-	}
 }

@@ -146,16 +146,6 @@ func ByAbbr(abbr string) (Spec, error) {
 	return Spec{}, fmt.Errorf("workload: %w: unknown abbreviation %q", ErrUnknownWorkload, abbr)
 }
 
-// Abbrs returns all abbreviations in registry order.
-func Abbrs() []string {
-	specs := Registry()
-	out := make([]string, len(specs))
-	for i, s := range specs {
-		out[i] = s.Abbr
-	}
-	return out
-}
-
 // ByClass returns the workloads of one RPKI class.
 func ByClass(c Class) []Spec {
 	var out []Spec

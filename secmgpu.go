@@ -221,8 +221,8 @@ type Client = campaign.Client
 func NewClient(baseURL string) *Client { return campaign.NewClient(baseURL, nil) }
 
 // CoordinatorOptions configures a campaign coordinator: lease TTL, bearer
-// token, TLS, listener, quorum verification, store scrubbing, admission
-// limits, and graceful drain.
+// token, TLS, listener, quorum verification, admission limits, and
+// graceful drain.
 type CoordinatorOptions = campaign.Options
 
 // ServeOptions configures Serve and CoordinatorHandler.
